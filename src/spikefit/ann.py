@@ -132,11 +132,14 @@ def qcfs_on_tape(x: Var, ceiling, levels: int) -> Var:
     value = np.clip(floored * dt.type(lam) / dt.type(lv), dt.type(0.0), dt.type(lam))
     interior = ((z > 0) & (z < lv)).astype(dt)
 
+    # the shape, not the Var: a closure holding the Var would tie the tape
+    # into a reference cycle
+    lam_shape = np.shape(ceiling.value if isinstance(ceiling, Var) else ceiling)
+
     def grad_x(g):
         return g * interior
 
     def grad_ceiling(g):
-        lam_shape = np.shape(ceiling.value if isinstance(ceiling, Var) else ceiling)
         return _unbroadcast(g * (q - xv / dt.type(lam) * interior), lam_shape)
 
     return record_op(value, [x, ceiling], [grad_x, grad_ceiling])
@@ -185,42 +188,45 @@ def ann_forward(model: AnnModel, x, record: bool | None = None) -> ForwardResult
     if x.ndim == 1:
         x = x[None, :]
     traces: list[ActivationTrace] = []
-
-    def walk(layers, x, prefix):
-        for i, layer in enumerate(layers):
-            path = f"{prefix}{i}"
-            if isinstance(layer, Linear):
-                x = _apply_linear(x, layer, path)
-            elif isinstance(layer, Embedding):
-                x = _apply_embedding(x, layer, path)
-            elif isinstance(layer, Relu):
-                pre = x
-                x = np.maximum(x, 0)
-                if record:
-                    traces.append(ActivationTrace(path, "relu", pre, x))
-            elif isinstance(layer, Gelu):
-                pre = x
-                x = gelu_ref(x).astype(x.dtype)
-                if record:
-                    traces.append(ActivationTrace(path, "gelu", pre, x))
-            elif isinstance(layer, Qcfs):
-                pre = x
-                x = qcfs_forward(x, layer.ceiling, layer.levels)
-                if record:
-                    traces.append(ActivationTrace(path, "qcfs", pre, x, layer.ceiling, layer.levels))
-            elif isinstance(layer, Residual):
-                skip = x
-                x = walk(layer.inner, x, f"{path}.")
-                if skip.shape != x.shape:
-                    raise ValueError(
-                        f"layer {path} (residual): branch shape {x.shape} != input {skip.shape}")
-                x = skip + x
-            else:
-                raise TypeError(f"layer {path}: unknown layer type {type(layer).__name__}")
-        return x
-
-    out = walk(model.layers, x, "")
+    out = _forward(model.layers, x, "", record, traces)
     return ForwardResult(out, traces)
+
+
+# Module-level rather than a closure: a nested walker that calls itself
+# forms a reference cycle that keeps every activation alive until the
+# cyclic garbage collector runs.
+def _forward(layers, x, prefix, record, traces):
+    for i, layer in enumerate(layers):
+        path = f"{prefix}{i}"
+        if isinstance(layer, Linear):
+            x = _apply_linear(x, layer, path)
+        elif isinstance(layer, Embedding):
+            x = _apply_embedding(x, layer, path)
+        elif isinstance(layer, Relu):
+            pre = x
+            x = np.maximum(x, 0)
+            if record:
+                traces.append(ActivationTrace(path, "relu", pre, x))
+        elif isinstance(layer, Gelu):
+            pre = x
+            x = gelu_ref(x).astype(x.dtype)
+            if record:
+                traces.append(ActivationTrace(path, "gelu", pre, x))
+        elif isinstance(layer, Qcfs):
+            pre = x
+            x = qcfs_forward(x, layer.ceiling, layer.levels)
+            if record:
+                traces.append(ActivationTrace(path, "qcfs", pre, x, layer.ceiling, layer.levels))
+        elif isinstance(layer, Residual):
+            skip = x
+            x = _forward(layer.inner, x, f"{path}.", record, traces)
+            if skip.shape != x.shape:
+                raise ValueError(
+                    f"layer {path} (residual): branch shape {x.shape} != input {skip.shape}")
+            x = skip + x
+        else:
+            raise TypeError(f"layer {path}: unknown layer type {type(layer).__name__}")
+    return x
 
 
 # -- tape forward for training ------------------------------------------------
@@ -273,32 +279,33 @@ def forward_on_tape(model: AnnModel, params: dict[str, Var], x: Array):
     if x.ndim == 1 and x.dtype.kind == "f":
         x = x[None, :]
     acts: list[Var] = []
+    return _forward_on_tape(model.layers, x, "", params, acts), acts
 
-    def walk(layers, h, prefix):
-        for i, layer in enumerate(layers):
-            path = f"{prefix}{i}"
-            if isinstance(layer, Linear):
-                h = ad.add(ad.matmul(h, params[f"{path}.w"]), params[f"{path}.b"])
-            elif isinstance(layer, Embedding):
-                idx = h if isinstance(h, np.ndarray) else h.value
-                rows = ad.gather_rows(params[f"{path}.table"], idx)
-                h = ad.reshape(rows, (idx.shape[0], -1))
-            elif isinstance(layer, Relu):
-                h = ad.relu(h)
-                acts.append(h)
-            elif isinstance(layer, Gelu):
-                h = ad.gelu(h)
-                acts.append(h)
-            elif isinstance(layer, Qcfs):
-                h = qcfs_on_tape(h, params[f"{path}.ceiling"], layer.levels)
-                acts.append(h)
-            elif isinstance(layer, Residual):
-                h = ad.add(h, walk(layer.inner, h, f"{path}."))
-            else:
-                raise TypeError(f"layer {path}: unknown layer type {type(layer).__name__}")
-        return h
 
-    return walk(model.layers, x, ""), acts
+def _forward_on_tape(layers, h, prefix, params, acts):
+    # module-level for the same reason as _forward
+    for i, layer in enumerate(layers):
+        path = f"{prefix}{i}"
+        if isinstance(layer, Linear):
+            h = ad.add(ad.matmul(h, params[f"{path}.w"]), params[f"{path}.b"])
+        elif isinstance(layer, Embedding):
+            idx = h if isinstance(h, np.ndarray) else h.value
+            rows = ad.gather_rows(params[f"{path}.table"], idx)
+            h = ad.reshape(rows, (idx.shape[0], -1))
+        elif isinstance(layer, Relu):
+            h = ad.relu(h)
+            acts.append(h)
+        elif isinstance(layer, Gelu):
+            h = ad.gelu(h)
+            acts.append(h)
+        elif isinstance(layer, Qcfs):
+            h = qcfs_on_tape(h, params[f"{path}.ceiling"], layer.levels)
+            acts.append(h)
+        elif isinstance(layer, Residual):
+            h = ad.add(h, _forward_on_tape(layer.inner, h, f"{path}.", params, acts))
+        else:
+            raise TypeError(f"layer {path}: unknown layer type {type(layer).__name__}")
+    return h
 
 
 # -- activation replacement ---------------------------------------------------

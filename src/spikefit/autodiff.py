@@ -46,7 +46,7 @@ def surrogate_spike_grad(v, theta, spec: SurrogateSpec = SurrogateSpec()) -> Arr
     if not np.all(theta > 0):
         raise ValueError("spike threshold must be positive elementwise")
     inside = np.abs(v - theta) < spec.window * theta
-    return np.where(inside, 1.0 / theta, 0.0).astype(theta.dtype, copy=False)
+    return inside * (1 / theta)
 
 
 class Var:
@@ -346,14 +346,20 @@ def softmax_cross_entropy(logits: Var, onehot: Array) -> Var:
     return mul(mean_(per_row), -1.0)
 
 
-def kd_cross_entropy(teacher_logits: Array, student_logits: Var, temperature: float) -> Var:
-    """Soft-target cross entropy: -mean_batch sum_c softmax(t/temp) * log_softmax(s/temp)."""
+def soft_targets(teacher_logits: Array, temperature: float) -> Array:
+    """Teacher distribution softmax(t/temp), row by row."""
     if temperature <= 0:
         raise ValueError(f"temperature must be positive, got {temperature}")
     t = np.asarray(teacher_logits) / temperature
     t = t - t.max(axis=1, keepdims=True)
     q = np.exp(t)
     q /= q.sum(axis=1, keepdims=True)
+    return q
+
+
+def kd_cross_entropy(teacher_logits: Array, student_logits: Var, temperature: float) -> Var:
+    """Soft-target cross entropy: -mean_batch sum_c softmax(t/temp) * log_softmax(s/temp)."""
+    q = soft_targets(teacher_logits, temperature)
     ls = log_softmax(mul(student_logits, 1.0 / temperature), axis=1)
     return mul(mean_(sum_(mul(ls, q.astype(student_logits.value.dtype)), axis=1)), -1.0)
 

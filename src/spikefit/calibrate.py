@@ -1,7 +1,9 @@
 """Two-stage conversion pipeline: map a staircase-activated model onto
 integrate-and-fire layers, then calibrate thresholds and initial potentials,
 first per layer (closed-form scaling) and then per neuron (gradient descent
-through the unrolled simulation with weights frozen)."""
+with weights frozen). The per-neuron gradients come from a hand-written
+forward pass and reverse sweep through the unrolled simulation, not from the
+autodiff tape; ``_nwc_bptt`` states what each loss contributes."""
 
 from __future__ import annotations
 
@@ -11,7 +13,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .ann import (AnnModel, Embedding, Linear, Qcfs, Relu, Gelu, Residual,
-                  ann_forward, accuracy as ann_accuracy, dataset_loss,
+                  _apply_embedding, ann_forward, accuracy as ann_accuracy, dataset_loss,
                   replace_activations, stage1_finetune, TrainConfig)
 from .autodiff import SurrogateSpec
 from .diagnostics import ErrorReport, decompose_errors, layer_mse_report
@@ -207,92 +209,118 @@ def _teacher_pass(ann: AnnModel, bx: Array):
     return [t.post.astype(np.float32) for t in res.traces], res.output.astype(np.float32)
 
 
-def _unroll_chain(snn: SnnNetwork, theta_vars, v0_vars, drive: Array,
-                  cfg: CalibConfig, detach_carry: bool):
-    """Unroll rho steps and return the per-layer rate Vars.
+def _kd_loss_and_grad(teacher_logits: Array, out: Array, temperature: float):
+    """Soft-target cross entropy of ``out`` against the teacher (as in
+    ``autodiff.kd_cross_entropy``) and its gradient with respect to ``out``."""
+    q = ad.soft_targets(teacher_logits, temperature).astype(out.dtype)
+    z = out * (1.0 / temperature)
+    z = z - z.max(axis=1, keepdims=True)
+    e = np.exp(z)
+    total = e.sum(axis=1, keepdims=True)
+    batch = out.shape[0]
+    loss = -float(((z - np.log(total)) * q).sum(axis=1).sum() * (1.0 / batch))
+    grad = (e / total - q) * (1.0 / (batch * temperature))
+    return loss, grad
 
-    With ``detach_carry`` the spikes feeding the next layer are passed as
-    plain values, so each layer's rate depends only on its own threshold and
-    initial potential (the within-layer membrane recurrence stays on the
-    tape). Without it the full chain is differentiable.
+
+def _nwc_bptt(snn: SnnNetwork, params: dict, drive: Array, teacher_acts,
+              teacher_logits, cfg: CalibConfig):
+    """One calibration step: both losses and the gradient for every threshold
+    and initial potential, by surrogate-gradient backprop through time.
+
+    Gradient semantics: the alignment loss is differentiated with the
+    carries between layers detached, so each layer's parameters receive the
+    gradient of that layer's own ``L_al`` term (the membrane recurrence
+    within the layer stays differentiable); the logits loss is differentiated
+    through the whole chain, carries included. The two gradients are combined
+    with their loss weights, ``lambda_align * dL_al + lambda_logits *
+    dL_logits``; a term whose weight is zero is not computed.
+
+    One forward pass over the rho unrolled steps stores each layer's spike
+    frame and surrogate factor; one reverse sweep over steps and layers then
+    carries the adjoint of the membrane potential in up to two lanes, stacked
+    as (lanes, batch, width): the alignment lane, which never crosses layers,
+    and the logits lane, which crosses layers through ``g @ W.T``.
     """
     pairs, tail = _split_stack(snn)
-    batch = drive.shape[0]
-    denom = float(cfg.rho if cfg.denominator == "rho" else cfg.timesteps)
-    first_current = drive @ pairs[0][0].w + pairs[0][0].b
+    n_layers = len(pairs)
+    thetas = [params[f"if{j}.threshold"] for j in range(n_layers)]
+    inv_denom = 1.0 / (cfg.rho if cfg.denominator == "rho" else cfg.timesteps)
 
-    vs = [ad.add(v0_vars[j], np.zeros((batch, p[1].width), dtype=np.float32))
-          for j, p in enumerate(pairs)]
-    sums: list = [None] * len(pairs)
+    # forward: s and the surrogate factor for every (step, layer)
+    first_current = drive @ pairs[0][0].w + pairs[0][0].b
+    vs = [params[f"if{j}.v_init"] for j in range(n_layers)]
+    sums: list = [None] * n_layers
+    frames: list[list] = []
     for _ in range(cfg.rho):
+        row = []
         carry = None
         for j, (linear, _) in enumerate(pairs):
-            if j == 0:
-                cur = first_current
-            elif isinstance(carry, ad.Var):
-                cur = ad.add(ad.matmul(carry, linear.w), linear.b)
-            else:
-                cur = carry @ linear.w + linear.b
-            v = ad.add(vs[j], cur)
-            s = ad.spike(v, theta_vars[j], cfg.surrogate)
-            vs[j] = ad.sub(v, ad.mul(s, theta_vars[j]))
-            sums[j] = s if sums[j] is None else ad.add(sums[j], s)
-            carry = ad.mul(s, theta_vars[j])
-            if detach_carry:
-                carry = carry.value
-    rates = [ad.mul(ad.mul(sums[j], theta_vars[j]), 1.0 / denom) for j in range(len(pairs))]
-    return rates, tail
+            theta = thetas[j]
+            cur = first_current if j == 0 else carry @ linear.w + linear.b
+            v = vs[j] + cur
+            s = (v >= theta).astype(np.float32)
+            row.append((s, ad.surrogate_spike_grad(v, theta, cfg.surrogate)))
+            carry = s * theta
+            vs[j] = v - carry
+            sums[j] = s if sums[j] is None else sums[j] + s
+        frames.append(row)
+    rates = [sums[j] * thetas[j] * inv_denom for j in range(n_layers)]
 
+    diffs = [rates[j] - teacher_acts[j] for j in range(n_layers)]
+    l_align = float(np.sum([(d * d).sum() * (1.0 / d.size) for d in diffs]))
+    out = rates[-1] if tail is None else rates[-1] @ tail.w + tail.b
+    l_kd, g_out = _kd_loss_and_grad(teacher_logits, out, cfg.temperature)
 
-def _nwc_step(snn: SnnNetwork, params: dict, drive: Array, teacher_acts,
-              teacher_logits, cfg: CalibConfig):
-    """One calibration step: losses and gradients for every threshold and
-    initial potential.
-
-    Each layer's parameters receive the gradient of that layer's own
-    alignment loss (carries between layers are detached there), while the
-    logits loss backpropagates through the whole chain; the two parts are
-    combined with their loss weights.
-    """
-    n_layers = sum(1 for l in snn.layers if isinstance(l, IfLayer))
-    grads = {k: np.zeros_like(v) for k, v in params.items()}
-
-    tape = ad.Tape()
-    thetas = [tape.leaf(params[f"if{j}.threshold"]) for j in range(n_layers)]
-    v0s = [tape.leaf(params[f"if{j}.v_init"]) for j in range(n_layers)]
-    rates, _ = _unroll_chain(snn, thetas, v0s, drive, cfg, detach_carry=True)
-    align = None
-    for j, rate in enumerate(rates):
-        term = ad.mse(rate, teacher_acts[j])
-        align = term if align is None else ad.add(align, term)
-    l_align = float(align.value)
+    # seeds: the gradient of each lane's loss with respect to every rate
+    lanes = []
     if cfg.lambda_align > 0:
-        gmap = ad.backward(tape, align)
-        for j in range(n_layers):
-            grads[f"if{j}.threshold"] += cfg.lambda_align * gmap.wrt(thetas[j])
-            grads[f"if{j}.v_init"] += cfg.lambda_align * gmap.wrt(v0s[j])
-
-    tape2 = ad.Tape()
-    thetas2 = [tape2.leaf(params[f"if{j}.threshold"]) for j in range(n_layers)]
-    v0s2 = [tape2.leaf(params[f"if{j}.v_init"]) for j in range(n_layers)]
-    rates2, tail = _unroll_chain(snn, thetas2, v0s2, drive, cfg, detach_carry=False)
-    out = rates2[-1]
-    if tail is not None:
-        out = ad.add(ad.matmul(out, tail.w), tail.b)
-    kd = ad.kd_cross_entropy(teacher_logits, out, cfg.temperature)
-    l_kd = float(kd.value)
+        lanes.append([np.float32(2.0 * cfg.lambda_align / d.size) * d for d in diffs])
+    kd = None
     if cfg.lambda_logits > 0:
-        gmap = ad.backward(tape2, kd)
-        for j in range(n_layers):
-            grads[f"if{j}.threshold"] += cfg.lambda_logits * gmap.wrt(thetas2[j])
-            grads[f"if{j}.v_init"] += cfg.lambda_logits * gmap.wrt(v0s2[j])
+        kd = len(lanes)
+        g_last = g_out if tail is None else g_out @ tail.w.T
+        lanes.append([np.zeros_like(r) for r in rates[:-1]] + [cfg.lambda_logits * g_last])
+    g_rate = [np.stack([lane[j] for lane in lanes]) for j in range(n_layers)]
 
+    # reverse: g_u is the adjoint of the post-reset potential; acc gathers
+    # the threshold gradient through the reset and the carry
+    g_sum = [g_rate[j] * inv_denom * thetas[j] for j in range(n_layers)]
+    g_u = [np.zeros_like(g) for g in g_rate]
+    acc = [g_rate[j] * inv_denom * sums[j] for j in range(n_layers)]
+    for row in reversed(frames):
+        g_carry = None
+        for j in range(n_layers - 1, -1, -1):
+            s, surr = row[j]
+            c = -g_u[j]
+            if g_carry is not None:
+                c[kd] += g_carry
+            acc[j] += s * c
+            g_u[j] += (g_sum[j] + thetas[j] * c) * surr
+            g_carry = g_u[j][kd] @ pairs[j][0].w.T if kd is not None and j > 0 else None
+
+    # the firing condition's theta partial is minus its v partial, and summed
+    # over the steps those v partials are exactly the final g_u
+    grads = {}
+    for j in range(n_layers):
+        grads[f"if{j}.threshold"] = (acc[j] - g_u[j]).sum(axis=(0, 1))
+        grads[f"if{j}.v_init"] = g_u[j].sum(axis=(0, 1))
     losses = {
         "L_al": l_align,
         "L_logits": l_kd,
         "L_all": cfg.lambda_align * l_align + cfg.lambda_logits * l_kd,
     }
     return losses, grads
+
+
+def _calib_batch(snn: SnnNetwork, ann: AnnModel, bx: Array):
+    """Drive current and teacher targets for one calibration batch."""
+    teacher_acts, teacher_logits = _teacher_pass(ann, bx)
+    if snn.input_encoder is None:
+        drive = bx.astype(np.float32)
+    else:
+        drive = _apply_embedding(bx, snn.input_encoder, "encoder")
+    return drive, teacher_acts, teacher_logits
 
 
 def nwc_calibrate(snn: SnnNetwork, ann: AnnModel, data, cfg: CalibConfig,
@@ -324,18 +352,12 @@ def nwc_calibrate(snn: SnnNetwork, ann: AnnModel, data, cfg: CalibConfig,
     n = len(data.x)
     log: list[dict] = []
 
+    # whole set fits one batch: keep it fixed across steps
+    batch = _calib_batch(snn, ann, data.x) if cfg.batch_size >= n else None
     for step in range(cfg.steps):
-        if cfg.batch_size >= n:
-            bx = data.x  # whole set fits one batch: keep it fixed across steps
-        else:
-            bx = data.x[rng.integers(0, n, (cfg.batch_size,))]
-        teacher_acts, teacher_logits = _teacher_pass(ann, bx)
-        drive = bx.astype(np.float32) if snn.input_encoder is None else None
-        if drive is None:
-            from .ann import _apply_embedding
-            drive = _apply_embedding(bx, snn.input_encoder, "encoder")
-
-        losses, gdict = _nwc_step(snn, params, drive, teacher_acts, teacher_logits, cfg)
+        if cfg.batch_size < n:
+            batch = _calib_batch(snn, ann, data.x[rng.integers(0, n, (cfg.batch_size,))])
+        losses, gdict = _nwc_bptt(snn, params, *batch, cfg)
         l_all = losses["L_all"]
         if not np.isfinite(l_all):
             raise CalibrationError(f"non-finite calibration loss at step {step}")

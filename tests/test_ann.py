@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,8 +9,8 @@ from hypothesis import strategies as st
 from spikefit import autodiff as ad
 from spikefit.ann import (AnnModel, Embedding, Gelu, Linear, Qcfs, Relu, Residual,
                           TrainConfig, TrainingDivergedError, ann_forward,
-                          dataset_loss, fit_ugo, layernorm_ref, mlp, param_arrays,
-                          qcfs_forward, qcfs_on_tape, replace_activations,
+                          dataset_loss, fit_ugo, forward_on_tape, layernorm_ref, mlp,
+                          param_arrays, qcfs_forward, qcfs_on_tape, replace_activations,
                           stage1_finetune, train_model)
 from spikefit.data import Dataset
 from spikefit.tensor import Rng
@@ -136,6 +139,46 @@ class TestAnnForward:
         out = ann_forward(model, tokens)
         assert out.output.shape == (5, 2)
         assert len(out.traces) == 2  # top-level relu + residual-inner relu
+
+
+class TestNoReferenceCycles:
+    """Activations are freed by reference counting alone, as soon as the
+    caller drops the result, without waiting for the cyclic collector."""
+
+    def _model(self):
+        rng = Rng(5)
+        inner = [Linear(rng.normal(0, 0.2, (6, 6)), np.zeros(6, np.float32)), Qcfs(1.0, 4)]
+        return AnnModel([Linear(rng.normal(0, 0.3, (4, 6)), np.zeros(6, np.float32)),
+                         Qcfs(1.5, 4),
+                         Residual(inner),
+                         Linear(rng.normal(0, 0.3, (6, 2)), np.zeros(2, np.float32))])
+
+    def test_ann_forward(self):
+        model = self._model()
+        x = Rng(6).normal(0, 1, (8, 4))
+        gc.disable()
+        try:
+            result = ann_forward(model, x, record=True)
+            refs = [weakref.ref(result.traces[0].post), weakref.ref(result.traces[-1].pre),
+                    weakref.ref(result.output)]
+            del result
+            assert all(r() is None for r in refs)
+        finally:
+            gc.enable()
+
+    def test_forward_on_tape(self):
+        model = self._model()
+        x = Rng(7).normal(0, 1, (8, 4))
+        gc.disable()
+        try:
+            tape = ad.Tape()
+            tvars = {k: tape.leaf(v, k) for k, v in param_arrays(model).items()}
+            out, acts = forward_on_tape(model, tvars, x)
+            refs = [weakref.ref(acts[0].value), weakref.ref(out.value)]
+            del tape, tvars, out, acts
+            assert all(r() is None for r in refs)
+        finally:
+            gc.enable()
 
 
 class TestReplaceActivations:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import spikefit.calibrate as calibrate
 from spikefit.ann import (AnnModel, Linear, Qcfs, Relu, ann_forward, mlp,
                           replace_activations)
 from spikefit.calibrate import (CalibConfig, CalibrationError, activation_align_loss,
@@ -232,6 +233,32 @@ class TestNwc:
         np.testing.assert_array_equal(out.if_layers()[0].threshold, theta0)
         np.testing.assert_array_equal(out.if_layers()[0].v_init, v0)
         assert log[0]["L_al"] == 0.0
+
+    def test_reruns_bit_identical(self):
+        rng, model, data = _calib_setup(5, dims=(6, 12, 8, 3))
+        net = lwc(convert(model, 8), 0.6, 0.1)
+        cfg = CalibConfig(timesteps=8, steps=6, batch_size=64, lr=0.02, seed=5)
+        runs = [nwc_calibrate(net, model, data, cfg, Rng(5).split("nwc")) for _ in range(2)]
+        (a, log_a), (b, log_b) = runs
+        assert log_a == log_b
+        for la, lb in zip(a.if_layers(), b.if_layers()):
+            np.testing.assert_array_equal(la.threshold, lb.threshold)
+            np.testing.assert_array_equal(la.v_init, lb.v_init)
+
+    def test_fixed_batch_teacher_runs_once(self, monkeypatch):
+        rng, model, data = _calib_setup(6)
+        fixed = Dataset(data.x[:64], data.y[:64], "classify")
+        calls = []
+        real = calibrate.ann_forward
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(calibrate, "ann_forward", counting)
+        cfg = CalibConfig(timesteps=8, steps=4, batch_size=64, seed=6)
+        nwc_calibrate(convert(model, 8), model, fixed, cfg, rng.split("nwc"))
+        assert len(calls) == 1
 
     def test_log_schema(self):
         rng, model, data = _calib_setup(1)
