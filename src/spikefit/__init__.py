@@ -2,14 +2,13 @@
 staircase fine-tuning, threshold calibration, diagnostics, and energy
 accounting, plus a config-driven experiment runner."""
 
-from .ann import (AnnModel, Embedding, Gelu, Linear, Qcfs, Relu, Residual,
-                  TrainConfig, UgoApproximator, ann_forward, fit_ugo, mlp,
-                  qcfs_forward, replace_activations, stage1_finetune, train_model)
+from .ann import (AnnModel, Embedding, Gelu, Linear, Qcfs, Relu, TrainConfig,
+                  UgoApproximator, ann_forward, fit_ugo, mlp, qcfs_forward,
+                  replace_activations, stage1_finetune, train_model)
 from .autodiff import (AdamState, SurrogateSpec, Tape, adam_step, backward,
                        ste_floor, surrogate_spike_grad)
-from .calibrate import (CalibConfig, PipelineConfig, activation_align_loss,
-                        apply_stage2, convert, logits_loss, lwc, nwc_calibrate,
-                        run_pipeline, select_alpha)
+from .calibrate import (CalibConfig, activation_align_loss, apply_stage2, convert,
+                        logits_loss, lwc, nwc_calibrate, select_alpha)
 from .checkpoint import IntegrityError, load_checkpoint, save_checkpoint, weight_hash
 from .config import ConfigError, ExperimentConfig, config_hash, parse_config
 from .data import DataSpec, Dataset, DatasetSplits, make_dataset
@@ -19,6 +18,6 @@ from .diagnostics import (ErrorReport, decompose_errors, layer_mse_report,
 from .energy import count_ops, energy_report, mean_spike_rate, spike_rate_stats
 from .snn import (IfLayer, SimulationError, SnnNetwork, SpikeRecord, firing_rate,
                   if_step, psi_max, simulate, theoretical_spike_count)
-from .tensor import Rng, TensorCodecError, decode_tensor, encode_tensor, matmul
+from .tensor import Rng, TensorCodecError, decode_tensor, encode_tensor
 
 __version__ = "0.1.0"

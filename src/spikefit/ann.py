@@ -53,11 +53,6 @@ class Qcfs:
 
 
 @dataclass
-class Residual:
-    inner: list
-
-
-@dataclass
 class Embedding:
     """Byte/token table; int input (batch, window) -> (batch, window*dim)."""
 
@@ -68,25 +63,14 @@ ACTIVATIONS = (Relu, Gelu, Qcfs)
 
 
 class AnnModel:
-    def __init__(self, layers: list, record_activations: bool = True):
+    def __init__(self, layers: list):
         self.layers = list(layers)
-        self.record_activations = record_activations
 
     def clone(self) -> "AnnModel":
-        return AnnModel(copy.deepcopy(self.layers), self.record_activations)
+        return AnnModel(copy.deepcopy(self.layers))
 
     def activation_layers(self) -> list:
-        out = []
-
-        def walk(layers):
-            for layer in layers:
-                if isinstance(layer, ACTIVATIONS):
-                    out.append(layer)
-                elif isinstance(layer, Residual):
-                    walk(layer.inner)
-
-        walk(self.layers)
-        return out
+        return [layer for layer in self.layers if isinstance(layer, ACTIVATIONS)]
 
     def qcfs_layers(self) -> list[Qcfs]:
         return [a for a in self.activation_layers() if isinstance(a, Qcfs)]
@@ -175,29 +159,19 @@ def _apply_embedding(x: Array, layer: Embedding, path: str) -> Array:
     return out.reshape(out.shape[0], -1)
 
 
-def ann_forward(model: AnnModel, x, record: bool | None = None) -> ForwardResult:
+def ann_forward(model: AnnModel, x, record: bool = True) -> ForwardResult:
     """Run the stack, returning the output and one trace per activation layer.
 
     Each trace carries the value entering the activation (``pre``) and its
     output (``post``); both are needed downstream, for threshold selection
     and for rate alignment respectively.
     """
-    if record is None:
-        record = model.record_activations
     x = np.asarray(x)
     if x.ndim == 1:
         x = x[None, :]
     traces: list[ActivationTrace] = []
-    out = _forward(model.layers, x, "", record, traces)
-    return ForwardResult(out, traces)
-
-
-# Module-level rather than a closure: a nested walker that calls itself
-# forms a reference cycle that keeps every activation alive until the
-# cyclic garbage collector runs.
-def _forward(layers, x, prefix, record, traces):
-    for i, layer in enumerate(layers):
-        path = f"{prefix}{i}"
+    for i, layer in enumerate(model.layers):
+        path = str(i)
         if isinstance(layer, Linear):
             x = _apply_linear(x, layer, path)
         elif isinstance(layer, Embedding):
@@ -217,57 +191,37 @@ def _forward(layers, x, prefix, record, traces):
             x = qcfs_forward(x, layer.ceiling, layer.levels)
             if record:
                 traces.append(ActivationTrace(path, "qcfs", pre, x, layer.ceiling, layer.levels))
-        elif isinstance(layer, Residual):
-            skip = x
-            x = _forward(layer.inner, x, f"{path}.", record, traces)
-            if skip.shape != x.shape:
-                raise ValueError(
-                    f"layer {path} (residual): branch shape {x.shape} != input {skip.shape}")
-            x = skip + x
         else:
             raise TypeError(f"layer {path}: unknown layer type {type(layer).__name__}")
-    return x
+    return ForwardResult(x, traces)
 
 
 # -- tape forward for training ------------------------------------------------
 
 def param_arrays(model: AnnModel) -> dict[str, Array]:
-    """Trainable arrays keyed by layer path; ceilings are 0-d float32."""
+    """Trainable arrays keyed by layer index; ceilings are 0-d float32."""
     params: dict[str, Array] = {}
-
-    def walk(layers, prefix):
-        for i, layer in enumerate(layers):
-            path = f"{prefix}{i}"
-            if isinstance(layer, Linear):
-                params[f"{path}.w"] = layer.w
-                params[f"{path}.b"] = layer.b
-            elif isinstance(layer, Embedding):
-                params[f"{path}.table"] = layer.table
-            elif isinstance(layer, Qcfs):
-                params[f"{path}.ceiling"] = np.asarray(layer.ceiling, dtype=np.float32)
-            elif isinstance(layer, Residual):
-                walk(layer.inner, f"{path}.")
-
-    walk(model.layers, "")
+    for i, layer in enumerate(model.layers):
+        if isinstance(layer, Linear):
+            params[f"{i}.w"] = layer.w
+            params[f"{i}.b"] = layer.b
+        elif isinstance(layer, Embedding):
+            params[f"{i}.table"] = layer.table
+        elif isinstance(layer, Qcfs):
+            params[f"{i}.ceiling"] = np.asarray(layer.ceiling, dtype=np.float32)
     return params
 
 
 def set_param_arrays(model: AnnModel, params: dict[str, Array]) -> None:
-    def walk(layers, prefix):
-        for i, layer in enumerate(layers):
-            path = f"{prefix}{i}"
-            if isinstance(layer, Linear):
-                layer.w = np.asarray(params[f"{path}.w"], dtype=np.float32)
-                layer.b = np.asarray(params[f"{path}.b"], dtype=np.float32)
-            elif isinstance(layer, Embedding):
-                layer.table = np.asarray(params[f"{path}.table"], dtype=np.float32)
-            elif isinstance(layer, Qcfs):
-                # keep the staircase cap positive while it trains
-                layer.ceiling = float(max(float(params[f"{path}.ceiling"]), 1e-4))
-            elif isinstance(layer, Residual):
-                walk(layer.inner, f"{path}.")
-
-    walk(model.layers, "")
+    for i, layer in enumerate(model.layers):
+        if isinstance(layer, Linear):
+            layer.w = np.asarray(params[f"{i}.w"], dtype=np.float32)
+            layer.b = np.asarray(params[f"{i}.b"], dtype=np.float32)
+        elif isinstance(layer, Embedding):
+            layer.table = np.asarray(params[f"{i}.table"], dtype=np.float32)
+        elif isinstance(layer, Qcfs):
+            # keep the staircase cap positive while it trains
+            layer.ceiling = float(max(float(params[f"{i}.ceiling"]), 1e-4))
 
 
 def forward_on_tape(model: AnnModel, params: dict[str, Var], x: Array):
@@ -275,22 +229,16 @@ def forward_on_tape(model: AnnModel, params: dict[str, Var], x: Array):
 
     Inputs are constants; gradients flow only into the parameter variables.
     """
-    x = np.asarray(x)
-    if x.ndim == 1 and x.dtype.kind == "f":
-        x = x[None, :]
+    h = np.asarray(x)
+    if h.ndim == 1 and h.dtype.kind == "f":
+        h = h[None, :]
     acts: list[Var] = []
-    return _forward_on_tape(model.layers, x, "", params, acts), acts
-
-
-def _forward_on_tape(layers, h, prefix, params, acts):
-    # module-level for the same reason as _forward
-    for i, layer in enumerate(layers):
-        path = f"{prefix}{i}"
+    for i, layer in enumerate(model.layers):
         if isinstance(layer, Linear):
-            h = ad.add(ad.matmul(h, params[f"{path}.w"]), params[f"{path}.b"])
+            h = ad.add(ad.matmul(h, params[f"{i}.w"]), params[f"{i}.b"])
         elif isinstance(layer, Embedding):
             idx = h if isinstance(h, np.ndarray) else h.value
-            rows = ad.gather_rows(params[f"{path}.table"], idx)
+            rows = ad.gather_rows(params[f"{i}.table"], idx)
             h = ad.reshape(rows, (idx.shape[0], -1))
         elif isinstance(layer, Relu):
             h = ad.relu(h)
@@ -299,13 +247,11 @@ def _forward_on_tape(layers, h, prefix, params, acts):
             h = ad.gelu(h)
             acts.append(h)
         elif isinstance(layer, Qcfs):
-            h = qcfs_on_tape(h, params[f"{path}.ceiling"], layer.levels)
+            h = qcfs_on_tape(h, params[f"{i}.ceiling"], layer.levels)
             acts.append(h)
-        elif isinstance(layer, Residual):
-            h = ad.add(h, _forward_on_tape(layer.inner, h, f"{path}.", params, acts))
         else:
-            raise TypeError(f"layer {path}: unknown layer type {type(layer).__name__}")
-    return h
+            raise TypeError(f"layer {i}: unknown layer type {type(layer).__name__}")
+    return h, acts
 
 
 # -- activation replacement ---------------------------------------------------
@@ -325,26 +271,15 @@ def replace_activations(model: AnnModel, levels: int, init_batch: Array | None =
 
     ceilings: list[float] = []
     if init_batch is not None:
-        result = ann_forward(model, init_batch, record=True)
-        for trace in result.traces:
+        for trace in ann_forward(model, init_batch).traces:
             cap = float(np.percentile(np.abs(trace.pre), 99.9))
             ceilings.append(max(cap, 1e-6))
 
     new = model.clone()
-    counter = {"i": 0}
-
-    def walk(layers):
-        for j, layer in enumerate(layers):
-            if isinstance(layer, (Relu, Gelu)):
-                cap = ceilings[counter["i"]] if ceilings else 1.0
-                layers[j] = Qcfs(ceiling=cap, levels=int(levels))
-                counter["i"] += 1
-            elif isinstance(layer, Qcfs):
-                counter["i"] += 1
-            elif isinstance(layer, Residual):
-                walk(layer.inner)
-
-    walk(new.layers)
+    act_positions = [j for j, layer in enumerate(new.layers) if isinstance(layer, ACTIVATIONS)]
+    for k, j in enumerate(act_positions):
+        if isinstance(new.layers[j], (Relu, Gelu)):
+            new.layers[j] = Qcfs(ceiling=ceilings[k] if ceilings else 1.0, levels=int(levels))
     return new
 
 
@@ -368,8 +303,7 @@ def _loss_on_tape(output: Var, batch_y: Array, task: str) -> Var:
 
 
 def _scan_nonfinite(model: AnnModel, batch_x: Array) -> str:
-    result = ann_forward(model, batch_x, record=True)
-    for trace in result.traces:
+    for trace in ann_forward(model, batch_x).traces:
         if not np.all(np.isfinite(trace.post)):
             return trace.layer
     return "output"

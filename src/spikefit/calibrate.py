@@ -1,4 +1,4 @@
-"""Two-stage conversion pipeline: map a staircase-activated model onto
+"""Stage 2 of the conversion: map a staircase-activated model onto
 integrate-and-fire layers, then calibrate thresholds and initial potentials,
 first per layer (closed-form scaling) and then per neuron (gradient descent
 with weights frozen). The per-neuron gradients come from a hand-written
@@ -7,18 +7,15 @@ autodiff tape; ``_nwc_bptt`` states what each loss contributes."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import autodiff as ad
-from .ann import (AnnModel, Embedding, Linear, Qcfs, Relu, Gelu, Residual,
-                  _apply_embedding, ann_forward, accuracy as ann_accuracy, dataset_loss,
-                  replace_activations, stage1_finetune, TrainConfig)
+from .ann import AnnModel, Embedding, Linear, Qcfs, Relu, Gelu, _apply_embedding, ann_forward
 from .autodiff import SurrogateSpec
-from .diagnostics import ErrorReport, decompose_errors, layer_mse_report
-from .snn import (IfLayer, SnnNetwork, SpikeRecord, _split_stack, firing_rate,
-                  simulate, theoretical_spike_count)
+from .snn import (IfLayer, SnnNetwork, _split_stack, firing_rate, simulate,
+                  theoretical_spike_count)
 from .tensor import Array, Rng
 
 
@@ -103,8 +100,6 @@ def convert(model: AnnModel, timesteps: int) -> SnnNetwork:
             raise ValueError(
                 f"layer {i}: model still has a {type(layer).__name__} activation; "
                 "replace activations and fine-tune (stage 1) before converting")
-        elif isinstance(layer, Residual):
-            raise ValueError(f"layer {i}: residual blocks are not convertible to an IF stack")
         else:
             raise TypeError(f"layer {i}: unknown layer type {type(layer).__name__}")
     return SnnNetwork(layers, timesteps, input_encoder=encoder)
@@ -153,9 +148,8 @@ def resolve_alpha(cfg: CalibConfig, ann: AnnModel, probe_x: Array) -> list[float
     n = len(ann.qcfs_layers())
     if cfg.alpha != "auto":
         return _per_layer(cfg.alpha, n, "alpha")
-    result = ann_forward(ann, probe_x, record=True)
     alphas = []
-    for trace in result.traces:
+    for trace in ann_forward(ann, probe_x).traces:
         taus = theoretical_spike_count(trace.post, trace.ceiling, cfg.timesteps)
         alphas.append(select_alpha(taus, cfg.timesteps))
     return alphas
@@ -205,7 +199,7 @@ def logits_loss(ann_logits: Array, snn_rates: Array, temperature: float) -> floa
 # -- neuron-wise calibration ------------------------------------------------------
 
 def _teacher_pass(ann: AnnModel, bx: Array):
-    res = ann_forward(ann, bx, record=True)
+    res = ann_forward(ann, bx)
     return [t.post.astype(np.float32) for t in res.traces], res.output.astype(np.float32)
 
 
@@ -426,28 +420,9 @@ def evaluate_snn(snn: SnnNetwork, data, timesteps: int | None = None) -> dict:
     return {"accuracy": float((out.argmax(axis=1) == data.y).mean())}
 
 
-# -- full pipeline ------------------------------------------------------------------
+# -- stage-2 variants -------------------------------------------------------------
 
 ABLATION_VARIANTS = ("none", "lwc", "nwc", "both")
-
-
-@dataclass
-class PipelineConfig:
-    levels: int
-    stage1: TrainConfig
-    calib: CalibConfig
-    ablate: str = "both"  # one of ABLATION_VARIANTS or "grid"
-    seed: int = 0
-
-
-@dataclass
-class PipelineResult:
-    ann: AnnModel
-    snn: SnnNetwork
-    error_report: ErrorReport
-    metrics: dict
-    variants: dict[str, SnnNetwork]
-    calibration_log: list[dict]
 
 
 def apply_stage2(snn_base: SnnNetwork, ann: AnnModel, splits, cfg: CalibConfig,
@@ -463,77 +438,3 @@ def apply_stage2(snn_base: SnnNetwork, ann: AnnModel, splits, cfg: CalibConfig,
     if variant in ("nwc", "both"):
         net, log = nwc_calibrate(net, ann, splits.calib, cfg, rng.split(f"nwc-{variant}"))
     return net, log
-
-
-def run_pipeline(ann0: AnnModel, splits, pcfg: PipelineConfig,
-                 out_dir: str | None = None) -> PipelineResult:
-    """Stage 1 (replace activations, fine-tune, convert) then stage 2
-    (layer-wise and neuron-wise calibration), with per-variant metrics.
-
-    ``ann0`` plays the role of the pretrained starting model. When
-    ``out_dir`` is given, checkpoints and the calibration log are written
-    beneath it.
-    """
-    from . import checkpoint as ckpt
-    from .diagnostics import decompose_errors
-
-    rng = Rng(pcfg.seed)
-    cfg = pcfg.calib
-    metrics: dict = {"seed": pcfg.seed, "levels": pcfg.levels,
-                     "timesteps": cfg.timesteps, "rho": cfg.rho}
-
-    init_batch = splits.train.x[:min(512, len(splits.train.x))]
-    qcfs_model = replace_activations(ann0, pcfg.levels, init_batch)
-    ann1, history = stage1_finetune(qcfs_model, splits.train, pcfg.stage1,
-                                    rng.split("stage1"), val_data=splits.test)
-    metrics["stage1"] = {"history": history}
-    if splits.test.task != "regress":
-        metrics["stage1"]["test_accuracy"] = ann_accuracy(ann1, splits.test)
-        metrics["ann_baseline_test_accuracy"] = ann_accuracy(ann0, splits.test)
-    else:
-        metrics["stage1"]["test_mse"] = dataset_loss(ann1, splits.test)
-
-    snn_base = convert(ann1, cfg.timesteps)
-    if out_dir is not None:
-        ckpt.save_checkpoint(ann1, f"{out_dir}/ann")
-        ckpt.save_checkpoint(snn_base, f"{out_dir}/snn")
-
-    variants = list(ABLATION_VARIANTS) if pcfg.ablate == "grid" else [pcfg.ablate]
-    eval_batch = splits.test.x[:min(256, len(splits.test.x))]
-    teacher_acts, _ = _teacher_pass(ann1, eval_batch)
-
-    results: dict[str, SnnNetwork] = {}
-    metrics["variants"] = {}
-    final_log: list[dict] = []
-    for variant in variants:
-        net, log = apply_stage2(snn_base, ann1, splits, cfg, variant, rng)
-        results[variant] = net
-        if log:
-            final_log = log
-        rec = simulate(net, eval_batch if net.input_encoder is None else eval_batch,
-                       cfg.timesteps)
-        rates = [firing_rate(rec, j) for j in range(rec.n_layers)]
-        row = evaluate_snn(net, splits.test, cfg.timesteps)
-        row.update(eval_losses(net, ann1, eval_batch, cfg))
-        row["layer_mse"] = [float(np.mean((a.astype(np.float64) - r.astype(np.float64)) ** 2))
-                            for a, r in zip(teacher_acts, rates)]
-        row["mean_rate"] = [float(s.mean()) for s in rec.spikes]
-        metrics["variants"][variant] = row
-
-    final_variant = variants[-1]
-    final = results[final_variant]
-    rec = simulate(final, eval_batch, cfg.timesteps)
-    traces = ann_forward(ann1, eval_batch, record=True).traces
-    report = decompose_errors(traces, rec, final)
-    metrics["final_variant"] = final_variant
-
-    if out_dir is not None:
-        ckpt.save_checkpoint(final, f"{out_dir}/snn_calibrated")
-        import json
-        import os
-        os.makedirs(f"{out_dir}/reports", exist_ok=True)
-        with open(f"{out_dir}/reports/calibration.jsonl", "w") as f:
-            for row in final_log:
-                f.write(json.dumps(row, sort_keys=True) + "\n")
-
-    return PipelineResult(ann1, final, report, metrics, results, final_log)

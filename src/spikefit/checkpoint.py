@@ -10,7 +10,7 @@ import os
 
 import numpy as np
 
-from .ann import AnnModel, Embedding, Gelu, Linear, Qcfs, Relu, Residual
+from .ann import AnnModel, Embedding, Gelu, Linear, Qcfs, Relu
 from .snn import IfLayer, SnnNetwork
 from .tensor import Array, decode_tensor, encode_tensor
 
@@ -26,23 +26,15 @@ def weight_hash(obj) -> str:
     """Digest of the synaptic weights only (linear layers and embeddings);
     thresholds, initial potentials, and staircase caps are excluded."""
     h = hashlib.sha256()
-
-    def feed(layers):
-        for layer in layers:
-            if isinstance(layer, Linear):
-                h.update(np.ascontiguousarray(layer.w, dtype=np.float32).tobytes())
-                h.update(np.ascontiguousarray(layer.b, dtype=np.float32).tobytes())
-            elif isinstance(layer, Embedding):
-                h.update(np.ascontiguousarray(layer.table, dtype=np.float32).tobytes())
-            elif isinstance(layer, Residual):
-                feed(layer.inner)
-
-    if isinstance(obj, SnnNetwork):
-        if obj.input_encoder is not None:
-            feed([obj.input_encoder])
-        feed(obj.layers)
-    else:
-        feed(obj.layers)
+    layers = obj.layers
+    if isinstance(obj, SnnNetwork) and obj.input_encoder is not None:
+        layers = [obj.input_encoder, *layers]
+    for layer in layers:
+        if isinstance(layer, Linear):
+            h.update(np.ascontiguousarray(layer.w, dtype=np.float32).tobytes())
+            h.update(np.ascontiguousarray(layer.b, dtype=np.float32).tobytes())
+        elif isinstance(layer, Embedding):
+            h.update(np.ascontiguousarray(layer.table, dtype=np.float32).tobytes())
     return h.hexdigest()
 
 
@@ -65,14 +57,13 @@ class _TensorSink:
         return name
 
 
-def _describe_ann_layers(layers, sink: _TensorSink, prefix: str) -> list[dict]:
+def _describe_ann_layers(layers, sink: _TensorSink) -> list[dict]:
     out = []
     for i, layer in enumerate(layers):
-        path = f"{prefix}{i}"
         if isinstance(layer, Linear):
             out.append({"type": "linear",
-                        "w": sink.put(f"{path}.w", layer.w),
-                        "b": sink.put(f"{path}.b", layer.b)})
+                        "w": sink.put(f"{i}.w", layer.w),
+                        "b": sink.put(f"{i}.b", layer.b)})
         elif isinstance(layer, Relu):
             out.append({"type": "relu"})
         elif isinstance(layer, Gelu):
@@ -81,10 +72,7 @@ def _describe_ann_layers(layers, sink: _TensorSink, prefix: str) -> list[dict]:
             out.append({"type": "qcfs", "ceiling": float(layer.ceiling),
                         "levels": int(layer.levels)})
         elif isinstance(layer, Embedding):
-            out.append({"type": "embedding", "table": sink.put(f"{path}.table", layer.table)})
-        elif isinstance(layer, Residual):
-            out.append({"type": "residual",
-                        "inner": _describe_ann_layers(layer.inner, sink, f"{path}.")})
+            out.append({"type": "embedding", "table": sink.put(f"{i}.table", layer.table)})
         else:
             raise TypeError(f"cannot checkpoint layer type {type(layer).__name__}")
     return out
@@ -123,8 +111,7 @@ def save_checkpoint(obj, out_dir: str) -> None:
             "format": "spikefit-checkpoint",
             "version": 1,
             "kind": "ann",
-            "record_activations": bool(obj.record_activations),
-            "layers": _describe_ann_layers(obj.layers, sink, ""),
+            "layers": _describe_ann_layers(obj.layers, sink),
         }
     else:
         raise TypeError(f"cannot checkpoint object of type {type(obj).__name__}")
@@ -176,27 +163,40 @@ def _build_ann_layers(descs: list[dict], src: _TensorSource) -> list:
             out.append(Qcfs(ceiling=d["ceiling"], levels=d["levels"]))
         elif kind == "embedding":
             out.append(Embedding(src.get(d["table"])))
-        elif kind == "residual":
-            out.append(Residual(_build_ann_layers(d["inner"], src)))
         else:
             raise IntegrityError(f"unknown layer descriptor type {kind!r}")
     return out
 
 
 def load_checkpoint(in_dir: str):
+    """Read a checkpoint written by ``save_checkpoint``. Any manifest that
+    does not describe a model this version can build, or whose tensors do
+    not match ``weights.bin``, raises ``IntegrityError``."""
     manifest_path = os.path.join(in_dir, MANIFEST_NAME)
     weights_path = os.path.join(in_dir, WEIGHTS_NAME)
     if not os.path.exists(manifest_path) or not os.path.exists(weights_path):
         raise IntegrityError(f"no checkpoint at {in_dir}")
     with open(manifest_path) as f:
-        manifest = json.load(f)
+        try:
+            manifest = json.load(f)
+        except json.JSONDecodeError as e:
+            raise IntegrityError(f"manifest at {in_dir} is not valid JSON: {e}") from None
+    if not isinstance(manifest, dict):
+        raise IntegrityError(f"manifest at {in_dir} is not a JSON object")
     with open(weights_path, "rb") as f:
         weights = f.read()
-    src = _TensorSource(manifest, weights)
+    try:
+        return _build_checkpoint(manifest, weights)
+    except KeyError as e:
+        raise IntegrityError(f"manifest at {in_dir} lacks field {e}") from None
+    except TypeError as e:
+        raise IntegrityError(f"malformed manifest at {in_dir}: {e}") from None
 
+
+def _build_checkpoint(manifest: dict, weights: bytes):
+    src = _TensorSource(manifest, weights)
     if manifest["kind"] == "ann":
-        return AnnModel(_build_ann_layers(manifest["layers"], src),
-                        manifest.get("record_activations", True))
+        return AnnModel(_build_ann_layers(manifest["layers"], src))
     if manifest["kind"] == "snn":
         layers: list = []
         for d in manifest["layers"]:

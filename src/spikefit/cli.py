@@ -1,7 +1,8 @@
 """Batch experiment runner: config-driven subcommands that train, convert,
 calibrate, evaluate, and analyze, writing checkpoints and reports under one
-output directory. Stages re-derive their random streams from the config
-seed, so a manual chain of subcommands equals one `pipeline` invocation."""
+output directory. `pipeline` runs the stages in that order; each stage
+re-derives its random streams from the config seed, so a manual chain of
+subcommands writes the same files, byte for byte, as one `pipeline` run."""
 
 from __future__ import annotations
 
@@ -11,20 +12,18 @@ import os
 import sys
 from dataclasses import replace
 
-import numpy as np
-
 from . import checkpoint as ckpt
-from .ann import ann_forward, accuracy as ann_accuracy, dataset_loss, replace_activations, \
-    stage1_finetune, train_model
-from .calibrate import (CalibConfig, apply_stage2, convert, eval_losses, evaluate_snn,
-                        snn_predict)
+from .ann import (TrainingDivergedError, ann_forward, accuracy as ann_accuracy, dataset_loss,
+                  replace_activations, stage1_finetune, train_model)
+from .calibrate import (CalibConfig, CalibrationError, apply_stage2, convert, eval_losses,
+                        evaluate_snn, snn_predict)
 from .config import ConfigError, ExperimentConfig, build_model, config_hash, parse_config
 from .data import make_dataset
 from .diagnostics import (decompose_errors, layer_mse_report, output_cosine,
                           tau_histogram, threshold_shift_report, write_error_csv,
                           write_mse_csv, write_tau_csv, write_threshold_shift_csv)
 from .energy import count_ops, energy_report, spike_rate_stats, write_energy_json
-from .snn import firing_rate, simulate
+from .snn import SimulationError, firing_rate, simulate
 from .tensor import Rng
 
 
@@ -193,7 +192,7 @@ def cmd_analyze(run: _Run) -> None:
     T = run.cfg.stage2.timesteps
     batch = run.eval_batch()
 
-    traces = ann_forward(ann, batch, record=True).traces
+    traces = ann_forward(ann, batch).traces
     rec_before = simulate(before, batch, T)
     rec_after = simulate(after, batch, T)
     rates_before = [firing_rate(rec_before, j) for j in range(rec_before.n_layers)]
@@ -265,7 +264,8 @@ def dispatch(argv: list[str] | None = None) -> int:
     try:
         run = _Run(args)
         _COMMANDS[args.command](run)
-    except (ConfigError, ckpt.IntegrityError, ValueError, OSError) as e:
+    except (ConfigError, ckpt.IntegrityError, TrainingDivergedError, SimulationError,
+            CalibrationError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     return 0

@@ -56,7 +56,7 @@ _STAGE2_KEYS = {"timesteps", "rho", "alpha", "beta", "lambda_align", "lambda_log
 def _check_keys(section: dict, allowed: set, path: str) -> None:
     for key in section:
         if key not in allowed:
-            raise ConfigError(f"unknown key {path}{key!r}")
+            raise ConfigError(f"unknown key {path + key!r}")
 
 
 def _section(raw: dict, name: str, required: bool = True) -> dict:
@@ -124,7 +124,7 @@ def parse_config(path: str) -> ExperimentConfig:
         raise ConfigError(f"dataset.path does not exist: {dataset.path}")
 
     seed = raw.get("seed", 0)
-    if not isinstance(seed, int):
+    if not isinstance(seed, int) or isinstance(seed, bool):
         raise ConfigError(f"seed must be an integer, got {seed!r}")
     return ExperimentConfig(
         seed=seed,

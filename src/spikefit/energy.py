@@ -11,8 +11,6 @@ import json
 import os
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .snn import SnnNetwork, SpikeRecord, _split_stack
 
 AC_PICOJOULES = 0.9

@@ -1,5 +1,5 @@
-"""Float32 tensor plumbing: deterministic matmul, a counter-based RNG with
-named sub-streams, and the binary wire codec used by checkpoints."""
+"""Float32 tensor plumbing: a counter-based RNG with named sub-streams and
+the binary wire codec used by checkpoints."""
 
 from __future__ import annotations
 
@@ -15,23 +15,6 @@ WIRE_MAGIC = b"SFT1"
 
 class TensorCodecError(ValueError):
     """A serialized tensor could not be decoded."""
-
-
-def as_f32(x) -> Array:
-    return np.ascontiguousarray(x, dtype=np.float32)
-
-
-def matmul(a: Array, b: Array) -> Array:
-    """Matrix product with an explicit shape check.
-
-    Dtype is preserved, so float64 inputs run a float64 product; that is the
-    evaluation mode the oracle tests use.
-    """
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise ValueError(f"matmul shape mismatch: {a.shape} x {b.shape}")
-    return a @ b
 
 
 def _derive_key(seed: int, path: tuple[str, ...]) -> int:

@@ -7,11 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spikefit import autodiff as ad
-from spikefit.ann import (AnnModel, Embedding, Gelu, Linear, Qcfs, Relu, Residual,
-                          TrainConfig, TrainingDivergedError, ann_forward,
-                          dataset_loss, fit_ugo, forward_on_tape, layernorm_ref, mlp,
-                          param_arrays, qcfs_forward, qcfs_on_tape, replace_activations,
+from spikefit.ann import (AnnModel, Embedding, Gelu, Linear, Qcfs, Relu, TrainConfig,
+                          TrainingDivergedError, ann_forward, dataset_loss, fit_ugo,
+                          forward_on_tape, layernorm_ref, mlp, param_arrays, qcfs_forward,
+                          qcfs_on_tape, replace_activations, set_param_arrays,
                           stage1_finetune, train_model)
+from spikefit.checkpoint import weight_hash
 from spikefit.data import Dataset
 from spikefit.tensor import Rng
 
@@ -126,32 +127,52 @@ class TestAnnForward:
         with pytest.raises(ValueError, match="layer 0"):
             ann_forward(model, np.zeros((2, 5), np.float32))
 
-    def test_residual_and_embedding(self):
+    def test_embedding(self):
         rng = Rng(4)
         table = rng.normal(0, 1, (11, 3))
-        inner = [Linear(rng.normal(0, 0.2, (6, 6)), np.zeros(6, np.float32)), Relu()]
         model = AnnModel([Embedding(table),
                           Linear(rng.normal(0, 0.3, (6, 6)), np.zeros(6, np.float32)),
                           Relu(),
-                          Residual(inner),
                           Linear(rng.normal(0, 0.3, (6, 2)), np.zeros(2, np.float32))])
         tokens = rng.integers(0, 11, (5, 2))
         out = ann_forward(model, tokens)
         assert out.output.shape == (5, 2)
-        assert len(out.traces) == 2  # top-level relu + residual-inner relu
+        assert [t.layer for t in out.traces] == ["2"]
+        np.testing.assert_array_equal(out.traces[0].pre,
+                                      table[tokens].reshape(5, 6) @ model.layers[1].w)
 
 
 class TestNoReferenceCycles:
     """Activations are freed by reference counting alone, as soon as the
-    caller drops the result, without waiting for the cyclic collector."""
+    caller drops the result, without waiting for the cyclic collector; and
+    no walk over the layer list leaves cyclic garbage behind."""
 
     def _model(self):
         rng = Rng(5)
-        inner = [Linear(rng.normal(0, 0.2, (6, 6)), np.zeros(6, np.float32)), Qcfs(1.0, 4)]
         return AnnModel([Linear(rng.normal(0, 0.3, (4, 6)), np.zeros(6, np.float32)),
                          Qcfs(1.5, 4),
-                         Residual(inner),
+                         Linear(rng.normal(0, 0.2, (6, 6)), np.zeros(6, np.float32)),
+                         Qcfs(1.0, 4),
                          Linear(rng.normal(0, 0.3, (6, 2)), np.zeros(2, np.float32))])
+
+    @pytest.mark.parametrize("walk", [
+        lambda m: param_arrays(m),
+        lambda m: set_param_arrays(m, param_arrays(m)),
+        lambda m: m.qcfs_layers(),
+        lambda m: replace_activations(mlp([8, 16, 16, 4], Rng(8)), 4, Rng(9).normal(0, 1, (32, 8))),
+        lambda m: weight_hash(m),
+    ], ids=["param_arrays", "set_param_arrays", "qcfs_layers", "replace_activations",
+            "weight_hash"])
+    def test_layer_walk_leaves_no_cyclic_garbage(self, walk):
+        model = self._model()
+        walk(model)  # a first call may leave one-off garbage from lazy imports
+        gc.disable()
+        try:
+            gc.collect()
+            walk(model)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_ann_forward(self):
         model = self._model()

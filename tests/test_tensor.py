@@ -3,35 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spikefit.tensor import (Rng, TensorCodecError, decode_tensor, encode_tensor,
-                             matmul)
-
-
-class TestMatmul:
-    def test_identity(self):
-        a = np.array([[1, 2], [3, 4]], dtype=np.float32)
-        np.testing.assert_array_equal(matmul(np.eye(2, dtype=np.float32), a), a)
-
-    def test_zeros(self):
-        a = np.array([[1, 2], [3, 4]], dtype=np.float32)
-        z = np.zeros((2, 2), dtype=np.float32)
-        np.testing.assert_array_equal(matmul(a, z), z)
-
-    def test_hand_product(self):
-        # hand arithmetic: [[1,2],[3,4]] @ [[5,6],[7,8]] = [[19,22],[43,50]]
-        a = np.array([[1, 2], [3, 4]], dtype=np.float32)
-        b = np.array([[5, 6], [7, 8]], dtype=np.float32)
-        np.testing.assert_array_equal(matmul(a, b),
-                                      np.array([[19, 22], [43, 50]], dtype=np.float32))
-
-    def test_shape_mismatch_names_both_shapes(self):
-        with pytest.raises(ValueError, match=r"\(2, 3\).*\(2, 2\)"):
-            matmul(np.zeros((2, 3), np.float32), np.zeros((2, 2), np.float32))
-
-    def test_matmul_identity_exact(self):
-        rng = Rng(7)
-        a = rng.normal(0, 1, (5, 5))
-        np.testing.assert_array_equal(matmul(a, np.eye(5, dtype=np.float32)), a)
+from spikefit.tensor import Rng, TensorCodecError, decode_tensor, encode_tensor
 
 
 class TestRng:
