@@ -127,7 +127,6 @@ def lwc(net: SnnNetwork, alpha, beta) -> SnnNetwork:
     for layer, a, b in zip(out.if_layers(), alphas, betas):
         layer.threshold = (np.float32(a) * layer.threshold).astype(np.float32)
         layer.v_init = (np.float32(b) * layer.threshold).astype(np.float32)
-        layer.v = None
     return out
 
 
@@ -373,7 +372,6 @@ def nwc_calibrate(snn: SnnNetwork, ann: AnnModel, data, cfg: CalibConfig,
     for j, (_, iflayer) in enumerate(pairs):
         iflayer.threshold = params[f"if{j}.threshold"]
         iflayer.v_init = params[f"if{j}.v_init"]
-        iflayer.v = None
     if weight_hash(snn) != hash_before:
         raise CalibrationError("synaptic weights changed during neuron-wise calibration")
     return snn, log

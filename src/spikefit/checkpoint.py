@@ -57,24 +57,33 @@ class _TensorSink:
         return name
 
 
-def _describe_ann_layers(layers, sink: _TensorSink) -> list[dict]:
+# descriptor types each checkpoint kind may hold
+_LAYER_TYPES = {"ann": {"linear", "relu", "gelu", "qcfs", "embedding"},
+                "snn": {"linear", "if"}}
+
+
+def _describe_layers(layers, sink: _TensorSink, kind: str) -> list[dict]:
     out = []
     for i, layer in enumerate(layers):
         if isinstance(layer, Linear):
-            out.append({"type": "linear",
-                        "w": sink.put(f"{i}.w", layer.w),
-                        "b": sink.put(f"{i}.b", layer.b)})
+            desc = {"type": "linear", "w": sink.put(f"{i}.w", layer.w),
+                    "b": sink.put(f"{i}.b", layer.b)}
+        elif isinstance(layer, IfLayer):
+            desc = {"type": "if", "threshold": sink.put(f"{i}.threshold", layer.threshold),
+                    "v_init": sink.put(f"{i}.v_init", layer.v_init)}
         elif isinstance(layer, Relu):
-            out.append({"type": "relu"})
+            desc = {"type": "relu"}
         elif isinstance(layer, Gelu):
-            out.append({"type": "gelu"})
+            desc = {"type": "gelu"}
         elif isinstance(layer, Qcfs):
-            out.append({"type": "qcfs", "ceiling": float(layer.ceiling),
-                        "levels": int(layer.levels)})
+            desc = {"type": "qcfs", "ceiling": float(layer.ceiling), "levels": int(layer.levels)}
         elif isinstance(layer, Embedding):
-            out.append({"type": "embedding", "table": sink.put(f"{i}.table", layer.table)})
+            desc = {"type": "embedding", "table": sink.put(f"{i}.table", layer.table)}
         else:
             raise TypeError(f"cannot checkpoint layer type {type(layer).__name__}")
+        if desc["type"] not in _LAYER_TYPES[kind]:
+            raise TypeError(f"cannot checkpoint a {desc['type']!r} layer in an {kind} checkpoint")
+        out.append(desc)
     return out
 
 
@@ -84,41 +93,18 @@ def save_checkpoint(obj, out_dir: str) -> None:
     os.makedirs(out_dir, exist_ok=True)
     sink = _TensorSink()
     if isinstance(obj, SnnNetwork):
-        layers = []
-        for i, layer in enumerate(obj.layers):
-            path = f"{i}"
-            if isinstance(layer, Linear):
-                layers.append({"type": "linear",
-                               "w": sink.put(f"{path}.w", layer.w),
-                               "b": sink.put(f"{path}.b", layer.b)})
-            elif isinstance(layer, IfLayer):
-                layers.append({"type": "if",
-                               "threshold": sink.put(f"{path}.threshold", layer.threshold),
-                               "v_init": sink.put(f"{path}.v_init", layer.v_init)})
-            else:
-                raise TypeError(f"cannot checkpoint layer type {type(layer).__name__}")
-        manifest = {
-            "format": "spikefit-checkpoint",
-            "version": 1,
-            "kind": "snn",
-            "timesteps": obj.timesteps,
-            "layers": layers,
-            "encoder": (None if obj.input_encoder is None
-                        else {"table": sink.put("encoder.table", obj.input_encoder.table)}),
-        }
+        manifest = {"kind": "snn", "timesteps": obj.timesteps,
+                    "layers": _describe_layers(obj.layers, sink, "snn")}
+        manifest["encoder"] = (None if obj.input_encoder is None
+                               else {"table": sink.put("encoder.table", obj.input_encoder.table)})
     elif isinstance(obj, AnnModel):
-        manifest = {
-            "format": "spikefit-checkpoint",
-            "version": 1,
-            "kind": "ann",
-            "layers": _describe_ann_layers(obj.layers, sink),
-        }
+        manifest = {"kind": "ann", "layers": _describe_layers(obj.layers, sink, "ann")}
     else:
         raise TypeError(f"cannot checkpoint object of type {type(obj).__name__}")
 
     weights = b"".join(sink.blobs)
-    manifest["tensors"] = sink.entries
-    manifest["weights_sha256"] = hashlib.sha256(weights).hexdigest()
+    manifest.update({"format": "spikefit-checkpoint", "version": 1, "tensors": sink.entries,
+                     "weights_sha256": hashlib.sha256(weights).hexdigest()})
     with open(os.path.join(out_dir, WEIGHTS_NAME), "wb") as f:
         f.write(weights)
     with open(os.path.join(out_dir, MANIFEST_NAME), "w") as f:
@@ -149,22 +135,24 @@ class _TensorSource:
         return arr
 
 
-def _build_ann_layers(descs: list[dict], src: _TensorSource) -> list:
+def _build_layers(descs: list[dict], src: _TensorSource, kind: str) -> list:
     out = []
     for d in descs:
-        kind = d["type"]
-        if kind == "linear":
+        t = d["type"]
+        if t not in _LAYER_TYPES[kind]:
+            raise IntegrityError(f"unknown layer descriptor type {t!r}")
+        if t == "linear":
             out.append(Linear(src.get(d["w"]), src.get(d["b"])))
-        elif kind == "relu":
+        elif t == "if":
+            out.append(IfLayer(src.get(d["threshold"]), src.get(d["v_init"])))
+        elif t == "relu":
             out.append(Relu())
-        elif kind == "gelu":
+        elif t == "gelu":
             out.append(Gelu())
-        elif kind == "qcfs":
+        elif t == "qcfs":
             out.append(Qcfs(ceiling=d["ceiling"], levels=d["levels"]))
-        elif kind == "embedding":
-            out.append(Embedding(src.get(d["table"])))
         else:
-            raise IntegrityError(f"unknown layer descriptor type {kind!r}")
+            out.append(Embedding(src.get(d["table"])))
     return out
 
 
@@ -195,19 +183,12 @@ def load_checkpoint(in_dir: str):
 
 def _build_checkpoint(manifest: dict, weights: bytes):
     src = _TensorSource(manifest, weights)
-    if manifest["kind"] == "ann":
-        return AnnModel(_build_ann_layers(manifest["layers"], src))
-    if manifest["kind"] == "snn":
-        layers: list = []
-        for d in manifest["layers"]:
-            if d["type"] == "linear":
-                layers.append(Linear(src.get(d["w"]), src.get(d["b"])))
-            elif d["type"] == "if":
-                layers.append(IfLayer(src.get(d["threshold"]), src.get(d["v_init"])))
-            else:
-                raise IntegrityError(f"unknown layer descriptor type {d['type']!r}")
-        encoder = None
-        if manifest.get("encoder"):
-            encoder = Embedding(src.get(manifest["encoder"]["table"]))
-        return SnnNetwork(layers, manifest["timesteps"], input_encoder=encoder)
-    raise IntegrityError(f"unknown checkpoint kind {manifest['kind']!r}")
+    kind = manifest["kind"]
+    if kind not in _LAYER_TYPES:
+        raise IntegrityError(f"unknown checkpoint kind {kind!r}")
+    layers = _build_layers(manifest["layers"], src, kind)
+    if kind == "ann":
+        return AnnModel(layers)
+    encoder = manifest.get("encoder")
+    encoder = Embedding(src.get(encoder["table"])) if encoder else None
+    return SnnNetwork(layers, manifest["timesteps"], input_encoder=encoder)

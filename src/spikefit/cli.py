@@ -12,10 +12,12 @@ import os
 import sys
 from dataclasses import replace
 
+import numpy as np
+
 from . import checkpoint as ckpt
 from .ann import (TrainingDivergedError, ann_forward, accuracy as ann_accuracy, dataset_loss,
                   replace_activations, stage1_finetune, train_model)
-from .calibrate import (CalibConfig, CalibrationError, apply_stage2, convert, eval_losses,
+from .calibrate import (CalibrationError, apply_stage2, convert, eval_losses,
                         evaluate_snn, snn_predict)
 from .config import ConfigError, ExperimentConfig, build_model, config_hash, parse_config
 from .data import make_dataset
@@ -45,29 +47,16 @@ class _Run:
         cfg = parse_config(args.config)
         if args.seed is not None:
             cfg = replace(cfg, seed=args.seed)
-        stage2_kwargs = {
-            "timesteps": cfg.stage2.timesteps,
-            "rho": cfg.stage2.rho,
-            "alpha": cfg.stage2.alpha,
-            "beta": cfg.stage2.beta,
-            "lambda_align": cfg.stage2.lambda_align,
-            "lambda_logits": cfg.stage2.lambda_logits,
-            "temperature": cfg.stage2.temperature,
-            "lr": cfg.stage2.lr,
-            "steps": cfg.stage2.steps,
-            "batch_size": cfg.stage2.batch_size,
-            "seed": cfg.seed,
-            "denominator": cfg.stage2.denominator,
-        }
+        overrides = {}
         if args.timesteps is not None:
-            stage2_kwargs["timesteps"] = args.timesteps
+            overrides["timesteps"] = args.timesteps
             if args.rho is None and cfg.stage2.rho == cfg.stage2.timesteps:
-                stage2_kwargs["rho"] = None  # keep rho pinned to the horizon
+                overrides["rho"] = None  # keep rho pinned to the horizon
         if args.rho is not None:
-            stage2_kwargs["rho"] = args.rho
+            overrides["rho"] = args.rho
         if args.denominator is not None:
-            stage2_kwargs["denominator"] = args.denominator
-        cfg = replace(cfg, stage2=CalibConfig(**stage2_kwargs))
+            overrides["denominator"] = args.denominator
+        cfg = replace(cfg, stage2=replace(cfg.stage2, seed=cfg.seed, **overrides))
 
         out = args.out or cfg.out_dir
         if out is None:
@@ -262,8 +251,11 @@ def dispatch(argv: list[str] | None = None) -> int:
     except SystemExit as e:
         return int(e.code or 0)
     try:
-        run = _Run(args)
-        _COMMANDS[args.command](run)
+        # every stage turns non-finite values into a typed error, so numpy's
+        # overflow warnings would only repeat that error
+        with np.errstate(all="ignore"):
+            run = _Run(args)
+            _COMMANDS[args.command](run)
     except (ConfigError, ckpt.IntegrityError, TrainingDivergedError, SimulationError,
             CalibrationError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)

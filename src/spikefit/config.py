@@ -6,7 +6,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .ann import TrainConfig
 from .calibrate import CalibConfig
@@ -44,13 +44,11 @@ class ExperimentConfig:
     schema_version: int = 1
 
 
-_TOP_KEYS = {"schema_version", "seed", "out_dir", "model", "dataset", "stage1", "stage2"}
-_MODEL_KEYS = {"kind", "hidden", "levels", "embed_dim"}
-_DATASET_KEYS = {"kind", "samples", "input_dim", "classes", "task",
-                 "teacher_hidden", "path", "window"}
-_STAGE1_KEYS = {"steps", "batch_size", "lr", "lr_ceiling", "weight_decay"}
-_STAGE2_KEYS = {"timesteps", "rho", "alpha", "beta", "lambda_align", "lambda_logits",
-                "temperature", "lr", "steps", "batch_size", "denominator"}
+_TOP_KEYS = {f.name for f in fields(ExperimentConfig)}
+_MODEL_KEYS = {f.name for f in fields(ModelSpec)}
+_DATASET_KEYS = {f.name for f in fields(DataSpec)}
+_STAGE1_KEYS = {f.name for f in fields(TrainConfig)}
+_STAGE2_KEYS = {f.name for f in fields(CalibConfig)} - {"seed", "surrogate"}
 
 
 def _check_keys(section: dict, allowed: set, path: str) -> None:
@@ -126,6 +124,9 @@ def parse_config(path: str) -> ExperimentConfig:
     seed = raw.get("seed", 0)
     if not isinstance(seed, int) or isinstance(seed, bool):
         raise ConfigError(f"seed must be an integer, got {seed!r}")
+    schema_version = raw.get("schema_version", 1)
+    if type(schema_version) is not int or schema_version != 1:
+        raise ConfigError(f"unsupported schema_version {schema_version!r}; this version reads 1")
     return ExperimentConfig(
         seed=seed,
         model=model,
@@ -133,7 +134,7 @@ def parse_config(path: str) -> ExperimentConfig:
         stage1=stage1,
         stage2=stage2,
         out_dir=raw.get("out_dir"),
-        schema_version=raw.get("schema_version", 1),
+        schema_version=schema_version,
     )
 
 

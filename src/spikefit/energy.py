@@ -11,6 +11,8 @@ import json
 import os
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .snn import SnnNetwork, SpikeRecord, _split_stack
 
 AC_PICOJOULES = 0.9
@@ -53,7 +55,7 @@ def count_ops(record: SpikeRecord, net: SnnNetwork) -> OpCounts:
             per_mac.append(0)
             continue
         fan_out = consumer.w.shape[1]
-        spikes_total = int(record.spikes[j].sum())
+        spikes_total = int(np.count_nonzero(record.spikes[j]))
         per_ac.append(spikes_total * fan_out)
         per_mac.append(consumer.w.shape[0] * fan_out * n_samples)
     return OpCounts(

@@ -1,8 +1,13 @@
 """Time-stepped integrate-and-fire simulation with reset-by-subtraction,
 per-neuron thresholds and initial potentials, spike recording, and rate math.
 
-The analog input is injected as a constant current at every step; ties
-(potential exactly at threshold) fire. Membrane potentials may go negative.
+A spiking network is plain data: each IF layer holds only its threshold and
+initial potential, and ``simulate`` keeps the membrane potentials of a run
+to itself, so simulating never changes the network. The first linear
+layer's current, computed once from the analog input, drives the first IF
+layer at every step; deeper layers are driven by threshold-weighted spikes.
+Ties (potential exactly at threshold) fire. Membrane potentials may go
+negative.
 """
 
 from __future__ import annotations
@@ -11,7 +16,7 @@ import copy
 import csv
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,51 +28,46 @@ class SimulationError(RuntimeError):
     """Simulation produced a non-finite membrane potential."""
 
 
+@dataclass
 class IfLayer:
-    """Integrate-and-fire population: v += current; fire and subtract where
-    v >= threshold."""
+    """Integrate-and-fire population: per-neuron threshold and initial
+    potential, as float32 vectors of one width."""
 
-    def __init__(self, threshold: Array, v_init: Array):
-        threshold = np.asarray(threshold, dtype=np.float32)
-        v_init = np.asarray(v_init, dtype=np.float32)
-        if threshold.ndim != 1 or v_init.shape != threshold.shape:
-            raise ValueError(
-                f"threshold/v_init must be matching vectors, got {threshold.shape} and {v_init.shape}")
-        if not np.all(threshold > 0):
+    threshold: Array
+    v_init: Array
+
+    def __post_init__(self):
+        self.threshold = np.asarray(self.threshold, dtype=np.float32)
+        self.v_init = np.asarray(self.v_init, dtype=np.float32)
+        if self.threshold.ndim != 1 or self.v_init.shape != self.threshold.shape:
+            raise ValueError(f"threshold/v_init must be matching vectors, got "
+                             f"{self.threshold.shape} and {self.v_init.shape}")
+        if not np.all(self.threshold > 0):
             raise ValueError("threshold must be positive elementwise")
-        self.threshold = threshold
-        self.v_init = v_init
-        self.v: Array | None = None
 
     @property
     def width(self) -> int:
         return self.threshold.shape[0]
 
-    def reset(self, batch: int) -> None:
-        self.v = np.broadcast_to(self.v_init, (batch, self.width)).astype(np.float32)
 
-
-def if_step(layer: IfLayer, input_current: Array, step: int | None = None) -> Array:
-    """Advance one timestep; returns the 0/1 spike array.
+def if_step(layer: IfLayer, v: Array, input_current: Array,
+            step: int | None = None) -> tuple[Array, Array]:
+    """Advance potentials ``v`` (batch, width) by one timestep; returns the
+    0/1 spike array and the next potentials.
 
     Reset is by subtraction: a firing neuron's potential drops by exactly
     its threshold. A potential exactly at threshold fires.
     """
     cur = np.asarray(input_current, dtype=np.float32)
-    if cur.ndim == 1:
-        cur = cur[None, :]
     if cur.shape[-1] != layer.width:
         raise ValueError(f"input current width {cur.shape[-1]} != layer width {layer.width}")
-    if layer.v is None or layer.v.shape[0] != cur.shape[0]:
-        layer.reset(cur.shape[0])
-    v = layer.v + cur
+    v = v + cur
     if not np.all(np.isfinite(v)):
         neuron = int(np.argwhere(~np.isfinite(v))[0][-1])
         where = f" at step {step}" if step is not None else ""
         raise SimulationError(f"non-finite membrane potential for neuron {neuron}{where}")
     spikes = (v >= layer.threshold).astype(np.float32)
-    layer.v = v - spikes * layer.threshold
-    return spikes
+    return spikes, v - spikes * layer.threshold
 
 
 class SnnNetwork:
@@ -91,12 +91,7 @@ class SnnNetwork:
         return [l for l in self.layers if isinstance(l, Linear)]
 
     def clone(self) -> "SnnNetwork":
-        net = SnnNetwork(copy.deepcopy(self.layers), self.timesteps,
-                         copy.deepcopy(self.input_encoder))
-        for l in net.layers:
-            if isinstance(l, IfLayer):
-                l.v = None
-        return net
+        return copy.deepcopy(self)
 
 
 @dataclass
@@ -105,14 +100,11 @@ class SpikeRecord:
 
     spikes: list[Array]            # per IF layer: (T, batch, width), entries 0/1
     thresholds: list[Array]        # per IF layer: (width,)
-    v_start: list[Array]           # (batch, width)
     v_end: list[Array]             # (batch, width)
     output: Array                  # decoded prediction (batch, out_dim)
     timesteps: int
-    input_tag: str = "constant-current"
     currents: list[Array] | None = None    # (T, batch, width) when recorded
     potentials: list[Array] | None = None  # post-step traces when recorded
-    meta: dict = field(default_factory=dict)
 
     @property
     def n_layers(self) -> int:
@@ -169,8 +161,7 @@ def simulate(net: SnnNetwork, analog_input: Array, timesteps: int | None = None,
     batch = x.shape[0]
 
     pairs, tail = _split_stack(net)
-    for _, iflayer in pairs:
-        iflayer.reset(batch)
+    v = [np.broadcast_to(iflayer.v_init, (batch, iflayer.width)) for _, iflayer in pairs]
 
     # the first linear's current is the same at every step
     first_current = x @ pairs[0][0].w + pairs[0][0].b if pairs else None
@@ -180,21 +171,19 @@ def simulate(net: SnnNetwork, analog_input: Array, timesteps: int | None = None,
                     if record_currents else None)
     potentials_rec = ([np.zeros((T, batch, p[1].width), dtype=np.float32) for p in pairs]
                       if record_potentials else None)
-    v_start = [p[1].v.copy() for p in pairs]
 
     for t in range(T):
         carry = None
         for j, (linear, iflayer) in enumerate(pairs):
             cur = first_current if j == 0 else carry @ linear.w + linear.b
-            s = if_step(iflayer, cur, step=t)
+            s, v[j] = if_step(iflayer, v[j], cur, step=t)
             spikes_rec[j][t] = s
             if currents_rec is not None:
                 currents_rec[j][t] = cur
             if potentials_rec is not None:
-                potentials_rec[j][t] = iflayer.v
+                potentials_rec[j][t] = v[j]
             carry = s * iflayer.threshold
 
-    v_end = [p[1].v.copy() for p in pairs]
     if pairs:
         last_rate = pairs[-1][1].threshold * spikes_rec[-1].sum(axis=0) / np.float32(T)
         output = last_rate @ tail.w + tail.b if tail is not None else last_rate
@@ -204,8 +193,7 @@ def simulate(net: SnnNetwork, analog_input: Array, timesteps: int | None = None,
     return SpikeRecord(
         spikes=spikes_rec,
         thresholds=[p[1].threshold.copy() for p in pairs],
-        v_start=v_start,
-        v_end=v_end,
+        v_end=v,
         output=output,
         timesteps=T,
         currents=currents_rec,
@@ -270,7 +258,6 @@ def export_spike_csv(record: SpikeRecord, out_dir: str, sample: int = 0) -> list
     summary = {
         "timesteps": record.timesteps,
         "n_samples": record.n_samples,
-        "input_tag": record.input_tag,
         "per_layer_counts": [float(s.sum()) for s in record.spikes],
         "per_layer_mean_rates": [float(s.mean()) for s in record.spikes],
     }

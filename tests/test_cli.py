@@ -79,7 +79,7 @@ def test_typed_errors_exit_1_with_one_line(tmp_path, capsys, monkeypatch, error)
     assert capsys.readouterr().err.splitlines() == ["error: boom"]
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_diverging_training_is_one_line(tmp_path, capsys):
     config = _config(tmp_path, stage1={"lr": 1e38})
     assert cli.dispatch(["train", "--config", config, "--out", str(tmp_path / "o")]) == 1

@@ -58,6 +58,9 @@ def _without(section, key) -> dict:
     (_with("stage2", "alpha", 1.5), "stage2: alpha"),
     (_with("stage2", "denominator", "steps"), "stage2: denominator"),
     (_with("stage2", "temperature", 0), "stage2: temperature"),
+    (_with(None, "schema_version", "banana"), "unsupported schema_version 'banana'"),
+    (_with(None, "schema_version", 2), "unsupported schema_version 2"),
+    (_with(None, "schema_version", True), "unsupported schema_version True"),
 ])
 def test_rejected_with_key_path(tmp_path, raw, message):
     with pytest.raises(ConfigError, match=re.escape(message)):

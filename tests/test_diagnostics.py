@@ -74,7 +74,6 @@ class TestDecomposeErrors:
                                 post=np.array([[1.0]], np.float32), ceiling=1.0, levels=4)
         rec = SpikeRecord(spikes=[np.zeros((8, 1, 1), np.float32)],
                           thresholds=[np.ones(1, np.float32)],
-                          v_start=[np.zeros((1, 1), np.float32)],
                           v_end=[np.zeros((1, 1), np.float32)],
                           output=np.zeros((1, 1), np.float32), timesteps=8)
         report = decompose_errors([trace], rec, None)

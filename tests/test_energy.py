@@ -93,6 +93,17 @@ class TestCountOps:
             rec = _record_with_spikes(net, spikes)
             assert count_ops(rec, net).ac == _brute_force_ac(rec, net)
 
+    def test_exact_past_float32_integer_range(self):
+        # 17.4 M spikes in one layer: a float32 sum of the frames is no longer exact
+        net = _net(3, 1024, 3)
+        frames = (np.random.default_rng(2).random((1, 17000, 1024), dtype=np.float32)
+                  < 0.999).astype(np.float32)
+        rec = SpikeRecord(spikes=[frames], thresholds=[net.if_layers()[0].threshold],
+                          v_end=[], output=np.zeros((17000, 3), np.float32), timesteps=1)
+        n_spikes = int(np.count_nonzero(frames))
+        assert n_spikes > 2 ** 24
+        assert count_ops(rec, net).ac == n_spikes * 3
+
     def test_record_net_mismatch(self):
         net_a = _net(3, 4, 2)
         net_b = _net(3, 5, 2)
@@ -151,7 +162,7 @@ class TestSpikeRateStats:
         assert spike_rate_stats(rec) == [1.0]
 
     def test_empty_record_rate_zero(self):
-        rec = SpikeRecord(spikes=[], thresholds=[], v_start=[], v_end=[],
+        rec = SpikeRecord(spikes=[], thresholds=[], v_end=[],
                           output=np.zeros((1, 1), np.float32), timesteps=1)
         assert mean_spike_rate(rec) == 0.0
 

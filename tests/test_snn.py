@@ -1,3 +1,6 @@
+import copy
+import json
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -29,34 +32,47 @@ def _random_stack(rng: Rng, depth: int, widths=None, timesteps=8) -> SnnNetwork:
     return SnnNetwork(layers, timesteps=timesteps)
 
 
+def _step(theta: float, v: float, current: float):
+    layer = IfLayer(np.array([theta], np.float32), np.array([0.0], np.float32))
+    return if_step(layer, np.array([[v]], np.float32), np.array([[current]], np.float32))
+
+
 class TestIfStep:
     def test_accumulate_and_fire(self):
-        layer = IfLayer(np.array([1.0], np.float32), np.array([0.5], np.float32))
-        s = if_step(layer, np.array([[0.6]], np.float32))
+        s, v = _step(1.0, 0.5, 0.6)
         assert s[0, 0] == 1.0
-        assert layer.v[0, 0] == pytest.approx(0.1, abs=1e-7)
+        assert v[0, 0] == pytest.approx(0.1, abs=1e-7)
 
     def test_subthreshold_integrates(self):
-        layer = IfLayer(np.array([1.0], np.float32), np.array([0.5], np.float32))
-        s = if_step(layer, np.array([[0.3]], np.float32))
+        s, v = _step(1.0, 0.5, 0.3)
         assert s[0, 0] == 0.0
-        assert layer.v[0, 0] == pytest.approx(0.8, abs=1e-7)
+        assert v[0, 0] == pytest.approx(0.8, abs=1e-7)
 
     def test_tie_fires_and_resets_to_zero(self):
-        layer = IfLayer(np.array([1.0], np.float32), np.array([0.5], np.float32))
-        s = if_step(layer, np.array([[0.5]], np.float32))
+        s, v = _step(1.0, 0.5, 0.5)
         assert s[0, 0] == 1.0
-        assert layer.v[0, 0] == 0.0
+        assert v[0, 0] == 0.0
 
     def test_reset_by_subtraction_exact(self):
-        layer = IfLayer(np.array([1.0], np.float32), np.array([0.0], np.float32))
-        if_step(layer, np.array([[2.7]], np.float32))
-        assert layer.v[0, 0] == pytest.approx(1.7, abs=1e-6)
+        _, v = _step(1.0, 0.0, 2.7)
+        assert v[0, 0] == pytest.approx(1.7, abs=1e-6)
+
+    def test_input_is_not_modified(self):
+        layer = IfLayer(np.array([1.0], np.float32), np.array([0.5], np.float32))
+        v = np.array([[0.5]], np.float32)
+        if_step(layer, v, np.array([[0.6]], np.float32))
+        assert v[0, 0] == 0.5
+
+    def test_width_mismatch_rejected(self):
+        layer = IfLayer(np.ones(2, np.float32), np.zeros(2, np.float32))
+        with pytest.raises(ValueError, match="width 3 != layer width 2"):
+            if_step(layer, np.zeros((1, 2), np.float32), np.zeros((1, 3), np.float32))
 
     def test_nonfinite_current_names_neuron_and_step(self):
         layer = IfLayer(np.array([1.0, 1.0], np.float32), np.zeros(2, np.float32))
         with pytest.raises(SimulationError, match="neuron 1 at step 3"):
-            if_step(layer, np.array([[0.1, np.nan]], np.float32), step=3)
+            if_step(layer, np.zeros((1, 2), np.float32),
+                    np.array([[0.1, np.nan]], np.float32), step=3)
 
     def test_threshold_must_be_positive(self):
         with pytest.raises(ValueError, match="positive"):
@@ -97,6 +113,25 @@ class TestSimulate:
             assert a.tobytes() == b.tobytes()
         assert r1.output.tobytes() == r2.output.tobytes()
 
+    def test_network_is_left_unchanged(self):
+        net = _random_stack(Rng(11), depth=3, timesteps=5)
+        before = copy.deepcopy(net)
+        x = Rng(12).normal(0, 1, (4, net.layers[0].w.shape[0]))
+        simulate(net, x, record_currents=True, record_potentials=True)
+        for layer, old in zip(net.layers, before.layers):
+            assert vars(layer).keys() == vars(old).keys()
+            for name, value in vars(layer).items():
+                np.testing.assert_array_equal(value, vars(old)[name], err_msg=name)
+        for layer in net.if_layers():
+            assert vars(layer).keys() == {"threshold", "v_init"}
+
+    def test_potential_trace_ends_at_v_end(self):
+        net = _random_stack(Rng(13), depth=2, timesteps=6)
+        x = Rng(14).normal(0, 1, (3, net.layers[0].w.shape[0]))
+        rec = simulate(net, x, record_potentials=True)
+        for j in range(rec.n_layers):
+            np.testing.assert_array_equal(rec.potentials[j][-1], rec.v_end[j])
+
     def test_telescoping_identity_random_nets(self):
         # theta * count == integrated current + v(0) - v(T), per neuron
         rng = Rng(4)
@@ -106,10 +141,10 @@ class TestSimulate:
                                 timesteps=int(rng.integers(2, 17, ())))
             x = rng.split(f"x{trial}").normal(0, 1, (3, net.layers[0].w.shape[0]))
             rec = simulate(net, x, record_currents=True)
-            for j in range(rec.n_layers):
+            for j, layer in enumerate(net.if_layers()):
                 lhs = rec.thresholds[j].astype(np.float64) * rec.counts(j).astype(np.float64)
                 rhs = (rec.currents[j].astype(np.float64).sum(axis=0)
-                       + rec.v_start[j].astype(np.float64)
+                       + layer.v_init.astype(np.float64)
                        - rec.v_end[j].astype(np.float64))
                 np.testing.assert_allclose(lhs, rhs, rtol=0, atol=1e-5)
 
@@ -244,3 +279,6 @@ class TestExport:
         rows = (tmp_path / "spikes_layer0.csv").read_text().splitlines()[1:]
         width = rec.spikes[0].shape[2]
         assert len(rows) == 4 * width
+        summary = json.loads((tmp_path / "spike_summary.json").read_text())
+        assert set(summary) == {"timesteps", "n_samples", "per_layer_counts",
+                                "per_layer_mean_rates"}
