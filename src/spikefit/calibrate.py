@@ -166,7 +166,7 @@ def activation_align_loss(acts: Array, spikes: Array, threshold: Array,
         raise ValueError(f"denominator must be 'rho' or 'T', got {denominator!r}")
     denom = rho if denominator == "rho" else timesteps
     rate = np.asarray(threshold, dtype=np.float64) * \
-        np.asarray(spikes, dtype=np.float64)[:rho].sum(axis=0) / denom
+        np.asarray(spikes)[:rho].sum(axis=0, dtype=np.float64) / denom
     acts = np.asarray(acts, dtype=np.float64)
     if acts.shape != rate.shape:
         where = f" at layer {layer}" if layer is not None else ""
@@ -385,8 +385,7 @@ def eval_losses(snn: SnnNetwork, ann: AnnModel, x: Array, cfg: CalibConfig,
     simulation at the inference horizon (rho defaults to T)."""
     rho = cfg.timesteps if rho is None else rho
     teacher_acts, teacher_logits = _teacher_pass(ann, x)
-    drive = x
-    rec = simulate(snn, drive if snn.input_encoder is None else x, cfg.timesteps)
+    rec = simulate(snn, x, cfg.timesteps)
     pairs, tail = _split_stack(snn)
     align = 0.0
     rate = None

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .snn import SnnNetwork, SpikeRecord, _split_stack
+from .snn import SnnNetwork, SpikeRecord, _mean_rate, _split_stack
 
 AC_PICOJOULES = 0.9
 MAC_PICOJOULES = 4.6
@@ -116,11 +116,11 @@ def energy_report(counts: OpCounts | tuple, ac_pj: float = AC_PICOJOULES,
 
 def spike_rate_stats(record: SpikeRecord) -> list[float]:
     """Mean spike indicator per layer, over neurons, timesteps, and samples."""
-    return [float(s.mean()) for s in record.spikes]
+    return [_mean_rate(s) for s in record.spikes]
 
 
 def mean_spike_rate(record: SpikeRecord) -> float:
-    total = sum(float(s.sum()) for s in record.spikes)
+    total = sum(int(np.count_nonzero(s)) for s in record.spikes)
     size = sum(int(s.size) for s in record.spikes)
     return total / size if size else 0.0
 

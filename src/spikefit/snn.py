@@ -8,6 +8,10 @@ layer's current, computed once from the analog input, drives the first IF
 layer at every step; deeper layers are driven by threshold-weighted spikes.
 Ties (potential exactly at threshold) fire. Membrane potentials may go
 negative.
+
+Spike frames are stored as ``uint8`` 0/1, one byte per neuron-step. Every
+reader sums them with an explicit accumulator or counts them exactly, so
+rates come out with the same float32 bits as from float32 frames.
 """
 
 from __future__ import annotations
@@ -53,7 +57,7 @@ class IfLayer:
 def if_step(layer: IfLayer, v: Array, input_current: Array,
             step: int | None = None) -> tuple[Array, Array]:
     """Advance potentials ``v`` (batch, width) by one timestep; returns the
-    0/1 spike array and the next potentials.
+    boolean spike array and the next potentials.
 
     Reset is by subtraction: a firing neuron's potential drops by exactly
     its threshold. A potential exactly at threshold fires.
@@ -66,7 +70,7 @@ def if_step(layer: IfLayer, v: Array, input_current: Array,
         neuron = int(np.argwhere(~np.isfinite(v))[0][-1])
         where = f" at step {step}" if step is not None else ""
         raise SimulationError(f"non-finite membrane potential for neuron {neuron}{where}")
-    spikes = (v >= layer.threshold).astype(np.float32)
+    spikes = v >= layer.threshold
     return spikes, v - spikes * layer.threshold
 
 
@@ -98,7 +102,7 @@ class SnnNetwork:
 class SpikeRecord:
     """Per-layer spike trains plus enough state to audit the run."""
 
-    spikes: list[Array]            # per IF layer: (T, batch, width), entries 0/1
+    spikes: list[Array]            # per IF layer: (T, batch, width) uint8, entries 0/1
     thresholds: list[Array]        # per IF layer: (width,)
     v_end: list[Array]             # (batch, width)
     output: Array                  # decoded prediction (batch, out_dim)
@@ -115,8 +119,8 @@ class SpikeRecord:
         return self.spikes[0].shape[1] if self.spikes else 0
 
     def counts(self, layer: int) -> Array:
-        """Spike count per (sample, neuron) over the full horizon."""
-        return self.spikes[layer].sum(axis=0)
+        """Spike count per (sample, neuron) over the full horizon, as int32."""
+        return self.spikes[layer].sum(axis=0, dtype=np.int32)
 
 
 def _split_stack(net: SnnNetwork):
@@ -166,7 +170,7 @@ def simulate(net: SnnNetwork, analog_input: Array, timesteps: int | None = None,
     # the first linear's current is the same at every step
     first_current = x @ pairs[0][0].w + pairs[0][0].b if pairs else None
 
-    spikes_rec = [np.zeros((T, batch, p[1].width), dtype=np.float32) for p in pairs]
+    spikes_rec = [np.zeros((T, batch, p[1].width), dtype=np.uint8) for p in pairs]
     currents_rec = ([np.zeros((T, batch, p[1].width), dtype=np.float32) for p in pairs]
                     if record_currents else None)
     potentials_rec = ([np.zeros((T, batch, p[1].width), dtype=np.float32) for p in pairs]
@@ -185,7 +189,7 @@ def simulate(net: SnnNetwork, analog_input: Array, timesteps: int | None = None,
             carry = s * iflayer.threshold
 
     if pairs:
-        last_rate = pairs[-1][1].threshold * spikes_rec[-1].sum(axis=0) / np.float32(T)
+        last_rate = _rate(pairs[-1][1].threshold, spikes_rec[-1], T)
         output = last_rate @ tail.w + tail.b if tail is not None else last_rate
     else:
         output = x @ tail.w + tail.b if tail is not None else x
@@ -211,8 +215,21 @@ def firing_rate(record: SpikeRecord, layer: int, rho: int | None = None,
         raise ValueError(f"rho out of range: need 1 <= rho <= {T}, got {rho}")
     if denominator not in ("rho", "T"):
         raise ValueError(f"denominator must be 'rho' or 'T', got {denominator!r}")
-    denom = np.float32(rho if denominator == "rho" else T)
-    return record.thresholds[layer] * record.spikes[layer][:rho].sum(axis=0) / denom
+    return _rate(record.thresholds[layer], record.spikes[layer][:rho],
+                 rho if denominator == "rho" else T)
+
+
+def _rate(threshold: Array, frames: Array, denom: int) -> Array:
+    """theta * (spike frames summed over time) / denom, in float32; the sum
+    of 0/1 frames is exact, whatever their dtype."""
+    return threshold * frames.sum(axis=0, dtype=np.float32) / np.float32(denom)
+
+
+def _mean_rate(frames: Array) -> float:
+    """Share of neuron-steps that fired, from an exact spike count. It is
+    rounded to float32 as the mean of float32 frames is, so the two agree
+    while the frames hold fewer than 2**24 spikes."""
+    return float(np.float32(np.float64(np.count_nonzero(frames)) / frames.size))
 
 
 def theoretical_spike_count(a: Array, ceiling, timesteps: int) -> Array:
@@ -251,15 +268,15 @@ def export_spike_csv(record: SpikeRecord, out_dir: str, sample: int = 0) -> list
         with open(path, "w", newline="") as f:
             w = csv.writer(f)
             w.writerow(["t", "neuron", "spike"])
-            for t in range(record.timesteps):
-                for neuron in range(s.shape[2]):
-                    w.writerow([t, neuron, int(s[t, sample, neuron])])
+            frame = s[:, sample].astype(np.int64)
+            t, neuron = np.indices(frame.shape)
+            w.writerows(np.column_stack((t.ravel(), neuron.ravel(), frame.ravel())).tolist())
         paths.append(path)
     summary = {
         "timesteps": record.timesteps,
         "n_samples": record.n_samples,
-        "per_layer_counts": [float(s.sum()) for s in record.spikes],
-        "per_layer_mean_rates": [float(s.mean()) for s in record.spikes],
+        "per_layer_counts": [float(np.count_nonzero(s)) for s in record.spikes],
+        "per_layer_mean_rates": [_mean_rate(s) for s in record.spikes],
     }
     spath = os.path.join(out_dir, "spike_summary.json")
     with open(spath, "w") as f:

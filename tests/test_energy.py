@@ -6,7 +6,7 @@ import pytest
 from spikefit.ann import Linear
 from spikefit.energy import (count_ops, energy_report, mean_spike_rate,
                              spike_rate_stats, write_energy_json)
-from spikefit.snn import IfLayer, SnnNetwork, SpikeRecord, simulate
+from spikefit.snn import IfLayer, SnnNetwork, SpikeRecord, export_spike_csv, simulate
 from spikefit.tensor import Rng
 
 
@@ -93,16 +93,21 @@ class TestCountOps:
             rec = _record_with_spikes(net, spikes)
             assert count_ops(rec, net).ac == _brute_force_ac(rec, net)
 
-    def test_exact_past_float32_integer_range(self):
-        # 17.4 M spikes in one layer: a float32 sum of the frames is no longer exact
+    def test_exact_past_float32_integer_range(self, tmp_path):
+        # 17.4 M spikes in one layer: a float32 sum of the frames is no longer
+        # exact, so every reader of a total must count
         net = _net(3, 1024, 3)
         frames = (np.random.default_rng(2).random((1, 17000, 1024), dtype=np.float32)
                   < 0.999).astype(np.float32)
         rec = SpikeRecord(spikes=[frames], thresholds=[net.if_layers()[0].threshold],
                           v_end=[], output=np.zeros((17000, 3), np.float32), timesteps=1)
         n_spikes = int(np.count_nonzero(frames))
-        assert n_spikes > 2 ** 24
+        assert n_spikes == 17_390_723
         assert count_ops(rec, net).ac == n_spikes * 3
+        assert mean_spike_rate(rec) == n_spikes / frames.size
+        export_spike_csv(rec, str(tmp_path))
+        summary = json.loads((tmp_path / "spike_summary.json").read_text())
+        assert summary["per_layer_counts"] == [float(n_spikes)]
 
     def test_record_net_mismatch(self):
         net_a = _net(3, 4, 2)
