@@ -3,11 +3,12 @@ per-neuron thresholds and initial potentials, spike recording, and rate math.
 
 A spiking network is plain data: each IF layer holds only its threshold and
 initial potential, and ``simulate`` keeps the membrane potentials of a run
-to itself, so simulating never changes the network. The first linear
-layer's current, computed once from the analog input, drives the first IF
-layer at every step; deeper layers are driven by threshold-weighted spikes.
-Ties (potential exactly at threshold) fire. Membrane potentials may go
-negative.
+to itself, so simulating never changes the network. Each run starts from its
+own copy of the initial potentials, which ``if_step`` advances in place. The
+first linear layer's current, computed once from the analog input, drives
+the first IF layer at every step; deeper layers are driven by the
+threshold-weighted spikes that ``if_step`` returns. Ties (potential exactly
+at threshold) fire. Membrane potentials may go negative.
 
 Spike frames are stored as ``uint8`` 0/1, one byte per neuron-step. Every
 reader sums them with an explicit accumulator or counts them exactly, so
@@ -56,22 +57,26 @@ class IfLayer:
 
 def if_step(layer: IfLayer, v: Array, input_current: Array,
             step: int | None = None) -> tuple[Array, Array]:
-    """Advance potentials ``v`` (batch, width) by one timestep; returns the
-    boolean spike array and the next potentials.
+    """Advance the float32 potentials ``v`` (batch, width) by one timestep,
+    in place; returns the boolean spike array and the threshold-weighted
+    output ``spikes * threshold`` that the next linear layer reads.
 
     Reset is by subtraction: a firing neuron's potential drops by exactly
-    its threshold. A potential exactly at threshold fires.
+    its threshold. A potential exactly at threshold fires. Only ``v`` is
+    written: ``input_current`` and the layer are left as they are.
     """
     cur = np.asarray(input_current, dtype=np.float32)
     if cur.shape[-1] != layer.width:
         raise ValueError(f"input current width {cur.shape[-1]} != layer width {layer.width}")
-    v = v + cur
+    v += cur
     if not np.all(np.isfinite(v)):
         neuron = int(np.argwhere(~np.isfinite(v))[0][-1])
         where = f" at step {step}" if step is not None else ""
         raise SimulationError(f"non-finite membrane potential for neuron {neuron}{where}")
     spikes = v >= layer.threshold
-    return spikes, v - spikes * layer.threshold
+    out = spikes * layer.threshold
+    v -= out
+    return spikes, out
 
 
 class SnnNetwork:
@@ -165,7 +170,9 @@ def simulate(net: SnnNetwork, analog_input: Array, timesteps: int | None = None,
     batch = x.shape[0]
 
     pairs, tail = _split_stack(net)
-    v = [np.broadcast_to(iflayer.v_init, (batch, iflayer.width)) for _, iflayer in pairs]
+    # each run owns C-ordered potentials, which if_step advances in place
+    # (np.array of a broadcast view would come out Fortran-ordered, and slow)
+    v = [np.repeat(iflayer.v_init[None, :], batch, axis=0) for _, iflayer in pairs]
 
     # the first linear's current is the same at every step
     first_current = x @ pairs[0][0].w + pairs[0][0].b if pairs else None
@@ -177,16 +184,18 @@ def simulate(net: SnnNetwork, analog_input: Array, timesteps: int | None = None,
                       if record_potentials else None)
 
     for t in range(T):
-        carry = None
         for j, (linear, iflayer) in enumerate(pairs):
-            cur = first_current if j == 0 else carry @ linear.w + linear.b
-            s, v[j] = if_step(iflayer, v[j], cur, step=t)
+            if j == 0:
+                cur = first_current
+            else:
+                cur = carry @ linear.w
+                cur += linear.b
+            s, carry = if_step(iflayer, v[j], cur, step=t)
             spikes_rec[j][t] = s
             if currents_rec is not None:
                 currents_rec[j][t] = cur
             if potentials_rec is not None:
                 potentials_rec[j][t] = v[j]
-            carry = s * iflayer.threshold
 
     if pairs:
         last_rate = _rate(pairs[-1][1].threshold, spikes_rec[-1], T)

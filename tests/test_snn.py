@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from spikefit.ann import Linear, qcfs_forward
 from spikefit.snn import (IfLayer, SimulationError, SnnNetwork, export_spike_csv,
@@ -33,8 +34,19 @@ def _random_stack(rng: Rng, depth: int, widths=None, timesteps=8) -> SnnNetwork:
 
 
 def _step(theta: float, v: float, current: float):
+    """One step of a one-neuron layer; returns the spikes and the potential
+    array that if_step advanced in place."""
     layer = IfLayer(np.array([theta], np.float32), np.array([0.0], np.float32))
-    return if_step(layer, np.array([[v]], np.float32), np.array([[current]], np.float32))
+    potential = np.array([[v]], np.float32)
+    spikes, _ = if_step(layer, potential, np.array([[current]], np.float32))
+    return spikes, potential
+
+
+# dyadic values make exact ties (v + cur == theta) and -0.0 common
+_DYADIC = [-0.0, 0.0, 0.25, 0.5, 0.75, 1.0, 1.5, -0.5, -1.0, -2.0]
+_POTENTIAL = st.one_of(st.sampled_from(_DYADIC), st.floats(-1e6, 1e6, width=32))
+_THRESHOLD = st.one_of(st.sampled_from([0.25, 0.5, 1.0, 1.5, 2.0]),
+                       st.floats(2.0**-10, 2.0**10, width=32))
 
 
 class TestIfStep:
@@ -57,11 +69,35 @@ class TestIfStep:
         _, v = _step(1.0, 0.0, 2.7)
         assert v[0, 0] == pytest.approx(1.7, abs=1e-6)
 
-    def test_input_is_not_modified(self):
-        layer = IfLayer(np.array([1.0], np.float32), np.array([0.5], np.float32))
-        v = np.array([[0.5]], np.float32)
-        if_step(layer, v, np.array([[0.6]], np.float32))
-        assert v[0, 0] == 0.5
+    def test_current_and_layer_are_not_modified(self):
+        layer = IfLayer(np.array([1.0, 2.0], np.float32), np.array([0.5, 1.0], np.float32))
+        v = np.array([[0.5, 0.5]], np.float32)
+        cur = np.array([[0.6, 0.1]], np.float32)
+        cur_before = cur.copy()
+        spikes, out = if_step(layer, v, cur)
+        assert cur.tobytes() == cur_before.tobytes()
+        assert layer.threshold.tolist() == [1.0, 2.0]
+        assert layer.v_init.tolist() == [0.5, 1.0]
+        assert spikes.tolist() == [[True, False]]
+        assert out.tolist() == [[1.0, 0.0]]
+        assert not np.shares_memory(out, cur) and not np.shares_memory(out, v)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_in_place_step_matches_pure_formula(self, data):
+        batch, width = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 6))
+        theta = data.draw(arrays(np.float32, width, elements=_THRESHOLD))
+        v0 = data.draw(arrays(np.float32, (batch, width), elements=_POTENTIAL))
+        cur = data.draw(arrays(np.float32, (batch, width), elements=_POTENTIAL))
+        u = v0 + cur
+        s = u >= theta
+        want_v, want_out = u - s * theta, s * theta
+        v = v0.copy()
+        spikes, out = if_step(IfLayer(theta, np.zeros_like(theta)), v, cur)
+        assert spikes.tobytes() == s.tobytes()
+        assert v.dtype == out.dtype == np.float32
+        assert v.tobytes() == want_v.tobytes()
+        assert out.tobytes() == want_out.tobytes()
 
     def test_width_mismatch_rejected(self):
         layer = IfLayer(np.ones(2, np.float32), np.zeros(2, np.float32))
@@ -124,6 +160,18 @@ class TestSimulate:
                 np.testing.assert_array_equal(value, vars(old)[name], err_msg=name)
         for layer in net.if_layers():
             assert vars(layer).keys() == {"threshold", "v_init"}
+
+    def test_end_potentials_are_owned_c_ordered_arrays(self):
+        net = _random_stack(Rng(15), depth=3, timesteps=4)
+        before = copy.deepcopy(net)
+        rec = simulate(net, Rng(16).normal(0, 1, (5, net.layers[0].w.shape[0])))
+        for v, layer in zip(rec.v_end, net.if_layers()):
+            assert v.flags.c_contiguous and v.flags.writeable
+            assert not np.shares_memory(v, layer.v_init)
+            v[...] = 123.0
+        for layer, old in zip(net.layers, before.layers):
+            for name, value in vars(layer).items():
+                np.testing.assert_array_equal(value, vars(old)[name], err_msg=name)
 
     def test_potential_trace_ends_at_v_end(self):
         net = _random_stack(Rng(13), depth=2, timesteps=6)

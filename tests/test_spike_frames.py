@@ -34,11 +34,13 @@ def _sha(data: bytes) -> str:
 
 def test_if_step_returns_booleans():
     layer = IfLayer(np.ones(3, np.float32), np.zeros(3, np.float32))
-    s, v = if_step(layer, np.zeros((1, 3), np.float32), np.array([[0.5, 1.0, 2.5]], np.float32))
+    v = np.zeros((1, 3), np.float32)
+    s, out = if_step(layer, v, np.array([[0.5, 1.0, 2.5]], np.float32))
     assert s.dtype == np.bool_
     assert s.tolist() == [[False, True, True]]
-    assert v.dtype == np.float32
+    assert v.dtype == out.dtype == np.float32
     assert v.tolist() == [[0.5, 0.0, 1.5]]
+    assert out.tolist() == [[0.0, 1.0, 1.0]]
 
 
 def test_simulate_stores_one_byte_frames():
@@ -105,6 +107,25 @@ def test_outputs_match_float32_frame_golden(tmp_path):
     write_energy_json(energy_report(count_ops(rec, net), rates=spike_rate_stats(rec)), str(path))
     assert _sha(path.read_bytes()) == \
         "9bd0ff9e0abb3994ab6ca99003a797b5bf690b49bb5ed0d41a5b21542100a0cf"
+
+
+def test_wide_record_golden():
+    # sha256 values written by the simulator before if_step advanced the
+    # potentials in place; covers the deeper layers' bias add and the first
+    # layer's current, which is reused at every step
+    net = _net([8, 128, 128, 128, 4], timesteps=16, seed=5, scale=0.3)
+    rec = simulate(net, Rng(6).normal(0, 1, (64, 8)),
+                   record_currents=True, record_potentials=True)
+    joined = {"spikes": rec.spikes, "output": [rec.output], "v_end": rec.v_end,
+              "currents": rec.currents, "potentials": rec.potentials}
+    got = {k: _sha(b"".join(a.tobytes() for a in arrs)) for k, arrs in joined.items()}
+    assert got == {
+        "spikes": "3461a1acd9ba937df3346ee701a3df0da21bc38d94e5bde8a5173b63704575d4",
+        "output": "d7e860bff826aca4f0a71cdb4b33622023a225a0b874c2bfc022ede676e67bae",
+        "v_end": "175240fa27b8975479a60370f7574d6350408dd1fff33d4bb38697bbcd433451",
+        "currents": "fa82e1e5f0f1fe777b5a5ce8bb7835e351a5678096327e7b7009a34f6aeacb07",
+        "potentials": "0cb49a93ee03c6c85311fba13ff9fadff18e8cbe08f092c6521a6f8935fd18c5",
+    }
 
 
 def test_export_matches_float32_frame_text(tmp_path):
