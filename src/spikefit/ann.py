@@ -1,6 +1,6 @@
 """Analog model zoo: linear stacks with ReLU/GELU or a trainable quantized
-staircase activation, forward tracing, activation replacement, fine-tuning,
-and small two-layer approximators for otherwise non-convertible functions."""
+staircase activation, forward tracing, activation replacement, and
+fine-tuning by a hand-written reverse sweep over the layer list."""
 
 from __future__ import annotations
 
@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Var, gelu_ref, record_op, _unbroadcast
+from .autodiff import _gelu_local, _unbroadcast, gelu_ref
 from .tensor import Array, Rng
 
 
@@ -94,41 +94,6 @@ def qcfs_forward(x, ceiling: float, levels: int):
     return np.clip(y * lam / lv, dt.type(0.0), lam)
 
 
-def qcfs_on_tape(x: Var, ceiling, levels: int) -> Var:
-    """Differentiable staircase: straight-through floor, zero outside the clip.
-
-    Where the pre-floor argument is strictly inside (0, levels) the input
-    gradient passes through unchanged; outside it is exactly zero. The
-    ceiling gradient combines the saturation indicator with the
-    straight-through correction term.
-    """
-    xv = x.value
-    lam = float(ceiling.value) if isinstance(ceiling, Var) else float(ceiling)
-    if lam <= 0:
-        raise ValueError(f"qcfs ceiling must be positive, got {lam}")
-    lv = int(levels)
-    if lv < 1:
-        raise ValueError(f"qcfs levels must be >= 1, got {lv}")
-    dt = xv.dtype
-    z = xv * dt.type(lv) / dt.type(lam) + dt.type(0.5)
-    floored = np.floor(z)
-    q = np.clip(floored, 0.0, lv).astype(dt) / dt.type(lv)  # value / ceiling, in [0, 1]
-    value = np.clip(floored * dt.type(lam) / dt.type(lv), dt.type(0.0), dt.type(lam))
-    interior = ((z > 0) & (z < lv)).astype(dt)
-
-    # the shape, not the Var: a closure holding the Var would tie the tape
-    # into a reference cycle
-    lam_shape = np.shape(ceiling.value if isinstance(ceiling, Var) else ceiling)
-
-    def grad_x(g):
-        return g * interior
-
-    def grad_ceiling(g):
-        return _unbroadcast(g * (q - xv / dt.type(lam) * interior), lam_shape)
-
-    return record_op(value, [x, ceiling], [grad_x, grad_ceiling])
-
-
 @dataclass
 class ActivationTrace:
     layer: str
@@ -196,7 +161,7 @@ def ann_forward(model: AnnModel, x, record: bool = True) -> ForwardResult:
     return ForwardResult(x, traces)
 
 
-# -- tape forward for training ------------------------------------------------
+# -- trainable parameters -----------------------------------------------------
 
 def param_arrays(model: AnnModel) -> dict[str, Array]:
     """Trainable arrays keyed by layer index; ceilings are 0-d float32."""
@@ -220,38 +185,7 @@ def set_param_arrays(model: AnnModel, params: dict[str, Array]) -> None:
         elif isinstance(layer, Embedding):
             layer.table = np.asarray(params[f"{i}.table"], dtype=np.float32)
         elif isinstance(layer, Qcfs):
-            # keep the staircase cap positive while it trains
-            layer.ceiling = float(max(float(params[f"{i}.ceiling"]), 1e-4))
-
-
-def forward_on_tape(model: AnnModel, params: dict[str, Var], x: Array):
-    """Mirror of ann_forward over tape variables; returns (output, post-activations).
-
-    Inputs are constants; gradients flow only into the parameter variables.
-    """
-    h = np.asarray(x)
-    if h.ndim == 1 and h.dtype.kind == "f":
-        h = h[None, :]
-    acts: list[Var] = []
-    for i, layer in enumerate(model.layers):
-        if isinstance(layer, Linear):
-            h = ad.add(ad.matmul(h, params[f"{i}.w"]), params[f"{i}.b"])
-        elif isinstance(layer, Embedding):
-            idx = h if isinstance(h, np.ndarray) else h.value
-            rows = ad.gather_rows(params[f"{i}.table"], idx)
-            h = ad.reshape(rows, (idx.shape[0], -1))
-        elif isinstance(layer, Relu):
-            h = ad.relu(h)
-            acts.append(h)
-        elif isinstance(layer, Gelu):
-            h = ad.gelu(h)
-            acts.append(h)
-        elif isinstance(layer, Qcfs):
-            h = qcfs_on_tape(h, params[f"{i}.ceiling"], layer.levels)
-            acts.append(h)
-        else:
-            raise TypeError(f"layer {i}: unknown layer type {type(layer).__name__}")
-    return h, acts
+            layer.ceiling = float(params[f"{i}.ceiling"])
 
 
 # -- activation replacement ---------------------------------------------------
@@ -294,32 +228,106 @@ class TrainConfig:
     weight_decay: float = 0.0
 
 
-def _loss_on_tape(output: Var, batch_y: Array, task: str) -> Var:
-    if task == "regress":
-        return ad.mse(output, batch_y.astype(output.value.dtype))
-    n_classes = output.value.shape[1]
-    onehot = np.eye(n_classes, dtype=output.value.dtype)[batch_y]
-    return ad.softmax_cross_entropy(output, onehot)
+# The heads and the reverse sweep below take, op for op and dtype for dtype,
+# the products the autodiff tape's vjps take (tests/test_train_backprop.py
+# holds the tape version), so trained weights are the tape's bit for bit.
+
+def _cross_entropy_head(out: Array, y: Array) -> tuple[float, Array]:
+    """Mean softmax cross-entropy of integer labels, and its gradient wrt out.
+
+    The loss is averaged in float64, as the tape's ``mean_`` scales by a 0-d
+    float64 ``1/n``; the gradient comes back in the output dtype.
+    """
+    dt = out.dtype
+    onehot = np.eye(out.shape[1], dtype=dt)[y]
+    shifted = out - np.max(out, axis=1, keepdims=True)
+    e = np.exp(shifted)
+    se = e.sum(axis=1, keepdims=True)
+    total = ((shifted - np.log(se)) * onehot).sum(axis=1).sum()
+    n = out.shape[0]
+    g_ls = dt.type(-(1.0 / n)) * onehot
+    return -(float(total) * (1.0 / n)), g_ls + (_unbroadcast(-g_ls, se.shape) / se) * e
 
 
-def _scan_nonfinite(model: AnnModel, batch_x: Array) -> str:
-    for trace in ann_forward(model, batch_x).traces:
-        if not np.all(np.isfinite(trace.post)):
-            return trace.layer
-    return "output"
+def _mse_head(out: Array, y: Array) -> tuple[float, Array]:
+    """Mean squared error over every output entry, and its gradient wrt out;
+    ``d * d`` sends ``g * d`` back along both of its operands."""
+    d = out - y.astype(out.dtype)
+    total = (d * d).sum()
+    half = out.dtype.type(1.0 / d.size) * d
+    return float(total) * (1.0 / d.size), half + half
+
+
+def _backward(model: AnnModel, x: Array, fwd: ForwardResult, g: Array) -> dict[str, Array]:
+    """Gradients of every trainable array, keyed as in ``param_arrays``, from
+    one recorded ``ann_forward`` pass of ``x`` and the gradient ``g`` of its
+    output. Local derivatives are recomputed from each trace's ``pre``; like
+    the tape, the sweep does not form the gradient of ``x`` itself."""
+    layers = model.layers
+    traces = {int(t.layer): t for t in fwd.traces}
+    inputs, h = [], x  # what each layer read
+    for i, layer in enumerate(layers[:-1]):
+        inputs.append(h)
+        if i in traces:
+            h = traces[i].post
+        elif i + 1 in traces:
+            h = traces[i + 1].pre
+        elif isinstance(layer, Linear):
+            h = _apply_linear(h, layer, str(i))
+        else:
+            h = _apply_embedding(h, layer, str(i))
+    inputs.append(h)
+
+    grads: dict[str, Array] = {}
+    for i in range(len(layers) - 1, -1, -1):
+        layer, h = layers[i], inputs[i]
+        if isinstance(layer, Linear):
+            grads[f"{i}.w"] = h.T @ g
+            grads[f"{i}.b"] = g.sum(axis=0)
+            if i:
+                g = g @ layer.w.T
+        elif isinstance(layer, Embedding):
+            table = np.zeros_like(layer.table)
+            np.add.at(table, h, g.reshape(h.shape + layer.table.shape[1:]))
+            grads[f"{i}.table"] = table
+        elif isinstance(layer, Relu):
+            g = g * (h > 0).astype(h.dtype)
+        elif isinstance(layer, Gelu):
+            g = g * _gelu_local(h)
+        elif isinstance(layer, Qcfs):
+            # straight-through floor: the input gradient passes where the
+            # pre-floor argument is strictly inside (0, levels) and is zero
+            # outside; the ceiling gradient adds the saturation indicator to
+            # the straight-through correction term
+            dt = h.dtype
+            lam, lv = dt.type(layer.ceiling), int(layer.levels)
+            z = h * dt.type(lv) / lam + dt.type(0.5)
+            q = np.clip(np.floor(z), 0.0, lv) / dt.type(lv)  # value / ceiling
+            interior = ((z > 0) & (z < lv)).astype(dt)
+            grads[f"{i}.ceiling"] = _unbroadcast(g * (q - h / lam * interior), ())
+            g = g * interior
+        else:
+            raise TypeError(f"layer {i}: unknown layer type {type(layer).__name__}")
+    return grads
 
 
 def train_model(model: AnnModel, data, cfg: TrainConfig, rng: Rng,
                 val_data=None) -> tuple[AnnModel, list[dict]]:
     """Minibatch Adam training; staircase ceilings get their own learning rate.
 
-    Returns the trained model and a history of per-epoch train/validation
-    losses (an epoch is one pass worth of steps over the training set).
+    Each step is one recorded ``ann_forward`` pass, a loss head and one
+    reverse sweep; Adam then updates the model's own arrays in place. The
+    caller's model is never written to. Returns the trained model and a
+    history of per-epoch train/validation losses (an epoch is one pass worth
+    of steps over the training set).
     """
     model = model.clone()
     params = {k: np.array(v, dtype=np.float32) for k, v in param_arrays(model).items()}
-    ceil_keys = {k for k in params if k.endswith(".ceiling")}
+    set_param_arrays(model, params)
+    ceilings = {k: p for k, p in params.items() if k.endswith(".ceiling")}
+    weights = {k: p for k, p in params.items() if k not in ceilings}
     lr_ceiling = cfg.lr if cfg.lr_ceiling is None else cfg.lr_ceiling
+    head = _mse_head if data.task == "regress" else _cross_entropy_head
 
     state_w = None
     state_c = None
@@ -331,37 +339,30 @@ def train_model(model: AnnModel, data, cfg: TrainConfig, rng: Rng,
     for step in range(cfg.steps):
         idx = rng.integers(0, n, (min(cfg.batch_size, n),))
         bx, by = data.x[idx], data.y[idx]
-        tape = ad.Tape()
-        tvars = {k: tape.leaf(v, k) for k, v in params.items()}
-        out, _ = forward_on_tape(model, tvars, bx)
-        loss = _loss_on_tape(out, by, data.task)
-        loss_val = float(loss.value)
+        fwd = ann_forward(model, bx)
+        loss_val, g_out = head(fwd.output, by)
         if not np.isfinite(loss_val):
-            set_param_arrays(model, params)
-            layer = _scan_nonfinite(model, bx)
+            layer = next((t.layer for t in fwd.traces if not np.all(np.isfinite(t.post))),
+                         "output")
             raise TrainingDivergedError(
                 f"non-finite loss at step {step} (first non-finite activation at layer {layer})")
-        grads = ad.backward(tape, loss)
-        gdict = {k: grads.wrt(v) for k, v in tvars.items()}
-        w_params = {k: params[k] for k in params if k not in ceil_keys}
-        c_params = {k: params[k] for k in ceil_keys}
-        w_new, state_w = ad.adam_step(w_params, {k: gdict[k] for k in w_params},
-                                      state_w, cfg.lr, weight_decay=cfg.weight_decay)
-        params.update(w_new)
-        if c_params:
-            c_new, state_c = ad.adam_step(c_params, {k: gdict[k] for k in c_params},
-                                          state_c, lr_ceiling)
-            params.update(c_new)
+        grads = _backward(model, bx, fwd, g_out)
+        _, state_w = ad.adam_step(weights, grads, state_w, cfg.lr,
+                                  weight_decay=cfg.weight_decay)
+        if ceilings:
+            _, state_c = ad.adam_step(ceilings, grads, state_c, lr_ceiling)
+            for p in ceilings.values():
+                # keep the staircase cap positive while it trains
+                np.maximum(p, np.float32(1e-4), out=p)
+            set_param_arrays(model, params)
         epoch_losses.append(loss_val)
         if (step + 1) % steps_per_epoch == 0 or step == cfg.steps - 1:
-            set_param_arrays(model, params)
             entry = {"epoch": len(history), "train_loss": float(np.mean(epoch_losses))}
             entry["val_loss"] = (None if val_data is None
                                  else float(dataset_loss(model, val_data)))
             history.append(entry)
             epoch_losses = []
 
-    set_param_arrays(model, params)
     return model, history
 
 
@@ -423,87 +424,3 @@ def char_lm(vocab: int, window: int, embed_dim: int, hidden: list[int], rng: Rng
     dims = [window * embed_dim] + list(hidden) + [vocab]
     body = mlp(dims, rng)
     return AnnModel([Embedding(table)] + body.layers)
-
-
-# -- two-layer function approximators ------------------------------------------
-
-@dataclass
-class UgoApproximator:
-    """Two linear maps with one hidden nonlinearity fit to a named target."""
-
-    model: AnnModel
-    target: str
-    domain: list[tuple[float, float]]
-    heldout_mse: float
-
-    def predict(self, x: Array) -> Array:
-        return ann_forward(self.model, x, record=False).output
-
-
-def layernorm_ref(x: Array, eps: float = 1e-5) -> Array:
-    x = np.asarray(x, dtype=np.float64)
-    mu = x.mean(axis=1, keepdims=True)
-    var = x.var(axis=1, keepdims=True)
-    return ((x - mu) / np.sqrt(var + eps)).astype(np.float32)
-
-
-def softmax_ref(x: Array) -> Array:
-    x = np.asarray(x, dtype=np.float64)
-    e = np.exp(x - x.max(axis=1, keepdims=True))
-    return (e / e.sum(axis=1, keepdims=True)).astype(np.float32)
-
-
-_UGO_TARGETS = {
-    "softmax-row": lambda x: softmax_ref(x),
-    "layernorm": lambda x: layernorm_ref(x),
-    "gelu-scalar": lambda x: gelu_ref(x).astype(np.float32),
-}
-
-
-@dataclass
-class _ArrayData:
-    x: Array
-    y: Array
-    task: str = "regress"
-
-
-def fit_ugo(target: str, width: int, sample_count: int,
-            domain: list[tuple[float, float]], rng: Rng,
-            steps: int = 4000, batch_size: int = 256, lr: float = 5e-3) -> UgoApproximator:
-    """Least-squares fit of a linear-ReLU-linear stack to a named function.
-
-    Samples the domain uniformly, holds out 10% for the reported MSE. The
-    result is an ordinary model, so its activation can later be replaced by
-    a staircase and the whole thing converted to spikes.
-    """
-    if target not in _UGO_TARGETS:
-        raise ValueError(f"unknown target {target!r}; choose from {sorted(_UGO_TARGETS)}")
-    if width < 1:
-        raise ValueError(f"width must be >= 1, got {width}")
-    if sample_count < 10:
-        raise ValueError(f"sample_count must be >= 10, got {sample_count}")
-    domain = [(float(lo), float(hi)) for lo, hi in domain]
-    for lo, hi in domain:
-        if not lo < hi:
-            raise ValueError(f"degenerate domain interval [{lo}, {hi}]")
-
-    d = len(domain)
-    u = rng.uniform(0.0, 1.0, (sample_count, d))
-    lo = np.array([iv[0] for iv in domain], dtype=np.float32)
-    hi = np.array([iv[1] for iv in domain], dtype=np.float32)
-    x = lo + (hi - lo) * u
-    y = _UGO_TARGETS[target](x)
-    if not np.all(np.isfinite(y)):
-        raise ValueError(f"target {target!r} produced non-finite values on the sampled domain")
-
-    n_hold = max(1, sample_count // 10)
-    train = _ArrayData(x[n_hold:], y[n_hold:])
-    hold = _ArrayData(x[:n_hold], y[:n_hold])
-
-    net = mlp([d, width, y.shape[1]], rng.split("init"))
-    cfg = TrainConfig(steps=steps, batch_size=batch_size, lr=lr)
-    net, _ = train_model(net, train, cfg, rng.split("fit"))
-
-    pred = ann_forward(net, hold.x, record=False).output
-    heldout = float(np.mean((pred.astype(np.float64) - hold.y) ** 2))
-    return UgoApproximator(net, target, domain, heldout)

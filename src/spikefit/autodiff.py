@@ -1,8 +1,16 @@
-"""Reverse-mode autodiff on a flat tape of numpy arrays.
+"""Reverse-mode autodiff on a flat tape of numpy arrays, plus the Adam step
+and the spike surrogate that the hand-written backprops share.
 
-Built to backpropagate through time over unrolled integrate-and-fire steps,
-so besides the usual smooth primitives it carries a straight-through floor
-and a spike threshold crossing whose derivative is a rectangular surrogate.
+Nothing in the package records on the tape any more: stage-1 training
+(``ann._backward``) and neuron-wise calibration (``calibrate._nwc_bptt``)
+sweep their layer lists by hand. The tape is the oracle their tests check
+them against, bit for bit (``tests/test_train_backprop.py``,
+``tests/test_nwc_bptt.py``). It stays in the package for now because the
+benchmark's tracer test checks that ``autodiff.backward`` is wrapped; it
+moves to ``tests/`` with the next revision of the benchmark.
+
+The tape carries the usual smooth primitives, a straight-through floor and
+a spike threshold crossing whose derivative is a rectangular surrogate.
 Gradients are accumulated in fixed reverse-creation order, which makes
 ``backward`` bit-deterministic for a given tape.
 """
@@ -197,13 +205,18 @@ def gelu_ref(x: Array) -> Array:
     return 0.5 * x * (1.0 + np.tanh(u))
 
 
+def _gelu_local(x: Array) -> Array:
+    """Derivative of ``gelu_ref``, in the input dtype."""
+    u = _GELU_C * (x + _GELU_A * x ** 3)
+    t = np.tanh(u)
+    dudx = _GELU_C * (1.0 + 3.0 * _GELU_A * x ** 2)
+    return (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t ** 2) * dudx).astype(x.dtype)
+
+
 def gelu(x) -> Var:
     xv = _value(x)
-    u = _GELU_C * (xv + _GELU_A * xv ** 3)
-    t = np.tanh(u)
-    dudx = _GELU_C * (1.0 + 3.0 * _GELU_A * xv ** 2)
-    local = (0.5 * (1.0 + t) + 0.5 * xv * (1.0 - t ** 2) * dudx).astype(xv.dtype)
-    return record_op((0.5 * xv * (1.0 + t)).astype(xv.dtype), [x], [lambda g: g * local])
+    local = _gelu_local(xv)
+    return record_op(gelu_ref(xv).astype(xv.dtype), [x], [lambda g: g * local])
 
 
 def tanh(x) -> Var:
@@ -371,34 +384,67 @@ class AdamState:
     m: dict[str, Array] = field(default_factory=dict)
     v: dict[str, Array] = field(default_factory=dict)
     step: int = 0
+    scratch: dict[str, tuple[Array, Array]] = field(default_factory=dict)
 
 
 def adam_step(params: dict[str, Array], grads: dict[str, Array], state: AdamState | None,
               lr: float, betas=(0.9, 0.999), eps: float = 1e-8,
               weight_decay: float = 0.0) -> tuple[dict[str, Array], AdamState]:
-    """One Adam update over a dict of named arrays; decoupled weight decay.
+    """One Adam update over a dict of named arrays, in place; decoupled weight decay.
 
-    Returns fresh params and state; inputs are not mutated.
+    Each parameter array and its two moment arrays are updated in place, and
+    the same dict and state are returned. The update is
+
+        m = b1 * m + (1 - b1) * g;  v = b2 * v + (1 - b2) * g * g
+        p = p - lr * (m / (1 - b1**t)) / (sqrt(v / (1 - b2**t)) + eps) - lr * wd * p_old
+
+    with each operation in that order and in the dtype numpy gives it in that
+    expression, and each stored array rounded once to the parameter dtype;
+    so the result is bit-identical to the expression over fresh arrays
+    whenever gradients are at least as wide as the parameters. Two scratch
+    arrays per parameter, kept in the state, hold the intermediates.
     """
     if state is None:
         state = AdamState({k: np.zeros_like(p) for k, p in params.items()},
                           {k: np.zeros_like(p) for k, p in params.items()}, 0)
     b1, b2 = betas
     t = state.step + 1
-    out_p, out_m, out_v = {}, {}, {}
     for k in sorted(params):
-        p = params[k]
-        g = grads[k]
+        p, g, m, v = params[k], grads[k], state.m[k], state.v[k]
+        if not isinstance(p, np.ndarray):
+            raise TypeError(f"adam_step: parameter {k!r} is not an array and cannot be "
+                            f"updated in place")
         if g.shape != p.shape:
             raise ValueError(f"adam_step: grad shape {g.shape} != param shape {p.shape} for {k!r}")
-        m = b1 * state.m[k] + (1 - b1) * g
-        v = b2 * state.v[k] + (1 - b2) * g * g
-        m_hat = m / (1 - b1 ** t)
-        v_hat = v / (1 - b2 ** t)
-        new = p - lr * m_hat / (np.sqrt(v_hat) + eps)
+        dt = np.result_type(p, g)
+        s1, s2 = state.scratch.get(k, (None, None))
+        if s1 is None or s1.dtype != dt:
+            s1, s2 = state.scratch[k] = (np.empty(p.shape, dt), np.empty(p.shape, dt))
+        # the moments are formed in dt: in place when that is their own dtype
+        mw = m if m.dtype == dt else s1
+        vw = v if v.dtype == dt else s2
+        np.multiply(m, b1, out=mw)
+        np.multiply(g, 1 - b1, out=s2)
+        mw += s2
+        np.multiply(g, 1 - b2, out=s2)
+        s2 *= g
+        v *= b2
+        np.add(v, s2, out=vw)
+        if mw is not m:
+            np.copyto(m, mw, casting="same_kind")
+            np.copyto(v, vw, casting="same_kind")
+        np.divide(vw, 1 - b2 ** t, out=s2)
+        np.sqrt(s2, out=s2)
+        s2 += eps
+        np.divide(mw, 1 - b1 ** t, out=s1)
+        s1 *= lr
+        s1 /= s2
         if weight_decay:
-            new = new - lr * weight_decay * p
-        out_p[k] = new.astype(p.dtype, copy=False)
-        out_m[k] = m.astype(p.dtype, copy=False)
-        out_v[k] = v.astype(p.dtype, copy=False)
-    return out_p, AdamState(out_m, out_v, t)
+            np.multiply(p, lr * weight_decay, out=s2)
+            np.subtract(p, s1, out=s1)
+            s1 -= s2
+            np.copyto(p, s1, casting="same_kind")
+        else:
+            p -= s1
+    state.step = t
+    return params, state

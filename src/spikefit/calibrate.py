@@ -357,7 +357,8 @@ def nwc_calibrate(snn: SnnNetwork, ann: AnnModel, data, cfg: CalibConfig,
         params, state = ad.adam_step(params, gdict, state, cfg.lr)
         for j in range(len(pairs)):
             # thresholds must stay positive for the surrogate to be defined
-            params[f"if{j}.threshold"] = np.maximum(params[f"if{j}.threshold"], np.float32(1e-4))
+            theta = params[f"if{j}.threshold"]
+            np.maximum(theta, np.float32(1e-4), out=theta)
         log.append({
             "step": step,
             "L_al": losses["L_al"],

@@ -218,3 +218,75 @@ class TestAdam:
         new, _ = adam_step({"w": np.array([1.0])}, {"w": np.array([0.0])}, None,
                            lr=0.1, weight_decay=0.5)
         assert float(new["w"][0]) == pytest.approx(1.0 - 0.1 * 0.5 * 1.0)
+
+
+def _adam_reference(params, grads, state, lr, betas=(0.9, 0.999), eps=1e-8, weight_decay=0.0):
+    """The Adam step as a formula over fresh arrays, before it worked in place."""
+    b1, b2 = betas
+    t = state.step + 1
+    out_p, out_m, out_v = {}, {}, {}
+    for k in sorted(params):
+        p, g = params[k], grads[k]
+        m = b1 * state.m[k] + (1 - b1) * g
+        v = b2 * state.v[k] + (1 - b2) * g * g
+        m_hat = m / (1 - b1 ** t)
+        v_hat = v / (1 - b2 ** t)
+        new = p - lr * m_hat / (np.sqrt(v_hat) + eps)
+        if weight_decay:
+            new = new - lr * weight_decay * p
+        out_p[k] = new.astype(p.dtype, copy=False)
+        out_m[k] = m.astype(p.dtype, copy=False)
+        out_v[k] = v.astype(p.dtype, copy=False)
+    return out_p, AdamState(out_m, out_v, t)
+
+
+class TestInPlaceAdam:
+    # parameter dtype, gradient dtype: float64 gradients reach float32
+    # parameters when training runs on a float64 batch
+    DTYPES = [(np.float32, np.float32), (np.float64, np.float64), (np.float32, np.float64)]
+
+    @pytest.mark.parametrize("p_dtype, g_dtype", DTYPES)
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
+    def test_fifty_steps_equal_the_formula(self, p_dtype, g_dtype, weight_decay):
+        rng = Rng(11)
+        shapes = {"w": (7, 5), "b": (5,), "ceiling": ()}
+        params = {k: np.array(rng.split(k).normal(0, 1, s), dtype=p_dtype)
+                  for k, s in shapes.items()}
+        ref_p = {k: p.copy() for k, p in params.items()}
+        ref_state = AdamState({k: np.zeros_like(p) for k, p in params.items()},
+                              {k: np.zeros_like(p) for k, p in params.items()}, 0)
+        state = None
+        for step in range(50):
+            grads = {k: np.array(rng.split(f"g{step}{k}").normal(0, 10.0 ** (step % 5 - 2), s),
+                                 dtype=g_dtype) for k, s in shapes.items()}
+            grads["b"][step % 5] = 0.0  # a zero gradient in a moving moment
+            ref_p, ref_state = _adam_reference(ref_p, grads, ref_state, 0.01,
+                                               weight_decay=weight_decay)
+            out, state = adam_step(params, grads, state, 0.01, weight_decay=weight_decay)
+            assert out is params and state.step == ref_state.step == step + 1
+            for k in shapes:
+                for got, want in ((params[k], ref_p[k]), (state.m[k], ref_state.m[k]),
+                                  (state.v[k], ref_state.v[k])):
+                    assert got.dtype == p_dtype and np.shape(got) == shapes[k]
+                    assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), (step, k)
+
+    def test_arrays_keep_their_identity(self):
+        params = {"w": np.ones((3, 2), np.float32), "ceiling": np.asarray(2.0, np.float32)}
+        grads = {k: np.full_like(p, 0.5) for k, p in params.items()}
+        ids = {k: id(p) for k, p in params.items()}
+        _, state = adam_step(params, grads, None, 0.1, weight_decay=0.1)
+        moments = {k: (id(state.m[k]), id(state.v[k])) for k in params}
+        scratch = {k: tuple(id(a) for a in state.scratch[k]) for k in params}
+        for _ in range(3):
+            out, state2 = adam_step(params, grads, state, 0.1, weight_decay=0.1)
+            assert out is params and state2 is state
+        assert {k: id(p) for k, p in params.items()} == ids
+        assert {k: (id(state.m[k]), id(state.v[k])) for k in params} == moments
+        assert {k: tuple(id(a) for a in state.scratch[k]) for k in params} == scratch
+        assert all(len(s) == 2 for s in state.scratch.values())
+        assert params["ceiling"].shape == () and float(params["ceiling"]) < 2.0
+
+    def test_numpy_scalar_rejected(self):
+        # a numpy scalar cannot be updated in place
+        with pytest.raises(TypeError, match="'c'"):
+            adam_step({"c": np.float32(1.0)}, {"c": np.asarray(0.5, np.float32)}, None, lr=0.1)
