@@ -4,8 +4,7 @@ accounting, plus a config-driven experiment runner."""
 
 from .ann import (AnnModel, Embedding, Gelu, Linear, Qcfs, Relu, TrainConfig, ann_forward,
                   mlp, qcfs_forward, replace_activations, stage1_finetune, train_model)
-from .autodiff import (AdamState, SurrogateSpec, Tape, adam_step, backward,
-                       ste_floor, surrogate_spike_grad)
+from .autodiff import AdamState, Tape, adam_step, backward, ste_floor, surrogate_spike_grad
 from .calibrate import (CalibConfig, activation_align_loss, apply_stage2, convert,
                         logits_loss, lwc, nwc_calibrate, select_alpha)
 from .checkpoint import IntegrityError, load_checkpoint, save_checkpoint, weight_hash
@@ -14,9 +13,9 @@ from .data import DataSpec, Dataset, DatasetSplits, make_dataset
 from .diagnostics import (ErrorReport, decompose_errors, layer_mse_report,
                           output_cosine, tau_histogram, temporal_error,
                           threshold_shift_report)
-from .energy import count_ops, energy_report, mean_spike_rate, spike_rate_stats
+from .energy import count_ops, energy_report, spike_rate_stats
 from .snn import (IfLayer, SimulationError, SnnNetwork, SpikeRecord, firing_rate,
-                  if_step, psi_max, simulate, theoretical_spike_count)
+                  if_step, simulate, theoretical_spike_count)
 from .tensor import Rng, TensorCodecError, decode_tensor, encode_tensor
 
 __version__ = "0.1.0"

@@ -227,6 +227,12 @@ class TrainConfig:
     lr_ceiling: float | None = None  # staircase caps get their own rate
     weight_decay: float = 0.0
 
+    def __post_init__(self):
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        if self.steps < 0:
+            raise ValueError(f"steps must be >= 0, got {self.steps}")
+
 
 # The heads and the reverse sweep below take, op for op and dtype for dtype,
 # the products the autodiff tape's vjps take (tests/test_train_backprop.py
@@ -376,11 +382,14 @@ def stage1_finetune(model: AnnModel, data, cfg: TrainConfig, rng: Rng,
     return train_model(model, data, cfg, rng, val_data=val_data)
 
 
-def dataset_loss(model: AnnModel, data, batch_size: int = 1024) -> float:
+_EVAL_BATCH = 1024  # rows per forward pass when scoring a whole dataset
+
+
+def dataset_loss(model: AnnModel, data) -> float:
     total, count = 0.0, 0
-    for lo in range(0, len(data.x), batch_size):
-        bx = data.x[lo:lo + batch_size]
-        by = data.y[lo:lo + batch_size]
+    for lo in range(0, len(data.x), _EVAL_BATCH):
+        bx = data.x[lo:lo + _EVAL_BATCH]
+        by = data.y[lo:lo + _EVAL_BATCH]
         out = ann_forward(model, bx, record=False).output.astype(np.float64)
         if data.task == "regress":
             total += float(np.sum((out - by) ** 2) / out.shape[1])
@@ -392,11 +401,11 @@ def dataset_loss(model: AnnModel, data, batch_size: int = 1024) -> float:
     return total / max(count, 1)
 
 
-def accuracy(model: AnnModel, data, batch_size: int = 1024) -> float:
+def accuracy(model: AnnModel, data) -> float:
     hits, count = 0, 0
-    for lo in range(0, len(data.x), batch_size):
-        bx = data.x[lo:lo + batch_size]
-        by = data.y[lo:lo + batch_size]
+    for lo in range(0, len(data.x), _EVAL_BATCH):
+        bx = data.x[lo:lo + _EVAL_BATCH]
+        by = data.y[lo:lo + _EVAL_BATCH]
         out = ann_forward(model, bx, record=False).output
         hits += int((out.argmax(axis=1) == by).sum())
         count += len(bx)

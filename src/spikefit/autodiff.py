@@ -28,32 +28,18 @@ class TapeError(RuntimeError):
     """Internal consistency violation while recording or replaying a tape."""
 
 
-@dataclass(frozen=True)
-class SurrogateSpec:
-    """Shape of the spike pseudo-derivative.
-
-    ``window`` is the half-width of the rectangle as a fraction of the
-    threshold; the height is 1/threshold. Zero outside the window.
-    """
-
-    kind: str = "rectangular"
-    window: float = 0.5
-
-    def __post_init__(self):
-        if self.kind != "rectangular":
-            raise ValueError(f"unsupported surrogate kind: {self.kind!r}")
-        if not 0.0 < self.window <= 1.0:
-            raise ValueError(f"surrogate window half-width must be in (0, 1], got {self.window}")
+SURROGATE_WINDOW = 0.5  # half-width of the surrogate rectangle, as a fraction of theta
 
 
-def surrogate_spike_grad(v, theta, spec: SurrogateSpec = SurrogateSpec()) -> Array:
+def surrogate_spike_grad(v, theta) -> Array:
     """Rectangular surrogate derivative of the spike indicator w.r.t. the
-    membrane potential: (1/theta) inside |v - theta| < window * theta, else 0."""
+    membrane potential: (1/theta) inside |v - theta| < SURROGATE_WINDOW * theta,
+    else 0."""
     v = np.asarray(v)
     theta = np.asarray(theta, dtype=v.dtype if v.dtype.kind == "f" else np.float64)
     if not np.all(theta > 0):
         raise ValueError("spike threshold must be positive elementwise")
-    inside = np.abs(v - theta) < spec.window * theta
+    inside = np.abs(v - theta) < SURROGATE_WINDOW * theta
     return inside * (1 / theta)
 
 
@@ -276,7 +262,7 @@ def gather_rows(table, idx) -> Var:
     return record_op(tv[idx], [table], [grad])
 
 
-def spike(v, theta, spec: SurrogateSpec = SurrogateSpec()) -> Var:
+def spike(v, theta) -> Var:
     """Spike indicator 1{v >= theta}; ties fire.
 
     Backward uses the rectangular surrogate at the firing condition:
@@ -287,7 +273,7 @@ def spike(v, theta, spec: SurrogateSpec = SurrogateSpec()) -> Var:
     """
     vv, tv = _value(v), _value(theta)
     s = (vv >= tv).astype(vv.dtype)
-    g_s = surrogate_spike_grad(vv, tv, spec)
+    g_s = surrogate_spike_grad(vv, tv)
     return record_op(s, [v, theta],
                      [lambda g: g * g_s,
                       lambda g: _unbroadcast(-(g * g_s), tv.shape)])
@@ -388,8 +374,7 @@ class AdamState:
 
 
 def adam_step(params: dict[str, Array], grads: dict[str, Array], state: AdamState | None,
-              lr: float, betas=(0.9, 0.999), eps: float = 1e-8,
-              weight_decay: float = 0.0) -> tuple[dict[str, Array], AdamState]:
+              lr: float, weight_decay: float = 0.0) -> tuple[dict[str, Array], AdamState]:
     """One Adam update over a dict of named arrays, in place; decoupled weight decay.
 
     Each parameter array and its two moment arrays are updated in place, and
@@ -407,7 +392,7 @@ def adam_step(params: dict[str, Array], grads: dict[str, Array], state: AdamStat
     if state is None:
         state = AdamState({k: np.zeros_like(p) for k, p in params.items()},
                           {k: np.zeros_like(p) for k, p in params.items()}, 0)
-    b1, b2 = betas
+    b1, b2, eps = 0.9, 0.999, 1e-8
     t = state.step + 1
     for k in sorted(params):
         p, g, m, v = params[k], grads[k], state.m[k], state.v[k]

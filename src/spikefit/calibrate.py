@@ -7,15 +7,14 @@ autodiff tape; ``_nwc_bptt`` states what each loss contributes."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
 from .ann import AnnModel, Embedding, Linear, Qcfs, Relu, Gelu, _apply_embedding, ann_forward
-from .autodiff import SurrogateSpec
-from .snn import (IfLayer, SnnNetwork, _split_stack, firing_rate, simulate,
-                  theoretical_spike_count)
+from .snn import (IfLayer, SnnNetwork, _rate, _rate_denominator, _split_stack, firing_rate,
+                  simulate, theoretical_spike_count)
 from .tensor import Array, Rng
 
 
@@ -44,17 +43,17 @@ class CalibConfig:
     batch_size: int = 128
     seed: int = 0
     denominator: str = "rho"
-    surrogate: SurrogateSpec = field(default_factory=SurrogateSpec)
 
     def __post_init__(self):
         if self.timesteps < 1:
             raise ValueError(f"timesteps must be >= 1, got {self.timesteps}")
         if self.rho is None:
             self.rho = self.timesteps
-        if not 1 <= self.rho <= self.timesteps:
-            raise ValueError(f"need 1 <= rho <= timesteps, got rho={self.rho}, T={self.timesteps}")
-        if self.denominator not in ("rho", "T"):
-            raise ValueError(f"denominator must be 'rho' or 'T', got {self.denominator!r}")
+        _rate_denominator(self.rho, self.timesteps, self.denominator)
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        if self.steps < 0:
+            raise ValueError(f"steps must be >= 0, got {self.steps}")
         if self.lambda_align < 0 or self.lambda_logits < 0:
             raise ValueError("loss weights must be nonnegative")
         if self.lambda_align == 0 and self.lambda_logits == 0:
@@ -130,16 +129,14 @@ def lwc(net: SnnNetwork, alpha, beta) -> SnnNetwork:
     return out
 
 
-def select_alpha(taus, timesteps: int, margin: float | None = None) -> float:
+def select_alpha(taus, timesteps: int) -> float:
     """Heuristic threshold scale from the spread of theoretical spike counts:
-    clip(p99(tau)/T + margin, 0.5, 1.0), margin defaulting to 1/T."""
+    clip(p99(tau)/T + 1/T, 0.5, 1.0)."""
     taus = np.asarray(taus)
     if taus.size == 0:
         raise ValueError("select_alpha needs at least one spike-count sample")
-    if margin is None:
-        margin = 1.0 / timesteps
     p99 = float(np.percentile(taus, 99))
-    return float(np.clip(p99 / timesteps + margin, 0.5, 1.0))
+    return float(np.clip(p99 / timesteps + 1.0 / timesteps, 0.5, 1.0))
 
 
 def resolve_alpha(cfg: CalibConfig, ann: AnnModel, probe_x: Array) -> list[float]:
@@ -159,14 +156,10 @@ def resolve_alpha(cfg: CalibConfig, ann: AnnModel, probe_x: Array) -> list[float
 def activation_align_loss(acts: Array, spikes: Array, threshold: Array,
                           rho: int, timesteps: int, denominator: str = "rho",
                           layer: int | None = None) -> float:
-    """Mean squared error between analog activations and the rho-step rate."""
-    if not 1 <= rho <= timesteps:
-        raise ValueError(f"need 1 <= rho <= {timesteps}, got {rho}")
-    if denominator not in ("rho", "T"):
-        raise ValueError(f"denominator must be 'rho' or 'T', got {denominator!r}")
-    denom = rho if denominator == "rho" else timesteps
-    rate = np.asarray(threshold, dtype=np.float64) * \
-        np.asarray(spikes)[:rho].sum(axis=0, dtype=np.float64) / denom
+    """Mean squared error between analog activations and the rho-step rate,
+    both in float64."""
+    rate = _rate(np.asarray(threshold, dtype=np.float64), np.asarray(spikes)[:rho],
+                 _rate_denominator(rho, timesteps, denominator))
     acts = np.asarray(acts, dtype=np.float64)
     if acts.shape != rate.shape:
         where = f" at layer {layer}" if layer is not None else ""
@@ -238,7 +231,7 @@ def _nwc_bptt(snn: SnnNetwork, params: dict, drive: Array, teacher_acts,
     pairs, tail = _split_stack(snn)
     n_layers = len(pairs)
     thetas = [params[f"if{j}.threshold"] for j in range(n_layers)]
-    inv_denom = 1.0 / (cfg.rho if cfg.denominator == "rho" else cfg.timesteps)
+    inv_denom = 1.0 / _rate_denominator(cfg.rho, cfg.timesteps, cfg.denominator)
 
     # forward: s and the surrogate factor for every (step, layer)
     first_current = drive @ pairs[0][0].w + pairs[0][0].b
@@ -253,7 +246,7 @@ def _nwc_bptt(snn: SnnNetwork, params: dict, drive: Array, teacher_acts,
             cur = first_current if j == 0 else carry @ linear.w + linear.b
             v = vs[j] + cur
             s = (v >= theta).astype(np.float32)
-            row.append((s, ad.surrogate_spike_grad(v, theta, cfg.surrogate)))
+            row.append((s, ad.surrogate_spike_grad(v, theta)))
             carry = s * theta
             vs[j] = v - carry
             sums[j] = s if sums[j] is None else sums[j] + s
@@ -380,20 +373,18 @@ def nwc_calibrate(snn: SnnNetwork, ann: AnnModel, data, cfg: CalibConfig,
 
 # -- evaluation -------------------------------------------------------------------
 
-def eval_losses(snn: SnnNetwork, ann: AnnModel, x: Array, cfg: CalibConfig,
-                rho: int | None = None) -> dict:
+def eval_losses(snn: SnnNetwork, ann: AnnModel, x: Array, cfg: CalibConfig) -> dict:
     """Both calibration losses on a fixed batch, computed from a plain
-    simulation at the inference horizon (rho defaults to T)."""
-    rho = cfg.timesteps if rho is None else rho
+    simulation at the inference horizon, over all of its T steps."""
+    T = cfg.timesteps
     teacher_acts, teacher_logits = _teacher_pass(ann, x)
-    rec = simulate(snn, x, cfg.timesteps)
-    pairs, tail = _split_stack(snn)
+    rec = simulate(snn, x, T)
+    _, tail = _split_stack(snn)
     align = 0.0
-    rate = None
-    for j in range(len(pairs)):
-        rate = firing_rate(rec, j, rho=rho, denominator=cfg.denominator)
+    for j in range(rec.n_layers):
         align += activation_align_loss(teacher_acts[j], rec.spikes[j], rec.thresholds[j],
-                                       rho, cfg.timesteps, cfg.denominator, layer=j)
+                                       T, T, cfg.denominator, layer=j)
+    rate = firing_rate(rec, rec.n_layers - 1, rho=T, denominator=cfg.denominator)
     out = rate if tail is None else rate @ tail.w + tail.b
     kd = logits_loss(teacher_logits, out, cfg.temperature)
     return {
@@ -403,11 +394,13 @@ def eval_losses(snn: SnnNetwork, ann: AnnModel, x: Array, cfg: CalibConfig,
     }
 
 
-def snn_predict(snn: SnnNetwork, x: Array, timesteps: int | None = None,
-                batch_size: int = 512) -> Array:
+_PREDICT_BATCH = 512  # rows per simulation when predicting a whole set
+
+
+def snn_predict(snn: SnnNetwork, x: Array, timesteps: int | None = None) -> Array:
     outs = []
-    for lo in range(0, len(x), batch_size):
-        outs.append(simulate(snn, x[lo:lo + batch_size], timesteps).output)
+    for lo in range(0, len(x), _PREDICT_BATCH):
+        outs.append(simulate(snn, x[lo:lo + _PREDICT_BATCH], timesteps).output)
     return np.concatenate(outs, axis=0)
 
 

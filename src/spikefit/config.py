@@ -48,7 +48,7 @@ _TOP_KEYS = {f.name for f in fields(ExperimentConfig)}
 _MODEL_KEYS = {f.name for f in fields(ModelSpec)}
 _DATASET_KEYS = {f.name for f in fields(DataSpec)}
 _STAGE1_KEYS = {f.name for f in fields(TrainConfig)}
-_STAGE2_KEYS = {f.name for f in fields(CalibConfig)} - {"seed", "surrogate"}
+_STAGE2_KEYS = {f.name for f in fields(CalibConfig)} - {"seed"}
 
 
 def _check_keys(section: dict, allowed: set, path: str) -> None:

@@ -105,12 +105,11 @@ class TauHistogram:
         return int(self.counts[layer].sum())
 
 
-def tau_histogram(acts: list[Array], ceilings: list[float], timesteps: int,
-                  bins: int | None = None) -> TauHistogram:
+def tau_histogram(acts: list[Array], ceilings: list[float], timesteps: int) -> TauHistogram:
     """Distribution of theoretical spike counts pooled per layer.
 
-    Default bins are unit-width starting at zero; also reports the fraction
-    of counts at or below half the horizon.
+    Bins are unit-width starting at zero; also reports the fraction of counts
+    at or below half the horizon.
     """
     if timesteps < 1:
         raise ValueError(f"timesteps must be >= 1, got {timesteps}")
@@ -122,10 +121,7 @@ def tau_histogram(acts: list[Array], ceilings: list[float], timesteps: int,
             raise ValueError(f"activation ceiling must be positive, got {lam}")
         taus.append(theoretical_spike_count(np.asarray(a, dtype=np.float64), lam, timesteps))
     hi = max(float(timesteps), max(float(np.ceil(t.max())) for t in taus)) if taus else float(timesteps)
-    if bins is None:
-        edges = np.arange(0.0, hi + 2.0)
-    else:
-        edges = np.linspace(0.0, hi + 1.0, int(bins) + 1)
+    edges = np.arange(0.0, hi + 2.0)
     counts = [np.histogram(t, bins=edges)[0] for t in taus]
     frac = [float((t <= timesteps / 2).mean()) for t in taus]
     return TauHistogram(edges, counts, frac, timesteps)
@@ -216,13 +212,13 @@ def write_mse_csv(rows: list[LayerMse], path: str) -> None:
             w.writerow([row.layer, row.mse_before, row.mse_after, row.reduction_pct])
 
 
-def write_threshold_shift_csv(shift: ThresholdShift, path: str, bins: int = 20) -> None:
+def write_threshold_shift_csv(shift: ThresholdShift, path: str) -> None:
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(["layer", "metric", "bin_lo", "bin_hi", "count"])
         for layer, (ratio, v0) in enumerate(zip(shift.ratios, shift.v_inits)):
             for metric, values in (("theta_ratio", ratio), ("v_init", v0)):
-                counts, edges = np.histogram(values, bins=bins)
+                counts, edges = np.histogram(values, bins=20)
                 for k, count in enumerate(counts):
                     w.writerow([layer, metric, float(edges[k]), float(edges[k + 1]), int(count)])

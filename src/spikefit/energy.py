@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .snn import SnnNetwork, SpikeRecord, _mean_rate, _split_stack
+from .snn import SnnNetwork, SpikeRecord, _split_stack
 
 AC_PICOJOULES = 0.9
 MAC_PICOJOULES = 4.6
@@ -90,18 +90,14 @@ class EnergyReport:
         }
 
 
-def energy_report(counts: OpCounts | tuple, ac_pj: float = AC_PICOJOULES,
-                  mac_pj: float = MAC_PICOJOULES, rates: list[float] | None = None) -> EnergyReport:
-    """Price the counts: spiking side at ac_pj per AC, analog side at mac_pj
-    per MAC; ratio is their percentage."""
-    if isinstance(counts, tuple):
-        ac, mac = counts
-    else:
-        ac, mac = counts.ac, counts.mac
+def energy_report(counts: OpCounts, rates: list[float] | None = None) -> EnergyReport:
+    """Price the counts: spiking side at AC_PICOJOULES per AC, analog side at
+    MAC_PICOJOULES per MAC; ratio is their percentage."""
+    ac, mac = counts.ac, counts.mac
     if ac < 0 or mac < 0:
         raise ValueError("operation counts must be nonnegative")
-    snn = ac_pj * ac
-    ann = mac_pj * mac
+    snn = AC_PICOJOULES * ac
+    ann = MAC_PICOJOULES * mac
     ratio = 100.0 * snn / ann if ann > 0 else 0.0
     return EnergyReport(
         ac_count=int(ac),
@@ -110,19 +106,17 @@ def energy_report(counts: OpCounts | tuple, ac_pj: float = AC_PICOJOULES,
         ann_energy_pj=float(ann),
         ratio_percent=float(ratio),
         rates=list(rates or []),
-        meta={"ac_pj": ac_pj, "mac_pj": mac_pj, "bias_ops": "excluded from both sides"},
+        meta={"ac_pj": AC_PICOJOULES, "mac_pj": MAC_PICOJOULES,
+              "bias_ops": "excluded from both sides"},
     )
 
 
 def spike_rate_stats(record: SpikeRecord) -> list[float]:
-    """Mean spike indicator per layer, over neurons, timesteps, and samples."""
-    return [_mean_rate(s) for s in record.spikes]
-
-
-def mean_spike_rate(record: SpikeRecord) -> float:
-    total = sum(int(np.count_nonzero(s)) for s in record.spikes)
-    size = sum(int(s.size) for s in record.spikes)
-    return total / size if size else 0.0
+    """Share of neuron-steps that fired, per layer, over neurons, timesteps and
+    samples. It comes from an exact spike count, rounded to float32 as the
+    mean of float32 frames is, so the two agree while a layer's frames hold
+    fewer than 2**24 spikes."""
+    return [float(np.float32(np.float64(np.count_nonzero(s)) / s.size)) for s in record.spikes]
 
 
 def write_energy_json(report: EnergyReport, path: str) -> None:

@@ -13,14 +13,17 @@ at threshold) fire. Membrane potentials may go negative.
 Spike frames are stored as ``uint8`` 0/1, one byte per neuron-step. Every
 reader sums them with an explicit accumulator or counts them exactly, so
 rates come out with the same float32 bits as from float32 frames.
+
+``_rate`` is the one place that turns spike frames into a threshold-weighted
+rate: ``simulate``, ``firing_rate`` and ``calibrate.activation_align_loss``
+all call it. ``_rate_denominator`` is the one check of the calibration
+window rho and the denominator mode, and picks the number a rho-step spike
+sum is divided by.
 """
 
 from __future__ import annotations
 
 import copy
-import csv
-import json
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -220,25 +223,25 @@ def firing_rate(record: SpikeRecord, layer: int, rho: int | None = None,
     divided by rho (default) or by the full horizon T."""
     T = record.timesteps
     rho = T if rho is None else int(rho)
-    if not 1 <= rho <= T:
-        raise ValueError(f"rho out of range: need 1 <= rho <= {T}, got {rho}")
+    return _rate(record.thresholds[layer], record.spikes[layer][:rho],
+                 _rate_denominator(rho, T, denominator))
+
+
+def _rate_denominator(rho: int, timesteps: int, denominator: str) -> int:
+    """Check the calibration window and denominator mode, and return the
+    number a rho-step spike sum is divided by: rho, or the horizon T."""
+    if not 1 <= rho <= timesteps:
+        raise ValueError(f"need 1 <= rho <= timesteps, got rho={rho}, T={timesteps}")
     if denominator not in ("rho", "T"):
         raise ValueError(f"denominator must be 'rho' or 'T', got {denominator!r}")
-    return _rate(record.thresholds[layer], record.spikes[layer][:rho],
-                 rho if denominator == "rho" else T)
+    return rho if denominator == "rho" else timesteps
 
 
 def _rate(threshold: Array, frames: Array, denom: int) -> Array:
-    """theta * (spike frames summed over time) / denom, in float32; the sum
-    of 0/1 frames is exact, whatever their dtype."""
-    return threshold * frames.sum(axis=0, dtype=np.float32) / np.float32(denom)
-
-
-def _mean_rate(frames: Array) -> float:
-    """Share of neuron-steps that fired, from an exact spike count. It is
-    rounded to float32 as the mean of float32 frames is, so the two agree
-    while the frames hold fewer than 2**24 spikes."""
-    return float(np.float32(np.float64(np.count_nonzero(frames)) / frames.size))
+    """theta * (spike frames summed over time) / denom, in the threshold's
+    dtype; the sum of 0/1 frames is exact, whatever their dtype."""
+    dt = threshold.dtype
+    return threshold * frames.sum(axis=0, dtype=dt) / dt.type(denom)
 
 
 def theoretical_spike_count(a: Array, ceiling, timesteps: int) -> Array:
@@ -249,46 +252,3 @@ def theoretical_spike_count(a: Array, ceiling, timesteps: int) -> Array:
     if not np.all(ceiling > 0):
         raise ValueError("activation ceiling must be positive")
     return a.astype(dt) * dt.type(timesteps) / ceiling
-
-
-def psi_max(taus, exclude_top_fraction: float = 0.01) -> Array:
-    """Per-neuron max of theoretical spike counts after globally discarding
-    the largest `exclude_top_fraction` of values."""
-    taus = np.atleast_2d(np.asarray(taus, dtype=np.float64))
-    if taus.shape[0] < 1 or taus.size == 0:
-        raise ValueError("psi_max needs at least one sample")
-    if not 0.0 <= exclude_top_fraction < 0.5:
-        raise ValueError(f"exclude_top_fraction must be in [0, 0.5), got {exclude_top_fraction}")
-    k = int(exclude_top_fraction * taus.size)
-    if k == 0:
-        return taus.max(axis=0)
-    cutoff = np.sort(taus, axis=None)[taus.size - k - 1]
-    masked = np.where(taus <= cutoff, taus, -np.inf)
-    psi = masked.max(axis=0)
-    return np.where(np.isneginf(psi), cutoff, psi)
-
-
-def export_spike_csv(record: SpikeRecord, out_dir: str, sample: int = 0) -> list[str]:
-    """One CSV per layer (`t,neuron,spike`) plus a summary JSON."""
-    os.makedirs(out_dir, exist_ok=True)
-    paths = []
-    for j, s in enumerate(record.spikes):
-        path = os.path.join(out_dir, f"spikes_layer{j}.csv")
-        with open(path, "w", newline="") as f:
-            w = csv.writer(f)
-            w.writerow(["t", "neuron", "spike"])
-            frame = s[:, sample].astype(np.int64)
-            t, neuron = np.indices(frame.shape)
-            w.writerows(np.column_stack((t.ravel(), neuron.ravel(), frame.ravel())).tolist())
-        paths.append(path)
-    summary = {
-        "timesteps": record.timesteps,
-        "n_samples": record.n_samples,
-        "per_layer_counts": [float(np.count_nonzero(s)) for s in record.spikes],
-        "per_layer_mean_rates": [_mean_rate(s) for s in record.spikes],
-    }
-    spath = os.path.join(out_dir, "spike_summary.json")
-    with open(spath, "w") as f:
-        json.dump(summary, f, indent=2, sort_keys=True)
-    paths.append(spath)
-    return paths

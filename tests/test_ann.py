@@ -293,7 +293,8 @@ class TestTraining:
         data = _teacher_data(rng, n=200)
         model = mlp([6, 8, 3], rng.split("init"))
         model.layers[0].w[0, 0] = np.float32(np.inf)
-        with pytest.raises(TrainingDivergedError, match="step"):
+        # the inf is deliberate: silence numpy's warnings about it, as the CLI does
+        with pytest.raises(TrainingDivergedError, match="step"), np.errstate(all="ignore"):
             train_model(model, data, TrainConfig(steps=5, lr=0.01), rng.split("t"))
 
     def test_stage1_requires_staircase_model(self):

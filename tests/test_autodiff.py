@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spikefit import autodiff as ad
-from spikefit.autodiff import (AdamState, SurrogateSpec, Tape, TapeError, adam_step,
+from spikefit.autodiff import (SURROGATE_WINDOW, AdamState, Tape, TapeError, adam_step,
                                backward, surrogate_spike_grad)
 from spikefit.tensor import Rng
 
@@ -157,20 +157,13 @@ class TestSurrogate:
         with pytest.raises(ValueError, match="positive"):
             surrogate_spike_grad(np.asarray(1.0), np.asarray(0.0))
 
-    def test_bad_spec_rejected(self):
-        with pytest.raises(ValueError):
-            SurrogateSpec(window=0.0)
-        with pytest.raises(ValueError):
-            SurrogateSpec(kind="triangle")
-
     @settings(max_examples=100, deadline=None)
-    @given(st.floats(-10, 10), st.floats(0.01, 5), st.floats(0.01, 1.0))
-    def test_bounds_property(self, v, theta, window):
-        g = float(surrogate_spike_grad(np.asarray(v), np.asarray(theta),
-                                       SurrogateSpec(window=window)))
+    @given(st.floats(-10, 10), st.floats(0.01, 5))
+    def test_bounds_property(self, v, theta):
+        g = float(surrogate_spike_grad(np.asarray(v), np.asarray(theta)))
         assert g >= 0.0
         assert g <= 1.0 / theta
-        if abs(v - theta) >= window * theta:
+        if abs(v - theta) >= SURROGATE_WINDOW * theta:
             assert g == 0.0
 
     def test_spike_op_gradients(self):

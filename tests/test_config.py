@@ -61,6 +61,10 @@ def _without(section, key) -> dict:
     (_with(None, "schema_version", "banana"), "unsupported schema_version 'banana'"),
     (_with(None, "schema_version", 2), "unsupported schema_version 2"),
     (_with(None, "schema_version", True), "unsupported schema_version True"),
+    (_with("stage1", "batch_size", 0), "stage1: batch_size must be >= 1"),
+    (_with("stage1", "steps", -5), "stage1: steps must be >= 0"),
+    (_with("stage2", "batch_size", 0), "stage2: batch_size must be >= 1"),
+    (_with("stage2", "steps", -5), "stage2: steps must be >= 0"),
 ])
 def test_rejected_with_key_path(tmp_path, raw, message):
     with pytest.raises(ConfigError, match=re.escape(message)):

@@ -38,7 +38,7 @@ def _tape_unroll(snn, theta_vars, v0_vars, drive, cfg, detach_carry):
             else:
                 cur = carry @ linear.w + linear.b
             v = ad.add(vs[j], cur)
-            s = ad.spike(v, theta_vars[j], cfg.surrogate)
+            s = ad.spike(v, theta_vars[j])
             vs[j] = ad.sub(v, ad.mul(s, theta_vars[j]))
             sums[j] = s if sums[j] is None else ad.add(sums[j], s)
             carry = ad.mul(s, theta_vars[j])

@@ -1,5 +1,4 @@
 import copy
-import json
 
 import numpy as np
 import pytest
@@ -8,9 +7,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from spikefit.ann import Linear, qcfs_forward
-from spikefit.snn import (IfLayer, SimulationError, SnnNetwork, export_spike_csv,
-                          firing_rate, if_step, psi_max, simulate,
-                          theoretical_spike_count)
+from spikefit.snn import (IfLayer, SimulationError, SnnNetwork, firing_rate, if_step,
+                          simulate, theoretical_spike_count)
 from spikefit.tensor import Rng
 
 
@@ -277,56 +275,3 @@ class TestTheoreticalSpikeCount:
     def test_nonpositive_ceiling_rejected(self):
         with pytest.raises(ValueError, match="positive"):
             theoretical_spike_count(np.zeros(3), 0.0, 8)
-
-
-class TestPsiMax:
-    def test_singleton_is_identity(self):
-        taus = np.array([[1.0, 5.0, 2.0]])
-        np.testing.assert_array_equal(psi_max(taus, 0.0), taus[0])
-
-    def test_sort_and_trim_oracle(self):
-        # values {1,2,3,100}, 25% exclusion drops the single largest -> 3
-        taus = np.array([[1.0], [2.0], [3.0], [100.0]])
-        assert float(psi_max(taus, 0.25)[0]) == 3.0
-
-    def test_constant_data_unaffected_by_fraction(self):
-        taus = np.full((8, 4), 2.5)
-        for frac in (0.0, 0.1, 0.25, 0.49):
-            np.testing.assert_array_equal(psi_max(taus, frac), np.full(4, 2.5))
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            psi_max(np.zeros((0, 3)), 0.1)
-        with pytest.raises(ValueError, match="exclude_top_fraction"):
-            psi_max(np.ones((2, 2)), 0.5)
-
-    @settings(max_examples=60, deadline=None)
-    @given(st.integers(0, 10 ** 6), st.integers(1, 20), st.integers(1, 6),
-           st.floats(0.0, 0.49))
-    def test_matches_bruteforce_trim(self, seed, n_samples, n_neurons, frac):
-        taus = Rng(seed).uniform(0.0, 10.0, (n_samples, n_neurons)).astype(np.float64)
-        got = psi_max(taus, frac)
-        k = int(frac * taus.size)
-        kept_cut = np.sort(taus.ravel())[taus.size - k - 1] if k else np.inf
-        for i in range(n_neurons):
-            col = taus[:, i]
-            kept = col[col <= kept_cut]
-            want = kept.max() if kept.size else kept_cut
-            assert got[i] == pytest.approx(want)
-
-
-class TestExport:
-    def test_csv_and_summary(self, tmp_path):
-        net = _random_stack(Rng(9), depth=2, timesteps=4)
-        rec = simulate(net, Rng(10).normal(0, 1, (2, net.layers[0].w.shape[0])))
-        paths = export_spike_csv(rec, str(tmp_path))
-        assert (tmp_path / "spikes_layer0.csv").exists()
-        assert (tmp_path / "spike_summary.json").exists()
-        header = (tmp_path / "spikes_layer0.csv").read_text().splitlines()[0]
-        assert header == "t,neuron,spike"
-        rows = (tmp_path / "spikes_layer0.csv").read_text().splitlines()[1:]
-        width = rec.spikes[0].shape[2]
-        assert len(rows) == 4 * width
-        summary = json.loads((tmp_path / "spike_summary.json").read_text())
-        assert set(summary) == {"timesteps", "n_samples", "per_layer_counts",
-                                "per_layer_mean_rates"}

@@ -8,10 +8,9 @@ import numpy as np
 import pytest
 
 from spikefit.ann import Linear
-from spikefit.energy import (count_ops, energy_report, mean_spike_rate,
-                             spike_rate_stats, write_energy_json)
-from spikefit.snn import (IfLayer, SnnNetwork, SpikeRecord, export_spike_csv,
-                          firing_rate, if_step, simulate)
+from spikefit.calibrate import activation_align_loss
+from spikefit.energy import count_ops, energy_report, spike_rate_stats, write_energy_json
+from spikefit.snn import IfLayer, SnnNetwork, SpikeRecord, firing_rate, if_step, simulate
 from spikefit.tensor import Rng
 
 
@@ -70,12 +69,17 @@ def test_simulate_peak_memory():
 
 def _readers(rec: SpikeRecord, net: SnnNetwork) -> dict:
     T = rec.timesteps
-    rates = [firing_rate(rec, j, rho, d) for j in range(rec.n_layers)
-             for rho in (1, T // 2, T) for d in ("rho", "T")]
+    windows = [(j, rho, d) for j in range(rec.n_layers)
+               for rho in (1, T // 2, T) for d in ("rho", "T")]
+    rates = [firing_rate(rec, j, rho, d) for j, rho, d in windows]
+    # the float64 rate: the same frames against fixed analog activations
+    acts = [Rng(23 + j).uniform(0, 1.5, rec.spikes[j].shape[1:]) for j in range(rec.n_layers)]
+    align = [activation_align_loss(acts[j], rec.spikes[j], rec.thresholds[j], rho, T, d)
+             for j, rho, d in windows]
     return {"firing_rate": rates,
+            "activation_align_loss": align,
             "count_ops": count_ops(rec, net),
             "spike_rate_stats": spike_rate_stats(rec),
-            "mean_spike_rate": mean_spike_rate(rec),
             "counts": [rec.counts(j) for j in range(rec.n_layers)]}
 
 
@@ -88,7 +92,7 @@ def test_readers_agree_across_frame_dtypes(dtype):
     got = _readers(rec, net)
     assert got["count_ops"] == want["count_ops"]
     assert got["spike_rate_stats"] == want["spike_rate_stats"]
-    assert got["mean_spike_rate"] == want["mean_spike_rate"]
+    assert got["activation_align_loss"] == want["activation_align_loss"]
     for key in ("firing_rate", "counts"):
         for a, b in zip(got[key], want[key]):
             assert a.dtype == b.dtype
@@ -126,21 +130,3 @@ def test_wide_record_golden():
         "currents": "fa82e1e5f0f1fe777b5a5ce8bb7835e351a5678096327e7b7009a34f6aeacb07",
         "potentials": "0cb49a93ee03c6c85311fba13ff9fadff18e8cbe08f092c6521a6f8935fd18c5",
     }
-
-
-def test_export_matches_float32_frame_text(tmp_path):
-    # files written by the per-element export loop over float32 frames
-    net = _net([3, 4, 3, 2], timesteps=3, seed=11)
-    rec = simulate(net, Rng(12).normal(0, 1, (2, 3)))
-    export_spike_csv(rec, str(tmp_path), sample=1)
-    assert (tmp_path / "spikes_layer0.csv").read_bytes() == (
-        b"t,neuron,spike\r\n0,0,1\r\n0,1,0\r\n0,2,0\r\n0,3,0\r\n1,0,1\r\n1,1,0\r\n"
-        b"1,2,0\r\n1,3,0\r\n2,0,1\r\n2,1,0\r\n2,2,0\r\n2,3,0\r\n")
-    assert (tmp_path / "spikes_layer1.csv").read_bytes() == (
-        b"t,neuron,spike\r\n0,0,1\r\n0,1,0\r\n0,2,0\r\n1,0,1\r\n1,1,1\r\n1,2,0\r\n"
-        b"2,0,0\r\n2,1,0\r\n2,2,0\r\n")
-    assert (tmp_path / "spike_summary.json").read_bytes() == (
-        b'{\n  "n_samples": 2,\n  "per_layer_counts": [\n    6.0,\n    10.0\n  ],\n'
-        b'  "per_layer_mean_rates": [\n    0.25,\n    0.5555555820465088\n  ],\n'
-        b'  "timesteps": 3\n}')
-
