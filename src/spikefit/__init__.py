@@ -2,7 +2,7 @@
 staircase fine-tuning, threshold calibration, diagnostics, and energy
 accounting, plus a config-driven experiment runner."""
 
-from .ann import (AnnModel, Embedding, Gelu, Linear, Qcfs, Relu, TrainConfig, ann_forward,
+from .ann import (AnnModel, Embedding, Linear, Qcfs, Relu, TrainConfig, ann_forward,
                   mlp, qcfs_forward, replace_activations, stage1_finetune, train_model)
 from .autodiff import AdamState, Tape, adam_step, backward, ste_floor, surrogate_spike_grad
 from .calibrate import (CalibConfig, activation_align_loss, apply_stage2, convert,

@@ -1,4 +1,4 @@
-"""Analog model zoo: linear stacks with ReLU/GELU or a trainable quantized
+"""Analog model zoo: linear stacks with ReLU or a trainable quantized
 staircase activation, forward tracing, activation replacement, and
 fine-tuning by a hand-written reverse sweep over the layer list."""
 
@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import _gelu_local, _unbroadcast, gelu_ref
+from .autodiff import _unbroadcast
 from .tensor import Array, Rng
 
 
@@ -26,11 +26,6 @@ class Linear:
 
 @dataclass
 class Relu:
-    pass
-
-
-@dataclass
-class Gelu:
     pass
 
 
@@ -59,7 +54,7 @@ class Embedding:
     table: Array
 
 
-ACTIVATIONS = (Relu, Gelu, Qcfs)
+ACTIVATIONS = (Relu, Qcfs)
 
 
 class AnnModel:
@@ -146,11 +141,6 @@ def ann_forward(model: AnnModel, x, record: bool = True) -> ForwardResult:
             x = np.maximum(x, 0)
             if record:
                 traces.append(ActivationTrace(path, "relu", pre, x))
-        elif isinstance(layer, Gelu):
-            pre = x
-            x = gelu_ref(x).astype(x.dtype)
-            if record:
-                traces.append(ActivationTrace(path, "gelu", pre, x))
         elif isinstance(layer, Qcfs):
             pre = x
             x = qcfs_forward(x, layer.ceiling, layer.levels)
@@ -191,7 +181,7 @@ def set_param_arrays(model: AnnModel, params: dict[str, Array]) -> None:
 # -- activation replacement ---------------------------------------------------
 
 def replace_activations(model: AnnModel, levels: int, init_batch: Array | None = None) -> AnnModel:
-    """Swap every ReLU/GELU for a staircase with the given level count.
+    """Swap every ReLU for a staircase with the given level count.
 
     All other parameters are copied bit-exactly. When ``init_batch`` is
     given, each ceiling starts at the 99.9th percentile of that layer's
@@ -199,9 +189,8 @@ def replace_activations(model: AnnModel, levels: int, init_batch: Array | None =
     """
     if int(levels) < 1:
         raise ValueError(f"levels must be >= 1, got {levels}")
-    n_acts = sum(1 for a in model.activation_layers() if isinstance(a, (Relu, Gelu)))
-    if n_acts == 0:
-        raise ValueError("model has no ReLU/GELU activation layers to replace")
+    if not any(isinstance(a, Relu) for a in model.layers):
+        raise ValueError("model has no ReLU activation layers to replace")
 
     ceilings: list[float] = []
     if init_batch is not None:
@@ -212,7 +201,7 @@ def replace_activations(model: AnnModel, levels: int, init_batch: Array | None =
     new = model.clone()
     act_positions = [j for j, layer in enumerate(new.layers) if isinstance(layer, ACTIVATIONS)]
     for k, j in enumerate(act_positions):
-        if isinstance(new.layers[j], (Relu, Gelu)):
+        if isinstance(new.layers[j], Relu):
             new.layers[j] = Qcfs(ceiling=ceilings[k] if ceilings else 1.0, levels=int(levels))
     return new
 
@@ -298,8 +287,6 @@ def _backward(model: AnnModel, x: Array, fwd: ForwardResult, g: Array) -> dict[s
             grads[f"{i}.table"] = table
         elif isinstance(layer, Relu):
             g = g * (h > 0).astype(h.dtype)
-        elif isinstance(layer, Gelu):
-            g = g * _gelu_local(h)
         elif isinstance(layer, Qcfs):
             # straight-through floor: the input gradient passes where the
             # pre-floor argument is strictly inside (0, levels) and is zero
@@ -414,16 +401,15 @@ def accuracy(model: AnnModel, data) -> float:
 
 # -- model builders -----------------------------------------------------------
 
-def mlp(dims: list[int], rng: Rng, activation: str = "relu") -> AnnModel:
-    """Fully connected stack with the given layer widths."""
-    act = {"relu": Relu, "gelu": Gelu}[activation]
+def mlp(dims: list[int], rng: Rng) -> AnnModel:
+    """Fully connected ReLU stack with the given layer widths."""
     layers: list = []
     for i in range(len(dims) - 1):
         fan_in, fan_out = dims[i], dims[i + 1]
         w = rng.normal(0.0, float(np.sqrt(2.0 / fan_in)), (fan_in, fan_out))
         layers.append(Linear(w, np.zeros(fan_out, dtype=np.float32)))
         if i < len(dims) - 2:
-            layers.append(act())
+            layers.append(Relu())
     return AnnModel(layers)
 
 

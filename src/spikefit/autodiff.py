@@ -180,31 +180,6 @@ def relu(x) -> Var:
     return record_op(np.maximum(xv, 0), [x], [lambda g: g * mask])
 
 
-_GELU_C = 0.7978845608028654  # sqrt(2/pi)
-_GELU_A = 0.044715
-
-
-def gelu_ref(x: Array) -> Array:
-    """Tanh-form GELU, the shape used by both layers and fit targets."""
-    x = np.asarray(x)
-    u = _GELU_C * (x + _GELU_A * x ** 3)
-    return 0.5 * x * (1.0 + np.tanh(u))
-
-
-def _gelu_local(x: Array) -> Array:
-    """Derivative of ``gelu_ref``, in the input dtype."""
-    u = _GELU_C * (x + _GELU_A * x ** 3)
-    t = np.tanh(u)
-    dudx = _GELU_C * (1.0 + 3.0 * _GELU_A * x ** 2)
-    return (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t ** 2) * dudx).astype(x.dtype)
-
-
-def gelu(x) -> Var:
-    xv = _value(x)
-    local = _gelu_local(xv)
-    return record_op(gelu_ref(xv).astype(xv.dtype), [x], [lambda g: g * local])
-
-
 def tanh(x) -> Var:
     y = np.tanh(_value(x))
     return record_op(y, [x], [lambda g: g * (1.0 - y ** 2)])

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .ann import AnnModel, Embedding, Linear, Qcfs, Relu, Gelu, _apply_embedding, ann_forward
-from .snn import (IfLayer, SnnNetwork, _rate, _rate_denominator, _split_stack, firing_rate,
+from .ann import AnnModel, Embedding, Linear, Qcfs, Relu, _apply_embedding, ann_forward
+from .snn import (IfLayer, SnnNetwork, _rate, _rate_denominator, _split_stack,
                   simulate, theoretical_spike_count)
 from .tensor import Array, Rng
 
@@ -95,7 +95,7 @@ def convert(model: AnnModel, timesteps: int) -> SnnNetwork:
             theta = np.full(pending_width, np.float32(layer.ceiling), dtype=np.float32)
             layers.append(IfLayer(threshold=theta, v_init=theta / 2))
             pending_width = None
-        elif isinstance(layer, (Relu, Gelu)):
+        elif isinstance(layer, Relu):
             raise ValueError(
                 f"layer {i}: model still has a {type(layer).__name__} activation; "
                 "replace activations and fine-tune (stage 1) before converting")
@@ -375,18 +375,17 @@ def nwc_calibrate(snn: SnnNetwork, ann: AnnModel, data, cfg: CalibConfig,
 
 def eval_losses(snn: SnnNetwork, ann: AnnModel, x: Array, cfg: CalibConfig) -> dict:
     """Both calibration losses on a fixed batch, computed from a plain
-    simulation at the inference horizon, over all of its T steps."""
+    simulation at the inference horizon, over all of its T steps; so rho
+    and the denominator mode do not enter, and the logits are the
+    simulation's own decoded output."""
     T = cfg.timesteps
     teacher_acts, teacher_logits = _teacher_pass(ann, x)
     rec = simulate(snn, x, T)
-    _, tail = _split_stack(snn)
     align = 0.0
     for j in range(rec.n_layers):
         align += activation_align_loss(teacher_acts[j], rec.spikes[j], rec.thresholds[j],
-                                       T, T, cfg.denominator, layer=j)
-    rate = firing_rate(rec, rec.n_layers - 1, rho=T, denominator=cfg.denominator)
-    out = rate if tail is None else rate @ tail.w + tail.b
-    kd = logits_loss(teacher_logits, out, cfg.temperature)
+                                       T, T, layer=j)
+    kd = logits_loss(teacher_logits, rec.output, cfg.temperature)
     return {
         "L_al": float(align),
         "L_logits": float(kd),

@@ -10,7 +10,7 @@ import os
 
 import numpy as np
 
-from .ann import AnnModel, Embedding, Gelu, Linear, Qcfs, Relu
+from .ann import AnnModel, Embedding, Linear, Qcfs, Relu
 from .snn import IfLayer, SnnNetwork
 from .tensor import Array, decode_tensor, encode_tensor
 
@@ -58,7 +58,7 @@ class _TensorSink:
 
 
 # descriptor types each checkpoint kind may hold
-_LAYER_TYPES = {"ann": {"linear", "relu", "gelu", "qcfs", "embedding"},
+_LAYER_TYPES = {"ann": {"linear", "relu", "qcfs", "embedding"},
                 "snn": {"linear", "if"}}
 
 
@@ -73,8 +73,6 @@ def _describe_layers(layers, sink: _TensorSink, kind: str) -> list[dict]:
                     "v_init": sink.put(f"{i}.v_init", layer.v_init)}
         elif isinstance(layer, Relu):
             desc = {"type": "relu"}
-        elif isinstance(layer, Gelu):
-            desc = {"type": "gelu"}
         elif isinstance(layer, Qcfs):
             desc = {"type": "qcfs", "ceiling": float(layer.ceiling), "levels": int(layer.levels)}
         elif isinstance(layer, Embedding):
@@ -147,8 +145,6 @@ def _build_layers(descs: list[dict], src: _TensorSource, kind: str) -> list:
             out.append(IfLayer(src.get(d["threshold"]), src.get(d["v_init"])))
         elif t == "relu":
             out.append(Relu())
-        elif t == "gelu":
-            out.append(Gelu())
         elif t == "qcfs":
             out.append(Qcfs(ceiling=d["ceiling"], levels=d["levels"]))
         else:

@@ -24,7 +24,7 @@ from .data import make_dataset
 from .diagnostics import (decompose_errors, layer_mse_report, output_cosine,
                           tau_histogram, threshold_shift_report, write_error_csv,
                           write_mse_csv, write_tau_csv, write_threshold_shift_csv)
-from .energy import count_ops, energy_report, spike_rate_stats, write_energy_json
+from .energy import count_ops, energy_report, spike_rate_stats
 from .snn import SimulationError, firing_rate, simulate
 from .tensor import Rng
 
@@ -151,7 +151,6 @@ def cmd_eval(run: _Run) -> None:
     ann_out = ann_forward(ann, batch, record=False).output
     results = {
         "timesteps": T,
-        "rho": cfg.stage2.rho,
         "output_cosine": output_cosine(ann_out, snn_out),
     }
     results.update(eval_losses(net, ann, batch, cfg.stage2))
@@ -202,7 +201,7 @@ def cmd_energy(run: _Run) -> None:
     rec = simulate(net, run.eval_batch(), run.cfg.stage2.timesteps)
     counts = count_ops(rec, net)
     report = energy_report(counts, rates=spike_rate_stats(rec))
-    write_energy_json(report, run.path("reports", "energy.json"))
+    _write_json(run.path("reports", "energy.json"), report.as_dict())
 
 
 def cmd_pipeline(run: _Run) -> None:

@@ -30,7 +30,7 @@ class DatasetSplits:
 
 @dataclass
 class DataSpec:
-    kind: str                     # synthetic-teacher | two-class-synthetic | char-lm
+    kind: str                     # synthetic-teacher | char-lm
     samples: int = 10000
     input_dim: int = 8
     classes: int = 4
@@ -40,7 +40,7 @@ class DataSpec:
     window: int = 8
 
     def __post_init__(self):
-        kinds = ("synthetic-teacher", "two-class-synthetic", "char-lm")
+        kinds = ("synthetic-teacher", "char-lm")
         if self.kind not in kinds:
             raise ValueError(f"unknown dataset kind {self.kind!r}; choose from {kinds}")
         if self.samples < 10:
@@ -68,15 +68,6 @@ def _synthetic_teacher(spec: DataSpec, rng: Rng) -> tuple[Array, Array, str]:
     return x, logits.argmax(axis=1).astype(np.int64), "classify"
 
 
-def _two_class(spec: DataSpec, rng: Rng) -> tuple[Array, Array, str]:
-    n, d = spec.samples, spec.input_dim
-    y = rng.split("labels").integers(0, 2, (n,)).astype(np.int64)
-    offset = np.float32(1.2 / np.sqrt(d))
-    x = rng.split("x").normal(0.0, 1.0, (n, d))
-    x = x + (2 * y[:, None].astype(np.float32) - 1) * offset
-    return x.astype(np.float32), y, "classify"
-
-
 def _char_lm(spec: DataSpec, rng: Rng) -> tuple[Array, Array, str]:
     if spec.path is None:
         raise ValueError("char-lm dataset needs a corpus path")
@@ -102,8 +93,6 @@ def make_dataset(spec: DataSpec, rng: Rng) -> DatasetSplits:
     """Build (train, calib, test); deterministic for a given spec and seed."""
     if spec.kind == "synthetic-teacher":
         x, y, task = _synthetic_teacher(spec, rng)
-    elif spec.kind == "two-class-synthetic":
-        x, y, task = _two_class(spec, rng)
     else:
         x, y, task = _char_lm(spec, rng)
     return _split(x, y, task, rng.split("split"))

@@ -184,41 +184,36 @@ def threshold_shift_report(before: SnnNetwork, after: SnnNetwork) -> ThresholdSh
 
 # -- CSV emitters ---------------------------------------------------------------
 
-def write_error_csv(report: ErrorReport, path: str) -> None:
+def _write_csv(path: str, header: list[str], rows) -> None:
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
-        w.writerow(["layer", "quant", "clip", "temporal"])
-        for row in report.layers:
-            w.writerow([row.layer, row.quant, row.clip, row.temporal])
+        w.writerow(header)
+        w.writerows(rows)
+
+
+def write_error_csv(report: ErrorReport, path: str) -> None:
+    _write_csv(path, ["layer", "quant", "clip", "temporal"],
+               ([row.layer, row.quant, row.clip, row.temporal] for row in report.layers))
 
 
 def write_tau_csv(hist: TauHistogram, path: str) -> None:
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["layer", "bin", "count"])
-        for layer, counts in enumerate(hist.counts):
-            for edge, count in zip(hist.edges[:-1], counts):
-                w.writerow([layer, float(edge), int(count)])
+    _write_csv(path, ["layer", "bin", "count"],
+               ([layer, float(edge), int(count)]
+                for layer, counts in enumerate(hist.counts)
+                for edge, count in zip(hist.edges[:-1], counts)))
 
 
 def write_mse_csv(rows: list[LayerMse], path: str) -> None:
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["layer", "mse_before", "mse_after", "reduction_pct"])
-        for row in rows:
-            w.writerow([row.layer, row.mse_before, row.mse_after, row.reduction_pct])
+    _write_csv(path, ["layer", "mse_before", "mse_after", "reduction_pct"],
+               ([row.layer, row.mse_before, row.mse_after, row.reduction_pct] for row in rows))
 
 
 def write_threshold_shift_csv(shift: ThresholdShift, path: str) -> None:
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["layer", "metric", "bin_lo", "bin_hi", "count"])
+    def rows():
         for layer, (ratio, v0) in enumerate(zip(shift.ratios, shift.v_inits)):
             for metric, values in (("theta_ratio", ratio), ("v_init", v0)):
                 counts, edges = np.histogram(values, bins=20)
                 for k, count in enumerate(counts):
-                    w.writerow([layer, metric, float(edges[k]), float(edges[k + 1]), int(count)])
+                    yield [layer, metric, float(edges[k]), float(edges[k + 1]), int(count)]
+    _write_csv(path, ["layer", "metric", "bin_lo", "bin_hi", "count"], rows())

@@ -7,8 +7,6 @@ layer consumes the analog input and is excluded, as are bias additions.
 
 from __future__ import annotations
 
-import json
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -117,9 +115,3 @@ def spike_rate_stats(record: SpikeRecord) -> list[float]:
     mean of float32 frames is, so the two agree while a layer's frames hold
     fewer than 2**24 spikes."""
     return [float(np.float32(np.float64(np.count_nonzero(s)) / s.size)) for s in record.spikes]
-
-
-def write_energy_json(report: EnergyReport, path: str) -> None:
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    with open(path, "w") as f:
-        json.dump(report.as_dict(), f, indent=2, sort_keys=True)

@@ -234,7 +234,7 @@ class TestReplaceActivations:
 
     def test_no_activations_rejected(self):
         model = AnnModel([Linear(np.eye(2, dtype=np.float32), np.zeros(2, np.float32))])
-        with pytest.raises(ValueError, match="no ReLU/GELU"):
+        with pytest.raises(ValueError, match="no ReLU activation"):
             replace_activations(model, 8)
 
 

@@ -291,6 +291,15 @@ class TestLossDecomposition:
         assert both["L_all"] == pytest.approx(align_only["L_all"] + logits_only["L_all"],
                                               abs=1e-6)
 
+    def test_rho_and_denominator_do_not_enter(self):
+        # the eval losses score all T steps, where a rate divides by T either way
+        rng, model, data = _calib_setup(4)
+        net = lwc(convert(model, 6), 0.8, 0.3)
+        x = data.x[:64]
+        plain = eval_losses(net, model, x, CalibConfig(timesteps=6))
+        windowed = eval_losses(net, model, x, CalibConfig(timesteps=6, rho=3, denominator="T"))
+        assert plain == windowed
+
 
 class TestApplyStage2:
     def test_none_variant_equals_converted(self):

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from spikefit.ann import (AnnModel, Embedding, Gelu, Linear, Qcfs, Relu, ann_forward,
+from spikefit.ann import (AnnModel, Embedding, Linear, Qcfs, Relu, ann_forward,
                           char_lm, mlp, replace_activations)
 from spikefit.calibrate import convert
 from spikefit.checkpoint import IntegrityError, load_checkpoint, save_checkpoint, weight_hash
@@ -67,6 +67,10 @@ def _if_in_ann(m):
     m["layers"][0]["type"] = "if"
 
 
+def _gelu_in_ann(m):
+    m["layers"][1] = {"type": "gelu"}
+
+
 def _qcfs_in_snn(m):
     m["kind"], m["timesteps"] = "snn", 4
     m["layers"][1] = {"type": "qcfs", "ceiling": 1.0, "levels": 4}
@@ -81,6 +85,7 @@ def _qcfs_in_snn(m):
     ("{not json", "not valid JSON"),
     (_if_in_ann, "unknown layer descriptor type 'if'"),
     (_qcfs_in_snn, "unknown layer descriptor type 'qcfs'"),
+    (_gelu_in_ann, "unknown layer descriptor type 'gelu'"),
 ])
 def test_malformed_manifest_raises_integrity_error(tmp_path, edit, message):
     save_checkpoint(mlp([3, 4, 2], Rng(0)), str(tmp_path))
@@ -120,7 +125,7 @@ GOLDEN_ANN = {
         {"b": "1.b", "type": "linear", "w": "1.w"},
         {"type": "relu"},
         {"b": "3.b", "type": "linear", "w": "3.w"},
-        {"type": "gelu"},
+        {"type": "relu"},
         {"b": "5.b", "type": "linear", "w": "5.w"},
         {"ceiling": 1.5, "levels": 4, "type": "qcfs"},
         {"b": "7.b", "type": "linear", "w": "7.w"},
@@ -161,7 +166,7 @@ GOLDEN_SNN = {
 
 def _golden_ann():
     return AnnModel([Embedding(_ramp(4, 2)), Linear(_ramp(4, 3), _ramp(3)), Relu(),
-                     Linear(_ramp(3, 3), _ramp(3)), Gelu(), Linear(_ramp(3, 2), _ramp(2)),
+                     Linear(_ramp(3, 3), _ramp(3)), Relu(), Linear(_ramp(3, 2), _ramp(2)),
                      Qcfs(ceiling=1.5, levels=4), Linear(_ramp(2, 2), _ramp(2))])
 
 

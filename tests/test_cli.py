@@ -108,8 +108,10 @@ _CORPUS = b"the quick brown fox jumps over the lazy dog; pack my box with five d
 
 # sha256 of every file `spikefit pipeline` writes. The ann, ann_baseline and
 # stage_train hashes were recorded before stage-1 training left the autodiff
-# tape; the rest before the spike-to-rate paths were merged into one. A
-# refactor that keeps outputs must keep them all.
+# tape; the rest before the spike-to-rate paths were merged into one, except
+# metrics.json, re-recorded when `eval.rho` was removed from it (the eval
+# losses run over all T steps, so rho never entered them). A refactor that
+# keeps outputs must keep them all.
 PIPELINE_GOLDEN = {
     "classifier": {
         "ann/manifest.json":
@@ -129,7 +131,7 @@ PIPELINE_GOLDEN = {
         "reports/layer_mse.csv":
             "cbeb0ce992dbd55f85512ac7485ed21dfd6d4db8a8e9b4ba23542c11444372df",
         "reports/metrics.json":
-            "9f8f7271f1a7a98641c929ac74f6406d25ad188d5fe33367232419bf5e7f0933",
+            "a99a9cda23a768cba3da693da274c15c6885524513aac85a249df5628d0b2f08",
         "reports/stage_calibrate.json":
             "b116f61bb7048c72ceb70a54af0519324e3939b1bb28382f84002c32d47c0a62",
         "reports/stage_convert.json":
@@ -167,7 +169,7 @@ PIPELINE_GOLDEN = {
         "reports/layer_mse.csv":
             "c344bca9ae44d9dd53add590cdcd642a714c8cabdf8626226e0d6d1e62b0aa50",
         "reports/metrics.json":
-            "c2a735811af84bc1959d3745463592e6294bb45fd931de9edf7a5380646e0a60",
+            "f9232912bfd5bf228b014af8c831d6e29ae323ce1ea1055e25b4456ce0292c44",
         "reports/stage_calibrate.json":
             "1c5241cbe2e14bd3b118db144ee67c81690a51b52070878ec4b436f58e99ba15",
         "reports/stage_convert.json":
@@ -205,7 +207,7 @@ PIPELINE_GOLDEN = {
         "reports/layer_mse.csv":
             "1e14b22ad1edd0a73847e30fdf7c4df70f1231bdc93961d73a97459b4e152c0c",
         "reports/metrics.json":
-            "927444c54572ce32e4351ce1a5db68422493bdc34bb2fcb42529f74234809322",
+            "f43c2c5a8468da2e41f1755bef3111d2ba559407447e88bf6f12cb3591f85c58",
         "reports/stage_calibrate.json":
             "b7d123610090615f38e4404e1a0e1fb26b7412578963f816c0d6f14856d52398",
         "reports/stage_convert.json":
@@ -243,7 +245,7 @@ PIPELINE_GOLDEN = {
         "reports/layer_mse.csv":
             "0035ca18074e2aee8f3965ccf84b667ca26fba98ca94ac4d1bb50d47f5e23b02",
         "reports/metrics.json":
-            "6e6e2e1c625d020437740705f0a5014827b191129044e0300c8cf8115d2012f5",
+            "d967b05764d959a7989ab0f769d51f9b071ccac169c882ff76b340ba8c6c90a4",
         "reports/stage_calibrate.json":
             "b12bcd732e180aac45bb22b41308acb83fb80cf865aa01b2f94a6b91f70c8eef",
         "reports/stage_convert.json":

@@ -65,6 +65,7 @@ def _without(section, key) -> dict:
     (_with("stage1", "steps", -5), "stage1: steps must be >= 0"),
     (_with("stage2", "batch_size", 0), "stage2: batch_size must be >= 1"),
     (_with("stage2", "steps", -5), "stage2: steps must be >= 0"),
+    (_with("dataset", "kind", "two-class-synthetic"), "dataset: unknown dataset kind"),
 ])
 def test_rejected_with_key_path(tmp_path, raw, message):
     with pytest.raises(ConfigError, match=re.escape(message)):

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from spikefit.ann import Linear
-from spikefit.energy import OpCounts, count_ops, energy_report, spike_rate_stats, write_energy_json
+from spikefit.cli import _write_json
+from spikefit.energy import OpCounts, count_ops, energy_report, spike_rate_stats
 from spikefit.snn import IfLayer, SnnNetwork, SpikeRecord, simulate
 from spikefit.tensor import Rng
 
@@ -155,7 +156,7 @@ class TestEnergyReport:
     def test_json_fields(self, tmp_path):
         report = energy_report(_counts(20, 16), rates=[0.25, 0.5])
         path = tmp_path / "energy.json"
-        write_energy_json(report, str(path))
+        _write_json(str(path), report.as_dict())
         payload = json.loads(path.read_text())
         assert set(payload) == {"ac_count", "mac_count", "snn_pj", "ann_pj",
                                 "ratio_pct", "rates", "meta"}

@@ -9,7 +9,8 @@ import pytest
 
 from spikefit.ann import Linear
 from spikefit.calibrate import activation_align_loss
-from spikefit.energy import count_ops, energy_report, spike_rate_stats, write_energy_json
+from spikefit.cli import _write_json
+from spikefit.energy import count_ops, energy_report, spike_rate_stats
 from spikefit.snn import IfLayer, SnnNetwork, SpikeRecord, firing_rate, if_step, simulate
 from spikefit.tensor import Rng
 
@@ -108,7 +109,7 @@ def test_outputs_match_float32_frame_golden(tmp_path):
     assert _sha(b"".join(v.tobytes() for v in rec.v_end)) == \
         "e1ab2d5cba3753cf9de8295821ccd10b4f33fc0902afa6c8c43abf2553290eb1"
     path = tmp_path / "energy.json"
-    write_energy_json(energy_report(count_ops(rec, net), rates=spike_rate_stats(rec)), str(path))
+    _write_json(str(path), energy_report(count_ops(rec, net), rates=spike_rate_stats(rec)).as_dict())
     assert _sha(path.read_bytes()) == \
         "9bd0ff9e0abb3994ab6ca99003a797b5bf690b49bb5ed0d41a5b21542100a0cf"
 
