@@ -1,9 +1,9 @@
 """Stage 2 of the conversion: map a staircase-activated model onto
 integrate-and-fire layers, then calibrate thresholds and initial potentials,
 first per layer (closed-form scaling) and then per neuron (gradient descent
-with weights frozen). The per-neuron gradients come from a hand-written
-forward pass and reverse sweep through the unrolled simulation, not from the
-autodiff tape; ``_nwc_bptt`` states what each loss contributes."""
+with weights frozen). The per-neuron gradients come from the simulation's own
+IF recurrence, unrolled, and a hand-written reverse sweep through it, not
+from the autodiff tape; ``_nwc_bptt`` states what each loss contributes."""
 
 from __future__ import annotations
 
@@ -13,8 +13,9 @@ import numpy as np
 
 from . import autodiff as ad
 from .ann import AnnModel, Embedding, Linear, Qcfs, Relu, _apply_embedding, ann_forward
-from .snn import (IfLayer, SnnNetwork, _rate, _rate_denominator, _split_stack,
-                  simulate, theoretical_spike_count)
+from .snn import (IfLayer, SimulationError, SnnNetwork, SpikeRecord, _if_steps, _rate,
+                  _rate_denominator, _split_stack, _start_potentials, simulate,
+                  theoretical_spike_count)
 from .tensor import Array, Rng
 
 
@@ -222,35 +223,34 @@ def _nwc_bptt(snn: SnnNetwork, params: dict, drive: Array, teacher_acts,
     with their loss weights, ``lambda_align * dL_al + lambda_logits *
     dL_logits``; a term whose weight is zero is not computed.
 
-    One forward pass over the rho unrolled steps stores each layer's spike
-    frame and surrogate factor; one reverse sweep over steps and layers then
-    carries the adjoint of the membrane potential in up to two lanes, stacked
-    as (lanes, batch, width): the alignment lane, which never crosses layers,
-    and the logits lane, which crosses layers through ``g @ W.T``.
+    The forward pass is ``simulate``'s IF recurrence (``snn._if_steps``)
+    over the rho unrolled steps, on IF layers that wrap the params; it
+    stores each layer's spike frame and surrogate factor, and raises
+    ``SimulationError`` on a non-finite potential. One reverse sweep over
+    steps and layers then carries the adjoint of the membrane potential in
+    up to two lanes, stacked as (lanes, batch, width): the alignment lane,
+    which never crosses layers, and the logits lane, which crosses layers
+    through ``g @ W.T``.
     """
     pairs, tail = _split_stack(snn)
     n_layers = len(pairs)
     thetas = [params[f"if{j}.threshold"] for j in range(n_layers)]
     inv_denom = 1.0 / _rate_denominator(cfg.rho, cfg.timesteps, cfg.denominator)
 
-    # forward: s and the surrogate factor for every (step, layer)
+    # forward: the spike frame and surrogate factor of every (step, layer)
+    layers = [IfLayer(thetas[j], params[f"if{j}.v_init"]) for j in range(n_layers)]
     first_current = drive @ pairs[0][0].w + pairs[0][0].b
-    vs = [params[f"if{j}.v_init"] for j in range(n_layers)]
-    sums: list = [None] * n_layers
-    frames: list[list] = []
-    for _ in range(cfg.rho):
-        row = []
-        carry = None
-        for j, (linear, _) in enumerate(pairs):
-            theta = thetas[j]
-            cur = first_current if j == 0 else carry @ linear.w + linear.b
-            v = vs[j] + cur
-            s = (v >= theta).astype(np.float32)
-            row.append((s, ad.surrogate_spike_grad(v, theta)))
-            carry = s * theta
-            vs[j] = v - carry
-            sums[j] = s if sums[j] is None else sums[j] + s
-        frames.append(row)
+    vs = _start_potentials(layers, drive.shape[0])
+    sums = [np.zeros_like(v) for v in vs]
+    frames: list[list] = [[] for _ in range(cfg.rho)]
+    for t, j, _, s, carry in _if_steps(pairs, layers, first_current, vs, cfg.rho):
+        s = s.astype(np.float32)  # float32 frames keep the sums and products uncast
+        sums[j] += s
+        # the surrogate is taken at the pre-reset potential, rebuilt as
+        # v_post + carry bit for bit: carry is 0 where nothing fired; v - theta
+        # is exact for theta <= v <= 2 theta (Sterbenz), so adding theta
+        # back restores v; above 2 theta both forms lie outside the window
+        frames[t].append((s, ad.surrogate_spike_grad(vs[j] + carry, thetas[j])))
     rates = [sums[j] * thetas[j] * inv_denom for j in range(n_layers)]
 
     diffs = [rates[j] - teacher_acts[j] for j in range(n_layers)]
@@ -343,7 +343,10 @@ def nwc_calibrate(snn: SnnNetwork, ann: AnnModel, data, cfg: CalibConfig,
     for step in range(cfg.steps):
         if cfg.batch_size < n:
             batch = _calib_batch(snn, ann, data.x[rng.integers(0, n, (cfg.batch_size,))])
-        losses, gdict = _nwc_bptt(snn, params, *batch, cfg)
+        try:
+            losses, gdict = _nwc_bptt(snn, params, *batch, cfg)
+        except SimulationError as e:
+            raise CalibrationError(f"{e} in calibration step {step}") from e
         l_all = losses["L_all"]
         if not np.isfinite(l_all):
             raise CalibrationError(f"non-finite calibration loss at step {step}")
@@ -378,9 +381,13 @@ def eval_losses(snn: SnnNetwork, ann: AnnModel, x: Array, cfg: CalibConfig) -> d
     simulation at the inference horizon, over all of its T steps; so rho
     and the denominator mode do not enter, and the logits are the
     simulation's own decoded output."""
-    T = cfg.timesteps
+    return _record_losses(simulate(snn, x, cfg.timesteps), ann, x, cfg)
+
+
+def _record_losses(rec: SpikeRecord, ann: AnnModel, x: Array, cfg: CalibConfig) -> dict:
+    """``eval_losses`` of an existing simulation ``rec`` of the batch ``x``."""
+    T = rec.timesteps
     teacher_acts, teacher_logits = _teacher_pass(ann, x)
-    rec = simulate(snn, x, T)
     align = 0.0
     for j in range(rec.n_layers):
         align += activation_align_loss(teacher_acts[j], rec.spikes[j], rec.thresholds[j],

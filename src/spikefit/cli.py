@@ -17,8 +17,8 @@ import numpy as np
 from . import checkpoint as ckpt
 from .ann import (TrainingDivergedError, ann_forward, accuracy as ann_accuracy, dataset_loss,
                   replace_activations, stage1_finetune, train_model)
-from .calibrate import (CalibrationError, apply_stage2, convert, eval_losses,
-                        evaluate_snn, snn_predict)
+from .calibrate import (CalibrationError, _record_losses, apply_stage2, convert,
+                        eval_losses, evaluate_snn)
 from .config import ConfigError, ExperimentConfig, build_model, config_hash, parse_config
 from .data import make_dataset
 from .diagnostics import (decompose_errors, layer_mse_report, output_cosine,
@@ -147,13 +147,13 @@ def cmd_eval(run: _Run) -> None:
     net = ckpt.load_checkpoint(run.path("snn_calibrated"))
     T = cfg.stage2.timesteps
     batch = run.eval_batch()
-    snn_out = snn_predict(net, batch, T)
+    rec = simulate(net, batch, T)
     ann_out = ann_forward(ann, batch, record=False).output
     results = {
         "timesteps": T,
-        "output_cosine": output_cosine(ann_out, snn_out),
+        "output_cosine": output_cosine(ann_out, rec.output),
     }
-    results.update(eval_losses(net, ann, batch, cfg.stage2))
+    results.update(_record_losses(rec, ann, batch, cfg.stage2))
     if run.splits.test.task != "regress":
         results["ann_accuracy"] = ann_accuracy(ann, run.splits.test)
         results["snn_accuracy"] = evaluate_snn(net, run.splits.test, T)["accuracy"]

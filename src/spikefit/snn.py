@@ -10,6 +10,11 @@ the first IF layer at every step; deeper layers are driven by the
 threshold-weighted spikes that ``if_step`` returns. Ties (potential exactly
 at threshold) fire. Membrane potentials may go negative.
 
+That recurrence is written once, in ``_if_steps``: ``simulate`` records
+what it yields, and neuron-wise calibration (``calibrate._nwc_bptt``) runs
+it as its forward pass, so both fire, reset and check for non-finite
+potentials in the one ``if_step``.
+
 Spike frames are stored as ``uint8`` 0/1, one byte per neuron-step. Every
 reader sums them with an explicit accumulator or counts them exactly, so
 rates come out with the same float32 bits as from float32 frames.
@@ -153,6 +158,36 @@ def _split_stack(net: SnnNetwork):
     return pairs, tail
 
 
+def _start_potentials(layers: list[IfLayer], batch: int) -> list[Array]:
+    """Each run's own C-ordered copy of the initial potentials, (batch, width)
+    per layer, for ``if_step`` to advance in place (``np.array`` of a
+    broadcast view would come out Fortran-ordered, and slow)."""
+    return [np.repeat(l.v_init[None, :], batch, axis=0) for l in layers]
+
+
+def _if_steps(pairs, layers: list[IfLayer], first_current: Array, v: list[Array],
+              steps: int):
+    """The IF recurrence of ``simulate`` and of neuron-wise calibration.
+
+    For each step t and pair j, drives ``layers[j]`` (the pair's own IF
+    layer, or one holding the parameters under calibration) with
+    ``first_current`` at j = 0, else with the previous layer's output
+    through the pair's linear; ``if_step`` advances ``v[j]`` in place.
+    Yields ``(t, j, current, spikes, output)``.
+    """
+    for t in range(steps):
+        for j, (linear, _) in enumerate(pairs):
+            if j == 0:
+                cur = first_current
+            else:
+                cur = carry @ linear.w
+                cur += linear.b
+            # the benchmark tracer wraps the module's if_step and reads the
+            # layer from its first argument
+            spikes, carry = if_step(layers[j], v[j], cur, step=t)
+            yield t, j, cur, spikes, carry
+
+
 def simulate(net: SnnNetwork, analog_input: Array, timesteps: int | None = None,
              record_currents: bool = False, record_potentials: bool = False) -> SpikeRecord:
     """Run the network for ``timesteps`` steps on a batch of analog inputs.
@@ -173,42 +208,34 @@ def simulate(net: SnnNetwork, analog_input: Array, timesteps: int | None = None,
     batch = x.shape[0]
 
     pairs, tail = _split_stack(net)
-    # each run owns C-ordered potentials, which if_step advances in place
-    # (np.array of a broadcast view would come out Fortran-ordered, and slow)
-    v = [np.repeat(iflayer.v_init[None, :], batch, axis=0) for _, iflayer in pairs]
+    layers = [iflayer for _, iflayer in pairs]
+    v = _start_potentials(layers, batch)
 
     # the first linear's current is the same at every step
     first_current = x @ pairs[0][0].w + pairs[0][0].b if pairs else None
 
-    spikes_rec = [np.zeros((T, batch, p[1].width), dtype=np.uint8) for p in pairs]
-    currents_rec = ([np.zeros((T, batch, p[1].width), dtype=np.float32) for p in pairs]
+    spikes_rec = [np.zeros((T, batch, l.width), dtype=np.uint8) for l in layers]
+    currents_rec = ([np.zeros((T, batch, l.width), dtype=np.float32) for l in layers]
                     if record_currents else None)
-    potentials_rec = ([np.zeros((T, batch, p[1].width), dtype=np.float32) for p in pairs]
+    potentials_rec = ([np.zeros((T, batch, l.width), dtype=np.float32) for l in layers]
                       if record_potentials else None)
 
-    for t in range(T):
-        for j, (linear, iflayer) in enumerate(pairs):
-            if j == 0:
-                cur = first_current
-            else:
-                cur = carry @ linear.w
-                cur += linear.b
-            s, carry = if_step(iflayer, v[j], cur, step=t)
-            spikes_rec[j][t] = s
-            if currents_rec is not None:
-                currents_rec[j][t] = cur
-            if potentials_rec is not None:
-                potentials_rec[j][t] = v[j]
+    for t, j, cur, s, _ in _if_steps(pairs, layers, first_current, v, T):
+        spikes_rec[j][t] = s
+        if currents_rec is not None:
+            currents_rec[j][t] = cur
+        if potentials_rec is not None:
+            potentials_rec[j][t] = v[j]
 
     if pairs:
-        last_rate = _rate(pairs[-1][1].threshold, spikes_rec[-1], T)
+        last_rate = _rate(layers[-1].threshold, spikes_rec[-1], T)
         output = last_rate @ tail.w + tail.b if tail is not None else last_rate
     else:
         output = x @ tail.w + tail.b if tail is not None else x
 
     return SpikeRecord(
         spikes=spikes_rec,
-        thresholds=[p[1].threshold.copy() for p in pairs],
+        thresholds=[l.threshold.copy() for l in layers],
         v_end=v,
         output=output,
         timesteps=T,

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from spikefit import autodiff as ad
 from spikefit.autodiff import (SURROGATE_WINDOW, AdamState, Tape, TapeError, adam_step,
                                backward, surrogate_spike_grad)
+from spikefit.snn import IfLayer, if_step
 from spikefit.tensor import Rng
 
 
@@ -132,6 +133,23 @@ class TestSteFloor:
         np.testing.assert_array_equal(g.wrt(x), [3.0, 3.0, 3.0])
 
 
+@st.composite
+def _potential_and_threshold(draw):
+    """A float32 threshold and a pre-step potential: anywhere in the finite
+    float32 range, or within a few ulps of 0.5, 1, 1.5, 2 or 3 thresholds
+    or minus one threshold (ties, window edges, the Sterbenz bound)."""
+    theta = np.float32(draw(st.floats(2.0 ** -10, 2.0 ** 10, width=32)))
+    k = draw(st.sampled_from([None, -1.0, 0.5, 1.0, 1.5, 2.0, 3.0]))
+    if k is None:
+        return np.float32(draw(st.floats(width=32, allow_nan=False,
+                                         allow_infinity=False))), theta
+    v = np.float32(k) * theta
+    ulps = draw(st.integers(-3, 3))
+    for _ in range(abs(ulps)):
+        v = np.nextafter(v, np.float32(np.sign(ulps) * np.inf))
+    return v, theta
+
+
 class TestSurrogate:
     def test_window_center(self):
         assert surrogate_spike_grad(np.asarray(1.0), np.asarray(1.0)) == 1.0
@@ -155,6 +173,19 @@ class TestSurrogate:
         assert g <= 1.0 / theta
         if abs(v - theta) >= SURROGATE_WINDOW * theta:
             assert g == 0.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(_potential_and_threshold())
+    def test_post_reset_potential_gives_same_surrogate(self, case):
+        # neuron-wise calibration takes the surrogate at v_post + out, after
+        # if_step has reset the potential; it must equal the pre-reset one
+        v_pre, theta = case
+        v = np.zeros((1, 1), dtype=np.float32)
+        _, out = if_step(IfLayer([theta], [0.0]), v, np.full((1, 1), v_pre, np.float32))
+        got = surrogate_spike_grad(v + out, np.asarray([theta]))
+        want = surrogate_spike_grad(np.full((1, 1), v_pre, np.float32), np.asarray([theta]))
+        assert got.dtype == want.dtype == np.float32
+        assert got.tobytes() == want.tobytes()
 
     def test_spike_op_gradients(self):
         tape = Tape()

@@ -276,6 +276,19 @@ class TestNwc:
         with pytest.raises((CalibrationError, ValueError)):
             nwc_calibrate(net, model, bad, cfg, rng.split("nwc"))
 
+    def test_nonfinite_potential_aborts(self):
+        # finite inputs, but the second layer's currents overflow to inf:
+        # NaN potentials would never fire and inf ones always would. The
+        # overflow is the scenario, so numpy's warning about it is muted.
+        rng, model, data = _calib_setup(7, dims=(6, 16, 12, 4))
+        net = convert(model, 8)
+        net.linear_layers()[1].w[:] = np.float32(3e38)
+        cfg = CalibConfig(timesteps=8, steps=3, batch_size=32, seed=7)
+        with np.errstate(over="ignore"), pytest.raises(
+                CalibrationError, match=r"non-finite membrane potential for neuron \d+ "
+                                        r"at step \d+ in calibration step 0"):
+            nwc_calibrate(net, model, data, cfg, rng.split("nwc"))
+
 
 class TestLossDecomposition:
     def test_weighted_sum_matches_parts(self):

@@ -6,10 +6,13 @@ over the full chain, for the logits loss. Its gradients are what the fused
 forward pass and reverse sweep must reproduce.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from spikefit import autodiff as ad
+from spikefit import snn
 from spikefit.ann import AnnModel, Embedding, mlp, replace_activations
 from spikefit.calibrate import CalibConfig, _calib_batch, _nwc_bptt, convert, lwc
 from spikefit.snn import IfLayer, _split_stack
@@ -182,3 +185,78 @@ def test_no_tape_recorded(monkeypatch):
     monkeypatch.setattr(ad, "record_op", refuse)
     monkeypatch.setattr(ad.Tape, "_record", refuse)
     _nwc_bptt(net, params, *_calib_batch(net, model, x), CalibConfig(timesteps=8))
+
+
+@pytest.mark.parametrize("dims,rho", [((6, 16, 12, 4), 8), ((6, 9, 3), 5)])
+def test_forward_runs_simulate_recurrence(monkeypatch, dims, rho):
+    """The forward pass advances the potentials through snn.if_step, once
+    per unrolled step and IF layer, as simulate does."""
+    net, model, x, params = _setup(18, dims=dims)
+    calls = []
+    real = snn.if_step
+
+    def counting(layer, *args, **kwargs):
+        calls.append(layer)
+        return real(layer, *args, **kwargs)
+
+    monkeypatch.setattr(snn, "if_step", counting)
+    _nwc_bptt(net, params, *_calib_batch(net, model, x), CalibConfig(timesteps=8, rho=rho))
+    n_layers = len(net.if_layers())
+    assert len(calls) == rho * n_layers
+    for j in range(n_layers):
+        assert calls[j].threshold is params[f"if{j}.threshold"]
+
+
+# (name, _setup arguments, CalibConfig arguments, drive scale): the
+# TestMatchesTape setups, plus a drive strong enough that potentials pass 2θ
+GOLDEN_CASES = [
+    ("T1", dict(seed=1, timesteps=1, levels=1), dict(timesteps=1), 1),
+    ("T2", dict(seed=2, timesteps=2, levels=2), dict(timesteps=2), 1),
+    ("T8", dict(seed=8, timesteps=8, levels=8), dict(timesteps=8), 1),
+    ("rho5", dict(seed=11), dict(timesteps=8, rho=5), 1),
+    ("rho5_T", dict(seed=11), dict(timesteps=8, rho=5, denominator="T"), 1),
+    ("weights", dict(seed=12), dict(timesteps=8, lambda_align=0.3, lambda_logits=1.7,
+                                    temperature=2.5), 1),
+    ("logits_only", dict(seed=13), dict(timesteps=8, lambda_align=0.0), 1),
+    ("align_only", dict(seed=13), dict(timesteps=8, lambda_logits=0.0), 1),
+    ("if_tail", dict(seed=14, dims=(6, 10, 8, 5), if_tail=True), dict(timesteps=8), 1),
+    ("embed", dict(seed=15, dims=(6, 12, 3), embed=True), dict(timesteps=4), 1),
+    ("one_layer", dict(seed=16, dims=(6, 9, 3)), dict(timesteps=8), 1),
+    ("drive30", dict(seed=17), dict(timesteps=8), 30),
+]
+
+# sha256 over the losses and gradients of one step, recorded from the
+# hand-written forward loop that preceded the shared IF recurrence
+NWC_GOLDEN = {
+    "T1": "9d62fdac9a224bba530dc0bca31786c55d8a7a5ccc4d6c35ba8ff327b3160d05",
+    "T2": "bcc64cc850b7b944e218e9a1d2c621e6df4026a3e6fce17d5e6727a2ff6769b0",
+    "T8": "cfaf3fe61f9226c000e8a61de9626dff39e2f5410d525c7b112b3faeb34f47a7",
+    "rho5": "7fdabf0279a49d7572948ef1f47d376b3ece221f7a3eaf0be6d2eff25c722444",
+    "rho5_T": "89a1df6e75910827c2fac126ec7c269d52f232f7b80d64b9520243492e31bc4f",
+    "weights": "43af390081bd5b66a083ebb397ccafa85ef6a549d8e242e2108328b5d0132636",
+    "logits_only": "2729a6c1ea262f62556064b8df6563937683c08289c66a05356fc33109d7cc07",
+    "align_only": "b3fbc46e66abdc6cdda5fb7ab4f00e67163ad1858c590e90284bb1a9c9adcf9a",
+    "if_tail": "b1c6f6e7ae74c1cb78a34e11e78185d72a764007b484b5cf38d2c8ab5616a116",
+    "embed": "f674eb8b4ef6cb9fa1b0393634b2441a8047b4f16c840343a1ec3889e1ad26ec",
+    "one_layer": "12deda630ed106add460e473bd535f52b456bb648c401ed17a9ebc7f2010b181",
+    "drive30": "8617e7d479449319604b17241f28944b8f8f5d8cc3efe88510b98ea50df850cb",
+}
+
+
+def _nwc_digest(setup, cfg_kwargs, scale):
+    net, model, x, params = _setup(setup.pop("seed"), **setup)
+    drive, acts, logits = _calib_batch(net, model, x)
+    losses, grads = _nwc_bptt(net, params, drive * np.float32(scale), acts, logits,
+                              CalibConfig(**cfg_kwargs))
+    h = hashlib.sha256()
+    for key in sorted(losses):
+        h.update(key.encode() + np.float64(losses[key]).tobytes())
+    for key in sorted(grads):
+        h.update(key.encode() + grads[key].dtype.str.encode() + grads[key].tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("name,setup,cfg_kwargs,scale", GOLDEN_CASES,
+                         ids=[c[0] for c in GOLDEN_CASES])
+def test_bit_identical_to_golden(name, setup, cfg_kwargs, scale):
+    assert _nwc_digest(dict(setup), cfg_kwargs, scale) == NWC_GOLDEN[name]
