@@ -31,16 +31,21 @@ class TapeError(RuntimeError):
 SURROGATE_WINDOW = 0.5  # half-width of the surrogate rectangle, as a fraction of theta
 
 
+def _surrogate_window(v, theta) -> Array:
+    """Boolean mask of the surrogate rectangle, |v - theta| <
+    SURROGATE_WINDOW * theta; ``theta`` must be positive, which the caller
+    checks."""
+    return np.abs(v - theta) < SURROGATE_WINDOW * theta
+
+
 def surrogate_spike_grad(v, theta) -> Array:
     """Rectangular surrogate derivative of the spike indicator w.r.t. the
-    membrane potential: (1/theta) inside |v - theta| < SURROGATE_WINDOW * theta,
-    else 0."""
+    membrane potential: (1/theta) inside ``_surrogate_window``, else 0."""
     v = np.asarray(v)
     theta = np.asarray(theta, dtype=v.dtype if v.dtype.kind == "f" else np.float64)
     if not np.all(theta > 0):
         raise ValueError("spike threshold must be positive elementwise")
-    inside = np.abs(v - theta) < SURROGATE_WINDOW * theta
-    return inside * (1 / theta)
+    return _surrogate_window(v, theta) * (1 / theta)
 
 
 class Var:

@@ -224,33 +224,37 @@ def _nwc_bptt(snn: SnnNetwork, params: dict, drive: Array, teacher_acts,
     dL_logits``; a term whose weight is zero is not computed.
 
     The forward pass is ``simulate``'s IF recurrence (``snn._if_steps``)
-    over the rho unrolled steps, on IF layers that wrap the params; it
-    stores each layer's spike frame and surrogate factor, and raises
-    ``SimulationError`` on a non-finite potential. One reverse sweep over
-    steps and layers then carries the adjoint of the membrane potential in
-    up to two lanes, stacked as (lanes, batch, width): the alignment lane,
-    which never crosses layers, and the logits lane, which crosses layers
-    through ``g @ W.T``.
+    over the rho unrolled steps, on IF layers that wrap the params; building
+    them is the step's one check that the thresholds are positive, and the
+    recurrence raises ``SimulationError`` on a non-finite potential. Per
+    neuron-step it keeps two booleans, two bytes: the spike and the
+    surrogate window (``autodiff._surrogate_window``) at the pre-reset
+    potential. Neither costs a bit: a boolean spike enters ``sums += s`` and
+    ``s * c`` as float32 0.0 or 1.0, and ``window * (1 / theta)`` is the
+    array ``surrogate_spike_grad`` returns. One reverse sweep over steps and
+    layers then carries the adjoint of the membrane potential in up to two
+    lanes, stacked as (lanes, batch, width): the alignment lane, which never
+    crosses layers, and the logits lane, which crosses layers through
+    ``g @ W.T``.
     """
     pairs, tail = _split_stack(snn)
     n_layers = len(pairs)
     thetas = [params[f"if{j}.threshold"] for j in range(n_layers)]
     inv_denom = 1.0 / _rate_denominator(cfg.rho, cfg.timesteps, cfg.denominator)
 
-    # forward: the spike frame and surrogate factor of every (step, layer)
+    # forward: the boolean spike and surrogate window of every (step, layer)
     layers = [IfLayer(thetas[j], params[f"if{j}.v_init"]) for j in range(n_layers)]
     first_current = drive @ pairs[0][0].w + pairs[0][0].b
     vs = _start_potentials(layers, drive.shape[0])
     sums = [np.zeros_like(v) for v in vs]
-    frames: list[list] = [[] for _ in range(cfg.rho)]
+    masks: list[list] = [[] for _ in range(cfg.rho)]
     for t, j, _, s, carry in _if_steps(pairs, layers, first_current, vs, cfg.rho):
-        s = s.astype(np.float32)  # float32 frames keep the sums and products uncast
         sums[j] += s
-        # the surrogate is taken at the pre-reset potential, rebuilt as
+        # the window is taken at the pre-reset potential, rebuilt as
         # v_post + carry bit for bit: carry is 0 where nothing fired; v - theta
         # is exact for theta <= v <= 2 theta (Sterbenz), so adding theta
         # back restores v; above 2 theta both forms lie outside the window
-        frames[t].append((s, ad.surrogate_spike_grad(vs[j] + carry, thetas[j])))
+        masks[t].append((s, ad._surrogate_window(vs[j] + carry, thetas[j])))
     rates = [sums[j] * thetas[j] * inv_denom for j in range(n_layers)]
 
     diffs = [rates[j] - teacher_acts[j] for j in range(n_layers)]
@@ -274,15 +278,16 @@ def _nwc_bptt(snn: SnnNetwork, params: dict, drive: Array, teacher_acts,
     g_sum = [g_rate[j] * inv_denom * thetas[j] for j in range(n_layers)]
     g_u = [np.zeros_like(g) for g in g_rate]
     acc = [g_rate[j] * inv_denom * sums[j] for j in range(n_layers)]
-    for row in reversed(frames):
+    inv_thetas = [1 / theta for theta in thetas]
+    for row in reversed(masks):
         g_carry = None
         for j in range(n_layers - 1, -1, -1):
-            s, surr = row[j]
+            s, window = row[j]
             c = -g_u[j]
             if g_carry is not None:
                 c[kd] += g_carry
             acc[j] += s * c
-            g_u[j] += (g_sum[j] + thetas[j] * c) * surr
+            g_u[j] += (g_sum[j] + thetas[j] * c) * (window * inv_thetas[j])
             g_carry = g_u[j][kd] @ pairs[j][0].w.T if kd is not None and j > 0 else None
 
     # the firing condition's theta partial is minus its v partial, and summed

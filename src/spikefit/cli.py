@@ -181,9 +181,11 @@ def cmd_analyze(run: _Run) -> None:
     batch = run.eval_batch()
 
     traces = ann_forward(ann, batch).traces
+    # one full-horizon record at a time: the first is dropped once read
     rec_before = simulate(before, batch, T)
-    rec_after = simulate(after, batch, T)
     rates_before = [firing_rate(rec_before, j) for j in range(rec_before.n_layers)]
+    del rec_before
+    rec_after = simulate(after, batch, T)
     rates_after = [firing_rate(rec_after, j) for j in range(rec_after.n_layers)]
 
     write_error_csv(decompose_errors(traces, rec_after, after),

@@ -65,7 +65,6 @@ def decompose_errors(traces: list[ActivationTrace], record: SpikeRecord,
         if trace.ceiling is None:
             raise ValueError(f"trace {j} does not come from a staircase activation")
         pre = np.asarray(trace.pre, dtype=np.float64)
-        post = np.asarray(trace.post, dtype=np.float64)
         if pre.shape[0] != record.n_samples:
             raise ValueError(
                 f"mismatched sample counts: trace has {pre.shape[0]}, record has {record.n_samples}")
@@ -76,7 +75,11 @@ def decompose_errors(traces: list[ActivationTrace], record: SpikeRecord,
         else:
             q = 0.0
         clip = np.maximum(pre - lam, 0.0).mean()
-        tau_theor = theoretical_spike_count(post, lam, T)
+        a_max = pre.max()
+        # each float64 (batch, width) array goes once its figures are taken,
+        # so a wide layer holds few of them at once
+        del pre, in_range
+        tau_theor = theoretical_spike_count(np.asarray(trace.post, dtype=np.float64), lam, T)
         tau_real = record.counts(j).astype(np.float64)
         theta = record.thresholds[j].astype(np.float64)
         temp = temporal_error(tau_real, theta, tau_theor, lam, T).mean()
@@ -85,12 +88,13 @@ def decompose_errors(traces: list[ActivationTrace], record: SpikeRecord,
             quant=float(q),
             clip=float(clip),
             temporal=float(temp),
-            a_max=float(pre.max()),
+            a_max=float(a_max),
             tau_real_mean=float(tau_real.mean()),
             tau_real_max=float(tau_real.max()),
             tau_theor_mean=float(tau_theor.mean()),
             tau_theor_max=float(tau_theor.max()),
         ))
+        del tau_real, tau_theor
     return ErrorReport(rows)
 
 

@@ -187,6 +187,19 @@ class TestSurrogate:
         assert got.dtype == want.dtype == np.float32
         assert got.tobytes() == want.tobytes()
 
+    @settings(max_examples=300, deadline=None)
+    @given(_potential_and_threshold())
+    def test_window_times_inverse_threshold_is_the_surrogate(self, case):
+        # neuron-wise calibration keeps only the boolean window and forms
+        # the factor as window * (1 / theta) in its reverse sweep
+        v, theta = np.full((1, 1), case[0], np.float32), np.asarray([case[1]])
+        window = ad._surrogate_window(v, theta)
+        assert window.dtype == np.bool_
+        got = window * (1 / theta)
+        want = surrogate_spike_grad(v, theta)
+        assert got.dtype == want.dtype == np.float32
+        assert got.tobytes() == want.tobytes()
+
     def test_spike_op_gradients(self):
         tape = Tape()
         v = tape.leaf(np.array([0.2, 0.9, 1.6], dtype=np.float64))

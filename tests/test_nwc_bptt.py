@@ -7,6 +7,7 @@ forward pass and reverse sweep must reproduce.
 """
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -205,6 +206,34 @@ def test_forward_runs_simulate_recurrence(monkeypatch, dims, rho):
     assert len(calls) == rho * n_layers
     for j in range(n_layers):
         assert calls[j].threshold is params[f"if{j}.threshold"]
+
+
+def test_saved_state_bytes_per_neuron_step():
+    """What the forward pass keeps for the reverse sweep grows by two bytes
+    per neuron-step (a boolean spike and a boolean surrogate window), not by
+    the eight of a float32 spike frame and a float32 surrogate factor."""
+    batch, width = 64, 256
+    rng = Rng(19)
+    x = rng.split("data").normal(0, 1, (batch, 8))
+    model = replace_activations(mlp([8, width, width, 4], rng.split("model")), 8, x)
+    net = convert(model, 16)
+    params = {}
+    for j, layer in enumerate(net.if_layers()):
+        params[f"if{j}.threshold"] = layer.threshold.copy()
+        params[f"if{j}.v_init"] = layer.v_init.copy()
+    calib_batch = _calib_batch(net, model, x)
+
+    def peak(rho):
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            _nwc_bptt(net, params, *calib_batch, CalibConfig(timesteps=16, rho=rho))
+            return tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+
+    added_neuron_steps = (16 - 8) * batch * 2 * width
+    assert (peak(16) - peak(8)) / added_neuron_steps <= 2.5
 
 
 # (name, _setup arguments, CalibConfig arguments, drive scale): the
