@@ -14,8 +14,7 @@ import numpy as np
 from . import autodiff as ad
 from .ann import AnnModel, Embedding, Linear, Qcfs, Relu, _apply_embedding, ann_forward
 from .snn import (IfLayer, SimulationError, SnnNetwork, SpikeRecord, _if_steps, _rate,
-                  _rate_denominator, _split_stack, _start_potentials, simulate,
-                  theoretical_spike_count)
+                  _split_stack, _start_potentials, simulate, theoretical_spike_count)
 from .tensor import Array, Rng
 
 
@@ -27,9 +26,11 @@ class CalibrationError(RuntimeError):
 class CalibConfig:
     """Stage-2 knobs.
 
-    ``rho`` is the number of unrolled calibration steps (defaults to the
-    inference horizon); ``denominator`` picks whether rates divide the
-    rho-step spike sum by rho or by the full horizon.
+    ``rho`` is the number of unrolled steps in neuron-wise calibration's
+    window (defaults to the inference horizon); ``denominator`` picks
+    whether that window's rates divide the rho-step spike sum by rho or by
+    the full horizon. Every other rate, ``eval_losses`` included, scores
+    the whole horizon.
     """
 
     timesteps: int = 8
@@ -50,7 +51,7 @@ class CalibConfig:
             raise ValueError(f"timesteps must be >= 1, got {self.timesteps}")
         if self.rho is None:
             self.rho = self.timesteps
-        _rate_denominator(self.rho, self.timesteps, self.denominator)
+        _rate_denominator(self)
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.steps < 0:
@@ -65,6 +66,16 @@ class CalibConfig:
             for a in np.atleast_1d(np.asarray(self.alpha, dtype=np.float64)):
                 if not 0 < a <= 1:
                     raise ValueError(f"alpha must lie in (0, 1], got {a}")
+
+
+def _rate_denominator(cfg: CalibConfig) -> int:
+    """Check the calibration window and denominator mode, and return the
+    number a rho-step spike sum is divided by: rho, or the horizon T."""
+    if not 1 <= cfg.rho <= cfg.timesteps:
+        raise ValueError(f"need 1 <= rho <= timesteps, got rho={cfg.rho}, T={cfg.timesteps}")
+    if cfg.denominator not in ("rho", "T"):
+        raise ValueError(f"denominator must be 'rho' or 'T', got {cfg.denominator!r}")
+    return cfg.rho if cfg.denominator == "rho" else cfg.timesteps
 
 
 # -- stage-1 to stage-2 handoff -------------------------------------------------
@@ -155,12 +166,11 @@ def resolve_alpha(cfg: CalibConfig, ann: AnnModel, probe_x: Array) -> list[float
 # -- calibration losses ---------------------------------------------------------
 
 def activation_align_loss(acts: Array, spikes: Array, threshold: Array,
-                          rho: int, timesteps: int, denominator: str = "rho",
                           layer: int | None = None) -> float:
-    """Mean squared error between analog activations and the rho-step rate,
-    both in float64."""
-    rate = _rate(np.asarray(threshold, dtype=np.float64), np.asarray(spikes)[:rho],
-                 _rate_denominator(rho, timesteps, denominator))
+    """Mean squared error between analog activations and the rate of the
+    (T, batch, width) spike frames over all T steps, both in float64."""
+    spikes = np.asarray(spikes)
+    rate = _rate(np.asarray(threshold, dtype=np.float64), spikes, len(spikes))
     acts = np.asarray(acts, dtype=np.float64)
     if acts.shape != rate.shape:
         where = f" at layer {layer}" if layer is not None else ""
@@ -240,7 +250,7 @@ def _nwc_bptt(snn: SnnNetwork, params: dict, drive: Array, teacher_acts,
     pairs, tail = _split_stack(snn)
     n_layers = len(pairs)
     thetas = [params[f"if{j}.threshold"] for j in range(n_layers)]
-    inv_denom = 1.0 / _rate_denominator(cfg.rho, cfg.timesteps, cfg.denominator)
+    inv_denom = 1.0 / _rate_denominator(cfg)
 
     # forward: the boolean spike and surrogate window of every (step, layer)
     layers = [IfLayer(thetas[j], params[f"if{j}.v_init"]) for j in range(n_layers)]
@@ -391,12 +401,11 @@ def eval_losses(snn: SnnNetwork, ann: AnnModel, x: Array, cfg: CalibConfig) -> d
 
 def _record_losses(rec: SpikeRecord, ann: AnnModel, x: Array, cfg: CalibConfig) -> dict:
     """``eval_losses`` of an existing simulation ``rec`` of the batch ``x``."""
-    T = rec.timesteps
     teacher_acts, teacher_logits = _teacher_pass(ann, x)
     align = 0.0
     for j in range(rec.n_layers):
         align += activation_align_loss(teacher_acts[j], rec.spikes[j], rec.thresholds[j],
-                                       T, T, layer=j)
+                                       layer=j)
     kd = logits_loss(teacher_logits, rec.output, cfg.temperature)
     return {
         "L_al": float(align),

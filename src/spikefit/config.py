@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 from dataclasses import dataclass, field, fields
 
@@ -31,6 +32,9 @@ class ModelSpec:
             raise ValueError(f"unknown model kind {self.kind!r}; choose from {kinds}")
         if self.levels < 1:
             raise ValueError(f"levels must be >= 1, got {self.levels}")
+        if min([self.embed_dim, *self.hidden]) < 1:
+            raise ValueError(f"widths must be >= 1, got hidden={self.hidden}, "
+                             f"embed_dim={self.embed_dim}")
 
 
 @dataclass
@@ -44,17 +48,29 @@ class ExperimentConfig:
     schema_version: int = 1
 
 
-_TOP_KEYS = {f.name for f in fields(ExperimentConfig)}
-_MODEL_KEYS = {f.name for f in fields(ModelSpec)}
-_DATASET_KEYS = {f.name for f in fields(DataSpec)}
-_STAGE1_KEYS = {f.name for f in fields(TrainConfig)}
-_STAGE2_KEYS = {f.name for f in fields(CalibConfig)} - {"seed"}
+# JSON value checks by field annotation; a field annotated otherwise (a
+# section, or stage2's alpha and beta) is checked by its own code
+_TYPES = {
+    "int": ("an integer", lambda v: type(v) is int),
+    "float": ("a finite number", lambda v: type(v) in (int, float) and math.isfinite(v)),
+    "str": ("a string", lambda v: isinstance(v, str)),
+    "list[int]": ("a list of integers",
+                  lambda v: isinstance(v, list) and all(type(i) is int for i in v)),
+}
 
 
-def _check_keys(section: dict, allowed: set, path: str) -> None:
-    for key in section:
-        if key not in allowed:
+def _check_section(section: dict, cls, path: str, exclude: tuple = ()) -> None:
+    """Refuse keys that are not fields of ``cls`` (or are in ``exclude``), and
+    values whose JSON type does not fit the field's annotation."""
+    known = {f.name: f.type for f in fields(cls) if f.name not in exclude}
+    for key, value in section.items():
+        if key not in known:
             raise ConfigError(f"unknown key {path + key!r}")
+        want, _, optional = known[key].partition(" | ")
+        if want in _TYPES and not (optional and value is None):
+            name, ok = _TYPES[want]
+            if not ok(value):
+                raise ConfigError(f"{path}{key} must be {name}, got {value!r}")
 
 
 def _section(raw: dict, name: str, required: bool = True) -> dict:
@@ -80,16 +96,19 @@ def parse_config(path: str) -> ExperimentConfig:
             raise ConfigError(f"config is not valid JSON: {e}") from None
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
-    _check_keys(raw, _TOP_KEYS, "")
+    schema_version = raw.get("schema_version", 1)
+    if type(schema_version) is not int or schema_version != 1:
+        raise ConfigError(f"unsupported schema_version {schema_version!r}; this version reads 1")
+    _check_section(raw, ExperimentConfig, "")
 
     model_raw = _section(raw, "model")
     dataset_raw = _section(raw, "dataset")
     stage1_raw = _section(raw, "stage1", required=False)
     stage2_raw = _section(raw, "stage2", required=False)
-    _check_keys(model_raw, _MODEL_KEYS, "model.")
-    _check_keys(dataset_raw, _DATASET_KEYS, "dataset.")
-    _check_keys(stage1_raw, _STAGE1_KEYS, "stage1.")
-    _check_keys(stage2_raw, _STAGE2_KEYS, "stage2.")
+    _check_section(model_raw, ModelSpec, "model.")
+    _check_section(dataset_raw, DataSpec, "dataset.", exclude=("task",))  # model.kind sets it
+    _check_section(stage1_raw, TrainConfig, "stage1.")
+    _check_section(stage2_raw, CalibConfig, "stage2.", exclude=("seed",))  # the run's seed
     if "kind" not in model_raw:
         raise ConfigError("missing required field: model.kind")
     if "kind" not in dataset_raw:
@@ -121,14 +140,8 @@ def parse_config(path: str) -> ExperimentConfig:
     if dataset.kind == "char-lm" and dataset.path is not None and not os.path.exists(dataset.path):
         raise ConfigError(f"dataset.path does not exist: {dataset.path}")
 
-    seed = raw.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        raise ConfigError(f"seed must be an integer, got {seed!r}")
-    schema_version = raw.get("schema_version", 1)
-    if type(schema_version) is not int or schema_version != 1:
-        raise ConfigError(f"unsupported schema_version {schema_version!r}; this version reads 1")
     return ExperimentConfig(
-        seed=seed,
+        seed=raw.get("seed", 0),
         model=model,
         dataset=dataset,
         stage1=stage1,

@@ -45,6 +45,10 @@ class DataSpec:
             raise ValueError(f"unknown dataset kind {self.kind!r}; choose from {kinds}")
         if self.samples < 10:
             raise ValueError(f"need at least 10 samples, got {self.samples}")
+        if min([self.input_dim, self.classes, self.window, *self.teacher_hidden]) < 1:
+            raise ValueError(f"widths must be >= 1, got input_dim={self.input_dim}, "
+                             f"classes={self.classes}, window={self.window}, "
+                             f"teacher_hidden={self.teacher_hidden}")
 
 
 def _split(x: Array, y: Array, task: str, rng: Rng) -> DatasetSplits:

@@ -102,8 +102,6 @@ def decompose_errors(traces: list[ActivationTrace], record: SpikeRecord,
 class TauHistogram:
     edges: Array
     counts: list[Array]
-    frac_le_half: list[float]
-    timesteps: int
 
     def total(self, layer: int) -> int:
         return int(self.counts[layer].sum())
@@ -112,8 +110,7 @@ class TauHistogram:
 def tau_histogram(acts: list[Array], ceilings: list[float], timesteps: int) -> TauHistogram:
     """Distribution of theoretical spike counts pooled per layer.
 
-    Bins are unit-width starting at zero; also reports the fraction of counts
-    at or below half the horizon.
+    Bins are unit-width starting at zero.
     """
     if timesteps < 1:
         raise ValueError(f"timesteps must be >= 1, got {timesteps}")
@@ -127,8 +124,7 @@ def tau_histogram(acts: list[Array], ceilings: list[float], timesteps: int) -> T
     hi = max(float(timesteps), max(float(np.ceil(t.max())) for t in taus)) if taus else float(timesteps)
     edges = np.arange(0.0, hi + 2.0)
     counts = [np.histogram(t, bins=edges)[0] for t in taus]
-    frac = [float((t <= timesteps / 2).mean()) for t in taus]
-    return TauHistogram(edges, counts, frac, timesteps)
+    return TauHistogram(edges, counts)
 
 
 @dataclass

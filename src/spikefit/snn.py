@@ -21,9 +21,8 @@ rates come out with the same float32 bits as from float32 frames.
 
 ``_rate`` is the one place that turns spike frames into a threshold-weighted
 rate: ``simulate``, ``firing_rate`` and ``calibrate.activation_align_loss``
-all call it. ``_rate_denominator`` is the one check of the calibration
-window rho and the denominator mode, and picks the number a rho-step spike
-sum is divided by.
+all call it. Every reader of a ``SpikeRecord`` scores the whole horizon, so
+each is a function of the per-neuron spike counts alone.
 """
 
 from __future__ import annotations
@@ -117,7 +116,6 @@ class SpikeRecord:
 
     spikes: list[Array]            # per IF layer: (T, batch, width) uint8, entries 0/1
     thresholds: list[Array]        # per IF layer: (width,)
-    v_end: list[Array]             # (batch, width)
     output: Array                  # decoded prediction (batch, out_dim)
     timesteps: int
     currents: list[Array] | None = None    # (T, batch, width) when recorded
@@ -236,7 +234,6 @@ def simulate(net: SnnNetwork, analog_input: Array, timesteps: int | None = None,
     return SpikeRecord(
         spikes=spikes_rec,
         thresholds=[l.threshold.copy() for l in layers],
-        v_end=v,
         output=output,
         timesteps=T,
         currents=currents_rec,
@@ -244,24 +241,9 @@ def simulate(net: SnnNetwork, analog_input: Array, timesteps: int | None = None,
     )
 
 
-def firing_rate(record: SpikeRecord, layer: int, rho: int | None = None,
-                denominator: str = "rho") -> Array:
-    """Threshold-weighted rate: theta * sum of the first rho spike frames,
-    divided by rho (default) or by the full horizon T."""
-    T = record.timesteps
-    rho = T if rho is None else int(rho)
-    return _rate(record.thresholds[layer], record.spikes[layer][:rho],
-                 _rate_denominator(rho, T, denominator))
-
-
-def _rate_denominator(rho: int, timesteps: int, denominator: str) -> int:
-    """Check the calibration window and denominator mode, and return the
-    number a rho-step spike sum is divided by: rho, or the horizon T."""
-    if not 1 <= rho <= timesteps:
-        raise ValueError(f"need 1 <= rho <= timesteps, got rho={rho}, T={timesteps}")
-    if denominator not in ("rho", "T"):
-        raise ValueError(f"denominator must be 'rho' or 'T', got {denominator!r}")
-    return rho if denominator == "rho" else timesteps
+def firing_rate(record: SpikeRecord, layer: int) -> Array:
+    """Threshold-weighted rate over the whole horizon: theta * spike count / T."""
+    return _rate(record.thresholds[layer], record.spikes[layer], record.timesteps)
 
 
 def _rate(threshold: Array, frames: Array, denom: int) -> Array:

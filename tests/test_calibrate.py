@@ -114,34 +114,24 @@ class TestAlignLoss:
         spikes[:2, 0, 0] = 1
         theta = np.ones(2, np.float32)
         rate = theta * spikes.sum(axis=0) / 4.0  # exactly representable
-        assert activation_align_loss(rate, spikes, theta, 4, 4, "rho") == 0.0
+        assert activation_align_loss(rate, spikes, theta) == 0.0
 
     def test_reference_value(self):
-        # a=0.4, 3 spikes in 5 steps, theta=1, denominator T: (0.6-0.4)^2
+        # a=0.4, 3 spikes in 5 steps, theta=1: (0.6-0.4)^2
         spikes = np.zeros((5, 1, 1), np.float32)
         spikes[:3, 0, 0] = 1
-        loss = activation_align_loss(np.array([[0.4]]), spikes, np.ones(1, np.float32),
-                                     5, 5, "T")
+        loss = activation_align_loss(np.array([[0.4]]), spikes, np.ones(1, np.float32))
         assert loss == pytest.approx(0.04, abs=1e-9)
 
     def test_silent_match(self):
         spikes = np.zeros((4, 1, 3), np.float32)
-        loss = activation_align_loss(np.zeros((1, 3)), spikes, np.ones(3, np.float32),
-                                     4, 4, "rho")
+        loss = activation_align_loss(np.zeros((1, 3)), spikes, np.ones(3, np.float32))
         assert loss == 0.0
 
     def test_shape_mismatch_names_layer(self):
         spikes = np.zeros((4, 1, 3), np.float32)
         with pytest.raises(ValueError, match="layer 2"):
-            activation_align_loss(np.zeros((1, 4)), spikes, np.ones(3, np.float32),
-                                  4, 4, "rho", layer=2)
-
-    def test_rho_window(self):
-        spikes = np.zeros((4, 1, 1), np.float32)
-        spikes[0, 0, 0] = 1  # only the first step spikes
-        loss_rho1 = activation_align_loss(np.array([[1.0]]), spikes,
-                                          np.ones(1, np.float32), 1, 4, "rho")
-        assert loss_rho1 == 0.0  # rate over the first step is 1/1
+            activation_align_loss(np.zeros((1, 4)), spikes, np.ones(3, np.float32), layer=2)
 
 
 class TestLogitsLoss:

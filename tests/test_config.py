@@ -66,6 +66,17 @@ def _without(section, key) -> dict:
     (_with("stage2", "batch_size", 0), "stage2: batch_size must be >= 1"),
     (_with("stage2", "steps", -5), "stage2: steps must be >= 0"),
     (_with("dataset", "kind", "two-class-synthetic"), "dataset: unknown dataset kind"),
+    (_with(None, "out_dir", 5), "out_dir must be a string, got 5"),
+    (_with("model", "hidden", "ab"), "model.hidden must be a list of integers"),
+    (_with("model", "hidden", [0]), "model: widths must be >= 1"),
+    (_with("model", "embed_dim", 0), "model: widths must be >= 1"),
+    (_with("dataset", "samples", 100.5), "dataset.samples must be an integer, got 100.5"),
+    (_with("dataset", "input_dim", 0), "dataset: widths must be >= 1"),
+    (_with("dataset", "teacher_hidden", "x"), "dataset.teacher_hidden must be a list of integers"),
+    (_with("stage1", "lr", "x"), "stage1.lr must be a finite number, got 'x'"),
+    (_with("stage2", "timesteps", 4.5), "stage2.timesteps must be an integer, got 4.5"),
+    (_with("stage2", "lr", float("nan")), "stage2.lr must be a finite number, got nan"),
+    (_with("dataset", "task", "regress"), "unknown key 'dataset.task'"),
 ])
 def test_rejected_with_key_path(tmp_path, raw, message):
     with pytest.raises(ConfigError, match=re.escape(message)):
@@ -79,7 +90,6 @@ def test_missing_file(tmp_path):
 
 def test_mlp_regressor_forces_regression(tmp_path):
     raw = _with("model", "kind", "mlp_regressor")
-    raw["dataset"]["task"] = "classify"
     cfg = parse_config(_write(tmp_path, raw))
     assert cfg.dataset.task == "regress"
 

@@ -74,7 +74,6 @@ class TestDecomposeErrors:
                                 post=np.array([[1.0]], np.float32), ceiling=1.0, levels=4)
         rec = SpikeRecord(spikes=[np.zeros((8, 1, 1), np.float32)],
                           thresholds=[np.ones(1, np.float32)],
-                          v_end=[np.zeros((1, 1), np.float32)],
                           output=np.zeros((1, 1), np.float32), timesteps=8)
         report = decompose_errors([trace], rec, None)
         assert report.layers[0].clip == pytest.approx(0.5)
@@ -112,11 +111,6 @@ class TestTauHistogram:
         hist = tau_histogram(acts, [1.5, 0.5], 8)
         assert hist.total(0) == 33 * 7
         assert hist.total(1) == 33 * 5
-
-    def test_fraction_at_or_below_half_horizon(self):
-        acts = [np.array([[0.25, 0.75]])]  # tau = 2 and 6 at ceiling 1, T 8
-        hist = tau_histogram(acts, [1.0], 8)
-        assert hist.frac_le_half[0] == pytest.approx(0.5)
 
     def test_bad_ceiling(self):
         with pytest.raises(ValueError, match="positive"):

@@ -100,7 +100,7 @@ class TestCountOps:
         frames = (np.random.default_rng(2).random((1, 17000, 1024), dtype=np.float32)
                   < 0.999).astype(np.float32)
         rec = SpikeRecord(spikes=[frames], thresholds=[net.if_layers()[0].threshold],
-                          v_end=[], output=np.zeros((17000, 3), np.float32), timesteps=1)
+                          output=np.zeros((17000, 3), np.float32), timesteps=1)
         n_spikes = int(np.count_nonzero(frames))
         assert n_spikes == 17_390_723
         assert count_ops(rec, net).ac == n_spikes * 3
@@ -170,7 +170,7 @@ class TestSpikeRateStats:
         assert spike_rate_stats(rec) == [1.0]
 
     def test_empty_record_rate_zero(self):
-        rec = SpikeRecord(spikes=[], thresholds=[], v_end=[],
+        rec = SpikeRecord(spikes=[], thresholds=[],
                           output=np.zeros((1, 1), np.float32), timesteps=1)
         assert spike_rate_stats(rec) == []
 

@@ -159,24 +159,18 @@ class TestSimulate:
         for layer in net.if_layers():
             assert vars(layer).keys() == {"threshold", "v_init"}
 
-    def test_end_potentials_are_owned_c_ordered_arrays(self):
-        net = _random_stack(Rng(15), depth=3, timesteps=4)
-        before = copy.deepcopy(net)
-        rec = simulate(net, Rng(16).normal(0, 1, (5, net.layers[0].w.shape[0])))
-        for v, layer in zip(rec.v_end, net.if_layers()):
-            assert v.flags.c_contiguous and v.flags.writeable
-            assert not np.shares_memory(v, layer.v_init)
-            v[...] = 123.0
-        for layer, old in zip(net.layers, before.layers):
-            for name, value in vars(layer).items():
-                np.testing.assert_array_equal(value, vars(old)[name], err_msg=name)
-
-    def test_potential_trace_ends_at_v_end(self):
+    def test_potential_trace_follows_if_recurrence(self):
+        # each recorded frame is the previous one plus the step's current,
+        # less theta where the neuron fired, in float32, bit for bit
         net = _random_stack(Rng(13), depth=2, timesteps=6)
         x = Rng(14).normal(0, 1, (3, net.layers[0].w.shape[0]))
-        rec = simulate(net, x, record_potentials=True)
-        for j in range(rec.n_layers):
-            np.testing.assert_array_equal(rec.potentials[j][-1], rec.v_end[j])
+        rec = simulate(net, x, record_currents=True, record_potentials=True)
+        for j, layer in enumerate(net.if_layers()):
+            v = np.repeat(layer.v_init[None, :], 3, axis=0)
+            for t in range(rec.timesteps):
+                v = v + rec.currents[j][t]
+                v = v - rec.spikes[j][t] * layer.threshold
+                np.testing.assert_array_equal(rec.potentials[j][t], v)
 
     def test_telescoping_identity_random_nets(self):
         # theta * count == integrated current + v(0) - v(T), per neuron
@@ -186,12 +180,12 @@ class TestSimulate:
             net = _random_stack(rng.split(f"net{trial}"), depth=depth,
                                 timesteps=int(rng.integers(2, 17, ())))
             x = rng.split(f"x{trial}").normal(0, 1, (3, net.layers[0].w.shape[0]))
-            rec = simulate(net, x, record_currents=True)
+            rec = simulate(net, x, record_currents=True, record_potentials=True)
             for j, layer in enumerate(net.if_layers()):
                 lhs = rec.thresholds[j].astype(np.float64) * rec.counts(j).astype(np.float64)
                 rhs = (rec.currents[j].astype(np.float64).sum(axis=0)
                        + layer.v_init.astype(np.float64)
-                       - rec.v_end[j].astype(np.float64))
+                       - rec.potentials[j][-1].astype(np.float64))
                 np.testing.assert_allclose(lhs, rhs, rtol=0, atol=1e-5)
 
     def test_rates_live_on_theta_over_t_lattice(self):
@@ -235,27 +229,11 @@ class TestFiringRate:
 
     def test_saturation(self):
         rec = self._record([1, 1, 1, 1, 1])
-        assert float(firing_rate(rec, 0, rho=5)[0, 0]) == 1.0  # theta = 1
-
-    def test_partial_window_t_denominator(self):
-        rec = self._record([1, 0, 1, 0, 1])
-        assert float(firing_rate(rec, 0, rho=5, denominator="T")[0, 0]) == pytest.approx(0.6)
+        assert float(firing_rate(rec, 0)[0, 0]) == 1.0  # theta = 1
 
     def test_silence(self):
         rec = self._record([0, 0, 0])
         assert float(firing_rate(rec, 0)[0, 0]) == 0.0
-
-    def test_rho_bounds(self):
-        rec = self._record([1, 0, 1])
-        with pytest.raises(ValueError, match="rho"):
-            firing_rate(rec, 0, rho=0)
-        with pytest.raises(ValueError, match="rho"):
-            firing_rate(rec, 0, rho=4)
-
-    def test_bad_denominator(self):
-        rec = self._record([1])
-        with pytest.raises(ValueError, match="denominator"):
-            firing_rate(rec, 0, denominator="both")
 
 
 class TestTheoreticalSpikeCount:

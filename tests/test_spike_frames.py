@@ -7,9 +7,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from spikefit.ann import Linear
+from spikefit.ann import ActivationTrace, Linear
 from spikefit.calibrate import activation_align_loss
 from spikefit.cli import _write_json
+from spikefit.diagnostics import decompose_errors
 from spikefit.energy import count_ops, energy_report, spike_rate_stats
 from spikefit.snn import IfLayer, SnnNetwork, SpikeRecord, firing_rate, if_step, simulate
 from spikefit.tensor import Rng
@@ -69,19 +70,28 @@ def test_simulate_peak_memory():
 
 
 def _readers(rec: SpikeRecord, net: SnnNetwork) -> dict:
-    T = rec.timesteps
-    windows = [(j, rho, d) for j in range(rec.n_layers)
-               for rho in (1, T // 2, T) for d in ("rho", "T")]
-    rates = [firing_rate(rec, j, rho, d) for j, rho, d in windows]
+    n = rec.n_layers
     # the float64 rate: the same frames against fixed analog activations
-    acts = [Rng(23 + j).uniform(0, 1.5, rec.spikes[j].shape[1:]) for j in range(rec.n_layers)]
-    align = [activation_align_loss(acts[j], rec.spikes[j], rec.thresholds[j], rho, T, d)
-             for j, rho, d in windows]
-    return {"firing_rate": rates,
-            "activation_align_loss": align,
+    acts = [Rng(23 + j).uniform(0, 1.5, rec.spikes[j].shape[1:]) for j in range(n)]
+    traces = [ActivationTrace(str(j), "qcfs", pre=acts[j] * 1.2, post=acts[j],
+                              ceiling=1.25, levels=4) for j in range(n)]
+    return {"firing_rate": [firing_rate(rec, j) for j in range(n)],
+            "activation_align_loss": [activation_align_loss(acts[j], rec.spikes[j],
+                                                            rec.thresholds[j])
+                                      for j in range(n)],
             "count_ops": count_ops(rec, net),
             "spike_rate_stats": spike_rate_stats(rec),
-            "counts": [rec.counts(j) for j in range(rec.n_layers)]}
+            "counts": [rec.counts(j) for j in range(n)],
+            "decompose_errors": decompose_errors(traces, rec, net)}
+
+
+def _assert_same_bits(got: dict, want: dict) -> None:
+    for key in ("count_ops", "spike_rate_stats", "activation_align_loss", "decompose_errors"):
+        assert got[key] == want[key], key
+    for key in ("firing_rate", "counts"):
+        for a, b in zip(got[key], want[key]):
+            assert a.dtype == b.dtype
+            assert a.tobytes() == b.tobytes()
 
 
 @pytest.mark.parametrize("dtype", [np.bool_, np.uint8, np.float32])
@@ -90,14 +100,20 @@ def test_readers_agree_across_frame_dtypes(dtype):
     rec = simulate(net, Rng(22).normal(0, 1.5, (4, 5)))
     want = _readers(rec, net)
     rec.spikes = [s.astype(dtype) for s in rec.spikes]
-    got = _readers(rec, net)
-    assert got["count_ops"] == want["count_ops"]
-    assert got["spike_rate_stats"] == want["spike_rate_stats"]
-    assert got["activation_align_loss"] == want["activation_align_loss"]
-    for key in ("firing_rate", "counts"):
-        for a, b in zip(got[key], want[key]):
-            assert a.dtype == b.dtype
-            assert a.tobytes() == b.tobytes()
+    _assert_same_bits(_readers(rec, net), want)
+
+
+def test_readers_depend_only_on_spike_counts():
+    # every reader of a record scores the whole horizon, so the order of the
+    # spike frames in time cannot matter: a per-layer count array would do
+    net = _net([5, 7, 6, 3], timesteps=8, seed=21)
+    rec = simulate(net, Rng(22).normal(0, 1.5, (4, 5)))
+    want = _readers(rec, net)
+    frames = rec.spikes
+    rec.spikes = [s[::-1].copy() for s in frames]
+    # the reversal must move spikes, or the check shows nothing
+    assert any(not np.array_equal(s, f) for s, f in zip(rec.spikes, frames))
+    _assert_same_bits(_readers(rec, net), want)
 
 
 def test_outputs_match_float32_frame_golden(tmp_path):
@@ -106,8 +122,6 @@ def test_outputs_match_float32_frame_golden(tmp_path):
     rec = simulate(net, Rng(8).normal(0, 1, (3, 5)))
     assert _sha(rec.output.tobytes()) == \
         "d3ddae7dfa131418408748c0bf08347550e77cc025906681ee05d23a8ccf15b3"
-    assert _sha(b"".join(v.tobytes() for v in rec.v_end)) == \
-        "e1ab2d5cba3753cf9de8295821ccd10b4f33fc0902afa6c8c43abf2553290eb1"
     path = tmp_path / "energy.json"
     _write_json(str(path), energy_report(count_ops(rec, net), rates=spike_rate_stats(rec)).as_dict())
     assert _sha(path.read_bytes()) == \
@@ -121,13 +135,12 @@ def test_wide_record_golden():
     net = _net([8, 128, 128, 128, 4], timesteps=16, seed=5, scale=0.3)
     rec = simulate(net, Rng(6).normal(0, 1, (64, 8)),
                    record_currents=True, record_potentials=True)
-    joined = {"spikes": rec.spikes, "output": [rec.output], "v_end": rec.v_end,
+    joined = {"spikes": rec.spikes, "output": [rec.output],
               "currents": rec.currents, "potentials": rec.potentials}
     got = {k: _sha(b"".join(a.tobytes() for a in arrs)) for k, arrs in joined.items()}
     assert got == {
         "spikes": "3461a1acd9ba937df3346ee701a3df0da21bc38d94e5bde8a5173b63704575d4",
         "output": "d7e860bff826aca4f0a71cdb4b33622023a225a0b874c2bfc022ede676e67bae",
-        "v_end": "175240fa27b8975479a60370f7574d6350408dd1fff33d4bb38697bbcd433451",
         "currents": "fa82e1e5f0f1fe777b5a5ce8bb7835e351a5678096327e7b7009a34f6aeacb07",
         "potentials": "0cb49a93ee03c6c85311fba13ff9fadff18e8cbe08f092c6521a6f8935fd18c5",
     }
