@@ -35,8 +35,8 @@ class CalibConfig:
 
     timesteps: int = 8
     rho: int | None = None
-    alpha: object = 0.6          # scalar, per-layer list, or "auto"
-    beta: object = 0.1           # scalar or per-layer list
+    alpha: object = 0.6          # a number in (0, 1], or "auto"
+    beta: float = 0.1
     lambda_align: float = 1.0
     lambda_logits: float = 1.0
     temperature: float = 1.0
@@ -62,10 +62,9 @@ class CalibConfig:
             raise ValueError("loss weights must not both be zero")
         if self.temperature <= 0:
             raise ValueError(f"temperature must be positive, got {self.temperature}")
-        if self.alpha != "auto":
-            for a in np.atleast_1d(np.asarray(self.alpha, dtype=np.float64)):
-                if not 0 < a <= 1:
-                    raise ValueError(f"alpha must lie in (0, 1], got {a}")
+        if self.alpha != "auto" and not (type(self.alpha) in (int, float)
+                                         and 0 < self.alpha <= 1):
+            raise ValueError(f"alpha must be 'auto' or a number in (0, 1], got {self.alpha!r}")
 
 
 def _rate_denominator(cfg: CalibConfig) -> int:
@@ -125,19 +124,18 @@ def _per_layer(value, n: int, name: str) -> list[float]:
     return [float(v) for v in arr]
 
 
-def lwc(net: SnnNetwork, alpha, beta) -> SnnNetwork:
-    """Layer-wise calibration: scale thresholds by alpha, then set the
-    initial potential to beta times the scaled threshold."""
-    if_layers = net.if_layers()
-    alphas = _per_layer(alpha, len(if_layers), "alpha")
-    betas = _per_layer(beta, len(if_layers), "beta")
+def lwc(net: SnnNetwork, alpha, beta: float) -> SnnNetwork:
+    """Layer-wise calibration: scale thresholds by alpha (one scalar, or one
+    per IF layer), then set the initial potential to beta times the scaled
+    threshold."""
+    alphas = _per_layer(alpha, len(net.if_layers()), "alpha")
     for a in alphas:
         if not 0 < a <= 1:
             raise ValueError(f"alpha must lie in (0, 1], got {a}")
     out = net.clone()
-    for layer, a, b in zip(out.if_layers(), alphas, betas):
+    for layer, a in zip(out.if_layers(), alphas):
         layer.threshold = (np.float32(a) * layer.threshold).astype(np.float32)
-        layer.v_init = (np.float32(b) * layer.threshold).astype(np.float32)
+        layer.v_init = (np.float32(beta) * layer.threshold).astype(np.float32)
     return out
 
 
@@ -153,9 +151,8 @@ def select_alpha(taus, timesteps: int) -> float:
 
 def resolve_alpha(cfg: CalibConfig, ann: AnnModel, probe_x: Array) -> list[float]:
     """Per-layer alpha: the configured value, or the data heuristic when 'auto'."""
-    n = len(ann.qcfs_layers())
     if cfg.alpha != "auto":
-        return _per_layer(cfg.alpha, n, "alpha")
+        return [float(cfg.alpha)] * len(ann.qcfs_layers())
     alphas = []
     for trace in ann_forward(ann, probe_x).traces:
         taus = theoretical_spike_count(trace.post, trace.ceiling, cfg.timesteps)

@@ -1,8 +1,10 @@
 """Batch experiment runner: config-driven subcommands that train, convert,
 calibrate, evaluate, and analyze, writing checkpoints and reports under one
-output directory. `pipeline` runs the stages in that order; each stage
+output directory. `pipeline` runs the stages in that order. Every stage takes
+only ``--config`` and ``--out``, reads its settings from the config alone, and
 re-derives its random streams from the config seed, so a manual chain of
-subcommands writes the same files, byte for byte, as one `pipeline` run."""
+subcommands writes the same files, byte for byte, as one `pipeline` run, and
+each report's ``config_hash`` names every setting that produced it."""
 
 from __future__ import annotations
 
@@ -45,19 +47,7 @@ class _Run:
 
     def __init__(self, args):
         cfg = parse_config(args.config)
-        if args.seed is not None:
-            cfg = replace(cfg, seed=args.seed)
-        overrides = {}
-        if args.timesteps is not None:
-            overrides["timesteps"] = args.timesteps
-            if args.rho is None and cfg.stage2.rho == cfg.stage2.timesteps:
-                overrides["rho"] = None  # keep rho pinned to the horizon
-        if args.rho is not None:
-            overrides["rho"] = args.rho
-        if args.denominator is not None:
-            overrides["denominator"] = args.denominator
-        cfg = replace(cfg, stage2=replace(cfg.stage2, seed=cfg.seed, **overrides))
-
+        cfg = replace(cfg, stage2=replace(cfg.stage2, seed=cfg.seed))
         out = args.out or cfg.out_dir
         if out is None:
             raise ConfigError("no output directory: set out_dir in the config or pass --out")
@@ -66,7 +56,6 @@ class _Run:
         self.reports = os.path.join(out, "reports")
         self.config_hash = config_hash(args.config)
         self.splits = make_dataset(cfg.dataset, Rng(cfg.seed).split("data"))
-        self.ablate = getattr(args, "ablate", None) or "both"
 
     def path(self, *parts) -> str:
         return os.path.join(self.out, *parts)
@@ -122,7 +111,7 @@ def cmd_calibrate(run: _Run) -> None:
     cfg = run.cfg
     ann = ckpt.load_checkpoint(run.path("ann"))
     net = ckpt.load_checkpoint(run.path("snn"))
-    calibrated, log = apply_stage2(net, ann, run.splits, cfg.stage2, run.ablate,
+    calibrated, log = apply_stage2(net, ann, run.splits, cfg.stage2, "both",
                                    Rng(cfg.seed).split("calib"))
     ckpt.save_checkpoint(calibrated, run.path("snn_calibrated"))
     os.makedirs(run.reports, exist_ok=True)
@@ -132,7 +121,7 @@ def cmd_calibrate(run: _Run) -> None:
     losses = eval_losses(calibrated, ann, run.eval_batch(), cfg.stage2)
     _write_json(run.path("reports", "stage_calibrate.json"), {
         "config_hash": run.config_hash,
-        "ablate": run.ablate,
+        "ablate": "both",
         "rho": cfg.stage2.rho,
         "denominator": cfg.stage2.denominator,
         "steps_logged": len(log),
@@ -234,17 +223,10 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=f"run the {name} stage")
         p.add_argument("--config", required=True, help="experiment config (JSON)")
         p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        p.add_argument("--timesteps", type=int, default=None, help="override inference horizon")
-        p.add_argument("--rho", type=int, default=None, help="override calibration steps")
-        p.add_argument("--denominator", choices=("rho", "T"), default=None,
-                       help="rate denominator mode")
-        p.add_argument("--ablate", choices=("none", "lwc", "nwc", "both"), default=None,
-                       help="which stage-2 components to apply")
     return parser
 
 
-def dispatch(argv: list[str] | None = None) -> int:
+def main(argv: list[str] | None = None) -> int:
     """Parse arguments and run one subcommand; returns the exit status."""
     parser = _build_parser()
     try:
@@ -262,10 +244,6 @@ def dispatch(argv: list[str] | None = None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 1
     return 0
-
-
-def main(argv: list[str] | None = None) -> int:
-    return dispatch(argv)
 
 
 if __name__ == "__main__":

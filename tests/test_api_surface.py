@@ -5,14 +5,18 @@ method, or a field with a default in a public dataclass, anywhere in
 ``src/spikefit/*.py``. Public means the name does not start with an
 underscore, so ``__init__`` and ``__post_init__`` do not count. A change
 that adds or removes a knob updates the pin in its own diff.
+
+The CLI is pinned too: a run's settings come from its config file alone, so
+each subcommand takes only the config path and the output directory.
 """
 
 import ast
 from pathlib import Path
 
 import spikefit
+from spikefit import cli
 
-SETTABLE_VALUES = 68
+SETTABLE_VALUES = 67
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:
@@ -41,3 +45,12 @@ def test_settable_value_count_is_pinned():
     total = sum(_settable(ast.parse(path.read_text()).body)
                 for path in sorted(root.glob("*.py")))
     assert total == SETTABLE_VALUES
+
+
+def test_every_subcommand_takes_only_config_and_out():
+    subparsers = next(a for a in cli._build_parser()._actions
+                      if a.dest == "command").choices
+    assert sorted(subparsers) == sorted(cli._COMMANDS)
+    for name, parser in subparsers.items():
+        options = sorted(o for a in parser._actions for o in a.option_strings)
+        assert options == ["--config", "--help", "--out", "-h"], name

@@ -15,13 +15,13 @@ from spikefit.snn import SimulationError
 STAGES = ("train", "convert", "calibrate", "eval", "analyze", "energy")
 
 
-def _config(tmp_path, stage1=(), stage2=()) -> str:
+def _config(tmp_path, stage1=()) -> str:
     raw = {
         "seed": 3,
         "model": {"kind": "mlp_classifier", "hidden": [8, 8], "levels": 4},
         "dataset": {"kind": "synthetic-teacher", "samples": 200},
         "stage1": {"steps": 20, "batch_size": 32, **dict(stage1)},
-        "stage2": {"timesteps": 4, "steps": 5, "batch_size": 32, **dict(stage2)},
+        "stage2": {"timesteps": 4, "steps": 5, "batch_size": 32},
     }
     path = tmp_path / "config.json"
     path.write_text(json.dumps(raw))
@@ -40,9 +40,9 @@ def _files(root) -> dict[str, bytes]:
 
 def test_stage_chain_writes_the_same_files_as_pipeline(tmp_path):
     config = _config(tmp_path)
-    assert cli.dispatch(["pipeline", "--config", config, "--out", str(tmp_path / "a")]) == 0
+    assert cli.main(["pipeline", "--config", config, "--out", str(tmp_path / "a")]) == 0
     for stage in STAGES:
-        assert cli.dispatch([stage, "--config", config, "--out", str(tmp_path / "b")]) == 0
+        assert cli.main([stage, "--config", config, "--out", str(tmp_path / "b")]) == 0
     piped, chained = _files(tmp_path / "a"), _files(tmp_path / "b")
     assert "reports/energy.json" in piped
     assert sorted(piped) == sorted(chained)
@@ -50,22 +50,8 @@ def test_stage_chain_writes_the_same_files_as_pipeline(tmp_path):
         assert piped[name] == chained[name], name
 
 
-@pytest.mark.parametrize("stage2, flags, want", [
-    ({}, ["--timesteps", "6"], (6, 6)),
-    ({}, ["--timesteps", "6", "--rho", "2"], (6, 2)),
-    ({"rho": 2}, ["--timesteps", "6"], (6, 2)),
-    ({}, ["--rho", "3"], (4, 3)),
-])
-def test_timesteps_keeps_rho_pinned_unless_overridden(tmp_path, stage2, flags, want):
-    config = _config(tmp_path, stage2=stage2)
-    args = cli._build_parser().parse_args(
-        ["convert", "--config", config, "--out", str(tmp_path / "o"), *flags])
-    calib = cli._Run(args).cfg.stage2
-    assert (calib.timesteps, calib.rho) == want
-
-
 def test_missing_output_directory_is_one_line(tmp_path, capsys):
-    assert cli.dispatch(["train", "--config", _config(tmp_path)]) == 1
+    assert cli.main(["train", "--config", _config(tmp_path)]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: no output directory")
 
@@ -77,7 +63,7 @@ def test_typed_errors_exit_1_with_one_line(tmp_path, capsys, monkeypatch, error)
         raise error("boom")
 
     monkeypatch.setitem(cli._COMMANDS, "train", fail)
-    assert cli.dispatch(["train", "--config", _config(tmp_path), "--out", str(tmp_path)]) == 1
+    assert cli.main(["train", "--config", _config(tmp_path), "--out", str(tmp_path)]) == 1
     assert capsys.readouterr().err.splitlines() == ["error: boom"]
 
 
@@ -91,7 +77,7 @@ def test_training_keeps_staircase_ceilings_positive(tmp_path):
     }
     config = tmp_path / "config.json"
     config.write_text(json.dumps(raw))
-    assert cli.dispatch(["train", "--config", str(config), "--out", str(tmp_path / "o")]) == 0
+    assert cli.main(["train", "--config", str(config), "--out", str(tmp_path / "o")]) == 0
     ceilings = [q.ceiling for q in load_checkpoint(str(tmp_path / "o" / "ann")).qcfs_layers()]
     assert ceilings and all(c >= np.float32(1e-4) for c in ceilings)
 
@@ -99,7 +85,7 @@ def test_training_keeps_staircase_ceilings_positive(tmp_path):
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_diverging_training_is_one_line(tmp_path, capsys):
     config = _config(tmp_path, stage1={"lr": 1e38})
-    assert cli.dispatch(["train", "--config", config, "--out", str(tmp_path / "o")]) == 1
+    assert cli.main(["train", "--config", config, "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: non-finite loss")
 
@@ -307,5 +293,9 @@ def test_train_writes_golden_bytes(tmp_path, monkeypatch, name):
     monkeypatch.chdir(tmp_path)  # the corpus path, and so the config hash, is relative
     (tmp_path / "corpus.txt").write_bytes(_CORPUS)
     (tmp_path / "config.json").write_text(json.dumps(_GOLDEN_CONFIGS[name], sort_keys=True))
-    assert cli.dispatch(["pipeline", "--config", "config.json", "--out", "out"]) == 0
+    assert cli.main(["pipeline", "--config", "config.json", "--out", "out"]) == 0
     assert _sha256_tree(tmp_path / "out") == PIPELINE_GOLDEN[name]
+    # every stage reads only the config, so a chain of them writes the same bytes
+    for stage in STAGES:
+        assert cli.main([stage, "--config", "config.json", "--out", "chain"]) == 0
+    assert _sha256_tree(tmp_path / "chain") == PIPELINE_GOLDEN[name]

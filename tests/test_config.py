@@ -77,6 +77,11 @@ def _without(section, key) -> dict:
     (_with("stage2", "timesteps", 4.5), "stage2.timesteps must be an integer, got 4.5"),
     (_with("stage2", "lr", float("nan")), "stage2.lr must be a finite number, got nan"),
     (_with("dataset", "task", "regress"), "unknown key 'dataset.task'"),
+    (_with("stage2", "alpha", [0.5, 0.5, 0.5]), "stage2: alpha must be 'auto' or a number"),
+    (_with("stage2", "alpha", "x"), "stage2: alpha must be 'auto' or a number in (0, 1], got 'x'"),
+    (_with("stage2", "beta", "x"), "stage2.beta must be a finite number, got 'x'"),
+    (_with("stage2", "beta", float("nan")), "stage2.beta must be a finite number, got nan"),
+    (_with("stage2", "beta", [0.5, 0.5]), "stage2.beta must be a finite number, got [0.5, 0.5]"),
 ])
 def test_rejected_with_key_path(tmp_path, raw, message):
     with pytest.raises(ConfigError, match=re.escape(message)):
