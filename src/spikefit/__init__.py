@@ -6,7 +6,7 @@ from .ann import (AnnModel, Embedding, Linear, Qcfs, Relu, TrainConfig, ann_forw
                   mlp, qcfs_forward, replace_activations, stage1_finetune, train_model)
 from .autodiff import AdamState, Tape, adam_step, backward, ste_floor, surrogate_spike_grad
 from .calibrate import (CalibConfig, activation_align_loss, apply_stage2, convert,
-                        logits_loss, lwc, nwc_calibrate, select_alpha)
+                        logits_loss, lwc, nwc_calibrate)
 from .checkpoint import IntegrityError, load_checkpoint, save_checkpoint, weight_hash
 from .config import ConfigError, ExperimentConfig, config_hash, parse_config
 from .data import DataSpec, Dataset, DatasetSplits, make_dataset

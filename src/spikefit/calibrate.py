@@ -14,7 +14,7 @@ import numpy as np
 from . import autodiff as ad
 from .ann import AnnModel, Embedding, Linear, Qcfs, Relu, _apply_embedding, ann_forward
 from .snn import (IfLayer, SimulationError, SnnNetwork, SpikeRecord, _if_steps, _rate,
-                  _split_stack, _start_potentials, simulate, theoretical_spike_count)
+                  _split_stack, _start_potentials, simulate)
 from .tensor import Array, Rng
 
 
@@ -26,16 +26,17 @@ class CalibrationError(RuntimeError):
 class CalibConfig:
     """Stage-2 knobs.
 
-    ``rho`` is the number of unrolled steps in neuron-wise calibration's
-    window (defaults to the inference horizon); ``denominator`` picks
-    whether that window's rates divide the rho-step spike sum by rho or by
-    the full horizon. Every other rate, ``eval_losses`` included, scores
-    the whole horizon.
+    ``alpha`` scales every IF layer's thresholds in layer-wise calibration,
+    and ``beta`` sets each initial potential as a fraction of the scaled
+    threshold. ``rho`` is the number of unrolled steps in neuron-wise
+    calibration's window (defaults to the inference horizon); that window's
+    rates divide the rho-step spike sum by rho. Every other rate,
+    ``eval_losses`` included, scores the whole horizon.
     """
 
     timesteps: int = 8
     rho: int | None = None
-    alpha: object = 0.6          # a number in (0, 1], or "auto"
+    alpha: float = 0.6
     beta: float = 0.1
     lambda_align: float = 1.0
     lambda_logits: float = 1.0
@@ -44,14 +45,14 @@ class CalibConfig:
     steps: int = 80
     batch_size: int = 128
     seed: int = 0
-    denominator: str = "rho"
 
     def __post_init__(self):
         if self.timesteps < 1:
             raise ValueError(f"timesteps must be >= 1, got {self.timesteps}")
         if self.rho is None:
             self.rho = self.timesteps
-        _rate_denominator(self)
+        if not 1 <= self.rho <= self.timesteps:
+            raise ValueError(f"need 1 <= rho <= timesteps, got rho={self.rho}, T={self.timesteps}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.steps < 0:
@@ -62,19 +63,8 @@ class CalibConfig:
             raise ValueError("loss weights must not both be zero")
         if self.temperature <= 0:
             raise ValueError(f"temperature must be positive, got {self.temperature}")
-        if self.alpha != "auto" and not (type(self.alpha) in (int, float)
-                                         and 0 < self.alpha <= 1):
-            raise ValueError(f"alpha must be 'auto' or a number in (0, 1], got {self.alpha!r}")
-
-
-def _rate_denominator(cfg: CalibConfig) -> int:
-    """Check the calibration window and denominator mode, and return the
-    number a rho-step spike sum is divided by: rho, or the horizon T."""
-    if not 1 <= cfg.rho <= cfg.timesteps:
-        raise ValueError(f"need 1 <= rho <= timesteps, got rho={cfg.rho}, T={cfg.timesteps}")
-    if cfg.denominator not in ("rho", "T"):
-        raise ValueError(f"denominator must be 'rho' or 'T', got {cfg.denominator!r}")
-    return cfg.rho if cfg.denominator == "rho" else cfg.timesteps
+        if not 0 < self.alpha <= 1:
+            raise ValueError(f"alpha must lie in (0, 1], got {self.alpha}")
 
 
 # -- stage-1 to stage-2 handoff -------------------------------------------------
@@ -115,49 +105,16 @@ def convert(model: AnnModel, timesteps: int) -> SnnNetwork:
     return SnnNetwork(layers, timesteps, input_encoder=encoder)
 
 
-def _per_layer(value, n: int, name: str) -> list[float]:
-    arr = np.atleast_1d(np.asarray(value, dtype=np.float64))
-    if arr.size == 1:
-        return [float(arr[0])] * n
-    if arr.size != n:
-        raise ValueError(f"{name} needs 1 or {n} entries, got {arr.size}")
-    return [float(v) for v in arr]
-
-
-def lwc(net: SnnNetwork, alpha, beta: float) -> SnnNetwork:
-    """Layer-wise calibration: scale thresholds by alpha (one scalar, or one
-    per IF layer), then set the initial potential to beta times the scaled
-    threshold."""
-    alphas = _per_layer(alpha, len(net.if_layers()), "alpha")
-    for a in alphas:
-        if not 0 < a <= 1:
-            raise ValueError(f"alpha must lie in (0, 1], got {a}")
+def lwc(net: SnnNetwork, alpha: float, beta: float) -> SnnNetwork:
+    """Layer-wise calibration: scale every IF layer's thresholds by alpha,
+    then set the initial potential to beta times the scaled threshold."""
+    if not 0 < alpha <= 1:
+        raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
     out = net.clone()
-    for layer, a in zip(out.if_layers(), alphas):
-        layer.threshold = (np.float32(a) * layer.threshold).astype(np.float32)
+    for layer in out.if_layers():
+        layer.threshold = (np.float32(alpha) * layer.threshold).astype(np.float32)
         layer.v_init = (np.float32(beta) * layer.threshold).astype(np.float32)
     return out
-
-
-def select_alpha(taus, timesteps: int) -> float:
-    """Heuristic threshold scale from the spread of theoretical spike counts:
-    clip(p99(tau)/T + 1/T, 0.5, 1.0)."""
-    taus = np.asarray(taus)
-    if taus.size == 0:
-        raise ValueError("select_alpha needs at least one spike-count sample")
-    p99 = float(np.percentile(taus, 99))
-    return float(np.clip(p99 / timesteps + 1.0 / timesteps, 0.5, 1.0))
-
-
-def resolve_alpha(cfg: CalibConfig, ann: AnnModel, probe_x: Array) -> list[float]:
-    """Per-layer alpha: the configured value, or the data heuristic when 'auto'."""
-    if cfg.alpha != "auto":
-        return [float(cfg.alpha)] * len(ann.qcfs_layers())
-    alphas = []
-    for trace in ann_forward(ann, probe_x).traces:
-        taus = theoretical_spike_count(trace.post, trace.ceiling, cfg.timesteps)
-        alphas.append(select_alpha(taus, cfg.timesteps))
-    return alphas
 
 
 # -- calibration losses ---------------------------------------------------------
@@ -247,7 +204,7 @@ def _nwc_bptt(snn: SnnNetwork, params: dict, drive: Array, teacher_acts,
     pairs, tail = _split_stack(snn)
     n_layers = len(pairs)
     thetas = [params[f"if{j}.threshold"] for j in range(n_layers)]
-    inv_denom = 1.0 / _rate_denominator(cfg)
+    inv_denom = 1.0 / cfg.rho
 
     # forward: the boolean spike and surrogate window of every (step, layer)
     layers = [IfLayer(thetas[j], params[f"if{j}.v_init"]) for j in range(n_layers)]
@@ -391,8 +348,8 @@ def nwc_calibrate(snn: SnnNetwork, ann: AnnModel, data, cfg: CalibConfig,
 def eval_losses(snn: SnnNetwork, ann: AnnModel, x: Array, cfg: CalibConfig) -> dict:
     """Both calibration losses on a fixed batch, computed from a plain
     simulation at the inference horizon, over all of its T steps; so rho
-    and the denominator mode do not enter, and the logits are the
-    simulation's own decoded output."""
+    does not enter, and the logits are the simulation's own decoded
+    output."""
     return _record_losses(simulate(snn, x, cfg.timesteps), ann, x, cfg)
 
 
@@ -439,9 +396,7 @@ def apply_stage2(snn_base: SnnNetwork, ann: AnnModel, splits, cfg: CalibConfig,
         raise ValueError(f"unknown ablation variant {variant!r}")
     net = snn_base.clone()
     if variant in ("lwc", "both"):
-        probe = splits.train.x[:512]
-        alphas = resolve_alpha(cfg, ann, probe)
-        net = lwc(net, alphas, cfg.beta)
+        net = lwc(net, cfg.alpha, cfg.beta)
     log: list[dict] = []
     if variant in ("nwc", "both"):
         net, log = nwc_calibrate(net, ann, splits.calib, cfg, rng.split(f"nwc-{variant}"))

@@ -70,7 +70,6 @@ def cmd_train(run: _Run) -> None:
     model0 = build_model(cfg, rng.split("init"))
     model0, hist0 = train_model(model0, run.splits.train, cfg.stage1,
                                 rng.split("pretrain"), val_data=run.splits.test)
-    ckpt.save_checkpoint(model0, run.path("ann_baseline"))
 
     init_batch = run.splits.train.x[:min(512, len(run.splits.train.x))]
     qcfs_model = replace_activations(model0, cfg.model.levels, init_batch)
@@ -123,7 +122,6 @@ def cmd_calibrate(run: _Run) -> None:
         "config_hash": run.config_hash,
         "ablate": "both",
         "rho": cfg.stage2.rho,
-        "denominator": cfg.stage2.denominator,
         "steps_logged": len(log),
         "eval_losses": losses,
         "weights_frozen": ckpt.weight_hash(calibrated) == ckpt.weight_hash(net),

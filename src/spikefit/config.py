@@ -49,7 +49,7 @@ class ExperimentConfig:
 
 
 # JSON value checks by field annotation; a field annotated otherwise (a
-# section, or stage2's alpha, a number or "auto") is checked by its own code
+# section) is checked by its own code
 _TYPES = {
     "int": ("an integer", lambda v: type(v) is int),
     "float": ("a finite number", lambda v: type(v) in (int, float) and math.isfinite(v)),

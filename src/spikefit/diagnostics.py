@@ -159,10 +159,12 @@ def output_cosine(ann_out: Array, snn_out: Array) -> float:
     b = np.asarray(snn_out, dtype=np.float64).ravel()
     if a.shape != b.shape:
         raise ValueError(f"output shape mismatch: {a.shape} vs {b.shape}")
-    na, nb = np.linalg.norm(a), np.linalg.norm(b)
+    # numpy's own reductions, not BLAS, so the bits do not depend on the
+    # BLAS thread count
+    na, nb = np.sqrt(np.sum(a * a)), np.sqrt(np.sum(b * b))
     if na == 0 or nb == 0:
         raise ValueError("cosine similarity is undefined for a zero-norm output")
-    return float(a @ b / (na * nb))
+    return float(np.sum(a * b) / (na * nb))
 
 
 @dataclass

@@ -6,7 +6,7 @@ from spikefit.ann import (AnnModel, Linear, Qcfs, Relu, ann_forward, mlp,
                           replace_activations)
 from spikefit.calibrate import (CalibConfig, CalibrationError, activation_align_loss,
                                 apply_stage2, convert, eval_losses, logits_loss,
-                                lwc, nwc_calibrate, select_alpha)
+                                lwc, nwc_calibrate)
 from spikefit.checkpoint import weight_hash
 from spikefit.data import Dataset, DataSpec, DatasetSplits, make_dataset
 from spikefit.snn import firing_rate, simulate
@@ -87,27 +87,6 @@ class TestLwc:
             lwc(net, 1.5, 0.1)
 
 
-class TestSelectAlpha:
-    def test_heuristic_formula(self):
-        # p99 = 4, T = 8, margin = 1/8 -> 0.625
-        taus = np.full(1000, 4.0)
-        assert select_alpha(taus, 8) == pytest.approx(0.625)
-
-    def test_no_headroom_saturates_at_one(self):
-        taus = np.full(100, 8.0)
-        assert select_alpha(taus, 8) == 1.0
-
-    def test_floor_at_half(self):
-        assert select_alpha(np.zeros(100), 8) == 0.5
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            select_alpha(np.zeros(0), 8)
-
-    def test_config_default_when_heuristic_disabled(self):
-        assert CalibConfig().alpha == 0.6
-
-
 class TestAlignLoss:
     def test_perfect_alignment_is_zero(self):
         spikes = np.zeros((4, 1, 2), np.float32)
@@ -177,9 +156,8 @@ class TestCalibConfig:
         with pytest.raises(ValueError, match="alpha"):
             CalibConfig(alpha=0.0)
 
-    def test_denominator_values(self):
-        with pytest.raises(ValueError, match="denominator"):
-            CalibConfig(denominator="steps")
+    def test_alpha_default(self):
+        assert CalibConfig().alpha == 0.6
 
 
 def _calib_setup(seed, dims=(6, 12, 3)):
@@ -294,13 +272,13 @@ class TestLossDecomposition:
         assert both["L_all"] == pytest.approx(align_only["L_all"] + logits_only["L_all"],
                                               abs=1e-6)
 
-    def test_rho_and_denominator_do_not_enter(self):
-        # the eval losses score all T steps, where a rate divides by T either way
+    def test_rho_does_not_enter(self):
+        # the eval losses score all T steps, whatever NWC's window
         rng, model, data = _calib_setup(4)
         net = lwc(convert(model, 6), 0.8, 0.3)
         x = data.x[:64]
         plain = eval_losses(net, model, x, CalibConfig(timesteps=6))
-        windowed = eval_losses(net, model, x, CalibConfig(timesteps=6, rho=3, denominator="T"))
+        windowed = eval_losses(net, model, x, CalibConfig(timesteps=6, rho=3))
         assert plain == windowed
 
 

@@ -1,10 +1,14 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import spikefit
 from spikefit import cli
 from spikefit.ann import TrainingDivergedError
 from spikefit.calibrate import CalibrationError
@@ -92,22 +96,19 @@ def test_diverging_training_is_one_line(tmp_path, capsys):
 
 _CORPUS = b"the quick brown fox jumps over the lazy dog; pack my box with five dozen jugs. " * 8
 
-# sha256 of every file `spikefit pipeline` writes. The ann, ann_baseline and
-# stage_train hashes were recorded before stage-1 training left the autodiff
-# tape; the rest before the spike-to-rate paths were merged into one, except
-# metrics.json, re-recorded when `eval.rho` was removed from it (the eval
-# losses run over all T steps, so rho never entered them). A refactor that
-# keeps outputs must keep them all.
+# sha256 of every file `spikefit pipeline` writes. The ann and stage_train
+# hashes were recorded before stage-1 training left the autodiff tape; the rest
+# before the spike-to-rate paths were merged into one, except
+# stage_calibrate.json and metrics.json, re-recorded when the denominator mode
+# left stage 2 and output_cosine stopped using BLAS, and every regressor_rho
+# hash, re-recorded when that config dropped the denominator and alpha "auto".
+# A refactor that keeps outputs must keep them all.
 PIPELINE_GOLDEN = {
     "classifier": {
         "ann/manifest.json":
             "a5982f35338440848dc9a55479705ffc0c889804b3fe9d2acbc3c75edd13faa5",
         "ann/weights.bin":
             "6f0afc2bb4268ff02b423497f28dc7dc7b8d993680177f62a9f46893a6f84211",
-        "ann_baseline/manifest.json":
-            "77da9a99f1066fc0063b68d35643b68427893dcce72071123d5289d30c732580",
-        "ann_baseline/weights.bin":
-            "6b53ef86e02bf3ed0fc2a6e126befdcce1688abba2467bec9c96854751d89c6a",
         "reports/calibration.jsonl":
             "226ce26880e489f392d3ee81434b680d7be130a56e9ce90970fd169b266d1453",
         "reports/energy.json":
@@ -117,9 +118,9 @@ PIPELINE_GOLDEN = {
         "reports/layer_mse.csv":
             "cbeb0ce992dbd55f85512ac7485ed21dfd6d4db8a8e9b4ba23542c11444372df",
         "reports/metrics.json":
-            "a99a9cda23a768cba3da693da274c15c6885524513aac85a249df5628d0b2f08",
+            "1f6da3311a5f5fa3879f689ad91217c7cce7b31353f89dbf13448873e0daea02",
         "reports/stage_calibrate.json":
-            "b116f61bb7048c72ceb70a54af0519324e3939b1bb28382f84002c32d47c0a62",
+            "0cbf3c08d304cc8bb407b885ce6648c3c6ce138c4d8f9ab0c0a580650079117a",
         "reports/stage_convert.json":
             "d988bbb76690271052c495b7dd444f0b642c7c3dc050ead9cf50bb1c7ee51657",
         "reports/stage_train.json":
@@ -142,10 +143,6 @@ PIPELINE_GOLDEN = {
             "929fefe6d43dd1bcd2651e64aebd08f438ce65a937b9372b8d6b06aa63c7975d",
         "ann/weights.bin":
             "59c515cf46c522c74ef94996e81c4d88b560a744f1c9e366c9493da8aefe902b",
-        "ann_baseline/manifest.json":
-            "a6a017ed0dc71a8c68d9b23e4cdfa56d692130929e1da4299e435ea760740b64",
-        "ann_baseline/weights.bin":
-            "27f79fa1801db2205af8b81080375e15f58552795bacd47493e96942dea5f5c0",
         "reports/calibration.jsonl":
             "c00eb1eaee9818cc295f6167e388724161b562733ebb3de47482ec6442739704",
         "reports/energy.json":
@@ -155,9 +152,9 @@ PIPELINE_GOLDEN = {
         "reports/layer_mse.csv":
             "c344bca9ae44d9dd53add590cdcd642a714c8cabdf8626226e0d6d1e62b0aa50",
         "reports/metrics.json":
-            "f9232912bfd5bf228b014af8c831d6e29ae323ce1ea1055e25b4456ce0292c44",
+            "dc9a355459ddab8b95d5da2ecc6fb38853ca7035b1ba10c6d4ade2fd8449d921",
         "reports/stage_calibrate.json":
-            "1c5241cbe2e14bd3b118db144ee67c81690a51b52070878ec4b436f58e99ba15",
+            "4b14021a0049e26d4158f9da28b4f3e77e6c60dfce98103889d3f6ec336dd36c",
         "reports/stage_convert.json":
             "7776510435069a48641db4386bd279fc173f89915596f0cfe9bcfd9c0fc66703",
         "reports/stage_train.json":
@@ -180,10 +177,6 @@ PIPELINE_GOLDEN = {
             "f957c05666dfc8cc59181cb878538ac42efcaffe45b3a834a6e1a26ca4eff9c1",
         "ann/weights.bin":
             "50e2a36dc70f62bc89a9b7ddb6958db9498e48c023156798b523e1fbb09e500b",
-        "ann_baseline/manifest.json":
-            "1d97cf6071cd61dbccff5f8ee769ffc2a396fcbd9414096544eb712f1339d3da",
-        "ann_baseline/weights.bin":
-            "08ee8f56505ed830a04369e9644298ba21c94c869eb936587f21d0b3678dc6b2",
         "reports/calibration.jsonl":
             "7db2e7642a923f5f3b1e7dc48f2f209974f3f31e4bb7b2f982678d0638825c60",
         "reports/energy.json":
@@ -193,9 +186,9 @@ PIPELINE_GOLDEN = {
         "reports/layer_mse.csv":
             "1e14b22ad1edd0a73847e30fdf7c4df70f1231bdc93961d73a97459b4e152c0c",
         "reports/metrics.json":
-            "f43c2c5a8468da2e41f1755bef3111d2ba559407447e88bf6f12cb3591f85c58",
+            "ad5e814d5a170dac954517f39ce50bf3e3d5c9ee655557aa66f00e311873c26b",
         "reports/stage_calibrate.json":
-            "b7d123610090615f38e4404e1a0e1fb26b7412578963f816c0d6f14856d52398",
+            "666c2db509922caaac48bbade02de9db04037f2295db01161d78a49a661cf905",
         "reports/stage_convert.json":
             "1b7d17c74c7c5365c8477fb43cc8d9695071cb790b4e6d926123b65dc7ab3efb",
         "reports/stage_train.json":
@@ -218,38 +211,34 @@ PIPELINE_GOLDEN = {
             "929fefe6d43dd1bcd2651e64aebd08f438ce65a937b9372b8d6b06aa63c7975d",
         "ann/weights.bin":
             "59c515cf46c522c74ef94996e81c4d88b560a744f1c9e366c9493da8aefe902b",
-        "ann_baseline/manifest.json":
-            "a6a017ed0dc71a8c68d9b23e4cdfa56d692130929e1da4299e435ea760740b64",
-        "ann_baseline/weights.bin":
-            "27f79fa1801db2205af8b81080375e15f58552795bacd47493e96942dea5f5c0",
         "reports/calibration.jsonl":
-            "c8cc8941129ded84494cefbcde25b4f11d7e896b4544f2997a40c7d160edbd7e",
+            "5c584a19a1a895f340ccfc6e52a8dd6543cd7cf61f7c84f8f02fd3d0a90edabc",
         "reports/energy.json":
-            "54c9e4ebc3c6552ad4990b357e7efdf305befcdc396184cc6fd405f304f18f4c",
+            "3b8f12228650ca725e4936b21ab98fbcd1c59880caf99a9436270fd6fa04274c",
         "reports/errors.csv":
-            "7c049e70989293a452e9141d240f29673fd8facd045cb7637aaec4b9067beedf",
+            "4d9664e1b1d85c8f13b3b5342f146a518ecc60934cb810e689cc301f6e7687ee",
         "reports/layer_mse.csv":
-            "0035ca18074e2aee8f3965ccf84b667ca26fba98ca94ac4d1bb50d47f5e23b02",
+            "a1643214674d746955bcce92039dfc5efa13aee4c61034863b4051ba43afba4c",
         "reports/metrics.json":
-            "d967b05764d959a7989ab0f769d51f9b071ccac169c882ff76b340ba8c6c90a4",
+            "f9c19725e475e82770b0aee09ed4542ba1e6f76b94653b0b0681520c6b9a984c",
         "reports/stage_calibrate.json":
-            "b12bcd732e180aac45bb22b41308acb83fb80cf865aa01b2f94a6b91f70c8eef",
+            "bef09d541d572040e4ef7b6fd628ce3a4a937c8c3f751eff0477041344cf1284",
         "reports/stage_convert.json":
-            "694dacb4e4e7c159f3d78147e47344c71ee2c732b006f38c1548f2aea80bb710",
+            "6d8d3839e71b1b430b971cc68e291c117b13043c980cc618a6fb8de16e1717d4",
         "reports/stage_train.json":
-            "8d933d07aa86df754e8965f2de512fcafadc304e1be85f4db0a27f644f279594",
+            "8e1077dd2ea6b13325dc1be6ec5d33e10293742f4bc3b370d2eb90bcf59a4e7a",
         "reports/tau_histogram.csv":
             "a7f357288c11d61b782782ec65844a7390ed3172750a9c0d923547270dd54f0c",
         "reports/threshold_shift.csv":
-            "d4440c31af104ba08c42db139004090d1a73a3c13533ccf05d5488087752acaa",
+            "ba2ee2ff6c552a29b27dddf38c41693c2c8cdc78811aed649d106dde1677854a",
         "snn/manifest.json":
             "fa5207d787e6a840a21079ba8a3e4f5bf255059886a8864903b6b30e70b764bb",
         "snn/weights.bin":
             "c76cef24c2ef7812bc24c067404b1a48d6e09aa740fc2aa42f36dabfc9173b0e",
         "snn_calibrated/manifest.json":
-            "5fbc6eb9fb7547e67c7c30b96a069681522633f70eaad0cbac83909652815805",
+            "5869977589b789eeebe27d98e9766934afd6fdbc4ff6048c05ce501616feb014",
         "snn_calibrated/weights.bin":
-            "83c02664f24d898828882692515b83703c0d153baeadada2bf28986663d89a71",
+            "315749d1901355989fee4e7775f048c78f68c6b403842a5bfaa3cf9e27a557e0",
     },
 }
 
@@ -273,13 +262,13 @@ _GOLDEN_CONFIGS = {
         "dataset": {"kind": "char-lm", "samples": 400, "window": 4, "path": "corpus.txt"},
         "stage1": {"steps": 30, "batch_size": 32, "lr": 0.01},
     },
-    # a partial calibration window, rates over T, and the data-driven alpha
+    # a partial calibration window: NWC's rates divide by rho = 3, an inexact 1/rho
     "regressor_rho": {
         "seed": 6,
         "model": {"kind": "mlp_regressor", "hidden": [12], "levels": 8},
         "dataset": {"kind": "synthetic-teacher", "samples": 300, "classes": 3},
         "stage1": {"steps": 40, "batch_size": 32, "lr": 0.005},
-        "stage2": {"timesteps": 6, "rho": 3, "denominator": "T", "alpha": "auto"},
+        "stage2": {"timesteps": 6, "rho": 3},
     },
 }
 
@@ -288,14 +277,31 @@ def _sha256_tree(root) -> dict[str, str]:
     return {name: hashlib.sha256(data).hexdigest() for name, data in _files(root).items()}
 
 
+def _write_golden_config(directory, name) -> None:
+    (directory / "corpus.txt").write_bytes(_CORPUS)
+    (directory / "config.json").write_text(json.dumps(_GOLDEN_CONFIGS[name], sort_keys=True))
+
+
 @pytest.mark.parametrize("name", sorted(_GOLDEN_CONFIGS))
 def test_train_writes_golden_bytes(tmp_path, monkeypatch, name):
     monkeypatch.chdir(tmp_path)  # the corpus path, and so the config hash, is relative
-    (tmp_path / "corpus.txt").write_bytes(_CORPUS)
-    (tmp_path / "config.json").write_text(json.dumps(_GOLDEN_CONFIGS[name], sort_keys=True))
+    _write_golden_config(tmp_path, name)
     assert cli.main(["pipeline", "--config", "config.json", "--out", "out"]) == 0
     assert _sha256_tree(tmp_path / "out") == PIPELINE_GOLDEN[name]
     # every stage reads only the config, so a chain of them writes the same bytes
     for stage in STAGES:
         assert cli.main([stage, "--config", "config.json", "--out", "chain"]) == 0
     assert _sha256_tree(tmp_path / "chain") == PIPELINE_GOLDEN[name]
+
+
+@pytest.mark.parametrize("threads", ["1", "3"])
+def test_golden_bytes_at_any_blas_thread_count(tmp_path, threads):
+    # OpenBLAS reads its thread count when numpy loads, hence a fresh process;
+    # char_lm's 40x256 eval outputs are long enough for BLAS to split a reduction
+    _write_golden_config(tmp_path, "char_lm")
+    src = str(Path(spikefit.__file__).resolve().parent.parent)
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    subprocess.run([sys.executable, "-m", "spikefit", "pipeline", "--config", "config.json",
+                    "--out", "out"], cwd=tmp_path, env=env, check=True, timeout=300)
+    assert _sha256_tree(tmp_path / "out") == PIPELINE_GOLDEN["char_lm"]

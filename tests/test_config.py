@@ -56,7 +56,7 @@ def _without(section, key) -> dict:
     (_with("stage2", "timesteps", 0), "stage2: timesteps"),
     (_with("stage2", "rho", 9), "stage2: need 1 <= rho <= timesteps"),
     (_with("stage2", "alpha", 1.5), "stage2: alpha"),
-    (_with("stage2", "denominator", "steps"), "stage2: denominator"),
+    (_with("stage2", "denominator", "steps"), "unknown key 'stage2.denominator'"),
     (_with("stage2", "temperature", 0), "stage2: temperature"),
     (_with(None, "schema_version", "banana"), "unsupported schema_version 'banana'"),
     (_with(None, "schema_version", 2), "unsupported schema_version 2"),
@@ -77,11 +77,13 @@ def _without(section, key) -> dict:
     (_with("stage2", "timesteps", 4.5), "stage2.timesteps must be an integer, got 4.5"),
     (_with("stage2", "lr", float("nan")), "stage2.lr must be a finite number, got nan"),
     (_with("dataset", "task", "regress"), "unknown key 'dataset.task'"),
-    (_with("stage2", "alpha", [0.5, 0.5, 0.5]), "stage2: alpha must be 'auto' or a number"),
-    (_with("stage2", "alpha", "x"), "stage2: alpha must be 'auto' or a number in (0, 1], got 'x'"),
+    (_with("stage2", "alpha", [0.5, 0.5, 0.5]),
+     "stage2.alpha must be a finite number, got [0.5, 0.5, 0.5]"),
+    (_with("stage2", "alpha", "x"), "stage2.alpha must be a finite number, got 'x'"),
     (_with("stage2", "beta", "x"), "stage2.beta must be a finite number, got 'x'"),
     (_with("stage2", "beta", float("nan")), "stage2.beta must be a finite number, got nan"),
     (_with("stage2", "beta", [0.5, 0.5]), "stage2.beta must be a finite number, got [0.5, 0.5]"),
+    (_with("stage2", "alpha", "auto"), "stage2.alpha must be a finite number, got 'auto'"),
 ])
 def test_rejected_with_key_path(tmp_path, raw, message):
     with pytest.raises(ConfigError, match=re.escape(message)):

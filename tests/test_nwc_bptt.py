@@ -26,7 +26,7 @@ def _tape_unroll(snn, theta_vars, v0_vars, drive, cfg, detach_carry):
     """Unroll rho steps on the tape and return the per-layer rate Vars."""
     pairs, tail = _split_stack(snn)
     batch = drive.shape[0]
-    denom = float(cfg.rho if cfg.denominator == "rho" else cfg.timesteps)
+    denom = float(cfg.rho)
     first_current = drive @ pairs[0][0].w + pairs[0][0].b
 
     vs = [ad.add(v0_vars[j], np.zeros((batch, p[1].width), dtype=np.float32))
@@ -134,11 +134,9 @@ class TestMatchesTape:
         net, model, x, params = _setup(timesteps, timesteps=timesteps, levels=timesteps)
         _compare(net, model, x, params, CalibConfig(timesteps=timesteps))
 
-    @pytest.mark.parametrize("denominator", ["rho", "T"])
-    def test_short_window(self, denominator):
+    def test_short_window(self):
         net, model, x, params = _setup(11)
-        _compare(net, model, x, params, CalibConfig(timesteps=8, rho=5,
-                                                    denominator=denominator))
+        _compare(net, model, x, params, CalibConfig(timesteps=8, rho=5))
 
     def test_loss_weights_and_temperature(self):
         net, model, x, params = _setup(12)
@@ -243,7 +241,6 @@ GOLDEN_CASES = [
     ("T2", dict(seed=2, timesteps=2, levels=2), dict(timesteps=2), 1),
     ("T8", dict(seed=8, timesteps=8, levels=8), dict(timesteps=8), 1),
     ("rho5", dict(seed=11), dict(timesteps=8, rho=5), 1),
-    ("rho5_T", dict(seed=11), dict(timesteps=8, rho=5, denominator="T"), 1),
     ("weights", dict(seed=12), dict(timesteps=8, lambda_align=0.3, lambda_logits=1.7,
                                     temperature=2.5), 1),
     ("logits_only", dict(seed=13), dict(timesteps=8, lambda_align=0.0), 1),
@@ -261,7 +258,6 @@ NWC_GOLDEN = {
     "T2": "bcc64cc850b7b944e218e9a1d2c621e6df4026a3e6fce17d5e6727a2ff6769b0",
     "T8": "cfaf3fe61f9226c000e8a61de9626dff39e2f5410d525c7b112b3faeb34f47a7",
     "rho5": "7fdabf0279a49d7572948ef1f47d376b3ece221f7a3eaf0be6d2eff25c722444",
-    "rho5_T": "89a1df6e75910827c2fac126ec7c269d52f232f7b80d64b9520243492e31bc4f",
     "weights": "43af390081bd5b66a083ebb397ccafa85ef6a549d8e242e2108328b5d0132636",
     "logits_only": "2729a6c1ea262f62556064b8df6563937683c08289c66a05356fc33109d7cc07",
     "align_only": "b3fbc46e66abdc6cdda5fb7ab4f00e67163ad1858c590e90284bb1a9c9adcf9a",
