@@ -74,7 +74,8 @@ class AnnModel:
 def qcfs_forward(x, ceiling: float, levels: int):
     """clip(ceiling/levels * floor(x * levels / ceiling + 1/2), 0, ceiling).
 
-    Runs in the input dtype, so float64 inputs give a float64 reference path.
+    Runs in the input dtype, so float64 inputs give a float64 reference path,
+    and in one buffer of the input's shape, which it returns.
     """
     if ceiling <= 0:
         raise ValueError(f"qcfs ceiling must be positive, got {ceiling}")
@@ -82,11 +83,16 @@ def qcfs_forward(x, ceiling: float, levels: int):
         raise ValueError(f"qcfs levels must be >= 1, got {levels}")
     x = np.asarray(x)
     dt = x.dtype if x.dtype.kind == "f" else np.dtype(np.float64)
-    x = x.astype(dt, copy=False)
     lam = dt.type(ceiling)
     lv = dt.type(int(levels))
-    y = np.floor(x * lv / lam + dt.type(0.5))
-    return np.clip(y * lam / lv, dt.type(0.0), lam)
+    y = np.empty(x.shape, dtype=dt)
+    np.multiply(x, lv, out=y, dtype=dt)
+    y /= lam
+    y += dt.type(0.5)
+    np.floor(y, out=y)
+    y *= lam
+    y /= lv
+    return np.clip(y, dt.type(0.0), lam, out=y)
 
 
 @dataclass

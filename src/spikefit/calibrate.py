@@ -119,12 +119,12 @@ def lwc(net: SnnNetwork, alpha: float, beta: float) -> SnnNetwork:
 
 # -- calibration losses ---------------------------------------------------------
 
-def activation_align_loss(acts: Array, spikes: Array, threshold: Array,
+def activation_align_loss(acts: Array, counts: Array, threshold: Array, timesteps: int,
                           layer: int | None = None) -> float:
     """Mean squared error between analog activations and the rate of the
-    (T, batch, width) spike frames over all T steps, both in float64."""
-    spikes = np.asarray(spikes)
-    rate = _rate(np.asarray(threshold, dtype=np.float64), spikes, len(spikes))
+    (batch, width) spike counts over all ``timesteps`` steps, both in
+    float64."""
+    rate = _rate(np.asarray(threshold, dtype=np.float64), np.asarray(counts), timesteps)
     acts = np.asarray(acts, dtype=np.float64)
     if acts.shape != rate.shape:
         where = f" at layer {layer}" if layer is not None else ""
@@ -191,15 +191,16 @@ def _nwc_bptt(snn: SnnNetwork, params: dict, drive: Array, teacher_acts,
     over the rho unrolled steps, on IF layers that wrap the params; building
     them is the step's one check that the thresholds are positive, and the
     recurrence raises ``SimulationError`` on a non-finite potential. Per
-    neuron-step it keeps two booleans, two bytes: the spike and the
+    neuron-step it keeps two booleans, two bytes: the spike, which
+    ``if_step`` writes into one (rho, batch, width) array per layer, and the
     surrogate window (``autodiff._surrogate_window``) at the pre-reset
-    potential. Neither costs a bit: a boolean spike enters ``sums += s`` and
-    ``s * c`` as float32 0.0 or 1.0, and ``window * (1 / theta)`` is the
-    array ``surrogate_spike_grad`` returns. One reverse sweep over steps and
-    layers then carries the adjoint of the membrane potential in up to two
-    lanes, stacked as (lanes, batch, width): the alignment lane, which never
-    crosses layers, and the logits lane, which crosses layers through
-    ``g @ W.T``.
+    potential. Neither costs a bit: a boolean spike enters the layer's sum
+    over steps and ``s * c`` as float32 0.0 or 1.0, and
+    ``window * (1 / theta)`` is the array ``surrogate_spike_grad`` returns.
+    One reverse sweep over steps and layers then carries the adjoint of the
+    membrane potential in up to two lanes, stacked as (lanes, batch, width):
+    the alignment lane, which never crosses layers, and the logits lane,
+    which crosses layers through ``g @ W.T``.
     """
     pairs, tail = _split_stack(snn)
     n_layers = len(pairs)
@@ -210,15 +211,15 @@ def _nwc_bptt(snn: SnnNetwork, params: dict, drive: Array, teacher_acts,
     layers = [IfLayer(thetas[j], params[f"if{j}.v_init"]) for j in range(n_layers)]
     first_current = drive @ pairs[0][0].w + pairs[0][0].b
     vs = _start_potentials(layers, drive.shape[0])
-    sums = [np.zeros_like(v) for v in vs]
-    masks: list[list] = [[] for _ in range(cfg.rho)]
-    for t, j, _, s, carry in _if_steps(pairs, layers, first_current, vs, cfg.rho):
-        sums[j] += s
+    spikes = [np.empty((cfg.rho,) + v.shape, dtype=np.bool_) for v in vs]
+    windows: list[list] = [[] for _ in range(cfg.rho)]
+    for t, j, _, carry in _if_steps(pairs, layers, first_current, vs, spikes, cfg.rho):
         # the window is taken at the pre-reset potential, rebuilt as
         # v_post + carry bit for bit: carry is 0 where nothing fired; v - theta
         # is exact for theta <= v <= 2 theta (Sterbenz), so adding theta
         # back restores v; above 2 theta both forms lie outside the window
-        masks[t].append((s, ad._surrogate_window(vs[j] + carry, thetas[j])))
+        windows[t].append(ad._surrogate_window(vs[j] + carry, thetas[j]))
+    sums = [s.sum(axis=0, dtype=np.float32) for s in spikes]
     rates = [sums[j] * thetas[j] * inv_denom for j in range(n_layers)]
 
     diffs = [rates[j] - teacher_acts[j] for j in range(n_layers)]
@@ -243,15 +244,14 @@ def _nwc_bptt(snn: SnnNetwork, params: dict, drive: Array, teacher_acts,
     g_u = [np.zeros_like(g) for g in g_rate]
     acc = [g_rate[j] * inv_denom * sums[j] for j in range(n_layers)]
     inv_thetas = [1 / theta for theta in thetas]
-    for row in reversed(masks):
+    for t in range(cfg.rho - 1, -1, -1):
         g_carry = None
         for j in range(n_layers - 1, -1, -1):
-            s, window = row[j]
             c = -g_u[j]
             if g_carry is not None:
                 c[kd] += g_carry
-            acc[j] += s * c
-            g_u[j] += (g_sum[j] + thetas[j] * c) * (window * inv_thetas[j])
+            acc[j] += spikes[j][t] * c
+            g_u[j] += (g_sum[j] + thetas[j] * c) * (windows[t][j] * inv_thetas[j])
             g_carry = g_u[j][kd] @ pairs[j][0].w.T if kd is not None and j > 0 else None
 
     # the firing condition's theta partial is minus its v partial, and summed
@@ -358,8 +358,8 @@ def _record_losses(rec: SpikeRecord, ann: AnnModel, x: Array, cfg: CalibConfig) 
     teacher_acts, teacher_logits = _teacher_pass(ann, x)
     align = 0.0
     for j in range(rec.n_layers):
-        align += activation_align_loss(teacher_acts[j], rec.spikes[j], rec.thresholds[j],
-                                       layer=j)
+        align += activation_align_loss(teacher_acts[j], rec.counts[j], rec.thresholds[j],
+                                       rec.timesteps, layer=j)
     kd = logits_loss(teacher_logits, rec.output, cfg.temperature)
     return {
         "L_al": float(align),

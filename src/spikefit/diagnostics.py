@@ -13,17 +13,26 @@ from .ann import ActivationTrace, qcfs_forward
 from .snn import SnnNetwork, SpikeRecord, theoretical_spike_count
 from .tensor import Array
 
+_BLOCK = 1 << 16  # elements per block of temporal_error's second product
+
 
 def temporal_error(tau_real, theta, tau_theor, ceiling, timesteps: int):
     """Rate deviation from mistimed spikes: |tau_real*theta - tau_theor*ceiling| / T.
 
-    Computed in float64 so the reference micro-cases hold to 1e-12.
+    Computed in float64 so the reference micro-cases hold to 1e-12, in one
+    buffer of the result's shape: the second product is formed a block of
+    rows at a time, so a wide layer holds one array beyond its inputs.
     """
-    tau_real = np.asarray(tau_real, dtype=np.float64)
-    theta = np.asarray(theta, dtype=np.float64)
-    tau_theor = np.asarray(tau_theor, dtype=np.float64)
-    ceiling = np.asarray(ceiling, dtype=np.float64)
-    return np.abs(tau_real * theta - tau_theor * ceiling) / float(timesteps)
+    args = np.broadcast_arrays(*(np.asarray(a) for a in (tau_real, theta, tau_theor, ceiling)))
+    tau_real, theta, tau_theor, ceiling = (np.atleast_1d(a) for a in args)
+    err = np.multiply(tau_real, theta, dtype=np.float64)
+    step = max(1, _BLOCK // max(err[0].size, 1))
+    for lo in range(0, len(err), step):
+        rows = slice(lo, lo + step)
+        err[rows] -= np.multiply(tau_theor[rows], ceiling[rows], dtype=np.float64)
+    np.abs(err, out=err)
+    err /= float(timesteps)
+    return err.reshape(args[0].shape)
 
 
 @dataclass
@@ -64,37 +73,41 @@ def decompose_errors(traces: list[ActivationTrace], record: SpikeRecord,
     for j, trace in enumerate(traces):
         if trace.ceiling is None:
             raise ValueError(f"trace {j} does not come from a staircase activation")
-        pre = np.asarray(trace.pre, dtype=np.float64)
-        if pre.shape[0] != record.n_samples:
-            raise ValueError(
-                f"mismatched sample counts: trace has {pre.shape[0]}, record has {record.n_samples}")
+        if np.shape(trace.pre)[0] != record.n_samples:
+            raise ValueError(f"mismatched sample counts: trace has {np.shape(trace.pre)[0]}, "
+                             f"record has {record.n_samples}")
         lam = float(trace.ceiling)
-        in_range = (pre >= 0) & (pre <= lam)
-        if in_range.any():
-            q = np.abs(pre - qcfs_forward(pre, lam, trace.levels))[in_range].mean()
-        else:
-            q = 0.0
-        clip = np.maximum(pre - lam, 0.0).mean()
+        # each float64 (batch, width) buffer is reused or let go once its
+        # figures are taken, so a wide layer holds at most two of them
+        pre = np.array(trace.pre, dtype=np.float64)
         a_max = pre.max()
-        # each float64 (batch, width) array goes once its figures are taken,
-        # so a wide layer holds few of them at once
-        del pre, in_range
+        in_range = pre >= 0
+        in_range &= pre <= lam
+        dev = qcfs_forward(pre, lam, trace.levels)
+        np.subtract(pre, dev, out=dev)
+        np.abs(dev, out=dev)
+        np.subtract(pre, lam, out=pre)
+        np.maximum(pre, 0.0, out=pre)
+        clip = pre.mean()
+        del pre
+        q = dev[in_range].mean() if in_range.any() else 0.0
+        del dev, in_range
         tau_theor = theoretical_spike_count(np.asarray(trace.post, dtype=np.float64), lam, T)
-        tau_real = record.counts(j).astype(np.float64)
-        theta = record.thresholds[j].astype(np.float64)
-        temp = temporal_error(tau_real, theta, tau_theor, lam, T).mean()
+        tau_real = record.counts[j]
+        temp = temporal_error(tau_real, record.thresholds[j], tau_theor, lam, T).mean()
         rows.append(LayerErrors(
             layer=j,
             quant=float(q),
             clip=float(clip),
             temporal=float(temp),
             a_max=float(a_max),
-            tau_real_mean=float(tau_real.mean()),
+            # counts are integers, so their float64 sum is exact in any order
+            tau_real_mean=float(tau_real.mean(dtype=np.float64)),
             tau_real_max=float(tau_real.max()),
             tau_theor_mean=float(tau_theor.mean()),
             tau_theor_max=float(tau_theor.max()),
         ))
-        del tau_real, tau_theor
+        del tau_theor
     return ErrorReport(rows)
 
 

@@ -39,9 +39,9 @@ def count_ops(record: SpikeRecord, net: SnnNetwork) -> OpCounts:
         raise ValueError(
             f"record has {record.n_layers} spiking layers but the network has {len(pairs)}")
     for j, (_, iflayer) in enumerate(pairs):
-        if record.spikes[j].shape[2] != iflayer.width:
+        if record.counts[j].shape[1] != iflayer.width:
             raise ValueError(
-                f"layer {j}: record width {record.spikes[j].shape[2]} != network width "
+                f"layer {j}: record width {record.counts[j].shape[1]} != network width "
                 f"{iflayer.width}")
     n_samples = record.n_samples
     per_ac: list[int] = []
@@ -53,7 +53,7 @@ def count_ops(record: SpikeRecord, net: SnnNetwork) -> OpCounts:
             per_mac.append(0)
             continue
         fan_out = consumer.w.shape[1]
-        spikes_total = int(np.count_nonzero(record.spikes[j]))
+        spikes_total = int(record.counts[j].sum(dtype=np.int64))
         per_ac.append(spikes_total * fan_out)
         per_mac.append(consumer.w.shape[0] * fan_out * n_samples)
     return OpCounts(
@@ -111,7 +111,8 @@ def energy_report(counts: OpCounts, rates: list[float] | None = None) -> EnergyR
 
 def spike_rate_stats(record: SpikeRecord) -> list[float]:
     """Share of neuron-steps that fired, per layer, over neurons, timesteps and
-    samples. It comes from an exact spike count, rounded to float32 as the
-    mean of float32 frames is, so the two agree while a layer's frames hold
-    fewer than 2**24 spikes."""
-    return [float(np.float32(np.float64(np.count_nonzero(s)) / s.size)) for s in record.spikes]
+    samples. It comes from the exact total of the layer's spike counts,
+    rounded to float32 as the mean of float32 frames is, so the two agree
+    while a layer fires fewer than 2**24 spikes."""
+    return [float(np.float32(np.float64(c.sum(dtype=np.int64)) / (c.size * record.timesteps)))
+            for c in record.counts]

@@ -13,16 +13,19 @@ at threshold) fire. Membrane potentials may go negative.
 That recurrence is written once, in ``_if_steps``: ``simulate`` records
 what it yields, and neuron-wise calibration (``calibrate._nwc_bptt``) runs
 it as its forward pass, so both fire, reset and check for non-finite
-potentials in the one ``if_step``.
+potentials in the one ``if_step``. ``if_step`` writes each step's firing
+mask into memory its caller owns: ``simulate`` passes a boolean view of the
+step's spike frame, calibration a slice of its saved masks.
 
-Spike frames are stored as ``uint8`` 0/1, one byte per neuron-step. Every
-reader sums them with an explicit accumulator or counts them exactly, so
-rates come out with the same float32 bits as from float32 frames.
+Spike frames are stored as ``uint8`` 0/1, one byte per neuron-step. Beside
+them ``simulate`` keeps, per IF layer, each neuron's spike count over the
+whole horizon, in the smallest unsigned dtype that holds T. Every reader of
+a ``SpikeRecord`` scores the whole horizon, so each reads those counts and
+none rescans the frames.
 
-``_rate`` is the one place that turns spike frames into a threshold-weighted
+``_rate`` is the one place that turns spike counts into a threshold-weighted
 rate: ``simulate``, ``firing_rate`` and ``calibrate.activation_align_loss``
-all call it. Every reader of a ``SpikeRecord`` scores the whole horizon, so
-each is a function of the per-neuron spike counts alone.
+all call it.
 """
 
 from __future__ import annotations
@@ -62,15 +65,17 @@ class IfLayer:
         return self.threshold.shape[0]
 
 
-def if_step(layer: IfLayer, v: Array, input_current: Array,
+def if_step(layer: IfLayer, v: Array, input_current: Array, spikes: Array,
             step: int | None = None) -> tuple[Array, Array]:
     """Advance the float32 potentials ``v`` (batch, width) by one timestep,
-    in place; returns the boolean spike array and the threshold-weighted
-    output ``spikes * threshold`` that the next linear layer reads.
+    in place, and write the firing mask into the boolean array ``spikes``
+    (batch, width); returns ``spikes`` and the threshold-weighted output
+    ``spikes * threshold`` that the next linear layer reads.
 
     Reset is by subtraction: a firing neuron's potential drops by exactly
-    its threshold. A potential exactly at threshold fires. Only ``v`` is
-    written: ``input_current`` and the layer are left as they are.
+    its threshold. A potential exactly at threshold fires. Only ``v`` and
+    ``spikes`` are written: ``input_current`` and the layer are left as they
+    are.
     """
     cur = np.asarray(input_current, dtype=np.float32)
     if cur.shape[-1] != layer.width:
@@ -80,7 +85,7 @@ def if_step(layer: IfLayer, v: Array, input_current: Array,
         neuron = int(np.argwhere(~np.isfinite(v))[0][-1])
         where = f" at step {step}" if step is not None else ""
         raise SimulationError(f"non-finite membrane potential for neuron {neuron}{where}")
-    spikes = v >= layer.threshold
+    np.greater_equal(v, layer.threshold, out=spikes)
     out = spikes * layer.threshold
     v -= out
     return spikes, out
@@ -112,9 +117,12 @@ class SnnNetwork:
 
 @dataclass
 class SpikeRecord:
-    """Per-layer spike trains plus enough state to audit the run."""
+    """Per-layer spike trains and spike counts, plus enough state to audit
+    the run."""
 
     spikes: list[Array]            # per IF layer: (T, batch, width) uint8, entries 0/1
+    counts: list[Array]            # per IF layer: (batch, width) spikes over all T steps,
+                                   # dtype np.min_scalar_type(T)
     thresholds: list[Array]        # per IF layer: (width,)
     output: Array                  # decoded prediction (batch, out_dim)
     timesteps: int
@@ -123,15 +131,11 @@ class SpikeRecord:
 
     @property
     def n_layers(self) -> int:
-        return len(self.spikes)
+        return len(self.counts)
 
     @property
     def n_samples(self) -> int:
-        return self.spikes[0].shape[1] if self.spikes else 0
-
-    def counts(self, layer: int) -> Array:
-        """Spike count per (sample, neuron) over the full horizon, as int32."""
-        return self.spikes[layer].sum(axis=0, dtype=np.int32)
+        return self.counts[0].shape[0] if self.counts else 0
 
 
 def _split_stack(net: SnnNetwork):
@@ -164,14 +168,16 @@ def _start_potentials(layers: list[IfLayer], batch: int) -> list[Array]:
 
 
 def _if_steps(pairs, layers: list[IfLayer], first_current: Array, v: list[Array],
-              steps: int):
+              spikes: list[Array], steps: int):
     """The IF recurrence of ``simulate`` and of neuron-wise calibration.
 
     For each step t and pair j, drives ``layers[j]`` (the pair's own IF
     layer, or one holding the parameters under calibration) with
     ``first_current`` at j = 0, else with the previous layer's output
-    through the pair's linear; ``if_step`` advances ``v[j]`` in place.
-    Yields ``(t, j, current, spikes, output)``.
+    through the pair's linear; ``if_step`` advances ``v[j]`` in place and
+    writes the firing mask into ``spikes[j][t]``, so ``spikes[j]`` is a
+    boolean (steps, batch, width) array the caller owns. Yields
+    ``(t, j, current, output)``.
     """
     for t in range(steps):
         for j, (linear, _) in enumerate(pairs):
@@ -182,8 +188,8 @@ def _if_steps(pairs, layers: list[IfLayer], first_current: Array, v: list[Array]
                 cur += linear.b
             # the benchmark tracer wraps the module's if_step and reads the
             # layer from its first argument
-            spikes, carry = if_step(layers[j], v[j], cur, step=t)
-            yield t, j, cur, spikes, carry
+            _, carry = if_step(layers[j], v[j], cur, spikes[j][t], step=t)
+            yield t, j, cur, carry
 
 
 def simulate(net: SnnNetwork, analog_input: Array, timesteps: int | None = None,
@@ -193,6 +199,8 @@ def simulate(net: SnnNetwork, analog_input: Array, timesteps: int | None = None,
     The first linear layer sees the same analog input at every step; deeper
     linears see threshold-weighted spikes. The decoded output is the firing
     rate of the last IF layer pushed through the trailing linear, if any.
+    Each step's spikes are written straight into the frames, and added to
+    the layer's counts.
     """
     T = net.timesteps if timesteps is None else int(timesteps)
     if T < 1:
@@ -213,26 +221,29 @@ def simulate(net: SnnNetwork, analog_input: Array, timesteps: int | None = None,
     first_current = x @ pairs[0][0].w + pairs[0][0].b if pairs else None
 
     spikes_rec = [np.zeros((T, batch, l.width), dtype=np.uint8) for l in layers]
+    counts = [np.zeros((batch, l.width), dtype=np.min_scalar_type(T)) for l in layers]
     currents_rec = ([np.zeros((T, batch, l.width), dtype=np.float32) for l in layers]
                     if record_currents else None)
     potentials_rec = ([np.zeros((T, batch, l.width), dtype=np.float32) for l in layers]
                       if record_potentials else None)
 
-    for t, j, cur, s, _ in _if_steps(pairs, layers, first_current, v, T):
-        spikes_rec[j][t] = s
+    masks = [frames.view(np.bool_) for frames in spikes_rec]
+    for t, j, cur, _ in _if_steps(pairs, layers, first_current, v, masks, T):
+        counts[j] += spikes_rec[j][t]
         if currents_rec is not None:
             currents_rec[j][t] = cur
         if potentials_rec is not None:
             potentials_rec[j][t] = v[j]
 
     if pairs:
-        last_rate = _rate(layers[-1].threshold, spikes_rec[-1], T)
+        last_rate = _rate(layers[-1].threshold, counts[-1], T)
         output = last_rate @ tail.w + tail.b if tail is not None else last_rate
     else:
         output = x @ tail.w + tail.b if tail is not None else x
 
     return SpikeRecord(
         spikes=spikes_rec,
+        counts=counts,
         thresholds=[l.threshold.copy() for l in layers],
         output=output,
         timesteps=T,
@@ -243,21 +254,26 @@ def simulate(net: SnnNetwork, analog_input: Array, timesteps: int | None = None,
 
 def firing_rate(record: SpikeRecord, layer: int) -> Array:
     """Threshold-weighted rate over the whole horizon: theta * spike count / T."""
-    return _rate(record.thresholds[layer], record.spikes[layer], record.timesteps)
+    return _rate(record.thresholds[layer], record.counts[layer], record.timesteps)
 
 
-def _rate(threshold: Array, frames: Array, denom: int) -> Array:
-    """theta * (spike frames summed over time) / denom, in the threshold's
-    dtype; the sum of 0/1 frames is exact, whatever their dtype."""
+def _rate(threshold: Array, counts: Array, denom: int) -> Array:
+    """theta * spike counts / denom, in the threshold's dtype; a count below
+    2**24 converts to float32 exactly, so this equals the rate of the spike
+    frames summed over time in that dtype."""
     dt = threshold.dtype
-    return threshold * frames.sum(axis=0, dtype=dt) / dt.type(denom)
+    return threshold * counts.astype(dt) / dt.type(denom)
 
 
 def theoretical_spike_count(a: Array, ceiling, timesteps: int) -> Array:
-    """Spikes needed to represent activation a in `timesteps` steps: a*T/ceiling."""
+    """Spikes needed to represent activation a in `timesteps` steps: a*T/ceiling,
+    in a's float dtype (float64 for other inputs), in one buffer of the
+    result's shape."""
     a = np.asarray(a)
     dt = a.dtype if a.dtype.kind == "f" else np.dtype(np.float64)
     ceiling = np.asarray(ceiling, dtype=dt)
     if not np.all(ceiling > 0):
         raise ValueError("activation ceiling must be positive")
-    return a.astype(dt) * dt.type(timesteps) / ceiling
+    tau = np.empty(np.broadcast_shapes(a.shape, ceiling.shape), dtype=dt)
+    np.multiply(a, dt.type(timesteps), out=tau, dtype=dt)
+    return np.divide(tau, ceiling, out=tau)

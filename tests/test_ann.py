@@ -56,6 +56,21 @@ class TestQcfsForward:
             err = np.abs(x - qcfs_forward(x, lam, levels))
             assert err.max() <= lam / (2 * levels) + 1e-12
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64, np.int64])
+    def test_matches_out_of_place_expression(self, dtype):
+        # the in-place form gives the bits of the expression it replaced,
+        # knife-edge lattice points included, and leaves its input alone
+        x = np.concatenate([Rng(1).uniform(-1, 3, (257,)), np.arange(-4, 13) * 0.125])
+        x = (x * 8 if dtype == np.int64 else x).astype(dtype).reshape(-1, 2)
+        before = x.copy()
+        dt = np.dtype(dtype) if np.dtype(dtype).kind == "f" else np.dtype(np.float64)
+        lam, lv = dt.type(1.25), dt.type(5)
+        xf = x.astype(dt)
+        want = np.clip(np.floor(xf * lv / lam + dt.type(0.5)) * lam / lv, dt.type(0.0), lam)
+        got = qcfs_forward(x, 1.25, 5)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert x.tobytes() == before.tobytes()
+
     def test_converges_to_clip(self):
         x = np.linspace(-0.5, 1.5, 1001, dtype=np.float64)
         lam = 1.0

@@ -93,24 +93,27 @@ class TestAlignLoss:
         spikes[:2, 0, 0] = 1
         theta = np.ones(2, np.float32)
         rate = theta * spikes.sum(axis=0) / 4.0  # exactly representable
-        assert activation_align_loss(rate, spikes, theta) == 0.0
+        assert activation_align_loss(rate, spikes.sum(axis=0), theta, 4) == 0.0
 
     def test_reference_value(self):
         # a=0.4, 3 spikes in 5 steps, theta=1: (0.6-0.4)^2
         spikes = np.zeros((5, 1, 1), np.float32)
         spikes[:3, 0, 0] = 1
-        loss = activation_align_loss(np.array([[0.4]]), spikes, np.ones(1, np.float32))
+        loss = activation_align_loss(np.array([[0.4]]), spikes.sum(axis=0),
+                                     np.ones(1, np.float32), 5)
         assert loss == pytest.approx(0.04, abs=1e-9)
 
     def test_silent_match(self):
         spikes = np.zeros((4, 1, 3), np.float32)
-        loss = activation_align_loss(np.zeros((1, 3)), spikes, np.ones(3, np.float32))
+        loss = activation_align_loss(np.zeros((1, 3)), spikes.sum(axis=0),
+                                     np.ones(3, np.float32), 4)
         assert loss == 0.0
 
     def test_shape_mismatch_names_layer(self):
         spikes = np.zeros((4, 1, 3), np.float32)
         with pytest.raises(ValueError, match="layer 2"):
-            activation_align_loss(np.zeros((1, 4)), spikes, np.ones(3, np.float32), layer=2)
+            activation_align_loss(np.zeros((1, 4)), spikes.sum(axis=0), np.ones(3, np.float32),
+                                  4, layer=2)
 
 
 class TestLogitsLoss:

@@ -72,7 +72,8 @@ class TestDecomposeErrors:
         from spikefit.snn import SpikeRecord
         trace = ActivationTrace("0", "qcfs", pre=np.array([[1.5]], np.float32),
                                 post=np.array([[1.0]], np.float32), ceiling=1.0, levels=4)
-        rec = SpikeRecord(spikes=[np.zeros((8, 1, 1), np.float32)],
+        rec = SpikeRecord(spikes=[np.zeros((8, 1, 1), np.uint8)],
+                          counts=[np.zeros((1, 1), np.uint8)],
                           thresholds=[np.ones(1, np.float32)],
                           output=np.zeros((1, 1), np.float32), timesteps=8)
         report = decompose_errors([trace], rec, None)

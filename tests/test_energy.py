@@ -21,10 +21,12 @@ def _net(in_dim, hidden, out_dim, timesteps=5, seed=0):
 
 
 def _record_with_spikes(net, spikes):
-    """Simulate once for the scaffolding, then plant a known spike train."""
+    """Simulate once for the scaffolding, then plant a known spike train
+    and its counts."""
     in_dim = net.layers[0].w.shape[0]
     rec = simulate(net, np.zeros((spikes.shape[1], in_dim), np.float32), spikes.shape[0])
-    rec.spikes[0] = spikes.astype(np.float32)
+    rec.spikes[0] = spikes.astype(np.uint8)
+    rec.counts[0] = rec.spikes[0].sum(axis=0, dtype=np.min_scalar_type(spikes.shape[0]))
     return rec
 
 
@@ -99,12 +101,13 @@ class TestCountOps:
         net = _net(3, 1024, 3)
         frames = (np.random.default_rng(2).random((1, 17000, 1024), dtype=np.float32)
                   < 0.999).astype(np.float32)
-        rec = SpikeRecord(spikes=[frames], thresholds=[net.if_layers()[0].threshold],
+        rec = SpikeRecord(spikes=[frames], counts=[frames[0].astype(np.uint8)],
+                          thresholds=[net.if_layers()[0].threshold],
                           output=np.zeros((17000, 3), np.float32), timesteps=1)
         n_spikes = int(np.count_nonzero(frames))
         assert n_spikes == 17_390_723
         assert count_ops(rec, net).ac == n_spikes * 3
-        assert int(rec.counts(0).sum()) == n_spikes
+        assert int(rec.counts[0].sum()) == n_spikes
         assert spike_rate_stats(rec) == [float(np.float32(n_spikes / frames.size))]
 
     def test_record_net_mismatch(self):
@@ -170,7 +173,7 @@ class TestSpikeRateStats:
         assert spike_rate_stats(rec) == [1.0]
 
     def test_empty_record_rate_zero(self):
-        rec = SpikeRecord(spikes=[], thresholds=[],
+        rec = SpikeRecord(spikes=[], counts=[], thresholds=[],
                           output=np.zeros((1, 1), np.float32), timesteps=1)
         assert spike_rate_stats(rec) == []
 

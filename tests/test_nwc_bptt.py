@@ -206,6 +206,26 @@ def test_forward_runs_simulate_recurrence(monkeypatch, dims, rho):
         assert calls[j].threshold is params[f"if{j}.threshold"]
 
 
+def test_saved_spike_masks_are_distinct_memory(monkeypatch):
+    """Each step writes its spikes into memory of its own: a mask that a
+    later step overwrote would feed the reverse sweep the wrong spikes."""
+    net, model, x, params = _setup(18, dims=(6, 16, 12, 4))
+    dests = []
+    real = snn.if_step
+
+    def recording(layer, v, current, spikes, *args, **kwargs):
+        dests.append(spikes)
+        return real(layer, v, current, spikes, *args, **kwargs)
+
+    monkeypatch.setattr(snn, "if_step", recording)
+    _nwc_bptt(net, params, *_calib_batch(net, model, x), CalibConfig(timesteps=8))
+    assert len(dests) == 8 * len(net.if_layers())
+    for i, a in enumerate(dests):
+        assert a.dtype == np.bool_
+        for b in dests[i + 1:]:
+            assert not np.shares_memory(a, b)
+
+
 def test_saved_state_bytes_per_neuron_step():
     """What the forward pass keeps for the reverse sweep grows by two bytes
     per neuron-step (a boolean spike and a boolean surrogate window), not by

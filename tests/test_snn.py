@@ -36,7 +36,8 @@ def _step(theta: float, v: float, current: float):
     array that if_step advanced in place."""
     layer = IfLayer(np.array([theta], np.float32), np.array([0.0], np.float32))
     potential = np.array([[v]], np.float32)
-    spikes, _ = if_step(layer, potential, np.array([[current]], np.float32))
+    spikes, _ = if_step(layer, potential, np.array([[current]], np.float32),
+                        np.empty((1, 1), np.bool_))
     return spikes, potential
 
 
@@ -72,7 +73,7 @@ class TestIfStep:
         v = np.array([[0.5, 0.5]], np.float32)
         cur = np.array([[0.6, 0.1]], np.float32)
         cur_before = cur.copy()
-        spikes, out = if_step(layer, v, cur)
+        spikes, out = if_step(layer, v, cur, np.empty((1, 2), np.bool_))
         assert cur.tobytes() == cur_before.tobytes()
         assert layer.threshold.tolist() == [1.0, 2.0]
         assert layer.v_init.tolist() == [0.5, 1.0]
@@ -91,7 +92,8 @@ class TestIfStep:
         s = u >= theta
         want_v, want_out = u - s * theta, s * theta
         v = v0.copy()
-        spikes, out = if_step(IfLayer(theta, np.zeros_like(theta)), v, cur)
+        spikes, out = if_step(IfLayer(theta, np.zeros_like(theta)), v, cur,
+                              np.empty((batch, width), np.bool_))
         assert spikes.tobytes() == s.tobytes()
         assert v.dtype == out.dtype == np.float32
         assert v.tobytes() == want_v.tobytes()
@@ -100,13 +102,14 @@ class TestIfStep:
     def test_width_mismatch_rejected(self):
         layer = IfLayer(np.ones(2, np.float32), np.zeros(2, np.float32))
         with pytest.raises(ValueError, match="width 3 != layer width 2"):
-            if_step(layer, np.zeros((1, 2), np.float32), np.zeros((1, 3), np.float32))
+            if_step(layer, np.zeros((1, 2), np.float32), np.zeros((1, 3), np.float32),
+                    np.empty((1, 2), np.bool_))
 
     def test_nonfinite_current_names_neuron_and_step(self):
         layer = IfLayer(np.array([1.0, 1.0], np.float32), np.zeros(2, np.float32))
         with pytest.raises(SimulationError, match="neuron 1 at step 3"):
             if_step(layer, np.zeros((1, 2), np.float32),
-                    np.array([[0.1, np.nan]], np.float32), step=3)
+                    np.array([[0.1, np.nan]], np.float32), np.empty((1, 2), np.bool_), step=3)
 
     def test_threshold_must_be_positive(self):
         with pytest.raises(ValueError, match="positive"):
@@ -119,7 +122,7 @@ class TestSimulate:
         net = _single_neuron_net(1.0, 0.5, 4)
         rec = simulate(net, np.array([[0.3]], np.float32))
         assert rec.spikes[0][:, 0, 0].tolist() == [0.0, 1.0, 0.0, 0.0]
-        assert float(rec.counts(0)[0, 0]) == 1.0
+        assert float(rec.counts[0][0, 0]) == 1.0
         rate = float(firing_rate(rec, 0)[0, 0])
         assert rate == pytest.approx(0.25)
         assert rate == pytest.approx(float(qcfs_forward(np.float32(0.3), 1.0, 4)))
@@ -182,7 +185,7 @@ class TestSimulate:
             x = rng.split(f"x{trial}").normal(0, 1, (3, net.layers[0].w.shape[0]))
             rec = simulate(net, x, record_currents=True, record_potentials=True)
             for j, layer in enumerate(net.if_layers()):
-                lhs = rec.thresholds[j].astype(np.float64) * rec.counts(j).astype(np.float64)
+                lhs = rec.thresholds[j].astype(np.float64) * rec.counts[j].astype(np.float64)
                 rhs = (rec.currents[j].astype(np.float64).sum(axis=0)
                        + layer.v_init.astype(np.float64)
                        - rec.potentials[j][-1].astype(np.float64))
@@ -221,10 +224,11 @@ class TestSimulate:
 
 class TestFiringRate:
     def _record(self, spikes):
-        # build a minimal record by simulating then overwriting spikes
+        # build a minimal record by simulating then overwriting spikes and counts
         net = _single_neuron_net(1.0, 0.0, len(spikes))
         rec = simulate(net, np.array([[0.0]], np.float32))
-        rec.spikes[0] = np.array(spikes, np.float32).reshape(-1, 1, 1)
+        rec.spikes[0] = np.array(spikes, np.uint8).reshape(-1, 1, 1)
+        rec.counts[0] = rec.spikes[0].sum(axis=0, dtype=rec.counts[0].dtype)
         return rec
 
     def test_saturation(self):

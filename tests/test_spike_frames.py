@@ -1,5 +1,6 @@
-"""Spike frames are stored one byte per neuron-step, and every reader of a
-frame gives the same result whatever the frame's dtype."""
+"""Spike frames are stored one byte per neuron-step beside per-layer spike
+counts, and every reader of a record, reading the counts, gives the bits
+that the frames gave."""
 
 import hashlib
 import tracemalloc
@@ -36,7 +37,8 @@ def _sha(data: bytes) -> str:
 def test_if_step_returns_booleans():
     layer = IfLayer(np.ones(3, np.float32), np.zeros(3, np.float32))
     v = np.zeros((1, 3), np.float32)
-    s, out = if_step(layer, v, np.array([[0.5, 1.0, 2.5]], np.float32))
+    s, out = if_step(layer, v, np.array([[0.5, 1.0, 2.5]], np.float32),
+                     np.empty((1, 3), np.bool_))
     assert s.dtype == np.bool_
     assert s.tolist() == [[False, True, True]]
     assert v.dtype == out.dtype == np.float32
@@ -44,14 +46,25 @@ def test_if_step_returns_booleans():
     assert out.tolist() == [[0.0, 1.0, 1.0]]
 
 
+def test_if_step_returns_the_destination_it_was_given():
+    layer = IfLayer(np.ones(3, np.float32), np.zeros(3, np.float32))
+    frames = np.zeros((2, 1, 3), np.uint8)
+    dest = frames[1].view(np.bool_)
+    s, out = if_step(layer, np.zeros((1, 3), np.float32),
+                     np.array([[0.5, 1.0, 2.5]], np.float32), dest)
+    assert s is dest
+    assert frames.tolist() == [[[0, 0, 0]], [[0, 1, 1]]]
+    assert not np.shares_memory(out, frames)
+
+
 def test_simulate_stores_one_byte_frames():
     net = _net([5, 6, 4, 3], timesteps=6, seed=7)
     rec = simulate(net, Rng(8).normal(0, 1, (3, 5)))
-    for s, layer in zip(rec.spikes, net.if_layers()):
+    for s, c, layer in zip(rec.spikes, rec.counts, net.if_layers()):
         assert s.dtype == np.uint8
         assert set(np.unique(s).tolist()) <= {0, 1}
         assert s.nbytes == 6 * 3 * layer.width
-    assert rec.counts(0).dtype == np.int32
+        assert c.dtype == np.uint8 and c.shape == (3, layer.width)
 
 
 def test_simulate_peak_memory():
@@ -69,51 +82,115 @@ def test_simulate_peak_memory():
     assert sum(s.nbytes for s in rec.spikes) == 3 * 16 * 256 * 256
 
 
-def _readers(rec: SpikeRecord, net: SnnNetwork) -> dict:
+def _assert_counts_equal_frames(rec: SpikeRecord) -> None:
+    assert len(rec.counts) == len(rec.spikes)
+    for c, s in zip(rec.counts, rec.spikes):
+        assert c.dtype == np.min_scalar_type(rec.timesteps)
+        np.testing.assert_array_equal(c, s.sum(axis=0, dtype=np.int64))
+
+
+@pytest.mark.parametrize("widths,timesteps,seed,batch", [
+    ([5, 6, 4, 3], 6, 7, 3), ([5, 7, 6, 3], 8, 21, 4), ([8, 64, 48, 5], 12, 9, 32)])
+def test_counts_equal_frames(widths, timesteps, seed, batch):
+    rec = simulate(_net(widths, timesteps, seed), Rng(seed + 1).normal(0, 1.5, (batch, widths[0])))
+    assert any(c.any() for c in rec.counts)
+    _assert_counts_equal_frames(rec)
+
+
+def test_counts_past_uint8_range():
+    # T = 300: a neuron that fires more than 255 times would wrap a uint8 count
+    net = _net([5, 6, 4, 3], timesteps=300, seed=7)
+    rec = simulate(net, Rng(8).normal(0, 10, (3, 5)))
+    assert rec.counts[0].dtype == np.uint16
+    assert int(max(c.max() for c in rec.counts)) > 255
+    _assert_counts_equal_frames(rec)
+
+
+def _frame_readers(rec: SpikeRecord, net: SnnNetwork, acts, traces) -> dict:
+    """Each reader's result written as the frame-based expression that
+    computed it before the record kept counts: the reference."""
+    T, frames = rec.timesteps, rec.spikes
+    linears = net.linear_layers()
+    fan_out = [linears[j + 1].w.shape[1] for j in range(len(frames))]
+    rates, align, errors = [], [], []
+    for j, (s, theta, trace) in enumerate(zip(frames, rec.thresholds, traces)):
+        rates.append(theta * s.sum(axis=0, dtype=np.float32) / np.float32(T))
+        theta64 = np.asarray(theta, dtype=np.float64)
+        rate64 = theta64 * s.sum(axis=0, dtype=np.float64) / np.float64(T)
+        align.append(float(np.mean((np.asarray(acts[j], dtype=np.float64) - rate64) ** 2)))
+        pre, lam, lv = np.asarray(trace.pre, dtype=np.float64), trace.ceiling, trace.levels
+        staircase = np.clip(np.floor(pre * lv / lam + 0.5) * lam / lv, 0.0, lam)
+        in_range = (pre >= 0) & (pre <= lam)
+        tau_theor = np.asarray(trace.post, dtype=np.float64) * np.float64(T) / np.float64(lam)
+        tau_real = s.sum(axis=0, dtype=np.int32).astype(np.float64)
+        errors.append({
+            "layer": j,
+            "quant": float(np.abs(pre - staircase)[in_range].mean()),
+            "clip": float(np.maximum(pre - lam, 0.0).mean()),
+            "temporal": float((np.abs(tau_real * theta64 - tau_theor * lam) / float(T)).mean()),
+            "a_max": float(pre.max()),
+            "tau_real_mean": float(tau_real.mean()),
+            "tau_real_max": float(tau_real.max()),
+            "tau_theor_mean": float(tau_theor.mean()),
+            "tau_theor_max": float(tau_theor.max()),
+        })
+    ac = [int(np.count_nonzero(s)) * f for s, f in zip(frames, fan_out)]
+    return {
+        "n_samples": frames[0].shape[1],
+        "output": (rates[-1] @ linears[-1].w + linears[-1].b).tobytes(),
+        "firing_rate": [r.tobytes() for r in rates],
+        "activation_align_loss": align,
+        "per_layer_ac": ac,
+        "ac": sum(ac),
+        "spike_rate_stats": [float(np.float32(np.float64(np.count_nonzero(s)) / s.size))
+                             for s in frames],
+        "decompose_errors": {"layers": errors},
+    }
+
+
+@pytest.mark.parametrize("widths,timesteps,seed,batch", [
+    ([5, 7, 6, 3], 8, 21, 4), ([8, 64, 48, 5], 12, 9, 32)])
+def test_readers_match_frame_expressions(widths, timesteps, seed, batch):
+    # every reader reads the record's counts; the reference rescans the frames
+    net = _net(widths, timesteps, seed)
+    rec = simulate(net, Rng(seed + 1).normal(0, 1.5, (batch, widths[0])))
     n = rec.n_layers
-    # the float64 rate: the same frames against fixed analog activations
-    acts = [Rng(23 + j).uniform(0, 1.5, rec.spikes[j].shape[1:]) for j in range(n)]
-    traces = [ActivationTrace(str(j), "qcfs", pre=acts[j] * 1.2, post=acts[j],
-                              ceiling=1.25, levels=4) for j in range(n)]
-    return {"firing_rate": [firing_rate(rec, j) for j in range(n)],
-            "activation_align_loss": [activation_align_loss(acts[j], rec.spikes[j],
-                                                            rec.thresholds[j])
-                                      for j in range(n)],
-            "count_ops": count_ops(rec, net),
-            "spike_rate_stats": spike_rate_stats(rec),
-            "counts": [rec.counts(j) for j in range(n)],
-            "decompose_errors": decompose_errors(traces, rec, net)}
+    acts = [Rng(23 + j).uniform(0, 1.5, rec.counts[j].shape) for j in range(n)]
+    traces = [ActivationTrace(str(j), "qcfs", pre=(acts[j] * 1.2 - 0.2).astype(np.float32),
+                              post=acts[j].astype(np.float32), ceiling=1.25, levels=4)
+              for j in range(n)]
+    ops = count_ops(rec, net)
+    got = {
+        "n_samples": rec.n_samples,
+        "output": rec.output.tobytes(),
+        "firing_rate": [firing_rate(rec, j).tobytes() for j in range(n)],
+        "activation_align_loss": [activation_align_loss(acts[j], rec.counts[j],
+                                                        rec.thresholds[j], rec.timesteps)
+                                  for j in range(n)],
+        "per_layer_ac": ops.per_layer_ac,
+        "ac": ops.ac,
+        "spike_rate_stats": spike_rate_stats(rec),
+        "decompose_errors": decompose_errors(traces, rec, net).as_dict(),
+    }
+    assert got == _frame_readers(rec, net, acts, traces)
 
 
-def _assert_same_bits(got: dict, want: dict) -> None:
-    for key in ("count_ops", "spike_rate_stats", "activation_align_loss", "decompose_errors"):
-        assert got[key] == want[key], key
-    for key in ("firing_rate", "counts"):
-        for a, b in zip(got[key], want[key]):
-            assert a.dtype == b.dtype
-            assert a.tobytes() == b.tobytes()
-
-
-@pytest.mark.parametrize("dtype", [np.bool_, np.uint8, np.float32])
-def test_readers_agree_across_frame_dtypes(dtype):
-    net = _net([5, 7, 6, 3], timesteps=8, seed=21)
-    rec = simulate(net, Rng(22).normal(0, 1.5, (4, 5)))
-    want = _readers(rec, net)
-    rec.spikes = [s.astype(dtype) for s in rec.spikes]
-    _assert_same_bits(_readers(rec, net), want)
-
-
-def test_readers_depend_only_on_spike_counts():
-    # every reader of a record scores the whole horizon, so the order of the
-    # spike frames in time cannot matter: a per-layer count array would do
-    net = _net([5, 7, 6, 3], timesteps=8, seed=21)
-    rec = simulate(net, Rng(22).normal(0, 1.5, (4, 5)))
-    want = _readers(rec, net)
-    frames = rec.spikes
-    rec.spikes = [s[::-1].copy() for s in frames]
-    # the reversal must move spikes, or the check shows nothing
-    assert any(not np.array_equal(s, f) for s, f in zip(rec.spikes, frames))
-    _assert_same_bits(_readers(rec, net), want)
+def test_decompose_errors_peak_memory():
+    # a 512 x 512 layer: the error split may hold at most three float64
+    # (batch, width) arrays at once above what it started with
+    batch = width = 512
+    net = _net([8, width, 4], timesteps=8, seed=11)
+    rec = simulate(net, Rng(12).normal(0, 1, (batch, 8)))
+    pre = Rng(13).uniform(-0.5, 1.5, (batch, width)).astype(np.float32)
+    trace = ActivationTrace("0", "qcfs", pre=pre, post=np.clip(pre, 0, 1), ceiling=1.0, levels=8)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        decompose_errors([trace], rec, net)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * batch * width * 8
 
 
 def test_outputs_match_float32_frame_golden(tmp_path):
@@ -137,6 +214,7 @@ def test_wide_record_golden():
                    record_currents=True, record_potentials=True)
     joined = {"spikes": rec.spikes, "output": [rec.output],
               "currents": rec.currents, "potentials": rec.potentials}
+    _assert_counts_equal_frames(rec)
     got = {k: _sha(b"".join(a.tobytes() for a in arrs)) for k, arrs in joined.items()}
     assert got == {
         "spikes": "3461a1acd9ba937df3346ee701a3df0da21bc38d94e5bde8a5173b63704575d4",
