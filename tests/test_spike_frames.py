@@ -148,19 +148,21 @@ def _frame_readers(rec: SpikeRecord, net: SnnNetwork, acts, traces) -> dict:
     }
 
 
-@pytest.mark.parametrize("widths,timesteps,seed,batch", [
-    ([5, 7, 6, 3], 8, 21, 4), ([8, 64, 48, 5], 12, 9, 32)])
-def test_readers_match_frame_expressions(widths, timesteps, seed, batch):
-    # every reader reads the record's counts; the reference rescans the frames
-    net = _net(widths, timesteps, seed)
-    rec = simulate(net, Rng(seed + 1).normal(0, 1.5, (batch, widths[0])))
+def _probes(rec: SpikeRecord):
+    """Fixed analog activations and QCFS traces to score the record against."""
     n = rec.n_layers
     acts = [Rng(23 + j).uniform(0, 1.5, rec.counts[j].shape) for j in range(n)]
     traces = [ActivationTrace(str(j), "qcfs", pre=(acts[j] * 1.2 - 0.2).astype(np.float32),
                               post=acts[j].astype(np.float32), ceiling=1.25, levels=4)
               for j in range(n)]
+    return acts, traces
+
+
+def _count_readers(rec: SpikeRecord, net: SnnNetwork, acts, traces) -> dict:
+    """Each reader's result as the library computes it, from the counts."""
+    n = rec.n_layers
     ops = count_ops(rec, net)
-    got = {
+    return {
         "n_samples": rec.n_samples,
         "output": rec.output.tobytes(),
         "firing_rate": [firing_rate(rec, j).tobytes() for j in range(n)],
@@ -172,7 +174,47 @@ def test_readers_match_frame_expressions(widths, timesteps, seed, batch):
         "spike_rate_stats": spike_rate_stats(rec),
         "decompose_errors": decompose_errors(traces, rec, net).as_dict(),
     }
-    assert got == _frame_readers(rec, net, acts, traces)
+
+
+@pytest.mark.parametrize("widths,timesteps,seed,batch", [
+    ([5, 7, 6, 3], 8, 21, 4), ([8, 64, 48, 5], 12, 9, 32)])
+def test_readers_match_frame_expressions(widths, timesteps, seed, batch):
+    # every reader reads the record's counts; the reference rescans the frames
+    net = _net(widths, timesteps, seed)
+    rec = simulate(net, Rng(seed + 1).normal(0, 1.5, (batch, widths[0])))
+    acts, traces = _probes(rec)
+    assert _count_readers(rec, net, acts, traces) == _frame_readers(rec, net, acts, traces)
+
+
+@pytest.mark.parametrize("dtype", [np.bool_, np.uint8, np.float32])
+def test_readers_agree_across_frame_dtypes(dtype):
+    # the frames recast to any dtype still sum to the counts, so the
+    # frame-based reference over them gives the count readers' bits, and
+    # recasting the frames leaves the count readers as they were
+    net = _net([5, 7, 6, 3], timesteps=8, seed=21)
+    rec = simulate(net, Rng(22).normal(0, 1.5, (4, 5)))
+    acts, traces = _probes(rec)
+    want = _count_readers(rec, net, acts, traces)
+    rec.spikes = [s.astype(dtype) for s in rec.spikes]
+    _assert_counts_equal_frames(rec)
+    assert _frame_readers(rec, net, acts, traces) == want
+    assert _count_readers(rec, net, acts, traces) == want
+
+
+def test_readers_depend_only_on_spike_counts():
+    # every reader of a record scores the whole horizon, so the order of the
+    # spike frames in time cannot matter: frames reversed in time have the
+    # same counts and the same frame-based results
+    net = _net([5, 7, 6, 3], timesteps=8, seed=21)
+    rec = simulate(net, Rng(22).normal(0, 1.5, (4, 5)))
+    acts, traces = _probes(rec)
+    want = _count_readers(rec, net, acts, traces)
+    frames = rec.spikes
+    rec.spikes = [s[::-1].copy() for s in frames]
+    # the reversal must move spikes, or the check shows nothing
+    assert any(not np.array_equal(s, f) for s, f in zip(rec.spikes, frames))
+    _assert_counts_equal_frames(rec)
+    assert _frame_readers(rec, net, acts, traces) == want
 
 
 def test_decompose_errors_peak_memory():
