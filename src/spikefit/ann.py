@@ -10,7 +10,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import _unbroadcast
 from .tensor import Array, Rng
 
 
@@ -186,29 +185,26 @@ def set_param_arrays(model: AnnModel, params: dict[str, Array]) -> None:
 
 # -- activation replacement ---------------------------------------------------
 
-def replace_activations(model: AnnModel, levels: int, init_batch: Array | None = None) -> AnnModel:
+def replace_activations(model: AnnModel, levels: int, init_batch: Array) -> AnnModel:
     """Swap every ReLU for a staircase with the given level count.
 
-    All other parameters are copied bit-exactly. When ``init_batch`` is
-    given, each ceiling starts at the 99.9th percentile of that layer's
-    pre-activation magnitudes on the batch; otherwise at 1.0.
+    All other parameters are copied bit-exactly. Each ceiling starts at the
+    99.9th percentile of that layer's pre-activation magnitudes on
+    ``init_batch``.
     """
     if int(levels) < 1:
         raise ValueError(f"levels must be >= 1, got {levels}")
     if not any(isinstance(a, Relu) for a in model.layers):
         raise ValueError("model has no ReLU activation layers to replace")
 
-    ceilings: list[float] = []
-    if init_batch is not None:
-        for trace in ann_forward(model, init_batch).traces:
-            cap = float(np.percentile(np.abs(trace.pre), 99.9))
-            ceilings.append(max(cap, 1e-6))
+    ceilings = [max(float(np.percentile(np.abs(trace.pre), 99.9)), 1e-6)
+                for trace in ann_forward(model, init_batch).traces]
 
     new = model.clone()
     act_positions = [j for j, layer in enumerate(new.layers) if isinstance(layer, ACTIVATIONS)]
     for k, j in enumerate(act_positions):
         if isinstance(new.layers[j], Relu):
-            new.layers[j] = Qcfs(ceiling=ceilings[k] if ceilings else 1.0, levels=int(levels))
+            new.layers[j] = Qcfs(ceiling=ceilings[k], levels=int(levels))
     return new
 
 
@@ -247,7 +243,7 @@ def _cross_entropy_head(out: Array, y: Array) -> tuple[float, Array]:
     total = ((shifted - np.log(se)) * onehot).sum(axis=1).sum()
     n = out.shape[0]
     g_ls = dt.type(-(1.0 / n)) * onehot
-    return -(float(total) * (1.0 / n)), g_ls + (_unbroadcast(-g_ls, se.shape) / se) * e
+    return -(float(total) * (1.0 / n)), g_ls + ((-g_ls).sum(axis=1, keepdims=True) / se) * e
 
 
 def _mse_head(out: Array, y: Array) -> tuple[float, Array]:
@@ -303,7 +299,7 @@ def _backward(model: AnnModel, x: Array, fwd: ForwardResult, g: Array) -> dict[s
             z = h * dt.type(lv) / lam + dt.type(0.5)
             q = np.clip(np.floor(z), 0.0, lv) / dt.type(lv)  # value / ceiling
             interior = ((z > 0) & (z < lv)).astype(dt)
-            grads[f"{i}.ceiling"] = _unbroadcast(g * (q - h / lam * interior), ())
+            grads[f"{i}.ceiling"] = (g * (q - h / lam * interior)).sum(axis=(0, 1))
             g = g * interior
         else:
             raise TypeError(f"layer {i}: unknown layer type {type(layer).__name__}")
@@ -311,7 +307,7 @@ def _backward(model: AnnModel, x: Array, fwd: ForwardResult, g: Array) -> dict[s
 
 
 def train_model(model: AnnModel, data, cfg: TrainConfig, rng: Rng,
-                val_data=None) -> tuple[AnnModel, list[dict]]:
+                val_data) -> tuple[AnnModel, list[dict]]:
     """Minibatch Adam training; staircase ceilings get their own learning rate.
 
     Each step is one recorded ``ann_forward`` pass, a loss head and one
@@ -356,17 +352,16 @@ def train_model(model: AnnModel, data, cfg: TrainConfig, rng: Rng,
             set_param_arrays(model, params)
         epoch_losses.append(loss_val)
         if (step + 1) % steps_per_epoch == 0 or step == cfg.steps - 1:
-            entry = {"epoch": len(history), "train_loss": float(np.mean(epoch_losses))}
-            entry["val_loss"] = (None if val_data is None
-                                 else float(dataset_loss(model, val_data)))
-            history.append(entry)
+            history.append({"epoch": len(history),
+                            "train_loss": float(np.mean(epoch_losses)),
+                            "val_loss": float(dataset_loss(model, val_data))})
             epoch_losses = []
 
     return model, history
 
 
 def stage1_finetune(model: AnnModel, data, cfg: TrainConfig, rng: Rng,
-                    val_data=None) -> tuple[AnnModel, list[dict]]:
+                    val_data) -> tuple[AnnModel, list[dict]]:
     """Full-parameter fine-tuning of a staircase-activated model."""
     if not model.qcfs_layers():
         raise ValueError("model has no staircase activations; run replace_activations first")

@@ -31,7 +31,9 @@ class CalibConfig:
     threshold. ``rho`` is the number of unrolled steps in neuron-wise
     calibration's window (defaults to the inference horizon); that window's
     rates divide the rho-step spike sum by rho. Every other rate,
-    ``eval_losses`` included, scores the whole horizon.
+    ``eval_losses`` included, scores the whole horizon. Nothing in the
+    package reads ``seed``: calibration draws its batches from the stream
+    its caller passes.
     """
 
     timesteps: int = 8
@@ -120,15 +122,15 @@ def lwc(net: SnnNetwork, alpha: float, beta: float) -> SnnNetwork:
 # -- calibration losses ---------------------------------------------------------
 
 def activation_align_loss(acts: Array, counts: Array, threshold: Array, timesteps: int,
-                          layer: int | None = None) -> float:
+                          layer: int) -> float:
     """Mean squared error between analog activations and the rate of the
     (batch, width) spike counts over all ``timesteps`` steps, both in
-    float64."""
+    float64; ``layer`` is the IF layer's index, for the error message."""
     rate = _rate(np.asarray(threshold, dtype=np.float64), np.asarray(counts), timesteps)
     acts = np.asarray(acts, dtype=np.float64)
     if acts.shape != rate.shape:
-        where = f" at layer {layer}" if layer is not None else ""
-        raise ValueError(f"activation/rate shape mismatch{where}: {acts.shape} vs {rate.shape}")
+        raise ValueError(f"activation/rate shape mismatch at layer {layer}: "
+                         f"{acts.shape} vs {rate.shape}")
     return float(np.mean((acts - rate) ** 2))
 
 
@@ -174,10 +176,11 @@ def _kd_loss_and_grad(teacher_logits: Array, out: Array, temperature: float):
     return loss, grad
 
 
-def _nwc_bptt(snn: SnnNetwork, params: dict, drive: Array, teacher_acts,
-              teacher_logits, cfg: CalibConfig):
-    """One calibration step: both losses and the gradient for every threshold
-    and initial potential, by surrogate-gradient backprop through time.
+def _nwc_bptt(pairs, tail, drive: Array, teacher_acts, teacher_logits, cfg: CalibConfig):
+    """One calibration step on the split stack ``pairs, tail``: both losses
+    and the gradient for every threshold and initial potential of the pairs'
+    IF layers, keyed ``if{j}.threshold`` and ``if{j}.v_init``, by
+    surrogate-gradient backprop through time.
 
     Gradient semantics: the alignment loss is differentiated with the
     carries between layers detached, so each layer's parameters receive the
@@ -188,13 +191,12 @@ def _nwc_bptt(snn: SnnNetwork, params: dict, drive: Array, teacher_acts,
     dL_logits``; a term whose weight is zero is not computed.
 
     The forward pass is ``simulate``'s IF recurrence (``snn._if_steps``)
-    over the rho unrolled steps, on IF layers that wrap the params; building
-    them is the step's one check that the thresholds are positive, and the
-    recurrence raises ``SimulationError`` on a non-finite potential. Per
-    neuron-step it keeps two booleans, two bytes: the spike, which
-    ``if_step`` writes into one (rho, batch, width) array per layer, and the
-    surrogate window (``autodiff._surrogate_window``) at the pre-reset
-    potential. Neither costs a bit: a boolean spike enters the layer's sum
+    over the rho unrolled steps, on the pairs' own IF layers; it raises
+    ``SimulationError`` on a non-finite potential. Per neuron-step it keeps
+    two booleans, two bytes: the spike, which ``if_step`` writes into one
+    (rho, batch, width) array per layer, and the surrogate window
+    (``autodiff._surrogate_window``) at the pre-reset potential. Neither
+    costs a bit: a boolean spike enters the layer's sum
     over steps and ``s * c`` as float32 0.0 or 1.0, and
     ``window * (1 / theta)`` is the array ``surrogate_spike_grad`` returns.
     One reverse sweep over steps and layers then carries the adjoint of the
@@ -202,18 +204,17 @@ def _nwc_bptt(snn: SnnNetwork, params: dict, drive: Array, teacher_acts,
     the alignment lane, which never crosses layers, and the logits lane,
     which crosses layers through ``g @ W.T``.
     """
-    pairs, tail = _split_stack(snn)
     n_layers = len(pairs)
-    thetas = [params[f"if{j}.threshold"] for j in range(n_layers)]
+    layers = [iflayer for _, iflayer in pairs]
+    thetas = [layer.threshold for layer in layers]
     inv_denom = 1.0 / cfg.rho
 
     # forward: the boolean spike and surrogate window of every (step, layer)
-    layers = [IfLayer(thetas[j], params[f"if{j}.v_init"]) for j in range(n_layers)]
     first_current = drive @ pairs[0][0].w + pairs[0][0].b
     vs = _start_potentials(layers, drive.shape[0])
     spikes = [np.empty((cfg.rho,) + v.shape, dtype=np.bool_) for v in vs]
     windows: list[list] = [[] for _ in range(cfg.rho)]
-    for t, j, _, carry in _if_steps(pairs, layers, first_current, vs, spikes, cfg.rho):
+    for t, j, _, carry in _if_steps(pairs, first_current, vs, spikes, cfg.rho):
         # the window is taken at the pre-reset potential, rebuilt as
         # v_post + carry bit for bit: carry is 0 where nothing fired; v - theta
         # is exact for theta <= v <= 2 theta (Sterbenz), so adding theta
@@ -279,30 +280,30 @@ def _calib_batch(snn: SnnNetwork, ann: AnnModel, bx: Array):
 
 
 def nwc_calibrate(snn: SnnNetwork, ann: AnnModel, data, cfg: CalibConfig,
-                  rng: Rng | None = None) -> tuple[SnnNetwork, list[dict]]:
+                  rng: Rng) -> tuple[SnnNetwork, list[dict]]:
     """Neuron-wise calibration: train per-neuron thresholds and initial
     potentials by backprop through the unrolled simulation.
 
-    Synaptic weights are frozen; the function asserts their hash is
-    untouched. Returns the calibrated network and one log record per
-    optimizer step.
+    Adam updates the threshold and initial-potential arrays of a clone of
+    ``snn`` in place; ``snn`` itself is left as it is. Synaptic weights are
+    frozen; the function asserts their hash is untouched. Returns the
+    calibrated clone and one log record per optimizer step.
     """
     from .checkpoint import weight_hash  # local import avoids a module cycle
 
-    if rng is None:
-        rng = Rng(cfg.seed).split("nwc")
     snn = snn.clone()
-    pairs, _ = _split_stack(snn)
+    pairs, tail = _split_stack(snn)
     if len(pairs) != len(ann.qcfs_layers()):
         raise ValueError(
             f"teacher has {len(ann.qcfs_layers())} staircase layers but the network has "
             f"{len(pairs)} IF layers")
     hash_before = weight_hash(snn)
 
+    layers = [iflayer for _, iflayer in pairs]
     params = {}
-    for j, (_, iflayer) in enumerate(pairs):
-        params[f"if{j}.threshold"] = iflayer.threshold.copy()
-        params[f"if{j}.v_init"] = iflayer.v_init.copy()
+    for j, layer in enumerate(layers):
+        params[f"if{j}.threshold"] = layer.threshold
+        params[f"if{j}.v_init"] = layer.v_init
     state = None
     n = len(data.x)
     log: list[dict] = []
@@ -313,31 +314,25 @@ def nwc_calibrate(snn: SnnNetwork, ann: AnnModel, data, cfg: CalibConfig,
         if cfg.batch_size < n:
             batch = _calib_batch(snn, ann, data.x[rng.integers(0, n, (cfg.batch_size,))])
         try:
-            losses, gdict = _nwc_bptt(snn, params, *batch, cfg)
+            losses, gdict = _nwc_bptt(pairs, tail, *batch, cfg)
         except SimulationError as e:
             raise CalibrationError(f"{e} in calibration step {step}") from e
         l_all = losses["L_all"]
         if not np.isfinite(l_all):
             raise CalibrationError(f"non-finite calibration loss at step {step}")
-        params, state = ad.adam_step(params, gdict, state, cfg.lr)
-        for j in range(len(pairs)):
+        _, state = ad.adam_step(params, gdict, state, cfg.lr)
+        for layer in layers:
             # thresholds must stay positive for the surrogate to be defined
-            theta = params[f"if{j}.threshold"]
-            np.maximum(theta, np.float32(1e-4), out=theta)
+            np.maximum(layer.threshold, np.float32(1e-4), out=layer.threshold)
         log.append({
             "step": step,
             "L_al": losses["L_al"],
             "L_logits": losses["L_logits"],
             "L_all": l_all,
-            "mean_theta": float(np.mean([params[f"if{j}.threshold"].mean()
-                                         for j in range(len(pairs))])),
-            "mean_v0": float(np.mean([params[f"if{j}.v_init"].mean()
-                                      for j in range(len(pairs))])),
+            "mean_theta": float(np.mean([layer.threshold.mean() for layer in layers])),
+            "mean_v0": float(np.mean([layer.v_init.mean() for layer in layers])),
         })
 
-    for j, (_, iflayer) in enumerate(pairs):
-        iflayer.threshold = params[f"if{j}.threshold"]
-        iflayer.v_init = params[f"if{j}.v_init"]
     if weight_hash(snn) != hash_before:
         raise CalibrationError("synaptic weights changed during neuron-wise calibration")
     return snn, log
@@ -378,7 +373,7 @@ def snn_predict(snn: SnnNetwork, x: Array, timesteps: int | None = None) -> Arra
     return np.concatenate(outs, axis=0)
 
 
-def evaluate_snn(snn: SnnNetwork, data, timesteps: int | None = None) -> dict:
+def evaluate_snn(snn: SnnNetwork, data, timesteps: int) -> dict:
     out = snn_predict(snn, data.x, timesteps)
     if data.task == "regress":
         return {"mse": float(np.mean((out.astype(np.float64) - data.y) ** 2))}

@@ -173,7 +173,7 @@ def load_checkpoint(in_dir: str):
         return _build_checkpoint(manifest, weights)
     except KeyError as e:
         raise IntegrityError(f"manifest at {in_dir} lacks field {e}") from None
-    except TypeError as e:
+    except (TypeError, ValueError) as e:
         raise IntegrityError(f"malformed manifest at {in_dir}: {e}") from None
 
 

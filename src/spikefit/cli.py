@@ -12,7 +12,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
 
 import numpy as np
 
@@ -47,7 +46,6 @@ class _Run:
 
     def __init__(self, args):
         cfg = parse_config(args.config)
-        cfg = replace(cfg, stage2=replace(cfg.stage2, seed=cfg.seed))
         out = args.out or cfg.out_dir
         if out is None:
             raise ConfigError("no output directory: set out_dir in the config or pass --out")

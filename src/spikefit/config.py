@@ -32,6 +32,8 @@ class ModelSpec:
             raise ValueError(f"unknown model kind {self.kind!r}; choose from {kinds}")
         if self.levels < 1:
             raise ValueError(f"levels must be >= 1, got {self.levels}")
+        if not self.hidden:
+            raise ValueError("hidden must list at least one width, got []")
         if min([self.embed_dim, *self.hidden]) < 1:
             raise ValueError(f"widths must be >= 1, got hidden={self.hidden}, "
                              f"embed_dim={self.embed_dim}")

@@ -7,7 +7,7 @@ layer consumes the analog input and is excluded, as are bias additions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,9 +22,6 @@ class OpCounts:
     ac: int
     mac: int
     per_layer_ac: list[int]
-    per_layer_mac: list[int]
-    n_samples: int
-    timesteps: int
 
 
 def count_ops(record: SpikeRecord, net: SnnNetwork) -> OpCounts:
@@ -43,27 +40,18 @@ def count_ops(record: SpikeRecord, net: SnnNetwork) -> OpCounts:
             raise ValueError(
                 f"layer {j}: record width {record.counts[j].shape[1]} != network width "
                 f"{iflayer.width}")
-    n_samples = record.n_samples
     per_ac: list[int] = []
-    per_mac: list[int] = []
+    mac = 0
     for j in range(len(pairs)):
         consumer = pairs[j + 1][0] if j + 1 < len(pairs) else tail
         if consumer is None:
             per_ac.append(0)
-            per_mac.append(0)
             continue
         fan_out = consumer.w.shape[1]
         spikes_total = int(record.counts[j].sum(dtype=np.int64))
         per_ac.append(spikes_total * fan_out)
-        per_mac.append(consumer.w.shape[0] * fan_out * n_samples)
-    return OpCounts(
-        ac=int(sum(per_ac)),
-        mac=int(sum(per_mac)),
-        per_layer_ac=per_ac,
-        per_layer_mac=per_mac,
-        n_samples=n_samples,
-        timesteps=record.timesteps,
-    )
+        mac += consumer.w.shape[0] * fan_out * record.n_samples
+    return OpCounts(ac=int(sum(per_ac)), mac=mac, per_layer_ac=per_ac)
 
 
 @dataclass
@@ -73,8 +61,8 @@ class EnergyReport:
     snn_energy_pj: float
     ann_energy_pj: float
     ratio_percent: float
-    rates: list[float] = field(default_factory=list)
-    meta: dict = field(default_factory=dict)
+    rates: list[float]
+    meta: dict
 
     def as_dict(self) -> dict:
         return {
@@ -88,9 +76,11 @@ class EnergyReport:
         }
 
 
-def energy_report(counts: OpCounts, rates: list[float] | None = None) -> EnergyReport:
+def energy_report(counts: OpCounts, rates: list[float]) -> EnergyReport:
     """Price the counts: spiking side at AC_PICOJOULES per AC, analog side at
-    MAC_PICOJOULES per MAC; ratio is their percentage."""
+    MAC_PICOJOULES per MAC; ratio is their percentage. ``rates`` (each
+    layer's share of neuron-steps that fired, from ``spike_rate_stats``) is
+    carried into the report."""
     ac, mac = counts.ac, counts.mac
     if ac < 0 or mac < 0:
         raise ValueError("operation counts must be nonnegative")
@@ -103,7 +93,7 @@ def energy_report(counts: OpCounts, rates: list[float] | None = None) -> EnergyR
         snn_energy_pj=float(snn),
         ann_energy_pj=float(ann),
         ratio_percent=float(ratio),
-        rates=list(rates or []),
+        rates=list(rates),
         meta={"ac_pj": AC_PICOJOULES, "mac_pj": MAC_PICOJOULES,
               "bias_ops": "excluded from both sides"},
     )

@@ -46,14 +46,15 @@ class SimulationError(RuntimeError):
 @dataclass
 class IfLayer:
     """Integrate-and-fire population: per-neuron threshold and initial
-    potential, as float32 vectors of one width."""
+    potential, as float32 vectors of one width. The layer holds its own
+    copies, so neuron-wise calibration can update them in place."""
 
     threshold: Array
     v_init: Array
 
     def __post_init__(self):
-        self.threshold = np.asarray(self.threshold, dtype=np.float32)
-        self.v_init = np.asarray(self.v_init, dtype=np.float32)
+        self.threshold = np.array(self.threshold, dtype=np.float32)
+        self.v_init = np.array(self.v_init, dtype=np.float32)
         if self.threshold.ndim != 1 or self.v_init.shape != self.threshold.shape:
             raise ValueError(f"threshold/v_init must be matching vectors, got "
                              f"{self.threshold.shape} and {self.v_init.shape}")
@@ -66,11 +67,12 @@ class IfLayer:
 
 
 def if_step(layer: IfLayer, v: Array, input_current: Array, spikes: Array,
-            step: int | None = None) -> tuple[Array, Array]:
+            step: int) -> tuple[Array, Array]:
     """Advance the float32 potentials ``v`` (batch, width) by one timestep,
     in place, and write the firing mask into the boolean array ``spikes``
     (batch, width); returns ``spikes`` and the threshold-weighted output
-    ``spikes * threshold`` that the next linear layer reads.
+    ``spikes * threshold`` that the next linear layer reads. ``step`` is the
+    timestep's index, for the error message.
 
     Reset is by subtraction: a firing neuron's potential drops by exactly
     its threshold. A potential exactly at threshold fires. Only ``v`` and
@@ -83,8 +85,7 @@ def if_step(layer: IfLayer, v: Array, input_current: Array, spikes: Array,
     v += cur
     if not np.all(np.isfinite(v)):
         neuron = int(np.argwhere(~np.isfinite(v))[0][-1])
-        where = f" at step {step}" if step is not None else ""
-        raise SimulationError(f"non-finite membrane potential for neuron {neuron}{where}")
+        raise SimulationError(f"non-finite membrane potential for neuron {neuron} at step {step}")
     np.greater_equal(v, layer.threshold, out=spikes)
     out = spikes * layer.threshold
     v -= out
@@ -167,12 +168,10 @@ def _start_potentials(layers: list[IfLayer], batch: int) -> list[Array]:
     return [np.repeat(l.v_init[None, :], batch, axis=0) for l in layers]
 
 
-def _if_steps(pairs, layers: list[IfLayer], first_current: Array, v: list[Array],
-              spikes: list[Array], steps: int):
+def _if_steps(pairs, first_current: Array, v: list[Array], spikes: list[Array], steps: int):
     """The IF recurrence of ``simulate`` and of neuron-wise calibration.
 
-    For each step t and pair j, drives ``layers[j]`` (the pair's own IF
-    layer, or one holding the parameters under calibration) with
+    For each step t and pair j, drives the pair's IF layer with
     ``first_current`` at j = 0, else with the previous layer's output
     through the pair's linear; ``if_step`` advances ``v[j]`` in place and
     writes the firing mask into ``spikes[j][t]``, so ``spikes[j]`` is a
@@ -180,7 +179,7 @@ def _if_steps(pairs, layers: list[IfLayer], first_current: Array, v: list[Array]
     ``(t, j, current, output)``.
     """
     for t in range(steps):
-        for j, (linear, _) in enumerate(pairs):
+        for j, (linear, layer) in enumerate(pairs):
             if j == 0:
                 cur = first_current
             else:
@@ -188,7 +187,7 @@ def _if_steps(pairs, layers: list[IfLayer], first_current: Array, v: list[Array]
                 cur += linear.b
             # the benchmark tracer wraps the module's if_step and reads the
             # layer from its first argument
-            _, carry = if_step(layers[j], v[j], cur, spikes[j][t], step=t)
+            _, carry = if_step(layer, v[j], cur, spikes[j][t], t)
             yield t, j, cur, carry
 
 
@@ -228,7 +227,7 @@ def simulate(net: SnnNetwork, analog_input: Array, timesteps: int | None = None,
                       if record_potentials else None)
 
     masks = [frames.view(np.bool_) for frames in spikes_rec]
-    for t, j, cur, _ in _if_steps(pairs, layers, first_current, v, masks, T):
+    for t, j, cur, _ in _if_steps(pairs, first_current, v, masks, T):
         counts[j] += spikes_rec[j][t]
         if currents_rec is not None:
             currents_rec[j][t] = cur

@@ -208,7 +208,7 @@ class TestNoReferenceCycles:
         data = Dataset(rng.normal(0, 1, (16, 4)), rng.integers(0, 2, (16,)), "classify")
 
         def step():
-            train_model(model, data, TrainConfig(steps=2, batch_size=8), Rng(8))
+            train_model(model, data, TrainConfig(steps=2, batch_size=8), Rng(8), data)
 
         step()  # a first call may leave one-off garbage from lazy imports
         gc.disable()
@@ -223,7 +223,7 @@ class TestNoReferenceCycles:
 class TestReplaceActivations:
     def test_structural_swap_keeps_weights_bit_identical(self):
         model = mlp([4, 8, 8, 8, 2], Rng(0))
-        out = replace_activations(model, 8)
+        out = replace_activations(model, 8, Rng(1).normal(0, 1, (16, 4)))
         assert len(out.qcfs_layers()) == 3
         for a, b in zip(model.layers, out.layers):
             if isinstance(a, Linear):
@@ -250,7 +250,7 @@ class TestReplaceActivations:
     def test_no_activations_rejected(self):
         model = AnnModel([Linear(np.eye(2, dtype=np.float32), np.zeros(2, np.float32))])
         with pytest.raises(ValueError, match="no ReLU activation"):
-            replace_activations(model, 8)
+            replace_activations(model, 8, np.zeros((1, 2), np.float32))
 
 
 class TestTraining:
@@ -262,7 +262,7 @@ class TestTraining:
                                         data.x[:256])
             initial = dataset_loss(model, data)
             cfg = TrainConfig(steps=500, batch_size=64, lr=0.01, lr_ceiling=0.05)
-            trained, history = stage1_finetune(model, data, cfg, rng.split("train"))
+            trained, history = stage1_finetune(model, data, cfg, rng.split("train"), data)
             assert dataset_loss(trained, data) <= 0.5 * initial
             assert len(history) >= 1 and "train_loss" in history[0]
 
@@ -285,7 +285,7 @@ class TestTraining:
         model = replace_activations(mlp([6, 8, 3], rng.split("init")), 4, data.x[:64])
         before = {k: v.copy() for k, v in param_arrays(model).items()}
         trained, _ = train_model(model, data, TrainConfig(steps=20, lr=0.0, lr_ceiling=0.0),
-                                 rng.split("t"))
+                                 rng.split("t"), data)
         after = param_arrays(trained)
         for k in before:
             np.testing.assert_array_equal(before[k], after[k])
@@ -296,7 +296,7 @@ class TestTraining:
         model = replace_activations(mlp([6, 8, 3], rng.split("init")), 4, data.x[:64])
         before = {k: v.copy() for k, v in param_arrays(model).items()}
         cfg = TrainConfig(steps=20, lr=0.05, lr_ceiling=0.05, weight_decay=0.01)
-        trained, _ = train_model(model, data, cfg, rng.split("t"))
+        trained, _ = train_model(model, data, cfg, rng.split("t"), data)
         after, got = param_arrays(model), param_arrays(trained)
         for k in before:
             assert after[k].tobytes() == before[k].tobytes(), k
@@ -310,10 +310,10 @@ class TestTraining:
         model.layers[0].w[0, 0] = np.float32(np.inf)
         # the inf is deliberate: silence numpy's warnings about it, as the CLI does
         with pytest.raises(TrainingDivergedError, match="step"), np.errstate(all="ignore"):
-            train_model(model, data, TrainConfig(steps=5, lr=0.01), rng.split("t"))
+            train_model(model, data, TrainConfig(steps=5, lr=0.01), rng.split("t"), data)
 
     def test_stage1_requires_staircase_model(self):
         rng = Rng(3)
         data = _teacher_data(rng, n=100)
         with pytest.raises(ValueError, match="replace_activations"):
-            stage1_finetune(mlp([6, 8, 3], rng), data, TrainConfig(steps=1), rng)
+            stage1_finetune(mlp([6, 8, 3], rng), data, TrainConfig(steps=1), rng, data)

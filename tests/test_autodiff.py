@@ -182,7 +182,7 @@ class TestSurrogate:
         v_pre, theta = case
         v = np.zeros((1, 1), dtype=np.float32)
         _, out = if_step(IfLayer([theta], [0.0]), v, np.full((1, 1), v_pre, np.float32),
-                         np.empty((1, 1), np.bool_))
+                         np.empty((1, 1), np.bool_), 0)
         got = surrogate_spike_grad(v + out, np.asarray([theta]))
         want = surrogate_spike_grad(np.full((1, 1), v_pre, np.float32), np.asarray([theta]))
         assert got.dtype == want.dtype == np.float32

@@ -93,20 +93,20 @@ class TestAlignLoss:
         spikes[:2, 0, 0] = 1
         theta = np.ones(2, np.float32)
         rate = theta * spikes.sum(axis=0) / 4.0  # exactly representable
-        assert activation_align_loss(rate, spikes.sum(axis=0), theta, 4) == 0.0
+        assert activation_align_loss(rate, spikes.sum(axis=0), theta, 4, 0) == 0.0
 
     def test_reference_value(self):
         # a=0.4, 3 spikes in 5 steps, theta=1: (0.6-0.4)^2
         spikes = np.zeros((5, 1, 1), np.float32)
         spikes[:3, 0, 0] = 1
         loss = activation_align_loss(np.array([[0.4]]), spikes.sum(axis=0),
-                                     np.ones(1, np.float32), 5)
+                                     np.ones(1, np.float32), 5, 0)
         assert loss == pytest.approx(0.04, abs=1e-9)
 
     def test_silent_match(self):
         spikes = np.zeros((4, 1, 3), np.float32)
         loss = activation_align_loss(np.zeros((1, 3)), spikes.sum(axis=0),
-                                     np.ones(3, np.float32), 4)
+                                     np.ones(3, np.float32), 4, 0)
         assert loss == 0.0
 
     def test_shape_mismatch_names_layer(self):
@@ -204,6 +204,37 @@ class TestNwc:
         np.testing.assert_array_equal(out.if_layers()[0].threshold, theta0)
         np.testing.assert_array_equal(out.if_layers()[0].v_init, v0)
         assert log[0]["L_al"] == 0.0
+
+    def test_input_network_untouched(self):
+        # Adam updates the clone's own arrays in place; the caller's network
+        # keeps its bits, and no IF array of the result is the caller's memory
+        rng, model, data = _calib_setup(8, dims=(6, 12, 8, 3))
+        net = lwc(convert(model, 8), 0.6, 0.1)
+        before = [(l.threshold.copy(), l.v_init.copy()) for l in net.if_layers()]
+        cfg = CalibConfig(timesteps=8, steps=4, batch_size=64, lr=0.05, seed=8)
+        out, _ = nwc_calibrate(net, model, data, cfg, rng.split("nwc"))
+        for layer, (theta, v0) in zip(net.if_layers(), before):
+            assert layer.threshold.tobytes() == theta.tobytes()
+            assert layer.v_init.tobytes() == v0.tobytes()
+        moved = [l.threshold.tobytes() != theta.tobytes()
+                 for l, (theta, _) in zip(out.if_layers(), before)]
+        assert all(moved)
+        for got in out.if_layers():
+            for given in net.if_layers():
+                for a in (got.threshold, got.v_init):
+                    assert not np.shares_memory(a, given.threshold)
+                    assert not np.shares_memory(a, given.v_init)
+
+    def test_nan_threshold_aborts(self):
+        # the clamp keeps thresholds positive but passes NaN through; a NaN
+        # threshold resets to a NaN potential, which the IF step refuses
+        rng, model, data = _calib_setup(9, dims=(6, 12, 8, 3))
+        net = convert(model, 8)
+        net.if_layers()[0].threshold[0] = np.nan
+        cfg = CalibConfig(timesteps=8, steps=2, batch_size=64, seed=9)
+        with np.errstate(invalid="ignore"), pytest.raises(
+                CalibrationError, match="non-finite membrane potential"):
+            nwc_calibrate(net, model, data, cfg, rng.split("nwc"))
 
     def test_reruns_bit_identical(self):
         rng, model, data = _calib_setup(5, dims=(6, 12, 8, 3))

@@ -76,6 +76,20 @@ def _qcfs_in_snn(m):
     m["layers"][1] = {"type": "qcfs", "ceiling": 1.0, "levels": 4}
 
 
+def _negative_ceiling(m):
+    m["layers"][1] = {"type": "qcfs", "ceiling": -1.0, "levels": 4}
+
+
+def _zero_horizon(m):
+    m["kind"], m["timesteps"] = "snn", 0
+    del m["layers"][1]
+
+
+def _matrix_threshold(m):
+    m["kind"], m["timesteps"] = "snn", 4
+    m["layers"][1] = {"type": "if", "threshold": "0.w", "v_init": "0.b"}
+
+
 @pytest.mark.parametrize("edit, message", [
     (_drop("kind"), "lacks field 'kind'"),
     (_drop("tensors"), "lacks field 'tensors'"),
@@ -86,6 +100,9 @@ def _qcfs_in_snn(m):
     (_if_in_ann, "unknown layer descriptor type 'if'"),
     (_qcfs_in_snn, "unknown layer descriptor type 'qcfs'"),
     (_gelu_in_ann, "unknown layer descriptor type 'gelu'"),
+    (_negative_ceiling, "malformed manifest .*ceiling must be positive"),
+    (_zero_horizon, "malformed manifest .*horizon must be >= 1"),
+    (_matrix_threshold, "malformed manifest .*must be matching vectors"),
 ])
 def test_malformed_manifest_raises_integrity_error(tmp_path, edit, message):
     save_checkpoint(mlp([3, 4, 2], Rng(0)), str(tmp_path))

@@ -84,6 +84,7 @@ def _without(section, key) -> dict:
     (_with("stage2", "beta", float("nan")), "stage2.beta must be a finite number, got nan"),
     (_with("stage2", "beta", [0.5, 0.5]), "stage2.beta must be a finite number, got [0.5, 0.5]"),
     (_with("stage2", "alpha", "auto"), "stage2.alpha must be a finite number, got 'auto'"),
+    (_with("model", "hidden", []), "model: hidden must list at least one width"),
 ])
 def test_rejected_with_key_path(tmp_path, raw, message):
     with pytest.raises(ConfigError, match=re.escape(message)):

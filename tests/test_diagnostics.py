@@ -47,8 +47,11 @@ class TestDecomposeErrors:
         # unit ceiling keeps the staircase values exactly representable,
         # so the equivalence-regime temporal error is exactly zero
         rng = Rng(0)
-        model = replace_activations(mlp([5, 10, 3], rng), 8)
+        model = mlp([5, 10, 3], rng)
         x = rng.split("batch").normal(0, 1, (64, 5))
+        model = replace_activations(model, 8, x)
+        for q in model.qcfs_layers():
+            q.ceiling = 1.0
         net = convert(model, 8)
         traces = ann_forward(model, x, record=True).traces
         record = simulate(net, x, 8)

@@ -119,30 +119,29 @@ class TestCountOps:
 
 
 def _counts(ac: int, mac: int) -> OpCounts:
-    return OpCounts(ac=ac, mac=mac, per_layer_ac=[ac], per_layer_mac=[mac],
-                    n_samples=1, timesteps=1)
+    return OpCounts(ac=ac, mac=mac, per_layer_ac=[ac])
 
 
 class TestEnergyReport:
     def test_mac_pricing(self):
-        report = energy_report(_counts(0, 16))
+        report = energy_report(_counts(0, 16), [])
         assert report.ann_energy_pj == pytest.approx(73.6)
 
     def test_ac_pricing_and_ratio(self):
-        report = energy_report(_counts(20, 16))
+        report = energy_report(_counts(20, 16), [])
         assert report.snn_energy_pj == pytest.approx(18.0)
         assert report.ratio_percent == pytest.approx(24.46, abs=0.01)
 
     def test_zero_ac_gives_zero_ratio(self):
-        assert energy_report(_counts(0, 16)).ratio_percent == 0.0
+        assert energy_report(_counts(0, 16), []).ratio_percent == 0.0
 
     def test_negative_counts_rejected(self):
         with pytest.raises(ValueError):
-            energy_report(_counts(-1, 4))
+            energy_report(_counts(-1, 4), [])
 
     def test_monotone_in_spikes(self):
-        lo = energy_report(_counts(10, 16)).snn_energy_pj
-        hi = energy_report(_counts(11, 16)).snn_energy_pj
+        lo = energy_report(_counts(10, 16), []).snn_energy_pj
+        hi = energy_report(_counts(11, 16), []).snn_energy_pj
         assert hi > lo
 
     def test_ratio_rate_identity_uniform_layer(self):
@@ -151,7 +150,7 @@ class TestEnergyReport:
         spikes = (Rng(5).uniform(0, 1, (8, 3, 4)) < 0.5).astype(np.float32)
         rec = _record_with_spikes(net, spikes)
         counts = count_ops(rec, net)
-        report = energy_report(counts)
+        report = energy_report(counts, spike_rate_stats(rec))
         r_bar = np.count_nonzero(spikes) / spikes.size
         want = 100.0 * (0.9 / 4.6) * 8 * r_bar
         assert report.ratio_percent == pytest.approx(want, rel=1e-9)

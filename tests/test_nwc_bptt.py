@@ -52,10 +52,14 @@ def _tape_unroll(snn, theta_vars, v0_vars, drive, cfg, detach_carry):
     return rates, tail
 
 
-def tape_nwc_step(snn, params, drive, teacher_acts, teacher_logits, cfg):
+def tape_nwc_step(snn, drive, teacher_acts, teacher_logits, cfg):
     """Reference losses and gradients from two tapes (detached-carry
     alignment, full-chain logits), combined with the loss weights."""
     n_layers = len(snn.if_layers())
+    params = {}
+    for j, layer in enumerate(snn.if_layers()):
+        params[f"if{j}.threshold"] = layer.threshold
+        params[f"if{j}.v_init"] = layer.v_init
     grads = {k: np.zeros_like(v) for k, v in params.items()}
 
     def leaves(tape):
@@ -105,18 +109,17 @@ def _setup(seed, dims=(6, 16, 12, 4), levels=8, timesteps=8, embed=False, if_tai
     model = replace_activations(model, levels, x)
     # uneven per-neuron thresholds and potentials so every surrogate branch is hit
     net = lwc(convert(model, timesteps), 0.7, 0.2)
-    params = {}
     for j, layer in enumerate(net.if_layers()):
         jitter = rng.split(f"jitter{j}").uniform(0.6, 1.4, (layer.width,))
-        params[f"if{j}.threshold"] = (layer.threshold * jitter).astype(np.float32)
-        params[f"if{j}.v_init"] = (layer.v_init * jitter[::-1]).astype(np.float32)
-    return net, model, x, params
+        layer.threshold = (layer.threshold * jitter).astype(np.float32)
+        layer.v_init = (layer.v_init * jitter[::-1]).astype(np.float32)
+    return net, model, x
 
 
-def _compare(net, model, x, params, cfg):
+def _compare(net, model, x, cfg):
     batch = _calib_batch(net, model, x)
-    losses, grads = _nwc_bptt(net, params, *batch, cfg)
-    want_losses, want = tape_nwc_step(net, params, *batch, cfg)
+    losses, grads = _nwc_bptt(*_split_stack(net), *batch, cfg)
+    want_losses, want = tape_nwc_step(net, *batch, cfg)
     scale = max(float(np.abs(g).max()) for g in want.values())
     assert scale > 0
     for key in want:
@@ -131,23 +134,23 @@ def _compare(net, model, x, params, cfg):
 class TestMatchesTape:
     @pytest.mark.parametrize("timesteps", [1, 2, 8])
     def test_horizons(self, timesteps):
-        net, model, x, params = _setup(timesteps, timesteps=timesteps, levels=timesteps)
-        _compare(net, model, x, params, CalibConfig(timesteps=timesteps))
+        net, model, x = _setup(timesteps, timesteps=timesteps, levels=timesteps)
+        _compare(net, model, x, CalibConfig(timesteps=timesteps))
 
     def test_short_window(self):
-        net, model, x, params = _setup(11)
-        _compare(net, model, x, params, CalibConfig(timesteps=8, rho=5))
+        net, model, x = _setup(11)
+        _compare(net, model, x, CalibConfig(timesteps=8, rho=5))
 
     def test_loss_weights_and_temperature(self):
-        net, model, x, params = _setup(12)
-        _compare(net, model, x, params, CalibConfig(timesteps=8, lambda_align=0.3,
-                                                    lambda_logits=1.7, temperature=2.5))
+        net, model, x = _setup(12)
+        _compare(net, model, x, CalibConfig(timesteps=8, lambda_align=0.3,
+                                            lambda_logits=1.7, temperature=2.5))
 
     @pytest.mark.parametrize("weights", [(0.0, 1.0), (1.0, 0.0)])
     def test_single_loss(self, weights):
-        net, model, x, params = _setup(13)
+        net, model, x = _setup(13)
         cfg = CalibConfig(timesteps=8, lambda_align=weights[0], lambda_logits=weights[1])
-        grads = _compare(net, model, x, params, cfg)
+        grads = _compare(net, model, x, cfg)
         # the zero-weight lane is skipped, not computed: poisoning its
         # targets leaves the gradients untouched
         drive, acts, logits = _calib_batch(net, model, x)
@@ -155,42 +158,44 @@ class TestMatchesTape:
             acts = [np.full_like(a, np.nan) for a in acts]
         else:
             logits = np.full_like(logits, np.nan)
-        _, poisoned = _nwc_bptt(net, params, drive, acts, logits, cfg)
+        _, poisoned = _nwc_bptt(*_split_stack(net), drive, acts, logits, cfg)
         for key in grads:
             np.testing.assert_array_equal(poisoned[key], grads[key], err_msg=key)
 
     def test_net_ending_in_if_layer(self):
-        net, model, x, params = _setup(14, dims=(6, 10, 8, 5), if_tail=True)
+        net, model, x = _setup(14, dims=(6, 10, 8, 5), if_tail=True)
         assert isinstance(net.layers[-1], IfLayer)
-        _compare(net, model, x, params, CalibConfig(timesteps=8))
+        _compare(net, model, x, CalibConfig(timesteps=8))
 
     def test_embedding_encoder(self):
-        net, model, x, params = _setup(15, dims=(6, 12, 3), embed=True)
+        net, model, x = _setup(15, dims=(6, 12, 3), embed=True)
         assert net.input_encoder is not None
-        _compare(net, model, x, params, CalibConfig(timesteps=4))
+        _compare(net, model, x, CalibConfig(timesteps=4))
 
     def test_single_layer(self):
-        net, model, x, params = _setup(16, dims=(6, 9, 3))
-        _compare(net, model, x, params, CalibConfig(timesteps=8))
+        net, model, x = _setup(16, dims=(6, 9, 3))
+        _compare(net, model, x, CalibConfig(timesteps=8))
 
 
 def test_no_tape_recorded(monkeypatch):
     """The fused step records nothing on the autodiff tape."""
-    net, model, x, params = _setup(17)
+    net, model, x = _setup(17)
 
     def refuse(*args, **kwargs):
         raise AssertionError("tape used")
 
     monkeypatch.setattr(ad, "record_op", refuse)
     monkeypatch.setattr(ad.Tape, "_record", refuse)
-    _nwc_bptt(net, params, *_calib_batch(net, model, x), CalibConfig(timesteps=8))
+    _nwc_bptt(*_split_stack(net), *_calib_batch(net, model, x), CalibConfig(timesteps=8))
 
 
 @pytest.mark.parametrize("dims,rho", [((6, 16, 12, 4), 8), ((6, 9, 3), 5)])
 def test_forward_runs_simulate_recurrence(monkeypatch, dims, rho):
     """The forward pass advances the potentials through snn.if_step, once
-    per unrolled step and IF layer, as simulate does."""
-    net, model, x, params = _setup(18, dims=dims)
+    per unrolled step and IF layer, as simulate does, on the network's own
+    IF layers."""
+    net, model, x = _setup(18, dims=dims)
+    pairs, tail = _split_stack(net)
     calls = []
     real = snn.if_step
 
@@ -199,17 +204,15 @@ def test_forward_runs_simulate_recurrence(monkeypatch, dims, rho):
         return real(layer, *args, **kwargs)
 
     monkeypatch.setattr(snn, "if_step", counting)
-    _nwc_bptt(net, params, *_calib_batch(net, model, x), CalibConfig(timesteps=8, rho=rho))
-    n_layers = len(net.if_layers())
-    assert len(calls) == rho * n_layers
-    for j in range(n_layers):
-        assert calls[j].threshold is params[f"if{j}.threshold"]
+    _nwc_bptt(pairs, tail, *_calib_batch(net, model, x), CalibConfig(timesteps=8, rho=rho))
+    want = [layer for _ in range(rho) for _, layer in pairs]
+    assert len(calls) == len(want) and all(a is b for a, b in zip(calls, want))
 
 
 def test_saved_spike_masks_are_distinct_memory(monkeypatch):
     """Each step writes its spikes into memory of its own: a mask that a
     later step overwrote would feed the reverse sweep the wrong spikes."""
-    net, model, x, params = _setup(18, dims=(6, 16, 12, 4))
+    net, model, x = _setup(18, dims=(6, 16, 12, 4))
     dests = []
     real = snn.if_step
 
@@ -218,7 +221,7 @@ def test_saved_spike_masks_are_distinct_memory(monkeypatch):
         return real(layer, v, current, spikes, *args, **kwargs)
 
     monkeypatch.setattr(snn, "if_step", recording)
-    _nwc_bptt(net, params, *_calib_batch(net, model, x), CalibConfig(timesteps=8))
+    _nwc_bptt(*_split_stack(net), *_calib_batch(net, model, x), CalibConfig(timesteps=8))
     assert len(dests) == 8 * len(net.if_layers())
     for i, a in enumerate(dests):
         assert a.dtype == np.bool_
@@ -235,17 +238,14 @@ def test_saved_state_bytes_per_neuron_step():
     x = rng.split("data").normal(0, 1, (batch, 8))
     model = replace_activations(mlp([8, width, width, 4], rng.split("model")), 8, x)
     net = convert(model, 16)
-    params = {}
-    for j, layer in enumerate(net.if_layers()):
-        params[f"if{j}.threshold"] = layer.threshold.copy()
-        params[f"if{j}.v_init"] = layer.v_init.copy()
+    pairs, tail = _split_stack(net)
     calib_batch = _calib_batch(net, model, x)
 
     def peak(rho):
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
-            _nwc_bptt(net, params, *calib_batch, CalibConfig(timesteps=16, rho=rho))
+            _nwc_bptt(pairs, tail, *calib_batch, CalibConfig(timesteps=16, rho=rho))
             return tracemalloc.get_traced_memory()[1] - start
         finally:
             tracemalloc.stop()
@@ -289,9 +289,9 @@ NWC_GOLDEN = {
 
 
 def _nwc_digest(setup, cfg_kwargs, scale):
-    net, model, x, params = _setup(setup.pop("seed"), **setup)
+    net, model, x = _setup(setup.pop("seed"), **setup)
     drive, acts, logits = _calib_batch(net, model, x)
-    losses, grads = _nwc_bptt(net, params, drive * np.float32(scale), acts, logits,
+    losses, grads = _nwc_bptt(*_split_stack(net), drive * np.float32(scale), acts, logits,
                               CalibConfig(**cfg_kwargs))
     h = hashlib.sha256()
     for key in sorted(losses):

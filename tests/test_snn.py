@@ -37,7 +37,7 @@ def _step(theta: float, v: float, current: float):
     layer = IfLayer(np.array([theta], np.float32), np.array([0.0], np.float32))
     potential = np.array([[v]], np.float32)
     spikes, _ = if_step(layer, potential, np.array([[current]], np.float32),
-                        np.empty((1, 1), np.bool_))
+                        np.empty((1, 1), np.bool_), 0)
     return spikes, potential
 
 
@@ -73,7 +73,7 @@ class TestIfStep:
         v = np.array([[0.5, 0.5]], np.float32)
         cur = np.array([[0.6, 0.1]], np.float32)
         cur_before = cur.copy()
-        spikes, out = if_step(layer, v, cur, np.empty((1, 2), np.bool_))
+        spikes, out = if_step(layer, v, cur, np.empty((1, 2), np.bool_), 0)
         assert cur.tobytes() == cur_before.tobytes()
         assert layer.threshold.tolist() == [1.0, 2.0]
         assert layer.v_init.tolist() == [0.5, 1.0]
@@ -93,7 +93,7 @@ class TestIfStep:
         want_v, want_out = u - s * theta, s * theta
         v = v0.copy()
         spikes, out = if_step(IfLayer(theta, np.zeros_like(theta)), v, cur,
-                              np.empty((batch, width), np.bool_))
+                              np.empty((batch, width), np.bool_), 0)
         assert spikes.tobytes() == s.tobytes()
         assert v.dtype == out.dtype == np.float32
         assert v.tobytes() == want_v.tobytes()
@@ -103,17 +103,26 @@ class TestIfStep:
         layer = IfLayer(np.ones(2, np.float32), np.zeros(2, np.float32))
         with pytest.raises(ValueError, match="width 3 != layer width 2"):
             if_step(layer, np.zeros((1, 2), np.float32), np.zeros((1, 3), np.float32),
-                    np.empty((1, 2), np.bool_))
+                    np.empty((1, 2), np.bool_), 0)
 
     def test_nonfinite_current_names_neuron_and_step(self):
         layer = IfLayer(np.array([1.0, 1.0], np.float32), np.zeros(2, np.float32))
         with pytest.raises(SimulationError, match="neuron 1 at step 3"):
             if_step(layer, np.zeros((1, 2), np.float32),
-                    np.array([[0.1, np.nan]], np.float32), np.empty((1, 2), np.bool_), step=3)
+                    np.array([[0.1, np.nan]], np.float32), np.empty((1, 2), np.bool_), 3)
 
     def test_threshold_must_be_positive(self):
         with pytest.raises(ValueError, match="positive"):
             IfLayer(np.array([0.0], np.float32), np.array([0.0], np.float32))
+
+    def test_layer_holds_its_own_arrays(self):
+        # neuron-wise calibration updates a layer's arrays in place, so no
+        # two of them, and none of the caller's, may share memory
+        theta = np.ones(3, np.float32)
+        layer = IfLayer(theta, theta)
+        assert not np.shares_memory(layer.threshold, theta)
+        assert not np.shares_memory(layer.v_init, theta)
+        assert not np.shares_memory(layer.threshold, layer.v_init)
 
 
 class TestSimulate:

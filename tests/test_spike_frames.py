@@ -38,7 +38,7 @@ def test_if_step_returns_booleans():
     layer = IfLayer(np.ones(3, np.float32), np.zeros(3, np.float32))
     v = np.zeros((1, 3), np.float32)
     s, out = if_step(layer, v, np.array([[0.5, 1.0, 2.5]], np.float32),
-                     np.empty((1, 3), np.bool_))
+                     np.empty((1, 3), np.bool_), 0)
     assert s.dtype == np.bool_
     assert s.tolist() == [[False, True, True]]
     assert v.dtype == out.dtype == np.float32
@@ -51,7 +51,7 @@ def test_if_step_returns_the_destination_it_was_given():
     frames = np.zeros((2, 1, 3), np.uint8)
     dest = frames[1].view(np.bool_)
     s, out = if_step(layer, np.zeros((1, 3), np.float32),
-                     np.array([[0.5, 1.0, 2.5]], np.float32), dest)
+                     np.array([[0.5, 1.0, 2.5]], np.float32), dest, 1)
     assert s is dest
     assert frames.tolist() == [[[0, 0, 0]], [[0, 1, 1]]]
     assert not np.shares_memory(out, frames)
@@ -167,7 +167,7 @@ def _count_readers(rec: SpikeRecord, net: SnnNetwork, acts, traces) -> dict:
         "output": rec.output.tobytes(),
         "firing_rate": [firing_rate(rec, j).tobytes() for j in range(n)],
         "activation_align_loss": [activation_align_loss(acts[j], rec.counts[j],
-                                                        rec.thresholds[j], rec.timesteps)
+                                                        rec.thresholds[j], rec.timesteps, j)
                                   for j in range(n)],
         "per_layer_ac": ops.per_layer_ac,
         "ac": ops.ac,

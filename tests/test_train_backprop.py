@@ -201,7 +201,7 @@ def test_training_equals_the_tape_loop(name, dtype, weight_decay):
     cfg = TrainConfig(steps=15, batch_size=8, lr=0.02, lr_ceiling=0.1,
                       weight_decay=weight_decay)
     want = tape_train(model, data, cfg, Rng(4))
-    trained, _ = train_model(model, data, cfg, Rng(4))
+    trained, _ = train_model(model, data, cfg, Rng(4), data)
     got = param_arrays(trained)
     assert sorted(got) == sorted(want)
     for k in want:
@@ -216,4 +216,5 @@ def test_training_records_nothing_on_the_tape(monkeypatch):
     monkeypatch.setattr(ad.Tape, "__init__", refuse)
     monkeypatch.setattr(ad, "backward", refuse)
     model, x, y, task = _case("qcfs", 0, np.float32)
-    train_model(model, Dataset(x, y, task), TrainConfig(steps=3, batch_size=8), Rng(1))
+    data = Dataset(x, y, task)
+    train_model(model, data, TrainConfig(steps=3, batch_size=8), Rng(1), data)
