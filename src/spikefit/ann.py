@@ -97,7 +97,6 @@ def qcfs_forward(x, ceiling: float, levels: int):
 @dataclass
 class ActivationTrace:
     layer: str
-    kind: str
     pre: Array
     post: Array
     ceiling: float | None = None
@@ -145,12 +144,12 @@ def ann_forward(model: AnnModel, x, record: bool = True) -> ForwardResult:
             pre = x
             x = np.maximum(x, 0)
             if record:
-                traces.append(ActivationTrace(path, "relu", pre, x))
+                traces.append(ActivationTrace(path, pre, x))
         elif isinstance(layer, Qcfs):
             pre = x
             x = qcfs_forward(x, layer.ceiling, layer.levels)
             if record:
-                traces.append(ActivationTrace(path, "qcfs", pre, x, layer.ceiling, layer.levels))
+                traces.append(ActivationTrace(path, pre, x, layer.ceiling, layer.levels))
         else:
             raise TypeError(f"layer {path}: unknown layer type {type(layer).__name__}")
     return ForwardResult(x, traces)

@@ -325,21 +325,19 @@ def softmax_cross_entropy(logits: Var, onehot: Array) -> Var:
     return mul(mean_(per_row), -1.0)
 
 
-def soft_targets(teacher_logits: Array, temperature: float) -> Array:
-    """Teacher distribution softmax(t/temp), row by row."""
-    if temperature <= 0:
-        raise ValueError(f"temperature must be positive, got {temperature}")
-    t = np.asarray(teacher_logits) / temperature
+def soft_targets(teacher_logits: Array) -> Array:
+    """Teacher distribution softmax(t), row by row."""
+    t = np.asarray(teacher_logits)
     t = t - t.max(axis=1, keepdims=True)
     q = np.exp(t)
     q /= q.sum(axis=1, keepdims=True)
     return q
 
 
-def kd_cross_entropy(teacher_logits: Array, student_logits: Var, temperature: float) -> Var:
-    """Soft-target cross entropy: -mean_batch sum_c softmax(t/temp) * log_softmax(s/temp)."""
-    q = soft_targets(teacher_logits, temperature)
-    ls = log_softmax(mul(student_logits, 1.0 / temperature), axis=1)
+def kd_cross_entropy(teacher_logits: Array, student_logits: Var) -> Var:
+    """Soft-target cross entropy: -mean_batch sum_c softmax(t) * log_softmax(s)."""
+    q = soft_targets(teacher_logits)
+    ls = log_softmax(student_logits, axis=1)
     return mul(mean_(sum_(mul(ls, q.astype(student_logits.value.dtype)), axis=1)), -1.0)
 
 

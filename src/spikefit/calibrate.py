@@ -40,9 +40,6 @@ class CalibConfig:
     rho: int | None = None
     alpha: float = 0.6
     beta: float = 0.1
-    lambda_align: float = 1.0
-    lambda_logits: float = 1.0
-    temperature: float = 1.0
     lr: float = 0.02
     steps: int = 80
     batch_size: int = 128
@@ -59,12 +56,6 @@ class CalibConfig:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.steps < 0:
             raise ValueError(f"steps must be >= 0, got {self.steps}")
-        if self.lambda_align < 0 or self.lambda_logits < 0:
-            raise ValueError("loss weights must be nonnegative")
-        if self.lambda_align == 0 and self.lambda_logits == 0:
-            raise ValueError("loss weights must not both be zero")
-        if self.temperature <= 0:
-            raise ValueError(f"temperature must be positive, got {self.temperature}")
         if not 0 < self.alpha <= 1:
             raise ValueError(f"alpha must lie in (0, 1], got {self.alpha}")
 
@@ -162,17 +153,16 @@ def _teacher_pass(ann: AnnModel, bx: Array):
     return [t.post.astype(np.float32) for t in res.traces], res.output.astype(np.float32)
 
 
-def _kd_loss_and_grad(teacher_logits: Array, out: Array, temperature: float):
+def _kd_loss_and_grad(teacher_logits: Array, out: Array):
     """Soft-target cross entropy of ``out`` against the teacher (as in
     ``autodiff.kd_cross_entropy``) and its gradient with respect to ``out``."""
-    q = ad.soft_targets(teacher_logits, temperature).astype(out.dtype)
-    z = out * (1.0 / temperature)
-    z = z - z.max(axis=1, keepdims=True)
+    q = ad.soft_targets(teacher_logits).astype(out.dtype)
+    z = out - out.max(axis=1, keepdims=True)
     e = np.exp(z)
     total = e.sum(axis=1, keepdims=True)
     batch = out.shape[0]
     loss = -float(((z - np.log(total)) * q).sum(axis=1).sum() * (1.0 / batch))
-    grad = (e / total - q) * (1.0 / (batch * temperature))
+    grad = (e / total - q) * (1.0 / batch)
     return loss, grad
 
 
@@ -186,9 +176,8 @@ def _nwc_bptt(pairs, tail, drive: Array, teacher_acts, teacher_logits, cfg: Cali
     carries between layers detached, so each layer's parameters receive the
     gradient of that layer's own ``L_al`` term (the membrane recurrence
     within the layer stays differentiable); the logits loss is differentiated
-    through the whole chain, carries included. The two gradients are combined
-    with their loss weights, ``lambda_align * dL_al + lambda_logits *
-    dL_logits``; a term whose weight is zero is not computed.
+    through the whole chain, carries included. The step minimizes
+    ``L_all = L_al + L_logits``, so the gradient is the sum of the two.
 
     The forward pass is ``simulate``'s IF recurrence (``snn._if_steps``)
     over the rho unrolled steps, on the pairs' own IF layers; it raises
@@ -200,8 +189,8 @@ def _nwc_bptt(pairs, tail, drive: Array, teacher_acts, teacher_logits, cfg: Cali
     over steps and ``s * c`` as float32 0.0 or 1.0, and
     ``window * (1 / theta)`` is the array ``surrogate_spike_grad`` returns.
     One reverse sweep over steps and layers then carries the adjoint of the
-    membrane potential in up to two lanes, stacked as (lanes, batch, width):
-    the alignment lane, which never crosses layers, and the logits lane,
+    membrane potential in two lanes, stacked as (2, batch, width): the
+    alignment lane 0, which never crosses layers, and the logits lane 1,
     which crosses layers through ``g @ W.T``.
     """
     n_layers = len(pairs)
@@ -226,18 +215,13 @@ def _nwc_bptt(pairs, tail, drive: Array, teacher_acts, teacher_logits, cfg: Cali
     diffs = [rates[j] - teacher_acts[j] for j in range(n_layers)]
     l_align = float(np.sum([(d * d).sum() * (1.0 / d.size) for d in diffs]))
     out = rates[-1] if tail is None else rates[-1] @ tail.w + tail.b
-    l_kd, g_out = _kd_loss_and_grad(teacher_logits, out, cfg.temperature)
+    l_kd, g_out = _kd_loss_and_grad(teacher_logits, out)
 
     # seeds: the gradient of each lane's loss with respect to every rate
-    lanes = []
-    if cfg.lambda_align > 0:
-        lanes.append([np.float32(2.0 * cfg.lambda_align / d.size) * d for d in diffs])
-    kd = None
-    if cfg.lambda_logits > 0:
-        kd = len(lanes)
-        g_last = g_out if tail is None else g_out @ tail.w.T
-        lanes.append([np.zeros_like(r) for r in rates[:-1]] + [cfg.lambda_logits * g_last])
-    g_rate = [np.stack([lane[j] for lane in lanes]) for j in range(n_layers)]
+    align_seeds = [np.float32(2.0 / d.size) * d for d in diffs]
+    kd_seeds = [np.zeros_like(r) for r in rates[:-1]]
+    kd_seeds.append(g_out if tail is None else g_out @ tail.w.T)
+    g_rate = [np.stack(seeds) for seeds in zip(align_seeds, kd_seeds)]
 
     # reverse: g_u is the adjoint of the post-reset potential; acc gathers
     # the threshold gradient through the reset and the carry
@@ -250,10 +234,10 @@ def _nwc_bptt(pairs, tail, drive: Array, teacher_acts, teacher_logits, cfg: Cali
         for j in range(n_layers - 1, -1, -1):
             c = -g_u[j]
             if g_carry is not None:
-                c[kd] += g_carry
+                c[1] += g_carry
             acc[j] += spikes[j][t] * c
             g_u[j] += (g_sum[j] + thetas[j] * c) * (windows[t][j] * inv_thetas[j])
-            g_carry = g_u[j][kd] @ pairs[j][0].w.T if kd is not None and j > 0 else None
+            g_carry = g_u[j][1] @ pairs[j][0].w.T if j > 0 else None
 
     # the firing condition's theta partial is minus its v partial, and summed
     # over the steps those v partials are exactly the final g_u
@@ -261,12 +245,7 @@ def _nwc_bptt(pairs, tail, drive: Array, teacher_acts, teacher_logits, cfg: Cali
     for j in range(n_layers):
         grads[f"if{j}.threshold"] = (acc[j] - g_u[j]).sum(axis=(0, 1))
         grads[f"if{j}.v_init"] = g_u[j].sum(axis=(0, 1))
-    losses = {
-        "L_al": l_align,
-        "L_logits": l_kd,
-        "L_all": cfg.lambda_align * l_align + cfg.lambda_logits * l_kd,
-    }
-    return losses, grads
+    return {"L_al": l_align, "L_logits": l_kd, "L_all": l_align + l_kd}, grads
 
 
 def _calib_batch(snn: SnnNetwork, ann: AnnModel, bx: Array):
@@ -345,22 +324,18 @@ def eval_losses(snn: SnnNetwork, ann: AnnModel, x: Array, cfg: CalibConfig) -> d
     simulation at the inference horizon, over all of its T steps; so rho
     does not enter, and the logits are the simulation's own decoded
     output."""
-    return _record_losses(simulate(snn, x, cfg.timesteps), ann, x, cfg)
+    return _record_losses(simulate(snn, x, cfg.timesteps), *_teacher_pass(ann, x))
 
 
-def _record_losses(rec: SpikeRecord, ann: AnnModel, x: Array, cfg: CalibConfig) -> dict:
-    """``eval_losses`` of an existing simulation ``rec`` of the batch ``x``."""
-    teacher_acts, teacher_logits = _teacher_pass(ann, x)
+def _record_losses(rec: SpikeRecord, teacher_acts, teacher_logits: Array) -> dict:
+    """``eval_losses`` of an existing simulation ``rec`` against the teacher's
+    activations and logits on the same batch."""
     align = 0.0
     for j in range(rec.n_layers):
         align += activation_align_loss(teacher_acts[j], rec.counts[j], rec.thresholds[j],
                                        rec.timesteps, layer=j)
-    kd = logits_loss(teacher_logits, rec.output, cfg.temperature)
-    return {
-        "L_al": float(align),
-        "L_logits": float(kd),
-        "L_all": float(cfg.lambda_align * align + cfg.lambda_logits * kd),
-    }
+    kd = logits_loss(teacher_logits, rec.output, 1.0)
+    return {"L_al": float(align), "L_logits": float(kd), "L_all": float(align + kd)}
 
 
 _PREDICT_BATCH = 512  # rows per simulation when predicting a whole set

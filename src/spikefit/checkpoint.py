@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 
 import numpy as np
@@ -16,6 +17,7 @@ from .tensor import Array, decode_tensor, encode_tensor
 
 MANIFEST_NAME = "manifest.json"
 WEIGHTS_NAME = "weights.bin"
+_FORMAT, _VERSION = "spikefit-checkpoint", 1
 
 
 class IntegrityError(RuntimeError):
@@ -101,7 +103,7 @@ def save_checkpoint(obj, out_dir: str) -> None:
         raise TypeError(f"cannot checkpoint object of type {type(obj).__name__}")
 
     weights = b"".join(sink.blobs)
-    manifest.update({"format": "spikefit-checkpoint", "version": 1, "tensors": sink.entries,
+    manifest.update({"format": _FORMAT, "version": _VERSION, "tensors": sink.entries,
                      "weights_sha256": hashlib.sha256(weights).hexdigest()})
     with open(os.path.join(out_dir, WEIGHTS_NAME), "wb") as f:
         f.write(weights)
@@ -133,6 +135,12 @@ class _TensorSource:
         return arr
 
 
+def _count(value, name: str) -> int:
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 def _build_layers(descs: list[dict], src: _TensorSource, kind: str) -> list:
     out = []
     for d in descs:
@@ -146,7 +154,10 @@ def _build_layers(descs: list[dict], src: _TensorSource, kind: str) -> list:
         elif t == "relu":
             out.append(Relu())
         elif t == "qcfs":
-            out.append(Qcfs(ceiling=d["ceiling"], levels=d["levels"]))
+            ceiling = d["ceiling"]
+            if type(ceiling) not in (int, float) or not math.isfinite(ceiling):
+                raise ValueError(f"qcfs ceiling must be a finite number, got {ceiling!r}")
+            out.append(Qcfs(ceiling=ceiling, levels=_count(d["levels"], "qcfs levels")))
         else:
             out.append(Embedding(src.get(d["table"])))
     return out
@@ -178,6 +189,10 @@ def load_checkpoint(in_dir: str):
 
 
 def _build_checkpoint(manifest: dict, weights: bytes):
+    fmt, version = manifest["format"], manifest["version"]
+    if fmt != _FORMAT or type(version) is not int or version != _VERSION:
+        raise IntegrityError(f"unsupported checkpoint format {fmt!r} version {version!r}; "
+                             f"this version reads {_FORMAT!r} version {_VERSION}")
     src = _TensorSource(manifest, weights)
     kind = manifest["kind"]
     if kind not in _LAYER_TYPES:
@@ -187,4 +202,4 @@ def _build_checkpoint(manifest: dict, weights: bytes):
         return AnnModel(layers)
     encoder = manifest.get("encoder")
     encoder = Embedding(src.get(encoder["table"])) if encoder else None
-    return SnnNetwork(layers, manifest["timesteps"], input_encoder=encoder)
+    return SnnNetwork(layers, _count(manifest["timesteps"], "timesteps"), input_encoder=encoder)

@@ -18,8 +18,8 @@ import numpy as np
 from . import checkpoint as ckpt
 from .ann import (TrainingDivergedError, ann_forward, accuracy as ann_accuracy, dataset_loss,
                   replace_activations, stage1_finetune, train_model)
-from .calibrate import (CalibrationError, _record_losses, apply_stage2, convert,
-                        eval_losses, evaluate_snn)
+from .calibrate import (CalibrationError, _record_losses, _teacher_pass, apply_stage2,
+                        convert, eval_losses, evaluate_snn)
 from .config import ConfigError, ExperimentConfig, build_model, config_hash, parse_config
 from .data import make_dataset
 from .diagnostics import (decompose_errors, layer_mse_report, output_cosine,
@@ -133,12 +133,12 @@ def cmd_eval(run: _Run) -> None:
     T = cfg.stage2.timesteps
     batch = run.eval_batch()
     rec = simulate(net, batch, T)
-    ann_out = ann_forward(ann, batch, record=False).output
+    teacher_acts, teacher_logits = _teacher_pass(ann, batch)
     results = {
         "timesteps": T,
-        "output_cosine": output_cosine(ann_out, rec.output),
+        "output_cosine": output_cosine(teacher_logits, rec.output),
     }
-    results.update(_record_losses(rec, ann, batch, cfg.stage2))
+    results.update(_record_losses(rec, teacher_acts, teacher_logits))
     if run.splits.test.task != "regress":
         results["ann_accuracy"] = ann_accuracy(ann, run.splits.test)
         results["snn_accuracy"] = evaluate_snn(net, run.splits.test, T)["accuracy"]

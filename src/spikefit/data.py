@@ -17,9 +17,6 @@ class Dataset:
     y: Array
     task: str  # "classify" | "regress" | "lm"
 
-    def __len__(self) -> int:
-        return len(self.x)
-
 
 @dataclass
 class DatasetSplits:

@@ -28,18 +28,17 @@ class Rng:
     Identical seed and call sequence give bit-identical output on every
     platform. ``split`` derives an independent stream from a label, so a
     pipeline stage can be re-run without replaying the draws of earlier
-    stages. ``position`` counts values drawn from this stream.
+    stages.
     """
 
     def __init__(self, seed: int, _path: tuple[str, ...] = ()):
         self.seed = int(seed)
         self.path = _path
-        self.position = 0
         self._gen = np.random.Generator(np.random.Philox(key=_derive_key(self.seed, _path)))
 
     def __repr__(self) -> str:
         stream = "/".join(self.path) or "root"
-        return f"Rng(seed={self.seed}, stream={stream!r}, position={self.position})"
+        return f"Rng(seed={self.seed}, stream={stream!r})"
 
     def split(self, label: str) -> "Rng":
         return Rng(self.seed, self.path + (str(label),))
@@ -48,25 +47,19 @@ class Rng:
         if not lo < hi:
             raise ValueError(f"uniform requires lo < hi, got [{lo}, {hi})")
         u = self._gen.random(shape, dtype=np.float32)
-        self.position += int(np.size(u))
         return (np.float32(lo) + np.float32(hi - lo) * u).astype(np.float32)
 
     def normal(self, mean: float = 0.0, std: float = 1.0, shape=()) -> Array:
         z = self._gen.standard_normal(shape, dtype=np.float32)
-        self.position += int(np.size(z))
         return (np.float32(mean) + np.float32(std) * z).astype(np.float32)
 
     def integers(self, lo: int, hi: int, shape=()) -> Array:
         if not lo < hi:
             raise ValueError(f"integers requires lo < hi, got [{lo}, {hi})")
-        v = self._gen.integers(lo, hi, size=shape)
-        self.position += int(np.size(v))
-        return v
+        return self._gen.integers(lo, hi, size=shape)
 
     def permutation(self, n: int) -> Array:
-        p = self._gen.permutation(int(n))
-        self.position += int(n)
-        return p
+        return self._gen.permutation(int(n))
 
 
 def encode_tensor(t: Array) -> bytes:

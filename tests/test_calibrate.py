@@ -151,10 +151,6 @@ class TestCalibConfig:
         with pytest.raises(ValueError):
             CalibConfig(timesteps=4, rho=5)
 
-    def test_both_loss_weights_zero_rejected(self):
-        with pytest.raises(ValueError, match="both"):
-            CalibConfig(lambda_align=0.0, lambda_logits=0.0)
-
     def test_alpha_range_checked(self):
         with pytest.raises(ValueError, match="alpha"):
             CalibConfig(alpha=0.0)
@@ -193,13 +189,13 @@ class TestNwc:
             assert log[-1]["L_all"] <= log[0]["L_all"], f"seed {seed}"
 
     def test_stationary_point_unchanged(self):
-        # exact-rate network with align loss only: zero gradient everywhere
+        # exact-rate network: the alignment and logits gradients are both
+        # exactly zero
         rng, model, data = _calib_setup(3, dims=(6, 10, 3))
         net = convert(model, 8)
         theta0 = net.if_layers()[0].threshold.copy()
         v0 = net.if_layers()[0].v_init.copy()
-        cfg = CalibConfig(timesteps=8, steps=5, batch_size=64, lr=0.05,
-                          lambda_logits=0.0, seed=3)
+        cfg = CalibConfig(timesteps=8, steps=5, batch_size=64, lr=0.05, seed=3)
         out, log = nwc_calibrate(net, model, data, cfg, rng.split("nwc"))
         np.testing.assert_array_equal(out.if_layers()[0].threshold, theta0)
         np.testing.assert_array_equal(out.if_layers()[0].v_init, v0)
@@ -297,14 +293,9 @@ class TestLossDecomposition:
         rng, model, data = _calib_setup(4)
         net = lwc(convert(model, 8), 0.8, 0.3)
         x = data.x[:64]
-        both = eval_losses(net, model, x, CalibConfig(timesteps=8, lambda_align=0.7,
-                                                      lambda_logits=1.3))
-        align_only = eval_losses(net, model, x, CalibConfig(timesteps=8, lambda_align=0.7,
-                                                            lambda_logits=0.0))
-        logits_only = eval_losses(net, model, x, CalibConfig(timesteps=8, lambda_align=0.0,
-                                                             lambda_logits=1.3))
-        assert both["L_all"] == pytest.approx(align_only["L_all"] + logits_only["L_all"],
-                                              abs=1e-6)
+        losses = eval_losses(net, model, x, CalibConfig(timesteps=8))
+        assert losses["L_all"] == losses["L_al"] + losses["L_logits"]
+        assert losses["L_al"] > 0 and losses["L_logits"] > 0
 
     def test_rho_does_not_enter(self):
         # the eval losses score all T steps, whatever NWC's window

@@ -85,6 +85,25 @@ def _zero_horizon(m):
     del m["layers"][1]
 
 
+def _horizon(value):
+    def edit(m):
+        m["kind"], m["timesteps"] = "snn", value
+        del m["layers"][1]
+    return edit
+
+
+def _qcfs(ceiling, levels):
+    def edit(m):
+        m["layers"][1] = {"type": "qcfs", "ceiling": ceiling, "levels": levels}
+    return edit
+
+
+def _format(fmt, version):
+    def edit(m):
+        m["format"], m["version"] = fmt, version
+    return edit
+
+
 def _matrix_threshold(m):
     m["kind"], m["timesteps"] = "snn", 4
     m["layers"][1] = {"type": "if", "threshold": "0.w", "v_init": "0.b"}
@@ -103,6 +122,15 @@ def _matrix_threshold(m):
     (_negative_ceiling, "malformed manifest .*ceiling must be positive"),
     (_zero_horizon, "malformed manifest .*horizon must be >= 1"),
     (_matrix_threshold, "malformed manifest .*must be matching vectors"),
+    (_horizon(2.5), r"malformed manifest .*timesteps must be an integer, got 2\.5"),
+    (_horizon(True), "malformed manifest .*timesteps must be an integer, got True"),
+    (_qcfs(1.0, 2.5), r"malformed manifest .*qcfs levels must be an integer, got 2\.5"),
+    (_qcfs(1.0, True), "malformed manifest .*qcfs levels must be an integer, got True"),
+    (_qcfs(True, 4), "malformed manifest .*qcfs ceiling must be a finite number, got True"),
+    (_qcfs(float("nan"), 4), "malformed manifest .*qcfs ceiling must be a finite number, got nan"),
+    (_format("other", 7), "unsupported checkpoint format 'other' version 7"),
+    (_format("spikefit-checkpoint", True), "unsupported checkpoint format .* version True"),
+    (_drop("format"), "lacks field 'format'"),
 ])
 def test_malformed_manifest_raises_integrity_error(tmp_path, edit, message):
     save_checkpoint(mlp([3, 4, 2], Rng(0)), str(tmp_path))

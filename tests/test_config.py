@@ -57,7 +57,7 @@ def _without(section, key) -> dict:
     (_with("stage2", "rho", 9), "stage2: need 1 <= rho <= timesteps"),
     (_with("stage2", "alpha", 1.5), "stage2: alpha"),
     (_with("stage2", "denominator", "steps"), "unknown key 'stage2.denominator'"),
-    (_with("stage2", "temperature", 0), "stage2: temperature"),
+    (_with("stage2", "temperature", 0), "unknown key 'stage2.temperature'"),
     (_with(None, "schema_version", "banana"), "unsupported schema_version 'banana'"),
     (_with(None, "schema_version", 2), "unsupported schema_version 2"),
     (_with(None, "schema_version", True), "unsupported schema_version True"),
@@ -85,6 +85,8 @@ def _without(section, key) -> dict:
     (_with("stage2", "beta", [0.5, 0.5]), "stage2.beta must be a finite number, got [0.5, 0.5]"),
     (_with("stage2", "alpha", "auto"), "stage2.alpha must be a finite number, got 'auto'"),
     (_with("model", "hidden", []), "model: hidden must list at least one width"),
+    (_with("stage2", "lambda_align", 1.0), "unknown key 'stage2.lambda_align'"),
+    (_with("stage2", "lambda_logits", 1.0), "unknown key 'stage2.lambda_logits'"),
 ])
 def test_rejected_with_key_path(tmp_path, raw, message):
     with pytest.raises(ConfigError, match=re.escape(message)):

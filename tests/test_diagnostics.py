@@ -73,7 +73,7 @@ class TestDecomposeErrors:
 
     def test_clipping_excess_definition(self):
         from spikefit.snn import SpikeRecord
-        trace = ActivationTrace("0", "qcfs", pre=np.array([[1.5]], np.float32),
+        trace = ActivationTrace("0", pre=np.array([[1.5]], np.float32),
                                 post=np.array([[1.0]], np.float32), ceiling=1.0, levels=4)
         rec = SpikeRecord(spikes=[np.zeros((8, 1, 1), np.uint8)],
                           counts=[np.zeros((1, 1), np.uint8)],
@@ -96,7 +96,7 @@ class TestDecomposeErrors:
 
     def test_mismatched_sample_counts_rejected(self):
         model, net, x, traces, record = _staircase_setup()
-        bad = [ActivationTrace(t.layer, t.kind, t.pre[:5], t.post[:5], t.ceiling, t.levels)
+        bad = [ActivationTrace(t.layer, t.pre[:5], t.post[:5], t.ceiling, t.levels)
                for t in traces]
         with pytest.raises(ValueError, match="sample counts"):
             decompose_errors(bad, record, net)

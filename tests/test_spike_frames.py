@@ -152,7 +152,7 @@ def _probes(rec: SpikeRecord):
     """Fixed analog activations and QCFS traces to score the record against."""
     n = rec.n_layers
     acts = [Rng(23 + j).uniform(0, 1.5, rec.counts[j].shape) for j in range(n)]
-    traces = [ActivationTrace(str(j), "qcfs", pre=(acts[j] * 1.2 - 0.2).astype(np.float32),
+    traces = [ActivationTrace(str(j), pre=(acts[j] * 1.2 - 0.2).astype(np.float32),
                               post=acts[j].astype(np.float32), ceiling=1.25, levels=4)
               for j in range(n)]
     return acts, traces
@@ -224,7 +224,7 @@ def test_decompose_errors_peak_memory():
     net = _net([8, width, 4], timesteps=8, seed=11)
     rec = simulate(net, Rng(12).normal(0, 1, (batch, 8)))
     pre = Rng(13).uniform(-0.5, 1.5, (batch, width)).astype(np.float32)
-    trace = ActivationTrace("0", "qcfs", pre=pre, post=np.clip(pre, 0, 1), ceiling=1.0, levels=8)
+    trace = ActivationTrace("0", pre=pre, post=np.clip(pre, 0, 1), ceiling=1.0, levels=8)
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]

@@ -25,13 +25,6 @@ class TestRng:
         u = Rng(3).uniform(-2.0, 5.0, (1000,))
         assert np.all(u >= -2.0) and np.all(u < 5.0)
 
-    def test_position_counts_draws(self):
-        rng = Rng(0)
-        rng.uniform(0, 1, (3, 4))
-        assert rng.position == 12
-        rng.normal(0, 1, (5,))
-        assert rng.position == 17
-
     def test_split_streams_independent_and_stable(self):
         a1 = Rng(0).split("data").uniform(0, 1, (8,))
         a2 = Rng(0).split("data").uniform(0, 1, (8,))
