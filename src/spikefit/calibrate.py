@@ -150,7 +150,8 @@ def logits_loss(ann_logits: Array, snn_rates: Array, temperature: float) -> floa
 
 def _teacher_pass(ann: AnnModel, bx: Array):
     res = ann_forward(ann, bx)
-    return [t.post.astype(np.float32) for t in res.traces], res.output.astype(np.float32)
+    return ([t.post.astype(np.float32, copy=False) for t in res.traces],
+            res.output.astype(np.float32, copy=False))
 
 
 def _kd_loss_and_grad(teacher_logits: Array, out: Array):
@@ -327,13 +328,21 @@ def eval_losses(snn: SnnNetwork, ann: AnnModel, x: Array, cfg: CalibConfig) -> d
     return _record_losses(simulate(snn, x, cfg.timesteps), *_teacher_pass(ann, x))
 
 
+def _align_terms(rec: SpikeRecord, teacher_acts) -> list[float]:
+    """Each IF layer's ``activation_align_loss`` term of the simulation
+    ``rec`` against the teacher's activations on the same batch, in layer
+    order; ``L_al`` is their sum."""
+    return [activation_align_loss(teacher_acts[j], rec.counts[j], rec.thresholds[j],
+                                  rec.timesteps, layer=j) for j in range(rec.n_layers)]
+
+
 def _record_losses(rec: SpikeRecord, teacher_acts, teacher_logits: Array) -> dict:
     """``eval_losses`` of an existing simulation ``rec`` against the teacher's
     activations and logits on the same batch."""
+    # a plain loop, not sum(), which compensates float sums from Python 3.12
     align = 0.0
-    for j in range(rec.n_layers):
-        align += activation_align_loss(teacher_acts[j], rec.counts[j], rec.thresholds[j],
-                                       rec.timesteps, layer=j)
+    for term in _align_terms(rec, teacher_acts):
+        align += term
     kd = logits_loss(teacher_logits, rec.output, 1.0)
     return {"L_al": float(align), "L_logits": float(kd), "L_all": float(align + kd)}
 

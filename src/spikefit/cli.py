@@ -4,7 +4,12 @@ output directory. `pipeline` runs the stages in that order. Every stage takes
 only ``--config`` and ``--out``, reads its settings from the config alone, and
 re-derives its random streams from the config seed, so a manual chain of
 subcommands writes the same files, byte for byte, as one `pipeline` run, and
-each report's ``config_hash`` names every setting that produced it."""
+each report's ``config_hash`` names every setting that produced it.
+
+``--out`` is the only source of the output directory, and a directory holds
+one config's outputs. Each reported number is written once: the held-out
+calibration losses in ``metrics.json``, and their per-layer ``L_al`` terms,
+before and after calibration, in ``layer_mse.csv``."""
 
 from __future__ import annotations
 
@@ -18,15 +23,15 @@ import numpy as np
 from . import checkpoint as ckpt
 from .ann import (TrainingDivergedError, ann_forward, accuracy as ann_accuracy, dataset_loss,
                   replace_activations, stage1_finetune, train_model)
-from .calibrate import (CalibrationError, _record_losses, _teacher_pass, apply_stage2,
-                        convert, eval_losses, evaluate_snn)
+from .calibrate import (CalibrationError, _align_terms, _record_losses, _teacher_pass,
+                        apply_stage2, convert, evaluate_snn)
 from .config import ConfigError, ExperimentConfig, build_model, config_hash, parse_config
 from .data import make_dataset
 from .diagnostics import (decompose_errors, layer_mse_report, output_cosine,
                           tau_histogram, threshold_shift_report, write_error_csv,
                           write_mse_csv, write_tau_csv, write_threshold_shift_csv)
 from .energy import count_ops, energy_report, spike_rate_stats
-from .snn import SimulationError, firing_rate, simulate
+from .snn import SimulationError, simulate
 from .tensor import Rng
 
 
@@ -42,17 +47,23 @@ def _read_json(path: str) -> dict:
 
 
 class _Run:
-    """Config, splits, and paths shared by every subcommand."""
+    """Config, splits, and paths shared by every subcommand. A stage after
+    ``train`` refuses a directory that ``train`` filled under another config."""
 
     def __init__(self, args):
+        if args.out is None:
+            raise ConfigError("no output directory: pass --out")
         cfg = parse_config(args.config)
-        out = args.out or cfg.out_dir
-        if out is None:
-            raise ConfigError("no output directory: set out_dir in the config or pass --out")
         self.cfg: ExperimentConfig = cfg
-        self.out = out
-        self.reports = os.path.join(out, "reports")
+        self.out = args.out
+        self.reports = os.path.join(args.out, "reports")
         self.config_hash = config_hash(args.config)
+        trained = self.path("reports", "stage_train.json")
+        if args.command not in ("train", "pipeline") and os.path.exists(trained):
+            trained_hash = _read_json(trained).get("config_hash")
+            if trained_hash != self.config_hash:
+                raise ConfigError(f"{args.out} holds the outputs of config {trained_hash}, "
+                                  f"not of this config {self.config_hash}; pass another --out")
         self.splits = make_dataset(cfg.dataset, Rng(cfg.seed).split("data"))
 
     def path(self, *parts) -> str:
@@ -115,13 +126,10 @@ def cmd_calibrate(run: _Run) -> None:
     with open(run.path("reports", "calibration.jsonl"), "w") as f:
         for row in log:
             f.write(json.dumps(row, sort_keys=True) + "\n")
-    losses = eval_losses(calibrated, ann, run.eval_batch(), cfg.stage2)
     _write_json(run.path("reports", "stage_calibrate.json"), {
         "config_hash": run.config_hash,
-        "ablate": "both",
         "rho": cfg.stage2.rho,
         "steps_logged": len(log),
-        "eval_losses": losses,
         "weights_frozen": ckpt.weight_hash(calibrated) == ckpt.weight_hash(net),
     })
 
@@ -166,18 +174,16 @@ def cmd_analyze(run: _Run) -> None:
     batch = run.eval_batch()
 
     traces = ann_forward(ann, batch).traces
-    # one full-horizon record at a time: the first is dropped once read
-    rec_before = simulate(before, batch, T)
-    rates_before = [firing_rate(rec_before, j) for j in range(rec_before.n_layers)]
-    del rec_before
+    acts = [t.post for t in traces]
+    # one full-horizon record at a time: the first is dropped once scored
+    terms_before = _align_terms(simulate(before, batch, T), acts)
     rec_after = simulate(after, batch, T)
-    rates_after = [firing_rate(rec_after, j) for j in range(rec_after.n_layers)]
 
     write_error_csv(decompose_errors(traces, rec_after, after),
                     run.path("reports", "errors.csv"))
-    write_tau_csv(tau_histogram([t.post for t in traces], [t.ceiling for t in traces], T),
+    write_tau_csv(tau_histogram(acts, [t.ceiling for t in traces], T),
                   run.path("reports", "tau_histogram.csv"))
-    write_mse_csv(layer_mse_report([t.post for t in traces], rates_before, rates_after),
+    write_mse_csv(layer_mse_report(terms_before, _align_terms(rec_after, acts)),
                   run.path("reports", "layer_mse.csv"))
     write_threshold_shift_csv(threshold_shift_report(before, after),
                               run.path("reports", "threshold_shift.csv"))
@@ -187,8 +193,8 @@ def cmd_energy(run: _Run) -> None:
     net = ckpt.load_checkpoint(run.path("snn_calibrated"))
     rec = simulate(net, run.eval_batch(), run.cfg.stage2.timesteps)
     counts = count_ops(rec, net)
-    report = energy_report(counts, rates=spike_rate_stats(rec))
-    _write_json(run.path("reports", "energy.json"), report.as_dict())
+    _write_json(run.path("reports", "energy.json"),
+                energy_report(counts, rates=spike_rate_stats(rec)))
 
 
 def cmd_pipeline(run: _Run) -> None:

@@ -46,7 +46,6 @@ class ExperimentConfig:
     dataset: DataSpec
     stage1: TrainConfig
     stage2: CalibConfig
-    out_dir: str | None = None
     schema_version: int = 1
 
 
@@ -148,7 +147,6 @@ def parse_config(path: str) -> ExperimentConfig:
         dataset=dataset,
         stage1=stage1,
         stage2=stage2,
-        out_dir=raw.get("out_dir"),
         schema_version=schema_version,
     )
 

@@ -1,5 +1,9 @@
 """Conversion-error decomposition, spike-count statistics, alignment MSE,
-and output-similarity reports, with CSV emitters for offline plotting."""
+and output-similarity reports, with CSV emitters for offline plotting.
+
+The alignment MSE report does not score rates itself: it tabulates the
+per-layer terms of the calibration loss ``L_al``, so ``layer_mse.csv`` and
+the ``L_al`` a run reports come from one definition."""
 
 from __future__ import annotations
 
@@ -148,21 +152,17 @@ class LayerMse:
     reduction_pct: float
 
 
-def layer_mse_report(acts: list[Array], rates_before: list[Array],
-                     rates_after: list[Array]) -> list[LayerMse]:
-    """Per-layer MSE between analog activations and spike rates, before and
-    after calibration, with the percentage reduction."""
-    if not len(acts) == len(rates_before) == len(rates_after):
-        raise ValueError(
-            f"layer count mismatch: {len(acts)} activations, "
-            f"{len(rates_before)} before, {len(rates_after)} after")
+def layer_mse_report(before: list[float], after: list[float]) -> list[LayerMse]:
+    """Rows of each IF layer's alignment MSE before and after calibration,
+    with the percentage reduction. The MSEs are the layers' ``L_al`` terms
+    (``calibrate._align_terms``), so each column, summed in layer order, is
+    that network's ``L_al`` on the batch."""
+    if len(before) != len(after):
+        raise ValueError(f"layer count mismatch: {len(before)} before, {len(after)} after")
     rows = []
-    for j, (a, rb, ra) in enumerate(zip(acts, rates_before, rates_after)):
-        a = np.asarray(a, dtype=np.float64)
-        before = float(np.mean((a - np.asarray(rb, dtype=np.float64)) ** 2))
-        after = float(np.mean((a - np.asarray(ra, dtype=np.float64)) ** 2))
-        reduction = 100.0 * (1.0 - after / before) if before > 0 else 0.0
-        rows.append(LayerMse(j, before, after, reduction))
+    for j, (b, a) in enumerate(zip(before, after)):
+        reduction = 100.0 * (1.0 - a / b) if b > 0 else 0.0
+        rows.append(LayerMse(j, b, a, reduction))
     return rows
 
 

@@ -1,5 +1,6 @@
 """Synaptic operation counting for the spiking path and the picojoule-level
-comparison against the analog equivalent.
+comparison against the analog equivalent. ``energy_report`` returns the
+content of the CLI's ``energy.json``, under the names that file uses.
 
 Only layers driven by spikes are counted, on both sides: the first linear
 layer consumes the analog input and is excluded, as are bias additions.
@@ -54,49 +55,26 @@ def count_ops(record: SpikeRecord, net: SnnNetwork) -> OpCounts:
     return OpCounts(ac=int(sum(per_ac)), mac=mac, per_layer_ac=per_ac)
 
 
-@dataclass
-class EnergyReport:
-    ac_count: int
-    mac_count: int
-    snn_energy_pj: float
-    ann_energy_pj: float
-    ratio_percent: float
-    rates: list[float]
-    meta: dict
-
-    def as_dict(self) -> dict:
-        return {
-            "ac_count": self.ac_count,
-            "mac_count": self.mac_count,
-            "snn_pj": self.snn_energy_pj,
-            "ann_pj": self.ann_energy_pj,
-            "ratio_pct": self.ratio_percent,
-            "rates": list(self.rates),
-            "meta": dict(self.meta),
-        }
-
-
-def energy_report(counts: OpCounts, rates: list[float]) -> EnergyReport:
-    """Price the counts: spiking side at AC_PICOJOULES per AC, analog side at
-    MAC_PICOJOULES per MAC; ratio is their percentage. ``rates`` (each
-    layer's share of neuron-steps that fired, from ``spike_rate_stats``) is
-    carried into the report."""
+def energy_report(counts: OpCounts, rates: list[float]) -> dict:
+    """Price the counts as ``energy.json`` states them: the spiking side at
+    AC_PICOJOULES per AC, the analog side at MAC_PICOJOULES per MAC, and
+    their percentage ratio. ``rates`` (each layer's share of neuron-steps
+    that fired, from ``spike_rate_stats``) is carried into the report."""
     ac, mac = counts.ac, counts.mac
     if ac < 0 or mac < 0:
         raise ValueError("operation counts must be nonnegative")
     snn = AC_PICOJOULES * ac
     ann = MAC_PICOJOULES * mac
-    ratio = 100.0 * snn / ann if ann > 0 else 0.0
-    return EnergyReport(
-        ac_count=int(ac),
-        mac_count=int(mac),
-        snn_energy_pj=float(snn),
-        ann_energy_pj=float(ann),
-        ratio_percent=float(ratio),
-        rates=list(rates),
-        meta={"ac_pj": AC_PICOJOULES, "mac_pj": MAC_PICOJOULES,
-              "bias_ops": "excluded from both sides"},
-    )
+    return {
+        "ac_count": int(ac),
+        "mac_count": int(mac),
+        "snn_pj": float(snn),
+        "ann_pj": float(ann),
+        "ratio_pct": float(100.0 * snn / ann if ann > 0 else 0.0),
+        "rates": list(rates),
+        "meta": {"ac_pj": AC_PICOJOULES, "mac_pj": MAC_PICOJOULES,
+                 "bias_ops": "excluded from both sides"},
+    }
 
 
 def spike_rate_stats(record: SpikeRecord) -> list[float]:

@@ -16,7 +16,7 @@ from pathlib import Path
 import spikefit
 from spikefit import cli
 
-SETTABLE_VALUES = 53
+SETTABLE_VALUES = 52
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:

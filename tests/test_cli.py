@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 import os
@@ -11,10 +12,12 @@ import pytest
 import spikefit
 from spikefit import cli
 from spikefit.ann import TrainingDivergedError
-from spikefit.calibrate import CalibrationError
+from spikefit.calibrate import CalibrationError, eval_losses
 from spikefit.checkpoint import IntegrityError, load_checkpoint
-from spikefit.config import ConfigError
+from spikefit.config import ConfigError, parse_config
+from spikefit.data import make_dataset
 from spikefit.snn import SimulationError
+from spikefit.tensor import Rng
 
 STAGES = ("train", "convert", "calibrate", "eval", "analyze", "energy")
 
@@ -52,6 +55,24 @@ def test_stage_chain_writes_the_same_files_as_pipeline(tmp_path):
     assert sorted(piped) == sorted(chained)
     for name in piped:
         assert piped[name] == chained[name], name
+
+
+def test_a_directory_holds_one_configs_outputs(tmp_path, capsys):
+    # a pipeline under A, then B's stages on A's directory: each would mix
+    # A's checkpoints and reports with B's seed and horizon
+    raw = json.loads(Path(_config(tmp_path)).read_text())
+    config_a, config_b = tmp_path / "a.json", tmp_path / "b.json"
+    config_a.write_text(json.dumps(dict(raw, seed=5)))
+    config_b.write_text(json.dumps(dict(raw, seed=9, stage2=dict(raw["stage2"], timesteps=6))))
+    out = str(tmp_path / "out")
+    assert cli.main(["pipeline", "--config", str(config_a), "--out", out]) == 0
+    written = _files(out)
+    capsys.readouterr()
+    for stage in STAGES[1:]:
+        assert cli.main([stage, "--config", str(config_b), "--out", out]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "holds the outputs of config" in err[0], stage
+    assert _files(out) == written
 
 
 def test_missing_output_directory_is_one_line(tmp_path, capsys):
@@ -102,6 +123,11 @@ _CORPUS = b"the quick brown fox jumps over the lazy dog; pack my box with five d
 # stage_calibrate.json and metrics.json, re-recorded when the denominator mode
 # left stage 2 and output_cosine stopped using BLAS, and every regressor_rho
 # hash, re-recorded when that config dropped the denominator and alpha "auto".
+# stage_calibrate.json, metrics.json and layer_mse.csv were re-recorded in every
+# config when each reported number got one definition: stage_calibrate.json
+# lost its copy of eval's losses and the constant "ablate" field (metrics.json
+# embeds that file), and layer_mse.csv's columns became L_al's own float64
+# terms instead of an MSE of float32 rates.
 # A refactor that keeps outputs must keep them all.
 PIPELINE_GOLDEN = {
     "classifier": {
@@ -116,11 +142,11 @@ PIPELINE_GOLDEN = {
         "reports/errors.csv":
             "901f58d97d2ed44e78f3a04585c6487295d9cf4e8f414f085106cde0e687b93c",
         "reports/layer_mse.csv":
-            "cbeb0ce992dbd55f85512ac7485ed21dfd6d4db8a8e9b4ba23542c11444372df",
+            "97b157049a9a48e4d6bca2c3acf7d2747a6944b3a72272d7c7065ee643a07ceb",
         "reports/metrics.json":
-            "1f6da3311a5f5fa3879f689ad91217c7cce7b31353f89dbf13448873e0daea02",
+            "9e6a327798d38b51838fd5a288b9a0c0180d100facde45a7260eb879e6d8587e",
         "reports/stage_calibrate.json":
-            "0cbf3c08d304cc8bb407b885ce6648c3c6ce138c4d8f9ab0c0a580650079117a",
+            "95e4be39179eeb5cce90f095fc039b043ac508588ba908cb84d350d0de50e661",
         "reports/stage_convert.json":
             "d988bbb76690271052c495b7dd444f0b642c7c3dc050ead9cf50bb1c7ee51657",
         "reports/stage_train.json":
@@ -150,11 +176,11 @@ PIPELINE_GOLDEN = {
         "reports/errors.csv":
             "3cec6a6951ab6a039a8108c0115a8fc07a3405b12bd69415d2e80dfc822494ac",
         "reports/layer_mse.csv":
-            "c344bca9ae44d9dd53add590cdcd642a714c8cabdf8626226e0d6d1e62b0aa50",
+            "c1620877395999a18fa0b2c391702c7c2620da9bb668f63aa113593b703e4985",
         "reports/metrics.json":
-            "dc9a355459ddab8b95d5da2ecc6fb38853ca7035b1ba10c6d4ade2fd8449d921",
+            "204c210e8e884a2b53c19e7e571a50baa4765452927b6fb3bffffbfe66618240",
         "reports/stage_calibrate.json":
-            "4b14021a0049e26d4158f9da28b4f3e77e6c60dfce98103889d3f6ec336dd36c",
+            "b8cfce2a90d460e8abb11af8d684d15326333032902d31157f5786899f252d21",
         "reports/stage_convert.json":
             "7776510435069a48641db4386bd279fc173f89915596f0cfe9bcfd9c0fc66703",
         "reports/stage_train.json":
@@ -184,11 +210,11 @@ PIPELINE_GOLDEN = {
         "reports/errors.csv":
             "4ec1758dbe3fc7d1793cda870006521a81d152237e5eb2fe05a35a871ddd8313",
         "reports/layer_mse.csv":
-            "1e14b22ad1edd0a73847e30fdf7c4df70f1231bdc93961d73a97459b4e152c0c",
+            "2602d919eb7648cb5ec462935f4ab2fe0dedd77ebe6a0323d2aa0ff7a592aa9d",
         "reports/metrics.json":
-            "ad5e814d5a170dac954517f39ce50bf3e3d5c9ee655557aa66f00e311873c26b",
+            "83efa9127369c0f354417ae1801f96bde7a41b58c8bcffeb8901ea8ec24ee91c",
         "reports/stage_calibrate.json":
-            "666c2db509922caaac48bbade02de9db04037f2295db01161d78a49a661cf905",
+            "06d28f669d06e824ff8d589faadf66b4517cc31de7ff29c76499c94531e361d1",
         "reports/stage_convert.json":
             "1b7d17c74c7c5365c8477fb43cc8d9695071cb790b4e6d926123b65dc7ab3efb",
         "reports/stage_train.json":
@@ -218,11 +244,11 @@ PIPELINE_GOLDEN = {
         "reports/errors.csv":
             "4d9664e1b1d85c8f13b3b5342f146a518ecc60934cb810e689cc301f6e7687ee",
         "reports/layer_mse.csv":
-            "a1643214674d746955bcce92039dfc5efa13aee4c61034863b4051ba43afba4c",
+            "0366e7dff0623a2855ad03c64cdedf96de5ce9e893e81d7070c60905cf90d522",
         "reports/metrics.json":
-            "f9c19725e475e82770b0aee09ed4542ba1e6f76b94653b0b0681520c6b9a984c",
+            "f74fe4f2ecc6196f6957894baf937c0e1d22a33f6e025c6f1aa23a0244967ed4",
         "reports/stage_calibrate.json":
-            "bef09d541d572040e4ef7b6fd628ce3a4a937c8c3f751eff0477041344cf1284",
+            "0b28414f25f9cb9f63a0708e34ae38976c72c35e843f3eabf2ff07667e7ea9c9",
         "reports/stage_convert.json":
             "6d8d3839e71b1b430b971cc68e291c117b13043c980cc618a6fb8de16e1717d4",
         "reports/stage_train.json":
@@ -292,6 +318,29 @@ def test_train_writes_golden_bytes(tmp_path, monkeypatch, name):
     for stage in STAGES:
         assert cli.main([stage, "--config", "config.json", "--out", "chain"]) == 0
     assert _sha256_tree(tmp_path / "chain") == PIPELINE_GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(_GOLDEN_CONFIGS))
+def test_layer_mse_columns_sum_to_L_al(tmp_path, monkeypatch, name):
+    # each column holds L_al's own terms: summed in layer order they give the
+    # calibrated network's eval L_al, and the converted network's eval_losses
+    monkeypatch.chdir(tmp_path)
+    _write_golden_config(tmp_path, name)
+    assert cli.main(["pipeline", "--config", "config.json", "--out", "out"]) == 0
+    with open("out/reports/layer_mse.csv") as f:
+        rows = list(csv.DictReader(f))
+    before = after = 0.0
+    for row in rows:
+        before += float(row["mse_before"])
+        after += float(row["mse_after"])
+    metrics = json.loads(Path("out/reports/metrics.json").read_text())
+    assert after == metrics["eval"]["L_al"]
+
+    cfg = parse_config("config.json")
+    test_x = make_dataset(cfg.dataset, Rng(cfg.seed).split("data")).test.x
+    losses = eval_losses(load_checkpoint("out/snn"), load_checkpoint("out/ann"),
+                         test_x[:min(256, len(test_x))], cfg.stage2)
+    assert before == losses["L_al"]
 
 
 @pytest.mark.parametrize("threads", ["1", "3"])

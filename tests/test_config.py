@@ -66,7 +66,7 @@ def _without(section, key) -> dict:
     (_with("stage2", "batch_size", 0), "stage2: batch_size must be >= 1"),
     (_with("stage2", "steps", -5), "stage2: steps must be >= 0"),
     (_with("dataset", "kind", "two-class-synthetic"), "dataset: unknown dataset kind"),
-    (_with(None, "out_dir", 5), "out_dir must be a string, got 5"),
+    (_with(None, "out_dir", "out"), "unknown key 'out_dir'"),
     (_with("model", "hidden", "ab"), "model.hidden must be a list of integers"),
     (_with("model", "hidden", [0]), "model: widths must be >= 1"),
     (_with("model", "embed_dim", 0), "model: widths must be >= 1"),
@@ -106,5 +106,5 @@ def test_mlp_regressor_forces_regression(tmp_path):
 
 def test_defaults_pin_rho_to_the_horizon(tmp_path):
     cfg = parse_config(_write(tmp_path, _base()))
-    assert cfg.seed == 1 and cfg.out_dir is None
+    assert cfg.seed == 1
     assert cfg.stage2.timesteps == cfg.stage2.rho == 8

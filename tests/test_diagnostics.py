@@ -123,20 +123,17 @@ class TestTauHistogram:
 
 class TestLayerMseReport:
     def test_perfect_calibration(self):
-        acts = [np.array([[0.5, 0.25]])]
-        rows = layer_mse_report(acts, [np.array([[0.75, 0.5]])], [acts[0].copy()])
+        rows = layer_mse_report([0.0625], [0.0])
         assert rows[0].mse_after == 0.0
         assert rows[0].reduction_pct == pytest.approx(100.0)
 
     def test_noop_calibration(self):
-        acts = [np.array([[0.5]])]
-        rates = [np.array([[0.75]])]
-        rows = layer_mse_report(acts, rates, [rates[0].copy()])
+        rows = layer_mse_report([0.0625], [0.0625])
         assert rows[0].reduction_pct == 0.0
 
     def test_layer_count_mismatch(self):
         with pytest.raises(ValueError, match="layer count"):
-            layer_mse_report([np.zeros((1, 1))], [], [])
+            layer_mse_report([0.0], [])
 
 
 class TestOutputCosine:
@@ -190,9 +187,7 @@ class TestCsvEmitters:
         write_tau_csv(hist, str(tmp_path / "tau.csv"))
         assert (tmp_path / "tau.csv").read_text().splitlines()[0] == "layer,bin,count"
 
-        rows = layer_mse_report([t.post for t in traces],
-                                [np.zeros_like(t.post) for t in traces],
-                                [t.post for t in traces])
+        rows = layer_mse_report([1.0] * len(traces), [0.0] * len(traces))
         write_mse_csv(rows, str(tmp_path / "mse.csv"))
         assert (tmp_path / "mse.csv").read_text().splitlines()[0] == \
             "layer,mse_before,mse_after,reduction_pct"

@@ -125,23 +125,23 @@ def _counts(ac: int, mac: int) -> OpCounts:
 class TestEnergyReport:
     def test_mac_pricing(self):
         report = energy_report(_counts(0, 16), [])
-        assert report.ann_energy_pj == pytest.approx(73.6)
+        assert report["ann_pj"] == pytest.approx(73.6)
 
     def test_ac_pricing_and_ratio(self):
         report = energy_report(_counts(20, 16), [])
-        assert report.snn_energy_pj == pytest.approx(18.0)
-        assert report.ratio_percent == pytest.approx(24.46, abs=0.01)
+        assert report["snn_pj"] == pytest.approx(18.0)
+        assert report["ratio_pct"] == pytest.approx(24.46, abs=0.01)
 
     def test_zero_ac_gives_zero_ratio(self):
-        assert energy_report(_counts(0, 16), []).ratio_percent == 0.0
+        assert energy_report(_counts(0, 16), [])["ratio_pct"] == 0.0
 
     def test_negative_counts_rejected(self):
         with pytest.raises(ValueError):
             energy_report(_counts(-1, 4), [])
 
     def test_monotone_in_spikes(self):
-        lo = energy_report(_counts(10, 16), []).snn_energy_pj
-        hi = energy_report(_counts(11, 16), []).snn_energy_pj
+        lo = energy_report(_counts(10, 16), [])["snn_pj"]
+        hi = energy_report(_counts(11, 16), [])["snn_pj"]
         assert hi > lo
 
     def test_ratio_rate_identity_uniform_layer(self):
@@ -153,15 +153,17 @@ class TestEnergyReport:
         report = energy_report(counts, spike_rate_stats(rec))
         r_bar = np.count_nonzero(spikes) / spikes.size
         want = 100.0 * (0.9 / 4.6) * 8 * r_bar
-        assert report.ratio_percent == pytest.approx(want, rel=1e-9)
+        assert report["ratio_pct"] == pytest.approx(want, rel=1e-9)
 
     def test_json_fields(self, tmp_path):
+        # the report is energy.json's content: the same seven keys, round-tripped
         report = energy_report(_counts(20, 16), rates=[0.25, 0.5])
+        assert set(report) == {"ac_count", "mac_count", "snn_pj", "ann_pj",
+                               "ratio_pct", "rates", "meta"}
         path = tmp_path / "energy.json"
-        _write_json(str(path), report.as_dict())
+        _write_json(str(path), report)
         payload = json.loads(path.read_text())
-        assert set(payload) == {"ac_count", "mac_count", "snn_pj", "ann_pj",
-                                "ratio_pct", "rates", "meta"}
+        assert payload == report
         assert payload["meta"]["bias_ops"] == "excluded from both sides"
 
 

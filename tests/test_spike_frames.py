@@ -242,7 +242,7 @@ def test_outputs_match_float32_frame_golden(tmp_path):
     assert _sha(rec.output.tobytes()) == \
         "d3ddae7dfa131418408748c0bf08347550e77cc025906681ee05d23a8ccf15b3"
     path = tmp_path / "energy.json"
-    _write_json(str(path), energy_report(count_ops(rec, net), rates=spike_rate_stats(rec)).as_dict())
+    _write_json(str(path), energy_report(count_ops(rec, net), rates=spike_rate_stats(rec)))
     assert _sha(path.read_bytes()) == \
         "9bd0ff9e0abb3994ab6ca99003a797b5bf690b49bb5ed0d41a5b21542100a0cf"
 
