@@ -47,8 +47,9 @@ def _read_json(path: str) -> dict:
 
 
 class _Run:
-    """Config, splits, and paths shared by every subcommand. A stage after
-    ``train`` refuses a directory that ``train`` filled under another config."""
+    """Config, splits, and paths shared by every subcommand. Every stage,
+    ``train`` and ``pipeline`` included, refuses a directory that ``train``
+    filled under another config."""
 
     def __init__(self, args):
         if args.out is None:
@@ -59,7 +60,7 @@ class _Run:
         self.reports = os.path.join(args.out, "reports")
         self.config_hash = config_hash(args.config)
         trained = self.path("reports", "stage_train.json")
-        if args.command not in ("train", "pipeline") and os.path.exists(trained):
+        if os.path.exists(trained):
             trained_hash = _read_json(trained).get("config_hash")
             if trained_hash != self.config_hash:
                 raise ConfigError(f"{args.out} holds the outputs of config {trained_hash}, "

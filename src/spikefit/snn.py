@@ -14,14 +14,16 @@ That recurrence is written once, in ``_if_steps``: ``simulate`` records
 what it yields, and neuron-wise calibration (``calibrate._nwc_bptt``) runs
 it as its forward pass, so both fire, reset and check for non-finite
 potentials in the one ``if_step``. ``if_step`` writes each step's firing
-mask into memory its caller owns: ``simulate`` passes a boolean view of the
-step's spike frame, calibration a slice of its saved masks.
+mask into memory its caller owns: ``simulate`` passes one reused
+(batch, width) boolean mask per layer, calibration a slice of its saved
+masks.
 
-Spike frames are stored as ``uint8`` 0/1, one byte per neuron-step. Beside
-them ``simulate`` keeps, per IF layer, each neuron's spike count over the
-whole horizon, in the smallest unsigned dtype that holds T. Every reader of
-a ``SpikeRecord`` scores the whole horizon, so each reads those counts and
-none rescans the frames.
+Spike frames are stored bit-packed, one bit per neuron-step: after each
+step ``simulate`` packs the layer's mask along the width into
+``SpikeRecord.spike_bits``, and adds it to the layer's spike counts over
+the whole horizon, kept in the smallest unsigned dtype that holds T. Every
+reader of a ``SpikeRecord`` scores the whole horizon, so each reads those
+counts and none unpacks the frames.
 
 ``_rate`` is the one place that turns spike counts into a threshold-weighted
 rate: ``simulate``, ``firing_rate`` and ``calibrate.activation_align_loss``
@@ -32,6 +34,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -72,7 +75,8 @@ def if_step(layer: IfLayer, v: Array, input_current: Array, spikes: Array,
     in place, and write the firing mask into the boolean array ``spikes``
     (batch, width); returns ``spikes`` and the threshold-weighted output
     ``spikes * threshold`` that the next linear layer reads. ``step`` is the
-    timestep's index, for the error message.
+    timestep's index, for the error message. ``simulate`` passes the same
+    mask at every step and keeps one bit per neuron-step of it.
 
     Reset is by subtraction: a firing neuron's potential drops by exactly
     its threshold. A potential exactly at threshold fires. Only ``v`` and
@@ -118,10 +122,11 @@ class SnnNetwork:
 
 @dataclass
 class SpikeRecord:
-    """Per-layer spike trains and spike counts, plus enough state to audit
-    the run."""
+    """Per-layer spike trains, one bit per neuron-step, and spike counts,
+    plus enough state to audit the run."""
 
-    spikes: list[Array]            # per IF layer: (T, batch, width) uint8, entries 0/1
+    spike_bits: list[Array]        # per IF layer: (T, batch, ceil(width / 8)) uint8,
+                                   # each step's firing mask np.packbits'd along the width
     counts: list[Array]            # per IF layer: (batch, width) spikes over all T steps,
                                    # dtype np.min_scalar_type(T)
     thresholds: list[Array]        # per IF layer: (width,)
@@ -129,6 +134,13 @@ class SpikeRecord:
     timesteps: int
     currents: list[Array] | None = None    # (T, batch, width) when recorded
     potentials: list[Array] | None = None  # post-step traces when recorded
+
+    @cached_property
+    def spikes(self) -> list[Array]:
+        """Per IF layer: (T, batch, width) uint8 frames, entries 0/1,
+        unpacked from ``spike_bits`` once, on first access."""
+        return [np.unpackbits(bits, axis=-1, count=c.shape[-1])
+                for bits, c in zip(self.spike_bits, self.counts)]
 
     @property
     def n_layers(self) -> int:
@@ -198,8 +210,8 @@ def simulate(net: SnnNetwork, analog_input: Array, timesteps: int | None = None,
     The first linear layer sees the same analog input at every step; deeper
     linears see threshold-weighted spikes. The decoded output is the firing
     rate of the last IF layer pushed through the trailing linear, if any.
-    Each step's spikes are written straight into the frames, and added to
-    the layer's counts.
+    Each step's spikes are written into the layer's one reused mask, then
+    added to the layer's counts and packed into its bit frames.
     """
     T = net.timesteps if timesteps is None else int(timesteps)
     if T < 1:
@@ -219,16 +231,20 @@ def simulate(net: SnnNetwork, analog_input: Array, timesteps: int | None = None,
     # the first linear's current is the same at every step
     first_current = x @ pairs[0][0].w + pairs[0][0].b if pairs else None
 
-    spikes_rec = [np.zeros((T, batch, l.width), dtype=np.uint8) for l in layers]
+    masks = [np.zeros((batch, l.width), dtype=np.bool_) for l in layers]
+    spike_bits = [np.zeros((T, batch, -(-l.width // 8)), dtype=np.uint8) for l in layers]
     counts = [np.zeros((batch, l.width), dtype=np.min_scalar_type(T)) for l in layers]
     currents_rec = ([np.zeros((T, batch, l.width), dtype=np.float32) for l in layers]
                     if record_currents else None)
     potentials_rec = ([np.zeros((T, batch, l.width), dtype=np.float32) for l in layers]
                       if record_potentials else None)
 
-    masks = [frames.view(np.bool_) for frames in spikes_rec]
-    for t, j, cur, _ in _if_steps(pairs, first_current, v, masks, T):
-        counts[j] += spikes_rec[j][t]
+    # every step's destination is the same mask: a zero-stride view over T
+    dests = [np.lib.stride_tricks.as_strided(m, (T,) + m.shape, (0,) + m.strides)
+             for m in masks]
+    for t, j, cur, _ in _if_steps(pairs, first_current, v, dests, T):
+        counts[j] += masks[j]
+        spike_bits[j][t] = np.packbits(masks[j], axis=-1)
         if currents_rec is not None:
             currents_rec[j][t] = cur
         if potentials_rec is not None:
@@ -241,7 +257,7 @@ def simulate(net: SnnNetwork, analog_input: Array, timesteps: int | None = None,
         output = x @ tail.w + tail.b if tail is not None else x
 
     return SpikeRecord(
-        spikes=spikes_rec,
+        spike_bits=spike_bits,
         counts=counts,
         thresholds=[l.threshold.copy() for l in layers],
         output=output,

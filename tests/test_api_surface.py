@@ -7,7 +7,8 @@ underscore, so ``__init__`` and ``__post_init__`` do not count. A change
 that adds or removes a knob updates the pin in its own diff.
 
 The CLI is pinned too: a run's settings come from its config file alone, so
-each subcommand takes only the config path and the output directory.
+each subcommand takes only the config path and the output directory. And no
+module reads a record's spike frames, only its spike counts.
 """
 
 import ast
@@ -54,3 +55,22 @@ def test_every_subcommand_takes_only_config_and_out():
     for name, parser in subparsers.items():
         options = sorted(o for a in parser._actions for o in a.option_strings)
         assert options == ["--config", "--help", "--out", "-h"], name
+
+
+def _spike_frame_reads(source: str) -> list[int]:
+    """Lines that read an attribute named ``spikes``."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute) and node.attr == "spikes"]
+
+
+def test_no_module_reads_spike_frames():
+    # the package reads spike counts; the unpacked frames are left to the
+    # benchmark's checks and tracer until they are deleted
+    root = Path(spikefit.__file__).parent
+    reads = {path.name: lines for path in sorted(root.glob("*.py"))
+             if (lines := _spike_frame_reads(path.read_text()))}
+    assert reads == {}
+
+
+def test_frame_read_checker_flags_an_attribute():
+    assert _spike_frame_reads("spikes = 1\nn = rec.spikes[0].sum()\n") == [2]

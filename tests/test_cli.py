@@ -75,6 +75,26 @@ def test_a_directory_holds_one_configs_outputs(tmp_path, capsys):
     assert _files(out) == written
 
 
+@pytest.mark.parametrize("command", ["train", "pipeline"])
+def test_training_refuses_another_configs_directory(tmp_path, capsys, command):
+    # retraining under B would leave A's checkpoints for B's later stages to
+    # score; a rerun under A itself is still allowed
+    raw = json.loads(Path(_config(tmp_path)).read_text())
+    config_a, config_b = tmp_path / "a.json", tmp_path / "b.json"
+    config_a.write_text(json.dumps(dict(raw, seed=5)))
+    config_b.write_text(json.dumps(dict(raw, seed=9, stage2=dict(raw["stage2"], timesteps=6))))
+    out = str(tmp_path / "out")
+    assert cli.main(["pipeline", "--config", str(config_a), "--out", out]) == 0
+    written = _files(out)
+    capsys.readouterr()
+    assert cli.main([command, "--config", str(config_b), "--out", out]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "holds the outputs of config" in err[0]
+    assert _files(out) == written
+    assert cli.main(["train", "--config", str(config_a), "--out", out]) == 0
+    assert _files(out) == written
+
+
 def test_missing_output_directory_is_one_line(tmp_path, capsys):
     assert cli.main(["train", "--config", _config(tmp_path)]) == 1
     err = capsys.readouterr().err.splitlines()

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from records import pack_frames
 
 from spikefit.ann import ActivationTrace, Linear, ann_forward, mlp, qcfs_forward, \
     replace_activations
@@ -75,7 +76,7 @@ class TestDecomposeErrors:
         from spikefit.snn import SpikeRecord
         trace = ActivationTrace("0", pre=np.array([[1.5]], np.float32),
                                 post=np.array([[1.0]], np.float32), ceiling=1.0, levels=4)
-        rec = SpikeRecord(spikes=[np.zeros((8, 1, 1), np.uint8)],
+        rec = SpikeRecord(spike_bits=pack_frames([np.zeros((8, 1, 1), np.uint8)]),
                           counts=[np.zeros((1, 1), np.uint8)],
                           thresholds=[np.ones(1, np.float32)],
                           output=np.zeros((1, 1), np.float32), timesteps=8)

@@ -1,7 +1,9 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
+from records import pack_frames
 
 from spikefit.ann import Linear
 from spikefit.cli import _write_json
@@ -25,9 +27,8 @@ def _record_with_spikes(net, spikes):
     and its counts."""
     in_dim = net.layers[0].w.shape[0]
     rec = simulate(net, np.zeros((spikes.shape[1], in_dim), np.float32), spikes.shape[0])
-    rec.spikes[0] = spikes.astype(np.uint8)
-    rec.counts[0] = rec.spikes[0].sum(axis=0, dtype=np.min_scalar_type(spikes.shape[0]))
-    return rec
+    counts = spikes.astype(np.uint8).sum(axis=0, dtype=np.min_scalar_type(spikes.shape[0]))
+    return dataclasses.replace(rec, spike_bits=pack_frames([spikes]), counts=[counts])
 
 
 def _brute_force_ac(record, net):
@@ -101,7 +102,7 @@ class TestCountOps:
         net = _net(3, 1024, 3)
         frames = (np.random.default_rng(2).random((1, 17000, 1024), dtype=np.float32)
                   < 0.999).astype(np.float32)
-        rec = SpikeRecord(spikes=[frames], counts=[frames[0].astype(np.uint8)],
+        rec = SpikeRecord(spike_bits=pack_frames([frames]), counts=[frames[0].astype(np.uint8)],
                           thresholds=[net.if_layers()[0].threshold],
                           output=np.zeros((17000, 3), np.float32), timesteps=1)
         n_spikes = int(np.count_nonzero(frames))
@@ -174,7 +175,7 @@ class TestSpikeRateStats:
         assert spike_rate_stats(rec) == [1.0]
 
     def test_empty_record_rate_zero(self):
-        rec = SpikeRecord(spikes=[], counts=[], thresholds=[],
+        rec = SpikeRecord(spike_bits=pack_frames([]), counts=[], thresholds=[],
                           output=np.zeros((1, 1), np.float32), timesteps=1)
         assert spike_rate_stats(rec) == []
 

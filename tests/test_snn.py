@@ -1,10 +1,12 @@
 import copy
+import dataclasses
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from records import pack_frames
 
 from spikefit.ann import Linear, qcfs_forward
 from spikefit.snn import (IfLayer, SimulationError, SnnNetwork, firing_rate, if_step,
@@ -236,9 +238,9 @@ class TestFiringRate:
         # build a minimal record by simulating then overwriting spikes and counts
         net = _single_neuron_net(1.0, 0.0, len(spikes))
         rec = simulate(net, np.array([[0.0]], np.float32))
-        rec.spikes[0] = np.array(spikes, np.uint8).reshape(-1, 1, 1)
-        rec.counts[0] = rec.spikes[0].sum(axis=0, dtype=rec.counts[0].dtype)
-        return rec
+        frames = np.array(spikes, np.uint8).reshape(-1, 1, 1)
+        return dataclasses.replace(rec, spike_bits=pack_frames([frames]),
+                                   counts=[frames.sum(axis=0, dtype=rec.counts[0].dtype)])
 
     def test_saturation(self):
         rec = self._record([1, 1, 1, 1, 1])

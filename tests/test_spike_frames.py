@@ -1,12 +1,14 @@
-"""Spike frames are stored one byte per neuron-step beside per-layer spike
-counts, and every reader of a record, reading the counts, gives the bits
-that the frames gave."""
+"""Spike frames are stored one bit per neuron-step beside per-layer spike
+counts, unpack to the frames a plain IF loop fires, and every reader of a
+record, reading the counts, gives the bits that the frames gave."""
 
+import dataclasses
 import hashlib
 import tracemalloc
 
 import numpy as np
 import pytest
+from records import pack_frames
 
 from spikefit.ann import ActivationTrace, Linear
 from spikefit.calibrate import activation_align_loss
@@ -57,19 +59,19 @@ def test_if_step_returns_the_destination_it_was_given():
     assert not np.shares_memory(out, frames)
 
 
-def test_simulate_stores_one_byte_frames():
+def test_simulate_stores_one_bit_frames():
     net = _net([5, 6, 4, 3], timesteps=6, seed=7)
     rec = simulate(net, Rng(8).normal(0, 1, (3, 5)))
-    for s, c, layer in zip(rec.spikes, rec.counts, net.if_layers()):
-        assert s.dtype == np.uint8
+    for b, s, c, layer in zip(rec.spike_bits, rec.spikes, rec.counts, net.if_layers()):
+        assert b.dtype == np.uint8 and b.shape == (6, 3, 1)
+        assert s.dtype == np.uint8 and s.shape == (6, 3, layer.width)
         assert set(np.unique(s).tolist()) <= {0, 1}
-        assert s.nbytes == 6 * 3 * layer.width
         assert c.dtype == np.uint8 and c.shape == (3, layer.width)
 
 
 def test_simulate_peak_memory():
-    # three 256-wide layers, batch 256, T=16: the frames alone are 3 MiB at
-    # one byte per neuron-step and 12 MiB at four
+    # three 256-wide layers, batch 256, T=16: the frames alone are 0.375 MiB
+    # at one bit per neuron-step, 3 MiB at one byte and 12 MiB at four
     net = _net([8, 256, 256, 256, 4], timesteps=16, seed=3, scale=0.3)
     x = Rng(4).normal(0, 1, (256, 8))
     tracemalloc.start()
@@ -79,12 +81,52 @@ def test_simulate_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2**20
+    assert peak < 3.5 * 2**20
+    assert sum(b.nbytes for b in rec.spike_bits) == 3 * 16 * 256 * 256 // 8
     assert sum(s.nbytes for s in rec.spikes) == 3 * 16 * 256 * 256
 
 
-def _assert_counts_equal_frames(rec: SpikeRecord) -> None:
-    assert len(rec.counts) == len(rec.spikes)
-    for c, s in zip(rec.counts, rec.spikes):
+def _plain_if_frames(net: SnnNetwork, x, timesteps: int) -> list[np.ndarray]:
+    """Spike frames of a plain float32 IF loop, one (T, batch, width) uint8
+    array per layer: reset by subtraction, a tie at threshold fires."""
+    linears, ifs = net.linear_layers(), net.if_layers()
+    x = np.asarray(x, dtype=np.float32)
+    v = [np.repeat(l.v_init[None, :], len(x), axis=0) for l in ifs]
+    frames = [np.zeros((timesteps, len(x), l.width), np.uint8) for l in ifs]
+    first = x @ linears[0].w + linears[0].b
+    for t in range(timesteps):
+        carry = None
+        for j, layer in enumerate(ifs):
+            v[j] = v[j] + (first if j == 0 else carry @ linears[j].w + linears[j].b)
+            fired = v[j] >= layer.threshold
+            carry = fired * layer.threshold
+            v[j] = v[j] - carry
+            frames[j][t] = fired
+    return frames
+
+
+@pytest.mark.parametrize("width,timesteps", [(5, 6), (7, 6), (13, 6), (13, 300)])
+def test_unpacked_frames_equal_a_plain_if_loop(width, timesteps):
+    # widths that are not multiples of 8 leave pad bits in the last byte,
+    # and T = 300 needs uint16 counts
+    net = _net([5, width, width + 1, 3], timesteps=timesteps, seed=width)
+    x = Rng(width + 1).normal(0, 2.0, (9, 5))
+    rec = simulate(net, x)
+    want = _plain_if_frames(net, x, timesteps)
+    assert any(f.any() for f in want) and not all(f.all() for f in want)
+    assert len(rec.spikes) == len(want)
+    for got, ref in zip(rec.spikes, want):
+        assert got.dtype == np.uint8
+        np.testing.assert_array_equal(got, ref)
+    widths = [width, width + 1]
+    assert sum(b.nbytes for b in rec.spike_bits) == \
+        sum(timesteps * 9 * -(-w // 8) for w in widths)
+
+
+def _assert_counts_equal_frames(rec: SpikeRecord, frames=None) -> None:
+    frames = rec.spikes if frames is None else frames
+    assert len(rec.counts) == len(frames)
+    for c, s in zip(rec.counts, frames):
         assert c.dtype == np.min_scalar_type(rec.timesteps)
         np.testing.assert_array_equal(c, s.sum(axis=0, dtype=np.int64))
 
@@ -106,10 +148,11 @@ def test_counts_past_uint8_range():
     _assert_counts_equal_frames(rec)
 
 
-def _frame_readers(rec: SpikeRecord, net: SnnNetwork, acts, traces) -> dict:
+def _frame_readers(rec: SpikeRecord, net: SnnNetwork, acts, traces, frames=None) -> dict:
     """Each reader's result written as the frame-based expression that
-    computed it before the record kept counts: the reference."""
-    T, frames = rec.timesteps, rec.spikes
+    computed it before the record kept counts, over ``frames`` (the
+    record's own by default): the reference."""
+    T, frames = rec.timesteps, rec.spikes if frames is None else frames
     linears = net.linear_layers()
     fan_out = [linears[j + 1].w.shape[1] for j in range(len(frames))]
     rates, align, errors = [], [], []
@@ -189,16 +232,19 @@ def test_readers_match_frame_expressions(widths, timesteps, seed, batch):
 @pytest.mark.parametrize("dtype", [np.bool_, np.uint8, np.float32])
 def test_readers_agree_across_frame_dtypes(dtype):
     # the frames recast to any dtype still sum to the counts, so the
-    # frame-based reference over them gives the count readers' bits, and
-    # recasting the frames leaves the count readers as they were
+    # frame-based reference over them gives the count readers' bits, and a
+    # record packed from the recast frames holds the same bits
     net = _net([5, 7, 6, 3], timesteps=8, seed=21)
     rec = simulate(net, Rng(22).normal(0, 1.5, (4, 5)))
     acts, traces = _probes(rec)
     want = _count_readers(rec, net, acts, traces)
-    rec.spikes = [s.astype(dtype) for s in rec.spikes]
-    _assert_counts_equal_frames(rec)
-    assert _frame_readers(rec, net, acts, traces) == want
-    assert _count_readers(rec, net, acts, traces) == want
+    frames = [s.astype(dtype) for s in rec.spikes]
+    _assert_counts_equal_frames(rec, frames)
+    assert _frame_readers(rec, net, acts, traces, frames) == want
+    repacked = dataclasses.replace(rec, spike_bits=pack_frames(frames))
+    for a, b in zip(repacked.spike_bits, rec.spike_bits):
+        assert a.tobytes() == b.tobytes()
+    assert _count_readers(repacked, net, acts, traces) == want
 
 
 def test_readers_depend_only_on_spike_counts():
@@ -210,7 +256,7 @@ def test_readers_depend_only_on_spike_counts():
     acts, traces = _probes(rec)
     want = _count_readers(rec, net, acts, traces)
     frames = rec.spikes
-    rec.spikes = [s[::-1].copy() for s in frames]
+    rec = dataclasses.replace(rec, spike_bits=pack_frames([s[::-1] for s in frames]))
     # the reversal must move spikes, or the check shows nothing
     assert any(not np.array_equal(s, f) for s, f in zip(rec.spikes, frames))
     _assert_counts_equal_frames(rec)
@@ -249,7 +295,8 @@ def test_outputs_match_float32_frame_golden(tmp_path):
 
 def test_wide_record_golden():
     # sha256 values written by the simulator before if_step advanced the
-    # potentials in place; covers the deeper layers' bias add and the first
+    # potentials in place (the spike frames are now read unpacked from their
+    # bits); covers the deeper layers' bias add and the first
     # layer's current, which is reused at every step
     net = _net([8, 128, 128, 128, 4], timesteps=16, seed=5, scale=0.3)
     rec = simulate(net, Rng(6).normal(0, 1, (64, 8)),
