@@ -15,15 +15,18 @@ what it yields, and neuron-wise calibration (``calibrate._nwc_bptt``) runs
 it as its forward pass, so both fire, reset and check for non-finite
 potentials in the one ``if_step``. ``if_step`` writes each step's firing
 mask into memory its caller owns: ``simulate`` passes one reused
-(batch, width) boolean mask per layer, calibration a slice of its saved
-masks.
+(batch, width) boolean mask per layer, its replay and calibration a slice
+of their frames.
 
-Spike frames are stored bit-packed, one bit per neuron-step: after each
-step ``simulate`` packs the layer's mask along the width into
-``SpikeRecord.spike_bits``, and adds it to the layer's spike counts over
-the whole horizon, kept in the smallest unsigned dtype that holds T. Every
-reader of a ``SpikeRecord`` scores the whole horizon, so each reads those
-counts and none unpacks the frames.
+Spike frames are not stored: after each step ``simulate`` adds the layer's
+mask to its spike counts over the whole horizon, kept in the smallest
+unsigned dtype that holds T, and every reader of a ``SpikeRecord`` scores
+the whole horizon from those counts. ``SpikeRecord.spikes`` recomputes the
+frames on first access, by running ``_if_steps`` again from a snapshot that
+``simulate`` took: copies of the IF layers and of the drive, and the linear
+layers, whose weights are frozen once converted. The replayed frames are
+checked against the counts, so a network whose weights were written after
+``simulate`` raises ``SimulationError`` rather than give other frames.
 
 ``_rate`` is the one place that turns spike counts into a threshold-weighted
 rate: ``simulate``, ``firing_rate`` and ``calibrate.activation_align_loss``
@@ -33,8 +36,9 @@ all call it.
 from __future__ import annotations
 
 import copy
+from collections.abc import Callable
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -76,7 +80,7 @@ def if_step(layer: IfLayer, v: Array, input_current: Array, spikes: Array,
     (batch, width); returns ``spikes`` and the threshold-weighted output
     ``spikes * threshold`` that the next linear layer reads. ``step`` is the
     timestep's index, for the error message. ``simulate`` passes the same
-    mask at every step and keeps one bit per neuron-step of it.
+    mask at every step and adds it to the layer's spike counts.
 
     Reset is by subtraction: a firing neuron's potential drops by exactly
     its threshold. A potential exactly at threshold fires. Only ``v`` and
@@ -122,25 +126,30 @@ class SnnNetwork:
 
 @dataclass
 class SpikeRecord:
-    """Per-layer spike trains, one bit per neuron-step, and spike counts,
-    plus enough state to audit the run."""
+    """Per-layer spike counts of a run, plus enough state to audit it; the
+    spike frames are recomputed by ``replay`` when first read."""
 
-    spike_bits: list[Array]        # per IF layer: (T, batch, ceil(width / 8)) uint8,
-                                   # each step's firing mask np.packbits'd along the width
     counts: list[Array]            # per IF layer: (batch, width) spikes over all T steps,
                                    # dtype np.min_scalar_type(T)
     thresholds: list[Array]        # per IF layer: (width,)
     output: Array                  # decoded prediction (batch, out_dim)
     timesteps: int
+    replay: Callable[[], list[Array]]  # per IF layer: (T, batch, width) boolean frames
     currents: list[Array] | None = None    # (T, batch, width) when recorded
     potentials: list[Array] | None = None  # post-step traces when recorded
 
     @cached_property
     def spikes(self) -> list[Array]:
         """Per IF layer: (T, batch, width) uint8 frames, entries 0/1,
-        unpacked from ``spike_bits`` once, on first access."""
-        return [np.unpackbits(bits, axis=-1, count=c.shape[-1])
-                for bits, c in zip(self.spike_bits, self.counts)]
+        recomputed by ``replay`` once, on first access. Raises
+        ``SimulationError`` if a layer's frames do not sum over time to its
+        counts, as when the network's weights were written after the run."""
+        frames = self.replay()
+        for j, (f, c) in enumerate(zip(frames, self.counts)):
+            if not np.array_equal(f.sum(axis=0, dtype=c.dtype), c):
+                raise SimulationError(f"layer {j}: replayed spike frames do not sum to the "
+                                      f"recorded counts; the network changed after simulate")
+        return [f.view(np.uint8) for f in frames]
 
     @property
     def n_layers(self) -> int:
@@ -211,7 +220,8 @@ def simulate(net: SnnNetwork, analog_input: Array, timesteps: int | None = None,
     linears see threshold-weighted spikes. The decoded output is the firing
     rate of the last IF layer pushed through the trailing linear, if any.
     Each step's spikes are written into the layer's one reused mask, then
-    added to the layer's counts and packed into its bit frames.
+    added to the layer's counts. The record's ``replay`` reruns the
+    recurrence from copies of the IF layers and of the drive taken here.
     """
     T = net.timesteps if timesteps is None else int(timesteps)
     if T < 1:
@@ -221,18 +231,15 @@ def simulate(net: SnnNetwork, analog_input: Array, timesteps: int | None = None,
         x = x[None, :]
     if net.input_encoder is not None:
         x = _apply_embedding(x, net.input_encoder, "encoder")
-    x = x.astype(np.float32, copy=False)
+    x = np.array(x, dtype=np.float32)  # the replay's own copy of the drive
     batch = x.shape[0]
 
     pairs, tail = _split_stack(net)
     layers = [iflayer for _, iflayer in pairs]
     v = _start_potentials(layers, batch)
-
-    # the first linear's current is the same at every step
-    first_current = x @ pairs[0][0].w + pairs[0][0].b if pairs else None
+    first_current = _first_current(pairs, x)
 
     masks = [np.zeros((batch, l.width), dtype=np.bool_) for l in layers]
-    spike_bits = [np.zeros((T, batch, -(-l.width // 8)), dtype=np.uint8) for l in layers]
     counts = [np.zeros((batch, l.width), dtype=np.min_scalar_type(T)) for l in layers]
     currents_rec = ([np.zeros((T, batch, l.width), dtype=np.float32) for l in layers]
                     if record_currents else None)
@@ -244,7 +251,6 @@ def simulate(net: SnnNetwork, analog_input: Array, timesteps: int | None = None,
              for m in masks]
     for t, j, cur, _ in _if_steps(pairs, first_current, v, dests, T):
         counts[j] += masks[j]
-        spike_bits[j][t] = np.packbits(masks[j], axis=-1)
         if currents_rec is not None:
             currents_rec[j][t] = cur
         if potentials_rec is not None:
@@ -256,15 +262,32 @@ def simulate(net: SnnNetwork, analog_input: Array, timesteps: int | None = None,
     else:
         output = x @ tail.w + tail.b if tail is not None else x
 
+    snapshot = [(linear, IfLayer(l.threshold, l.v_init)) for linear, l in pairs]
     return SpikeRecord(
-        spike_bits=spike_bits,
         counts=counts,
-        thresholds=[l.threshold.copy() for l in layers],
+        thresholds=[l.threshold for _, l in snapshot],
         output=output,
         timesteps=T,
+        replay=partial(_replay, snapshot, x, T),
         currents=currents_rec,
         potentials=potentials_rec,
     )
+
+
+def _first_current(pairs, drive: Array) -> Array | None:
+    """The first linear's current, the same at every step."""
+    return drive @ pairs[0][0].w + pairs[0][0].b if pairs else None
+
+
+def _replay(pairs, drive: Array, steps: int) -> list[Array]:
+    """The spike frames of a ``simulate`` run, one boolean (steps, batch,
+    width) array per IF layer, from the same recurrence over ``pairs``
+    started again from ``drive``."""
+    v = _start_potentials([l for _, l in pairs], drive.shape[0])
+    frames = [np.zeros((steps,) + p.shape, dtype=np.bool_) for p in v]
+    for _ in _if_steps(pairs, _first_current(pairs, drive), v, frames, steps):
+        pass
+    return frames
 
 
 def firing_rate(record: SpikeRecord, layer: int) -> Array:

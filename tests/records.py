@@ -1,10 +1,18 @@
-"""Hand-built spike records: frames packed the way ``simulate`` stores them."""
+"""Hand-built spike records: counts taken from hand-made frames, and a
+replay that returns those frames."""
 
 import numpy as np
 
+from spikefit.snn import SpikeRecord
 
-def pack_frames(frames) -> list[np.ndarray]:
-    """Each (T, batch, width) frame array, of any dtype with nonzero for a
-    spike, as ``SpikeRecord.spike_bits`` holds it: one bit per neuron-step,
-    packed along the width."""
-    return [np.packbits(np.asarray(f, dtype=np.bool_), axis=-1) for f in frames]
+
+def record_from_frames(frames, thresholds, output, timesteps: int) -> SpikeRecord:
+    """A record of the (T, batch, width) ``frames``, of any dtype with
+    nonzero for a spike: each layer's counts are its frames summed over
+    time, in the dtype ``simulate`` counts in, and ``replay`` returns the
+    frames as booleans."""
+    frames = [np.asarray(f, dtype=np.bool_) for f in frames]
+    dtype = np.min_scalar_type(timesteps)
+    return SpikeRecord(counts=[f.sum(axis=0, dtype=dtype) for f in frames],
+                       thresholds=thresholds, output=output, timesteps=timesteps,
+                       replay=lambda: frames)

@@ -64,7 +64,7 @@ def _spike_frame_reads(source: str) -> list[int]:
 
 
 def test_no_module_reads_spike_frames():
-    # the package reads spike counts; the unpacked frames are left to the
+    # the package reads spike counts; the replayed frames are left to the
     # benchmark's checks and tracer until they are deleted
     root = Path(spikefit.__file__).parent
     reads = {path.name: lines for path in sorted(root.glob("*.py"))

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from records import pack_frames
+from records import record_from_frames
 
 from spikefit.ann import ActivationTrace, Linear, ann_forward, mlp, qcfs_forward, \
     replace_activations
@@ -73,13 +73,10 @@ class TestDecomposeErrors:
             assert row.quant <= trace.ceiling / (2 * trace.levels) + 1e-9
 
     def test_clipping_excess_definition(self):
-        from spikefit.snn import SpikeRecord
         trace = ActivationTrace("0", pre=np.array([[1.5]], np.float32),
                                 post=np.array([[1.0]], np.float32), ceiling=1.0, levels=4)
-        rec = SpikeRecord(spike_bits=pack_frames([np.zeros((8, 1, 1), np.uint8)]),
-                          counts=[np.zeros((1, 1), np.uint8)],
-                          thresholds=[np.ones(1, np.float32)],
-                          output=np.zeros((1, 1), np.float32), timesteps=8)
+        rec = record_from_frames([np.zeros((8, 1, 1), np.uint8)], [np.ones(1, np.float32)],
+                                 np.zeros((1, 1), np.float32), timesteps=8)
         report = decompose_errors([trace], rec, None)
         assert report.layers[0].clip == pytest.approx(0.5)
 

@@ -1,14 +1,13 @@
-import dataclasses
 import json
 
 import numpy as np
 import pytest
-from records import pack_frames
+from records import record_from_frames
 
 from spikefit.ann import Linear
 from spikefit.cli import _write_json
 from spikefit.energy import OpCounts, count_ops, energy_report, spike_rate_stats
-from spikefit.snn import IfLayer, SnnNetwork, SpikeRecord, simulate
+from spikefit.snn import IfLayer, SnnNetwork, simulate
 from spikefit.tensor import Rng
 
 
@@ -23,12 +22,11 @@ def _net(in_dim, hidden, out_dim, timesteps=5, seed=0):
 
 
 def _record_with_spikes(net, spikes):
-    """Simulate once for the scaffolding, then plant a known spike train
-    and its counts."""
+    """Simulate once for the scaffolding, then build a record of a known
+    spike train with that run's thresholds and output."""
     in_dim = net.layers[0].w.shape[0]
     rec = simulate(net, np.zeros((spikes.shape[1], in_dim), np.float32), spikes.shape[0])
-    counts = spikes.astype(np.uint8).sum(axis=0, dtype=np.min_scalar_type(spikes.shape[0]))
-    return dataclasses.replace(rec, spike_bits=pack_frames([spikes]), counts=[counts])
+    return record_from_frames([spikes], rec.thresholds, rec.output, spikes.shape[0])
 
 
 def _brute_force_ac(record, net):
@@ -102,9 +100,8 @@ class TestCountOps:
         net = _net(3, 1024, 3)
         frames = (np.random.default_rng(2).random((1, 17000, 1024), dtype=np.float32)
                   < 0.999).astype(np.float32)
-        rec = SpikeRecord(spike_bits=pack_frames([frames]), counts=[frames[0].astype(np.uint8)],
-                          thresholds=[net.if_layers()[0].threshold],
-                          output=np.zeros((17000, 3), np.float32), timesteps=1)
+        rec = record_from_frames([frames], [net.if_layers()[0].threshold],
+                                 np.zeros((17000, 3), np.float32), timesteps=1)
         n_spikes = int(np.count_nonzero(frames))
         assert n_spikes == 17_390_723
         assert count_ops(rec, net).ac == n_spikes * 3
@@ -175,8 +172,7 @@ class TestSpikeRateStats:
         assert spike_rate_stats(rec) == [1.0]
 
     def test_empty_record_rate_zero(self):
-        rec = SpikeRecord(spike_bits=pack_frames([]), counts=[], thresholds=[],
-                          output=np.zeros((1, 1), np.float32), timesteps=1)
+        rec = record_from_frames([], [], np.zeros((1, 1), np.float32), timesteps=1)
         assert spike_rate_stats(rec) == []
 
     def test_rates_in_unit_interval(self):

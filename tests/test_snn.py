@@ -1,12 +1,11 @@
 import copy
-import dataclasses
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
-from records import pack_frames
+from records import record_from_frames
 
 from spikefit.ann import Linear, qcfs_forward
 from spikefit.snn import (IfLayer, SimulationError, SnnNetwork, firing_rate, if_step,
@@ -235,12 +234,11 @@ class TestSimulate:
 
 class TestFiringRate:
     def _record(self, spikes):
-        # build a minimal record by simulating then overwriting spikes and counts
+        # build a minimal record from a simulated one's thresholds and output
         net = _single_neuron_net(1.0, 0.0, len(spikes))
         rec = simulate(net, np.array([[0.0]], np.float32))
         frames = np.array(spikes, np.uint8).reshape(-1, 1, 1)
-        return dataclasses.replace(rec, spike_bits=pack_frames([frames]),
-                                   counts=[frames.sum(axis=0, dtype=rec.counts[0].dtype)])
+        return record_from_frames([frames], rec.thresholds, rec.output, len(spikes))
 
     def test_saturation(self):
         rec = self._record([1, 1, 1, 1, 1])

@@ -1,5 +1,6 @@
-"""Spike frames are stored one bit per neuron-step beside per-layer spike
-counts, unpack to the frames a plain IF loop fires, and every reader of a
+"""A spike record stores per-layer spike counts and no frames; its frames
+are recomputed from a snapshot of the run on first read, checked against
+the counts, and equal the frames a plain IF loop fires. Every reader of a
 record, reading the counts, gives the bits that the frames gave."""
 
 import dataclasses
@@ -8,14 +9,15 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from records import pack_frames
+from records import record_from_frames
 
 from spikefit.ann import ActivationTrace, Linear
 from spikefit.calibrate import activation_align_loss
 from spikefit.cli import _write_json
 from spikefit.diagnostics import decompose_errors
 from spikefit.energy import count_ops, energy_report, spike_rate_stats
-from spikefit.snn import IfLayer, SnnNetwork, SpikeRecord, firing_rate, if_step, simulate
+from spikefit.snn import (IfLayer, SimulationError, SnnNetwork, SpikeRecord, firing_rate,
+                          if_step, simulate)
 from spikefit.tensor import Rng
 
 
@@ -59,30 +61,33 @@ def test_if_step_returns_the_destination_it_was_given():
     assert not np.shares_memory(out, frames)
 
 
-def test_simulate_stores_one_bit_frames():
+def test_simulate_keeps_counts_and_replays_byte_frames():
     net = _net([5, 6, 4, 3], timesteps=6, seed=7)
     rec = simulate(net, Rng(8).normal(0, 1, (3, 5)))
-    for b, s, c, layer in zip(rec.spike_bits, rec.spikes, rec.counts, net.if_layers()):
-        assert b.dtype == np.uint8 and b.shape == (6, 3, 1)
+    assert {f.name for f in dataclasses.fields(rec)} == {
+        "counts", "thresholds", "output", "timesteps", "replay", "currents", "potentials"}
+    for s, c, layer in zip(rec.spikes, rec.counts, net.if_layers()):
         assert s.dtype == np.uint8 and s.shape == (6, 3, layer.width)
         assert set(np.unique(s).tolist()) <= {0, 1}
         assert c.dtype == np.uint8 and c.shape == (3, layer.width)
 
 
 def test_simulate_peak_memory():
-    # three 256-wide layers, batch 256, T=16: the frames alone are 0.375 MiB
-    # at one bit per neuron-step, 3 MiB at one byte and 12 MiB at four
+    # three 256-wide layers, batch 256, T=16: the frames alone would be
+    # 0.375 MiB at one bit per neuron-step, 3 MiB at one byte and 12 MiB at
+    # four; the record keeps the counts, the output and its copy of the drive
     net = _net([8, 256, 256, 256, 4], timesteps=16, seed=3, scale=0.3)
     x = Rng(4).normal(0, 1, (256, 8))
     tracemalloc.start()
     try:
         rec = simulate(net, x)
-        peak = tracemalloc.get_traced_memory()[1]
+        kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2**20
-    assert peak < 3.5 * 2**20
-    assert sum(b.nbytes for b in rec.spike_bits) == 3 * 16 * 256 * 256 // 8
+    assert peak < 2.75 * 2**20
+    drive = x.size * np.dtype(np.float32).itemsize
+    assert kept <= sum(c.nbytes for c in rec.counts) + rec.output.nbytes + drive + 64 * 2**10
     assert sum(s.nbytes for s in rec.spikes) == 3 * 16 * 256 * 256
 
 
@@ -107,8 +112,8 @@ def _plain_if_frames(net: SnnNetwork, x, timesteps: int) -> list[np.ndarray]:
 
 @pytest.mark.parametrize("width,timesteps", [(5, 6), (7, 6), (13, 6), (13, 300)])
 def test_unpacked_frames_equal_a_plain_if_loop(width, timesteps):
-    # widths that are not multiples of 8 leave pad bits in the last byte,
-    # and T = 300 needs uint16 counts
+    # the replayed frames, at widths that are not multiples of 8 and at
+    # T = 300, which needs uint16 counts
     net = _net([5, width, width + 1, 3], timesteps=timesteps, seed=width)
     x = Rng(width + 1).normal(0, 2.0, (9, 5))
     rec = simulate(net, x)
@@ -118,9 +123,35 @@ def test_unpacked_frames_equal_a_plain_if_loop(width, timesteps):
     for got, ref in zip(rec.spikes, want):
         assert got.dtype == np.uint8
         np.testing.assert_array_equal(got, ref)
-    widths = [width, width + 1]
-    assert sum(b.nbytes for b in rec.spike_bits) == \
-        sum(timesteps * 9 * -(-w // 8) for w in widths)
+
+
+def test_frames_ignore_calibration_after_the_run():
+    # neuron-wise calibration writes thresholds and initial potentials in
+    # place; the record replays the layers as they were when it was made
+    net = _net([5, 7, 6, 3], timesteps=8, seed=21)
+    x = Rng(22).normal(0, 1.5, (4, 5))
+    want = simulate(net.clone(), x).spikes
+    rec = simulate(net, x)
+    thresholds = [t.copy() for t in rec.thresholds]
+    for layer in net.if_layers():
+        layer.threshold *= 1.7
+        layer.v_init -= 0.4
+    assert any(not np.array_equal(s, w)
+               for s, w in zip(simulate(net.clone(), x).spikes, want))
+    for got, ref in zip(rec.spikes, want):
+        np.testing.assert_array_equal(got, ref)
+    for got, ref in zip(rec.thresholds, thresholds):
+        np.testing.assert_array_equal(got, ref)
+
+
+def test_frames_refuse_weights_written_after_the_run():
+    # converted weights are frozen; a replay over changed weights would give
+    # other frames, so it fails the check against the counts
+    net = _net([5, 7, 6, 3], timesteps=8, seed=21)
+    rec = simulate(net, Rng(22).normal(0, 1.5, (4, 5)))
+    net.linear_layers()[1].w *= 3.0
+    with pytest.raises(SimulationError, match="layer 1"):
+        rec.spikes
 
 
 def _assert_counts_equal_frames(rec: SpikeRecord, frames=None) -> None:
@@ -233,7 +264,7 @@ def test_readers_match_frame_expressions(widths, timesteps, seed, batch):
 def test_readers_agree_across_frame_dtypes(dtype):
     # the frames recast to any dtype still sum to the counts, so the
     # frame-based reference over them gives the count readers' bits, and a
-    # record packed from the recast frames holds the same bits
+    # record built from the recast frames holds the same bits
     net = _net([5, 7, 6, 3], timesteps=8, seed=21)
     rec = simulate(net, Rng(22).normal(0, 1.5, (4, 5)))
     acts, traces = _probes(rec)
@@ -241,10 +272,12 @@ def test_readers_agree_across_frame_dtypes(dtype):
     frames = [s.astype(dtype) for s in rec.spikes]
     _assert_counts_equal_frames(rec, frames)
     assert _frame_readers(rec, net, acts, traces, frames) == want
-    repacked = dataclasses.replace(rec, spike_bits=pack_frames(frames))
-    for a, b in zip(repacked.spike_bits, rec.spike_bits):
+    rebuilt = record_from_frames(frames, rec.thresholds, rec.output, rec.timesteps)
+    for a, b in zip(rebuilt.spikes, rec.spikes):
         assert a.tobytes() == b.tobytes()
-    assert _count_readers(repacked, net, acts, traces) == want
+    for a, b in zip(rebuilt.counts, rec.counts):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    assert _count_readers(rebuilt, net, acts, traces) == want
 
 
 def test_readers_depend_only_on_spike_counts():
@@ -256,7 +289,8 @@ def test_readers_depend_only_on_spike_counts():
     acts, traces = _probes(rec)
     want = _count_readers(rec, net, acts, traces)
     frames = rec.spikes
-    rec = dataclasses.replace(rec, spike_bits=pack_frames([s[::-1] for s in frames]))
+    rec = record_from_frames([s[::-1] for s in frames], rec.thresholds, rec.output,
+                             rec.timesteps)
     # the reversal must move spikes, or the check shows nothing
     assert any(not np.array_equal(s, f) for s, f in zip(rec.spikes, frames))
     _assert_counts_equal_frames(rec)
@@ -295,8 +329,8 @@ def test_outputs_match_float32_frame_golden(tmp_path):
 
 def test_wide_record_golden():
     # sha256 values written by the simulator before if_step advanced the
-    # potentials in place (the spike frames are now read unpacked from their
-    # bits); covers the deeper layers' bias add and the first
+    # potentials in place (the spike frames are now read replayed from the
+    # run's snapshot); covers the deeper layers' bias add and the first
     # layer's current, which is reused at every step
     net = _net([8, 128, 128, 128, 4], timesteps=16, seed=5, scale=0.3)
     rec = simulate(net, Rng(6).normal(0, 1, (64, 8)),
