@@ -315,7 +315,8 @@ def train_model(model: AnnModel, data, cfg: TrainConfig, rng: Rng,
     history of per-epoch train/validation losses (an epoch is one pass worth
     of steps over the training set).
     """
-    model = model.clone()
+    # shallow copies of the layers, which then take the one copy of each array
+    model = AnnModel([copy.copy(layer) for layer in model.layers])
     params = {k: np.array(v, dtype=np.float32) for k, v in param_arrays(model).items()}
     set_param_arrays(model, params)
     ceilings = {k: p for k, p in params.items() if k.endswith(".ceiling")}

@@ -348,7 +348,7 @@ class AdamState:
     m: dict[str, Array] = field(default_factory=dict)
     v: dict[str, Array] = field(default_factory=dict)
     step: int = 0
-    scratch: dict[str, tuple[Array, Array]] = field(default_factory=dict)
+    scratch: dict[np.dtype, tuple[Array, Array]] = field(default_factory=dict)
 
 
 def adam_step(params: dict[str, Array], grads: dict[str, Array], state: AdamState | None,
@@ -364,8 +364,10 @@ def adam_step(params: dict[str, Array], grads: dict[str, Array], state: AdamStat
     with each operation in that order and in the dtype numpy gives it in that
     expression, and each stored array rounded once to the parameter dtype;
     so the result is bit-identical to the expression over fresh arrays
-    whenever gradients are at least as wide as the parameters. Two scratch
-    arrays per parameter, kept in the state, hold the intermediates.
+    whenever gradients are at least as wide as the parameters. The
+    intermediates are held in two flat scratch arrays per dtype, kept in the
+    state and sized to the largest parameter; each update reads them through
+    views of its own shape and is done before the next begins.
     """
     if state is None:
         state = AdamState({k: np.zeros_like(p) for k, p in params.items()},
@@ -380,9 +382,11 @@ def adam_step(params: dict[str, Array], grads: dict[str, Array], state: AdamStat
         if g.shape != p.shape:
             raise ValueError(f"adam_step: grad shape {g.shape} != param shape {p.shape} for {k!r}")
         dt = np.result_type(p, g)
-        s1, s2 = state.scratch.get(k, (None, None))
-        if s1 is None or s1.dtype != dt:
-            s1, s2 = state.scratch[k] = (np.empty(p.shape, dt), np.empty(p.shape, dt))
+        buffers = state.scratch.get(dt)
+        if buffers is None or buffers[0].size < p.size:
+            n = max(np.size(q) for q in params.values())
+            buffers = state.scratch[dt] = (np.empty(n, dt), np.empty(n, dt))
+        s1, s2 = (b[:p.size].reshape(p.shape) for b in buffers)
         # the moments are formed in dt: in place when that is their own dtype
         mw = m if m.dtype == dt else s1
         vw = v if v.dtype == dt else s2

@@ -210,6 +210,9 @@ def _nwc_bptt(pairs, tail, drive: Array, teacher_acts, teacher_logits, cfg: Cali
         # is exact for theta <= v <= 2 theta (Sterbenz), so adding theta
         # back restores v; above 2 theta both forms lie outside the window
         windows[t].append(ad._surrogate_window(vs[j] + carry, thetas[j]))
+    # what only the forward pass reads is dropped once read, so the reverse
+    # sweep starts with little more than the spikes and windows
+    del vs, first_current, carry
     sums = [s.sum(axis=0, dtype=np.float32) for s in spikes]
     rates = [sums[j] * thetas[j] * inv_denom for j in range(n_layers)]
 
@@ -217,18 +220,27 @@ def _nwc_bptt(pairs, tail, drive: Array, teacher_acts, teacher_logits, cfg: Cali
     l_align = float(np.sum([(d * d).sum() * (1.0 / d.size) for d in diffs]))
     out = rates[-1] if tail is None else rates[-1] @ tail.w + tail.b
     l_kd, g_out = _kd_loss_and_grad(teacher_logits, out)
+    del rates, out
 
     # seeds: the gradient of each lane's loss with respect to every rate
     align_seeds = [np.float32(2.0 / d.size) * d for d in diffs]
-    kd_seeds = [np.zeros_like(r) for r in rates[:-1]]
+    del diffs
+    kd_seeds = [np.zeros_like(s) for s in align_seeds[:-1]]
     kd_seeds.append(g_out if tail is None else g_out @ tail.w.T)
     g_rate = [np.stack(seeds) for seeds in zip(align_seeds, kd_seeds)]
+    del align_seeds, kd_seeds, g_out
 
     # reverse: g_u is the adjoint of the post-reset potential; acc gathers
-    # the threshold gradient through the reset and the carry
-    g_sum = [g_rate[j] * inv_denom * thetas[j] for j in range(n_layers)]
-    g_u = [np.zeros_like(g) for g in g_rate]
-    acc = [g_rate[j] * inv_denom * sums[j] for j in range(n_layers)]
+    # the threshold gradient through the reset and the carry. g_rate / rho
+    # is formed once, in place, for both acc and g_sum, which it becomes
+    acc = []
+    for j, g in enumerate(g_rate):
+        g *= inv_denom
+        acc.append(g * sums[j])
+        g *= thetas[j]
+    g_sum = g_rate
+    del g_rate, sums
+    g_u = [np.zeros_like(g) for g in g_sum]
     inv_thetas = [1 / theta for theta in thetas]
     for t in range(cfg.rho - 1, -1, -1):
         g_carry = None

@@ -80,27 +80,30 @@ def cmd_train(run: _Run) -> None:
     model0 = build_model(cfg, rng.split("init"))
     model0, hist0 = train_model(model0, run.splits.train, cfg.stage1,
                                 rng.split("pretrain"), val_data=run.splits.test)
+    # the baseline is scored now and dropped before stage 1 starts
+    baseline = {"history": hist0, **_test_score(model0, run.splits.test)}
 
     init_batch = run.splits.train.x[:min(512, len(run.splits.train.x))]
     qcfs_model = replace_activations(model0, cfg.model.levels, init_batch)
+    del model0
     ann1, hist1 = stage1_finetune(qcfs_model, run.splits.train, cfg.stage1,
                                   rng.split("stage1"), val_data=run.splits.test)
     ckpt.save_checkpoint(ann1, run.path("ann"))
 
-    payload = {
+    _write_json(run.path("reports", "stage_train.json"), {
         "config_hash": run.config_hash,
         "seed": cfg.seed,
         "levels": cfg.model.levels,
-        "baseline": {"history": hist0},
-        "stage1": {"history": hist1},
-    }
-    if run.splits.test.task != "regress":
-        payload["baseline"]["test_accuracy"] = ann_accuracy(model0, run.splits.test)
-        payload["stage1"]["test_accuracy"] = ann_accuracy(ann1, run.splits.test)
-    else:
-        payload["baseline"]["test_mse"] = dataset_loss(model0, run.splits.test)
-        payload["stage1"]["test_mse"] = dataset_loss(ann1, run.splits.test)
-    _write_json(run.path("reports", "stage_train.json"), payload)
+        "baseline": baseline,
+        "stage1": {"history": hist1, **_test_score(ann1, run.splits.test)},
+    })
+
+
+def _test_score(model, test) -> dict:
+    """Test accuracy of a classifier, or test MSE of a regressor."""
+    if test.task != "regress":
+        return {"test_accuracy": ann_accuracy(model, test)}
+    return {"test_mse": dataset_loss(model, test)}
 
 
 def cmd_convert(run: _Run) -> None:
@@ -131,7 +134,8 @@ def cmd_calibrate(run: _Run) -> None:
         "config_hash": run.config_hash,
         "rho": cfg.stage2.rho,
         "steps_logged": len(log),
-        "weights_frozen": ckpt.weight_hash(calibrated) == ckpt.weight_hash(net),
+        # against the teacher's own arrays: calibrated shares net's weights
+        "weights_frozen": ckpt.weight_hash(calibrated) == ckpt.weight_hash(ann),
     })
 
 

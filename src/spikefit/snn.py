@@ -91,7 +91,9 @@ def if_step(layer: IfLayer, v: Array, input_current: Array, spikes: Array,
     if cur.shape[-1] != layer.width:
         raise ValueError(f"input current width {cur.shape[-1]} != layer width {layer.width}")
     v += cur
-    if not np.all(np.isfinite(v)):
+    # the finiteness test borrows the caller's mask, which the firing test
+    # then overwrites
+    if not np.isfinite(v, out=spikes).all():
         neuron = int(np.argwhere(~np.isfinite(v))[0][-1])
         raise SimulationError(f"non-finite membrane potential for neuron {neuron} at step {step}")
     np.greater_equal(v, layer.threshold, out=spikes)
@@ -121,7 +123,12 @@ class SnnNetwork:
         return [l for l in self.layers if isinstance(l, Linear)]
 
     def clone(self) -> "SnnNetwork":
-        return copy.deepcopy(self)
+        """A network with its own copy of each IF layer, which calibration
+        writes, that shares the linear layers and the input encoder: their
+        weights are frozen once converted. The IF layers are copied as they
+        are, without the constructor's checks."""
+        layers = [copy.deepcopy(l) if isinstance(l, IfLayer) else l for l in self.layers]
+        return SnnNetwork(layers, self.timesteps, self.input_encoder)
 
 
 @dataclass

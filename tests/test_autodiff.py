@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -304,15 +306,35 @@ class TestInPlaceAdam:
         ids = {k: id(p) for k, p in params.items()}
         _, state = adam_step(params, grads, None, 0.1, weight_decay=0.1)
         moments = {k: (id(state.m[k]), id(state.v[k])) for k in params}
-        scratch = {k: tuple(id(a) for a in state.scratch[k]) for k in params}
+        # one pair of scratch buffers for the one dtype, shared by both
+        assert list(state.scratch) == [np.dtype(np.float32)]
+        scratch = {dt: tuple(id(a) for a in pair) for dt, pair in state.scratch.items()}
         for _ in range(3):
             out, state2 = adam_step(params, grads, state, 0.1, weight_decay=0.1)
             assert out is params and state2 is state
         assert {k: id(p) for k, p in params.items()} == ids
         assert {k: (id(state.m[k]), id(state.v[k])) for k in params} == moments
-        assert {k: tuple(id(a) for a in state.scratch[k]) for k in params} == scratch
+        assert {dt: tuple(id(a) for a in pair) for dt, pair in state.scratch.items()} == scratch
         assert all(len(s) == 2 for s in state.scratch.values())
         assert params["ceiling"].shape == () and float(params["ceiling"]) < 2.0
+
+    def test_scratch_is_twice_the_largest_parameter(self):
+        # what a first step allocates beyond the two moments of each
+        # parameter: two buffers of the largest, not two of every parameter
+        params = {f"w{i}": np.ones((64, 64), np.float32) for i in range(4)}
+        params.update(b=np.ones(64, np.float32), ceiling=np.asarray(2.0, np.float32))
+        grads = {k: np.full_like(p, 0.5) for k, p in params.items()}
+        largest = max(p.nbytes for p in params.values())
+        moments = 2 * sum(p.nbytes for p in params.values())
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            _, state = adam_step(params, grads, None, 0.1, weight_decay=0.1)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert sum(a.nbytes for pair in state.scratch.values() for a in pair) == 2 * largest
+        assert peak - moments <= 2 * largest + 4096
 
     def test_numpy_scalar_rejected(self):
         # a numpy scalar cannot be updated in place

@@ -319,6 +319,19 @@ class TestApplyStage2:
             np.testing.assert_array_equal(a.threshold, b.threshold)
             np.testing.assert_array_equal(a.v_init, b.v_init)
 
+    def test_both_keeps_the_input_weight_arrays(self):
+        # weights are frozen in stage 2, so the calibrated network holds the
+        # input network's own arrays rather than copies of them
+        rng, model, data = _calib_setup(7, dims=(6, 12, 8, 3))
+        splits = DatasetSplits(data, data, data)
+        base = convert(model, 8)
+        cfg = CalibConfig(timesteps=8, steps=2, batch_size=64, seed=7)
+        out, log = apply_stage2(base, model, splits, cfg, "both", rng.split("s2"))
+        assert len(log) == 2
+        assert weight_hash(out) == weight_hash(base) == weight_hash(model)
+        for got, given in zip(out.linear_layers(), base.linear_layers()):
+            assert got.w is given.w and got.b is given.b
+
     def test_unknown_variant_rejected(self):
         rng, model, data = _calib_setup(6)
         splits = DatasetSplits(data, data, data)

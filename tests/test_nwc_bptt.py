@@ -228,6 +228,31 @@ def test_saved_state_bytes_per_neuron_step():
     assert (peak(16) - peak(8)) / added_neuron_steps <= 2.5
 
 
+def test_peak_beyond_saved_state():
+    """Beyond the spikes and windows it saves, a step holds about ten
+    (batch, width) float32 arrays per layer at its peak: the reverse sweep's
+    g_sum, acc and g_u, two lanes each, and one layer's temporaries. The
+    forward-only arrays (potentials, sums, rates, diffs, seeds) are dropped
+    before that sweep; kept alive, they took the peak to nearly twenty."""
+    batch, width, rho = 64, 256, 16
+    rng = Rng(19)
+    x = rng.split("data").normal(0, 1, (batch, 8))
+    model = replace_activations(mlp([8, width, width, 4], rng.split("model")), 8, x)
+    net = convert(model, 16)
+    pairs, tail = _split_stack(net)
+    calib_batch = _calib_batch(net, model, x)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        _nwc_bptt(pairs, tail, *calib_batch, CalibConfig(timesteps=16, rho=rho))
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    saved = 2 * rho * batch * width * len(pairs)
+    per_layer_array = 4 * batch * width * len(pairs)
+    assert (peak - saved) / per_layer_array <= 12
+
+
 # (name, _setup arguments, CalibConfig arguments, drive scale): the
 # TestMatchesTape setups, plus a drive strong enough that potentials pass 2θ
 GOLDEN_CASES = [

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from records import record_from_frames
 
-from spikefit.ann import Linear, qcfs_forward
+from spikefit.ann import Embedding, Linear, qcfs_forward
 from spikefit.snn import (IfLayer, SimulationError, SnnNetwork, firing_rate, if_step,
                           simulate, theoretical_spike_count)
 from spikefit.tensor import Rng
@@ -124,6 +124,34 @@ class TestIfStep:
         assert not np.shares_memory(layer.threshold, theta)
         assert not np.shares_memory(layer.v_init, theta)
         assert not np.shares_memory(layer.threshold, layer.v_init)
+
+
+class TestClone:
+    def _net(self):
+        net = _random_stack(Rng(31), depth=3, widths=[6, 5, 4, 3])
+        table = Rng(32).normal(0, 1, (4, 3))
+        return SnnNetwork(net.layers, net.timesteps, input_encoder=Embedding(table))
+
+    def test_shares_the_linear_layers_and_the_encoder(self):
+        net = self._net()
+        twin = net.clone()
+        assert twin.timesteps == net.timesteps and twin.layers is not net.layers
+        assert twin.input_encoder is net.input_encoder
+        assert len(twin.linear_layers()) == 3
+        for got, given in zip(twin.linear_layers(), net.linear_layers()):
+            assert got is given
+
+    def test_if_layers_share_no_memory_with_the_source(self):
+        net = self._net()
+        twin = net.clone()
+        assert len(twin.if_layers()) == 3
+        for got, given in zip(twin.if_layers(), net.if_layers()):
+            assert got is not given
+            for a in (got.threshold, got.v_init):
+                for b in (given.threshold, given.v_init):
+                    assert not np.shares_memory(a, b)
+            assert got.threshold.tobytes() == given.threshold.tobytes()
+            assert got.v_init.tobytes() == given.v_init.tobytes()
 
 
 class TestSimulate:
