@@ -60,9 +60,6 @@ class AnnModel:
     def __init__(self, layers: list):
         self.layers = list(layers)
 
-    def clone(self) -> "AnnModel":
-        return AnnModel(copy.deepcopy(self.layers))
-
     def activation_layers(self) -> list:
         return [layer for layer in self.layers if isinstance(layer, ACTIVATIONS)]
 
@@ -76,22 +73,30 @@ def qcfs_forward(x, ceiling: float, levels: int):
     Runs in the input dtype, so float64 inputs give a float64 reference path,
     and in one buffer of the input's shape, which it returns.
     """
+    return _qcfs_into(x, ceiling, levels, None)
+
+
+def _qcfs_into(x, ceiling: float, levels: int, out):
+    """``qcfs_forward`` of x written into ``out`` and run in out's float
+    dtype; a new buffer, as ``qcfs_forward`` describes, when out is None.
+    ``out`` may be x itself."""
     if ceiling <= 0:
         raise ValueError(f"qcfs ceiling must be positive, got {ceiling}")
     if int(levels) < 1:
         raise ValueError(f"qcfs levels must be >= 1, got {levels}")
     x = np.asarray(x)
-    dt = x.dtype if x.dtype.kind == "f" else np.dtype(np.float64)
+    if out is None:
+        out = np.empty(x.shape, dtype=x.dtype if x.dtype.kind == "f" else np.float64)
+    dt = out.dtype
     lam = dt.type(ceiling)
     lv = dt.type(int(levels))
-    y = np.empty(x.shape, dtype=dt)
-    np.multiply(x, lv, out=y, dtype=dt)
-    y /= lam
-    y += dt.type(0.5)
-    np.floor(y, out=y)
-    y *= lam
-    y /= lv
-    return np.clip(y, dt.type(0.0), lam, out=y)
+    np.multiply(x, lv, out=out, dtype=dt)
+    out /= lam
+    out += dt.type(0.5)
+    np.floor(out, out=out)
+    out *= lam
+    out /= lv
+    return np.clip(out, dt.type(0.0), lam, out=out)
 
 
 @dataclass
@@ -113,7 +118,9 @@ def _apply_linear(x: Array, layer: Linear, path: str) -> Array:
     if x.ndim != 2 or x.shape[1] != layer.w.shape[0]:
         raise ValueError(
             f"layer {path} (linear): input width {x.shape[-1]} does not match {layer.w.shape[0]}")
-    return x @ layer.w + layer.b
+    y = x @ layer.w
+    y += layer.b
+    return y
 
 
 def _apply_embedding(x: Array, layer: Embedding, path: str) -> Array:
@@ -128,30 +135,35 @@ def ann_forward(model: AnnModel, x, record: bool = True) -> ForwardResult:
 
     Each trace carries the value entering the activation (``pre``) and its
     output (``post``); both are needed downstream, for threshold selection
-    and for rate alignment respectively.
+    and for rate alignment respectively. Without ``record``, an activation
+    overwrites the array the layer before it made, so a wide layer holds
+    its input and its output and no more.
     """
     x = np.asarray(x)
     if x.ndim == 1:
         x = x[None, :]
     traces: list[ActivationTrace] = []
+    owned = False  # x was made by this pass, not passed in
     for i, layer in enumerate(model.layers):
         path = str(i)
+        into = x if owned and not record else None  # where an activation writes
         if isinstance(layer, Linear):
             x = _apply_linear(x, layer, path)
         elif isinstance(layer, Embedding):
             x = _apply_embedding(x, layer, path)
         elif isinstance(layer, Relu):
-            pre = x
-            x = np.maximum(x, 0)
+            post = np.maximum(x, 0, out=into)
             if record:
-                traces.append(ActivationTrace(path, pre, x))
+                traces.append(ActivationTrace(path, x, post))
+            x = post
         elif isinstance(layer, Qcfs):
-            pre = x
-            x = qcfs_forward(x, layer.ceiling, layer.levels)
+            post = _qcfs_into(x, layer.ceiling, layer.levels, into)
             if record:
-                traces.append(ActivationTrace(path, pre, x, layer.ceiling, layer.levels))
+                traces.append(ActivationTrace(path, x, post, layer.ceiling, layer.levels))
+            x = post
         else:
             raise TypeError(f"layer {path}: unknown layer type {type(layer).__name__}")
+        owned = True
     return ForwardResult(x, traces)
 
 
@@ -187,9 +199,10 @@ def set_param_arrays(model: AnnModel, params: dict[str, Array]) -> None:
 def replace_activations(model: AnnModel, levels: int, init_batch: Array) -> AnnModel:
     """Swap every ReLU for a staircase with the given level count.
 
-    All other parameters are copied bit-exactly. Each ceiling starts at the
-    99.9th percentile of that layer's pre-activation magnitudes on
-    ``init_batch``.
+    The new model has its own layer objects but shares every weight array
+    with ``model``: nothing writes a trained model's weights in place, and
+    fine-tuning copies them first. Each ceiling starts at the 99.9th
+    percentile of that layer's pre-activation magnitudes on ``init_batch``.
     """
     if int(levels) < 1:
         raise ValueError(f"levels must be >= 1, got {levels}")
@@ -199,12 +212,12 @@ def replace_activations(model: AnnModel, levels: int, init_batch: Array) -> AnnM
     ceilings = [max(float(np.percentile(np.abs(trace.pre), 99.9)), 1e-6)
                 for trace in ann_forward(model, init_batch).traces]
 
-    new = model.clone()
-    act_positions = [j for j, layer in enumerate(new.layers) if isinstance(layer, ACTIVATIONS)]
+    layers = [copy.copy(layer) for layer in model.layers]
+    act_positions = [j for j, layer in enumerate(layers) if isinstance(layer, ACTIVATIONS)]
     for k, j in enumerate(act_positions):
-        if isinstance(new.layers[j], Relu):
-            new.layers[j] = Qcfs(ceiling=ceilings[k], levels=int(levels))
-    return new
+        if isinstance(layers[j], Relu):
+            layers[j] = Qcfs(ceiling=ceilings[k], levels=int(levels))
+    return AnnModel(layers)
 
 
 # -- training -----------------------------------------------------------------

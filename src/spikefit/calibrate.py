@@ -65,10 +65,12 @@ class CalibConfig:
 def convert(model: AnnModel, timesteps: int) -> SnnNetwork:
     """Map a staircase model onto an IF stack.
 
-    Weights are copied bit-exactly; each staircase ceiling becomes that
-    layer's per-neuron threshold and the initial potential starts at half
-    the threshold (the half-step shift of the staircase). Calibration will
-    overwrite both.
+    The network has its own layer objects but shares every weight array
+    with ``model``, as ``SnnNetwork.clone`` shares them: weights are frozen
+    once converted, and neither the model nor the network writes them again.
+    Each staircase ceiling becomes that layer's per-neuron threshold and the
+    initial potential starts at half the threshold (the half-step shift of
+    the staircase). Calibration will overwrite both.
     """
     if timesteps < 1:
         raise ValueError(f"timesteps must be >= 1, got {timesteps}")
@@ -79,9 +81,9 @@ def convert(model: AnnModel, timesteps: int) -> SnnNetwork:
         if isinstance(layer, Embedding):
             if i != 0:
                 raise ValueError(f"layer {i}: embedding is only convertible as the input encoder")
-            encoder = Embedding(layer.table.copy())
+            encoder = Embedding(layer.table)
         elif isinstance(layer, Linear):
-            layers.append(Linear(layer.w.copy(), layer.b.copy()))
+            layers.append(Linear(layer.w, layer.b))
             pending_width = layer.w.shape[1]
         elif isinstance(layer, Qcfs):
             if pending_width is None:

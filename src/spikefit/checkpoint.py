@@ -26,17 +26,18 @@ class IntegrityError(RuntimeError):
 
 def weight_hash(obj) -> str:
     """Digest of the synaptic weights only (linear layers and embeddings);
-    thresholds, initial potentials, and staircase caps are excluded."""
+    thresholds, initial potentials, and staircase caps are excluded. A
+    contiguous float32 array is hashed from its own buffer, without a copy."""
     h = hashlib.sha256()
     layers = obj.layers
     if isinstance(obj, SnnNetwork) and obj.input_encoder is not None:
         layers = [obj.input_encoder, *layers]
     for layer in layers:
         if isinstance(layer, Linear):
-            h.update(np.ascontiguousarray(layer.w, dtype=np.float32).tobytes())
-            h.update(np.ascontiguousarray(layer.b, dtype=np.float32).tobytes())
+            h.update(np.ascontiguousarray(layer.w, dtype=np.float32))
+            h.update(np.ascontiguousarray(layer.b, dtype=np.float32))
         elif isinstance(layer, Embedding):
-            h.update(np.ascontiguousarray(layer.table, dtype=np.float32).tobytes())
+            h.update(np.ascontiguousarray(layer.table, dtype=np.float32))
     return h.hexdigest()
 
 

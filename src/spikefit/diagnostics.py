@@ -13,30 +13,40 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ann import ActivationTrace, qcfs_forward
-from .snn import SnnNetwork, SpikeRecord, theoretical_spike_count
+from .ann import ActivationTrace, _qcfs_into
+from .snn import SnnNetwork, SpikeRecord, _spike_count_into, theoretical_spike_count
 from .tensor import Array
 
-_BLOCK = 1 << 16  # elements per block of temporal_error's second product
+_BLOCK = 1 << 16  # elements per block of temporal_error's first product
 
 
 def temporal_error(tau_real, theta, tau_theor, ceiling, timesteps: int):
     """Rate deviation from mistimed spikes: |tau_real*theta - tau_theor*ceiling| / T.
 
     Computed in float64 so the reference micro-cases hold to 1e-12, in one
-    buffer of the result's shape: the second product is formed a block of
-    rows at a time, so a wide layer holds one array beyond its inputs.
+    buffer of the result's shape.
     """
     args = np.broadcast_arrays(*(np.asarray(a) for a in (tau_real, theta, tau_theor, ceiling)))
     tau_real, theta, tau_theor, ceiling = (np.atleast_1d(a) for a in args)
-    err = np.multiply(tau_real, theta, dtype=np.float64)
-    step = max(1, _BLOCK // max(err[0].size, 1))
-    for lo in range(0, len(err), step):
+    err = np.empty(tau_real.shape, dtype=np.float64)
+    return _temporal_error_into(tau_real, theta, tau_theor, ceiling, timesteps,
+                                err).reshape(args[0].shape)
+
+
+def _temporal_error_into(tau_real, theta, tau_theor, ceiling, timesteps: int, out):
+    """``temporal_error`` written into the float64 array ``out``, which may be
+    ``tau_theor`` itself. The first product is formed a block of rows at a
+    time, so a wide layer holds no array beyond its inputs and ``out``."""
+    np.multiply(tau_theor, ceiling, out=out, dtype=np.float64)
+    tau_real, theta = (np.broadcast_to(a, out.shape) for a in (tau_real, theta))
+    step = max(1, _BLOCK // max(out[0].size, 1))
+    for lo in range(0, len(out), step):
         rows = slice(lo, lo + step)
-        err[rows] -= np.multiply(tau_theor[rows], ceiling[rows], dtype=np.float64)
-    np.abs(err, out=err)
-    err /= float(timesteps)
-    return err.reshape(args[0].shape)
+        np.subtract(np.multiply(tau_real[rows], theta[rows], dtype=np.float64), out[rows],
+                    out=out[rows])
+    np.abs(out, out=out)
+    out /= float(timesteps)
+    return out
 
 
 @dataclass
@@ -67,7 +77,11 @@ def decompose_errors(traces: list[ActivationTrace], record: SpikeRecord,
 
     Quantization and clipping are measured on the values entering each
     staircase; the temporal term compares actual spike counts against the
-    counts the staircase output would need.
+    counts the staircase output would need. Each figure is taken in float64,
+    and a layer holds at most one float64 (batch, width) buffer at a time:
+    the quantization error is formed only over the in-range values, picked
+    out of ``pre`` first, and the temporal term reuses the buffer of the
+    theoretical counts.
     """
     if len(traces) != record.n_layers:
         raise ValueError(
@@ -80,25 +94,36 @@ def decompose_errors(traces: list[ActivationTrace], record: SpikeRecord,
         if np.shape(trace.pre)[0] != record.n_samples:
             raise ValueError(f"mismatched sample counts: trace has {np.shape(trace.pre)[0]}, "
                              f"record has {record.n_samples}")
-        lam = float(trace.ceiling)
-        # each float64 (batch, width) buffer is reused or let go once its
-        # figures are taken, so a wide layer holds at most two of them
-        pre = np.array(trace.pre, dtype=np.float64)
+        # a float64 scalar, not a Python float: compared with a float32 array,
+        # a Python float would be rounded to float32 first
+        lam = np.float64(trace.ceiling)
+        pre = np.asarray(trace.pre)
         a_max = pre.max()
+        buf = np.subtract(pre, lam, dtype=np.float64, order="C")
+        np.maximum(buf, 0.0, out=buf)
+        clip = buf.mean()
+        del buf
         in_range = pre >= 0
         in_range &= pre <= lam
-        dev = qcfs_forward(pre, lam, trace.levels)
-        np.subtract(pre, dev, out=dev)
-        np.abs(dev, out=dev)
-        np.subtract(pre, lam, out=pre)
-        np.maximum(pre, 0.0, out=pre)
-        clip = pre.mean()
-        del pre
-        q = dev[in_range].mean() if in_range.any() else 0.0
-        del dev, in_range
-        tau_theor = theoretical_spike_count(np.asarray(trace.post, dtype=np.float64), lam, T)
+        # in the order of a masked float64 copy, so the mean's bits hold;
+        # np.extract picks them several times faster than pre[in_range]
+        inside = np.extract(in_range, pre)
+        del in_range
+        q = 0.0
+        if inside.size:
+            dev = _qcfs_into(inside, lam, trace.levels, np.empty(inside.shape, np.float64))
+            np.subtract(inside, dev, out=dev)
+            np.abs(dev, out=dev)
+            q = dev.mean()
+            del dev
+        del inside
+        tau_theor = _spike_count_into(trace.post, lam, T,
+                                      np.empty(np.shape(trace.post), np.float64))
+        tau_theor_mean, tau_theor_max = tau_theor.mean(), tau_theor.max()
         tau_real = record.counts[j]
-        temp = temporal_error(tau_real, record.thresholds[j], tau_theor, lam, T).mean()
+        temp = _temporal_error_into(tau_real, record.thresholds[j], tau_theor, lam, T,
+                                    tau_theor).mean()
+        del tau_theor
         rows.append(LayerErrors(
             layer=j,
             quant=float(q),
@@ -108,10 +133,9 @@ def decompose_errors(traces: list[ActivationTrace], record: SpikeRecord,
             # counts are integers, so their float64 sum is exact in any order
             tau_real_mean=float(tau_real.mean(dtype=np.float64)),
             tau_real_max=float(tau_real.max()),
-            tau_theor_mean=float(tau_theor.mean()),
-            tau_theor_max=float(tau_theor.max()),
+            tau_theor_mean=float(tau_theor_mean),
+            tau_theor_max=float(tau_theor_max),
         ))
-        del tau_theor
     return ErrorReport(rows)
 
 

@@ -316,9 +316,15 @@ def theoretical_spike_count(a: Array, ceiling, timesteps: int) -> Array:
     result's shape."""
     a = np.asarray(a)
     dt = a.dtype if a.dtype.kind == "f" else np.dtype(np.float64)
+    shape = np.broadcast_shapes(a.shape, np.shape(ceiling))
+    return _spike_count_into(a, ceiling, timesteps, np.empty(shape, dtype=dt))
+
+
+def _spike_count_into(a: Array, ceiling, timesteps: int, out: Array) -> Array:
+    """``theoretical_spike_count`` of a written into ``out``, in out's dtype."""
+    dt = out.dtype
     ceiling = np.asarray(ceiling, dtype=dt)
     if not np.all(ceiling > 0):
         raise ValueError("activation ceiling must be positive")
-    tau = np.empty(np.broadcast_shapes(a.shape, ceiling.shape), dtype=dt)
-    np.multiply(a, dt.type(timesteps), out=tau, dtype=dt)
-    return np.divide(tau, ceiling, out=tau)
+    np.multiply(a, dt.type(timesteps), out=out, dtype=dt)
+    return np.divide(out, ceiling, out=out)

@@ -1,4 +1,5 @@
 import gc
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -137,6 +138,34 @@ class TestAnnForward:
         want = h @ model.layers[2].w.astype(np.float64) + model.layers[2].b
         np.testing.assert_allclose(got, want, atol=1e-6)
 
+    def test_scoring_pass_leaves_its_input_alone(self):
+        # without a record, activations overwrite the arrays the pass made,
+        # never the caller's, and give the recorded pass's bits
+        model = AnnModel([Relu(), Linear(Rng(0).normal(0, 1, (3, 4)), np.ones(4, np.float32)),
+                          Qcfs(1.0, 4), Linear(Rng(1).normal(0, 1, (4, 2)), np.zeros(2, np.float32)),
+                          Relu()])
+        x = Rng(2).normal(0, 1, (5, 3))
+        before = x.copy()
+        got = ann_forward(model, x, record=False).output
+        assert x.tobytes() == before.tobytes()
+        assert got.tobytes() == ann_forward(model, x).output.tobytes()
+
+    def test_scoring_pass_holds_two_activations(self):
+        # 1,000 rows of an 8-512x3-4 MLP: a Linear holds its input and its
+        # output, and the activation overwrites that output; 2.02 activations
+        # were measured
+        model = mlp([8, 512, 512, 512, 4], Rng(0))
+        rng = Rng(1)
+        data = Dataset(rng.normal(0, 1, (1000, 8)), rng.integers(0, 4, (1000,)), "classify")
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            dataset_loss(model, data)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * 1000 * 512 * 4
+
     def test_shape_error_names_layer(self):
         model = mlp([4, 8, 2], Rng(0))
         with pytest.raises(ValueError, match="layer 0"):
@@ -227,8 +256,18 @@ class TestReplaceActivations:
         assert len(out.qcfs_layers()) == 3
         for a, b in zip(model.layers, out.layers):
             if isinstance(a, Linear):
-                assert a.w.tobytes() == b.w.tobytes()
-                assert a.b.tobytes() == b.b.tobytes()
+                # the same arrays, in layers of its own
+                assert a is not b
+                assert a.w is b.w and a.b is b.b
+
+    def test_new_model_has_its_own_staircases(self):
+        # a staircase already in the model is copied, not shared
+        relu = mlp([4, 8, 8, 2], Rng(0)).layers
+        model = AnnModel(relu[:1] + [Qcfs(1.0, 8)] + relu[2:])
+        out = replace_activations(model, 4, Rng(1).normal(0, 1, (16, 4)))
+        assert [(q.ceiling == 1.0, q.levels) for q in out.qcfs_layers()] == [(True, 8), (False, 4)]
+        out.qcfs_layers()[0].ceiling = 9.0
+        assert model.qcfs_layers()[0].ceiling == 1.0
 
     def test_ceiling_is_999_percentile_of_preactivation_magnitudes(self):
         model = mlp([4, 8, 2], Rng(1))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import spikefit.calibrate as calibrate
-from spikefit.ann import (AnnModel, Linear, Qcfs, Relu, ann_forward, mlp,
+from spikefit.ann import (AnnModel, Linear, Qcfs, Relu, ann_forward, char_lm, mlp,
                           replace_activations)
 from spikefit.calibrate import (CalibConfig, CalibrationError, activation_align_loss,
                                 apply_stage2, convert, eval_losses, logits_loss,
@@ -34,9 +34,20 @@ class TestConvert:
             np.testing.assert_allclose(l.v_init, l.threshold / 2)
 
     def test_weights_copied_bit_exactly(self):
+        # the network shares the model's own weight arrays, in its own layers
         model = _staircase_mlp(Rng(1))
         net = convert(model, 8)
         assert weight_hash(net) == weight_hash(model)
+        pairs = list(zip(model.layers[::2], net.linear_layers()))
+        assert len(pairs) == 2
+        for a, b in pairs:
+            assert a is not b
+            assert a.w is b.w and a.b is b.b
+        lm = replace_activations(char_lm(16, 2, 3, [5], Rng(2)), 4,
+                                 Rng(3).integers(0, 16, (8, 2)))
+        snn = convert(lm, 4)
+        assert snn.input_encoder is not lm.layers[0]
+        assert snn.input_encoder.table is lm.layers[0].table
 
     def test_single_hidden_layer_reproduces_ann_at_t_equals_l(self):
         model = _staircase_mlp(Rng(2), dims=(6, 16, 3), levels=8)

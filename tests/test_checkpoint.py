@@ -1,4 +1,6 @@
+import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -237,3 +239,20 @@ def test_manifest_text_is_unchanged(tmp_path, build, golden):
 def test_cross_kind_layer_is_not_saved(tmp_path, obj, message):
     with pytest.raises(TypeError, match=message):
         save_checkpoint(obj, str(tmp_path))
+
+
+def test_weight_hash_reads_the_arrays_in_place():
+    # an 8-512x3-4 MLP holds 1 MiB 512 x 512 arrays; hashing copies none
+    model = mlp([8, 512, 512, 512, 4], Rng(0))
+    weight_hash(model)  # a first call may allocate one-off state
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        digest = weight_hash(model)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+    want = hashlib.sha256(b"".join(a.tobytes() for layer in model.layers[::2]
+                                   for a in (layer.w, layer.b))).hexdigest()
+    assert digest == want

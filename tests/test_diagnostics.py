@@ -92,6 +92,49 @@ class TestDecomposeErrors:
                 / record.timesteps
             assert row.temporal == pytest.approx(float(want), abs=0)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("case", ["none", "half", "all", "ceiling"])
+    def test_bits_match_the_two_buffer_formula(self, dtype, case):
+        # the split as it was written over a float64 copy of pre, a float64
+        # staircase of it and a masked copy; the ceiling 0.1 + 0.2 is not a
+        # float32 value, and the "ceiling" case holds only values within one
+        # float32 step of it, where comparing in float32 would flip the mask
+        lam, levels, T = 0.1 + 0.2, 8, 16
+        batch, width = 300, 300  # more rows than one block of the temporal term
+        rng = Rng(31)
+        near = np.float32(lam)
+        near = [np.nextafter(near, np.float32(0)), near, np.nextafter(near, np.float32(1)),
+                np.float32(0), np.nextafter(np.float32(0), np.float32(-1))]
+        pre = {"none": lambda: rng.uniform(-2.0, -0.01, (batch, width)),
+               "half": lambda: rng.uniform(-0.35, 0.35, (batch, width)),
+               "all": lambda: rng.uniform(0.0, 0.29, (batch, width)),
+               "ceiling": lambda: np.resize(np.array(near + [lam], np.float64), (batch, width)),
+               }[case]().astype(dtype)
+        post = np.clip(pre, 0, lam).astype(np.float32)
+        trace = ActivationTrace("0", pre=pre, post=post, ceiling=lam, levels=levels)
+        frames = rng.integers(0, 2, (T, batch, width)).astype(np.uint8)
+        theta = rng.uniform(0.2, 0.4, (width,))
+        rec = record_from_frames([frames], [theta], np.zeros((batch, 2), np.float32), T)
+
+        p = np.array(pre, dtype=np.float64)
+        in_range = (p >= 0) & (p <= lam)
+        stair = np.clip(np.floor(p * np.float64(levels) / lam + 0.5) * lam / np.float64(levels),
+                        0.0, lam)
+        dev = np.abs(p - stair)
+        tau_theor = post.astype(np.float64) * np.float64(T) / lam
+        counts = rec.counts[0]
+        temporal = np.abs(np.multiply(counts, theta, dtype=np.float64) - tau_theor * lam) / T
+        want = {"quant": dev[in_range].mean() if in_range.any() else 0.0,
+                "clip": np.maximum(p - lam, 0.0).mean(),
+                "temporal": temporal.mean(), "a_max": p.max(),
+                "tau_real_mean": counts.mean(dtype=np.float64), "tau_real_max": counts.max(),
+                "tau_theor_mean": tau_theor.mean(), "tau_theor_max": tau_theor.max()}
+        share = in_range.mean()
+        assert {"none": share == 0, "half": 0.3 < share < 0.7, "all": share == 1,
+                "ceiling": 0 < share < 1}[case]
+        got = vars(decompose_errors([trace], rec, None).layers[0])
+        assert {k: got[k] for k in want} == {k: float(v) for k, v in want.items()}
+
     def test_mismatched_sample_counts_rejected(self):
         model, net, x, traces, record = _staircase_setup()
         bad = [ActivationTrace(t.layer, t.pre[:5], t.post[:5], t.ceiling, t.levels)

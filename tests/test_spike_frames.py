@@ -298,8 +298,10 @@ def test_readers_depend_only_on_spike_counts():
 
 
 def test_decompose_errors_peak_memory():
-    # a 512 x 512 layer: the error split may hold at most three float64
-    # (batch, width) arrays at once above what it started with
+    # a 512 x 512 layer, about half of it in range: the error split holds one
+    # float64 (batch, width) buffer at a time, plus the temporal term's block
+    # of 2**16 float64 products (a quarter of this layer) and numpy's cast
+    # buffers; 1.31 arrays were measured
     batch = width = 512
     net = _net([8, width, 4], timesteps=8, seed=11)
     rec = simulate(net, Rng(12).normal(0, 1, (batch, 8)))
@@ -312,7 +314,7 @@ def test_decompose_errors_peak_memory():
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
-    assert peak <= 3 * batch * width * 8
+    assert peak <= 1.35 * batch * width * 8
 
 
 def test_outputs_match_float32_frame_golden(tmp_path):
