@@ -173,7 +173,8 @@ def _nwc_bptt(pairs, tail, drive: Array, teacher_acts, teacher_logits, cfg: Cali
     """One calibration step on the split stack ``pairs, tail``: both losses
     and the gradient for every threshold and initial potential of the pairs'
     IF layers, keyed ``if{j}.threshold`` and ``if{j}.v_init``, by
-    surrogate-gradient backprop through time.
+    surrogate-gradient backprop through time: ``_nwc_forward``, then
+    ``_nwc_reverse``.
 
     Gradient semantics: the alignment loss is differentiated with the
     carries between layers detached, so each layer's parameters receive the
@@ -181,32 +182,43 @@ def _nwc_bptt(pairs, tail, drive: Array, teacher_acts, teacher_logits, cfg: Cali
     within the layer stays differentiable); the logits loss is differentiated
     through the whole chain, carries included. The step minimizes
     ``L_all = L_al + L_logits``, so the gradient is the sum of the two.
+    """
+    losses, spikes, windows, acc, g_sum = _nwc_forward(pairs, tail, drive, teacher_acts,
+                                                       teacher_logits, cfg.rho)
+    return losses, _nwc_reverse(pairs, spikes, windows, acc, g_sum)
+
+
+def _nwc_forward(pairs, tail, drive: Array, teacher_acts, teacher_logits, rho: int):
+    """The forward pass of ``_nwc_bptt``: the losses, and what the reverse
+    sweep reads.
 
     The forward pass is ``simulate``'s IF recurrence (``snn._if_steps``)
     over the rho unrolled steps, on the pairs' own IF layers; it raises
     ``SimulationError`` on a non-finite potential. Per neuron-step it keeps
     two booleans, two bytes: the spike, which ``if_step`` writes into one
     (rho, batch, width) array per layer, and the surrogate window
-    (``autodiff._surrogate_window``) at the pre-reset potential. Neither
-    costs a bit: a boolean spike enters the layer's sum
-    over steps and ``s * c`` as float32 0.0 or 1.0, and
+    (``autodiff._surrogate_window``) at the pre-reset potential, one list
+    of layers per step. Neither costs a bit: a boolean spike enters the
+    layer's sum over steps and ``s * c`` as float32 0.0 or 1.0, and
     ``window * (1 / theta)`` is the array ``surrogate_spike_grad`` returns.
-    One reverse sweep over steps and layers then carries the adjoint of the
-    membrane potential in two lanes, stacked as (2, batch, width): the
-    alignment lane 0, which never crosses layers, and the logits lane 1,
-    which crosses layers through ``g @ W.T``.
+
+    Returns the losses, the spikes, the windows, and per layer the reverse
+    sweep's two seeds, each stacked as (2, batch, width) over the alignment
+    and logits lanes: ``acc``, the rate gradient over rho times the spike
+    sums, which gathers the threshold gradient, and ``g_sum``, the rate
+    gradient times theta over rho.
     """
     n_layers = len(pairs)
     layers = [iflayer for _, iflayer in pairs]
     thetas = [layer.threshold for layer in layers]
-    inv_denom = 1.0 / cfg.rho
+    inv_denom = 1.0 / rho
 
-    # forward: the boolean spike and surrogate window of every (step, layer)
+    # the boolean spike and surrogate window of every (step, layer)
     first_current = drive @ pairs[0][0].w + pairs[0][0].b
     vs = _start_potentials(layers, drive.shape[0])
-    spikes = [np.empty((cfg.rho,) + v.shape, dtype=np.bool_) for v in vs]
-    windows: list[list] = [[] for _ in range(cfg.rho)]
-    for t, j, _, carry in _if_steps(pairs, first_current, vs, spikes, cfg.rho):
+    spikes = [np.empty((rho,) + v.shape, dtype=np.bool_) for v in vs]
+    windows: list[list] = [[] for _ in range(rho)]
+    for t, j, _, carry in _if_steps(pairs, first_current, vs, spikes, rho):
         # the window is taken at the pre-reset potential, rebuilt as
         # v_post + carry bit for bit: carry is 0 where nothing fired; v - theta
         # is exact for theta <= v <= 2 theta (Sterbenz), so adding theta
@@ -232,21 +244,32 @@ def _nwc_bptt(pairs, tail, drive: Array, teacher_acts, teacher_logits, cfg: Cali
     g_rate = [np.stack(seeds) for seeds in zip(align_seeds, kd_seeds)]
     del align_seeds, kd_seeds, g_out
 
-    # reverse: g_u is the adjoint of the post-reset potential; acc gathers
-    # the threshold gradient through the reset and the carry. g_rate / rho
-    # is formed once, in place, for both acc and g_sum, which it becomes
+    # g_rate / rho is formed once, in place, for both acc and g_sum, which
+    # it becomes
     acc = []
     for j, g in enumerate(g_rate):
         g *= inv_denom
         acc.append(g * sums[j])
         g *= thetas[j]
-    g_sum = g_rate
-    del g_rate, sums
+    losses = {"L_al": l_align, "L_logits": l_kd, "L_all": l_align + l_kd}
+    return losses, spikes, windows, acc, g_rate
+
+
+def _nwc_reverse(pairs, spikes, windows, acc, g_sum) -> dict:
+    """The reverse sweep of ``_nwc_bptt`` over the steps and layers of
+    ``_nwc_forward``'s output, newest step first: the gradient of every
+    threshold and initial potential. It carries the adjoint of the membrane
+    potential in two lanes, stacked as (2, batch, width): the alignment
+    lane 0, which never crosses layers, and the logits lane 1, which
+    crosses layers through ``g @ W.T``. ``acc`` gathers the threshold
+    gradient through the reset and the carry, in place."""
+    thetas = [layer.threshold for _, layer in pairs]
+    # g_u is the adjoint of the post-reset potential
     g_u = [np.zeros_like(g) for g in g_sum]
     inv_thetas = [1 / theta for theta in thetas]
-    for t in range(cfg.rho - 1, -1, -1):
+    for t in range(len(windows) - 1, -1, -1):
         g_carry = None
-        for j in range(n_layers - 1, -1, -1):
+        for j in range(len(pairs) - 1, -1, -1):
             c = -g_u[j]
             if g_carry is not None:
                 c[1] += g_carry
@@ -257,10 +280,10 @@ def _nwc_bptt(pairs, tail, drive: Array, teacher_acts, teacher_logits, cfg: Cali
     # the firing condition's theta partial is minus its v partial, and summed
     # over the steps those v partials are exactly the final g_u
     grads = {}
-    for j in range(n_layers):
+    for j in range(len(pairs)):
         grads[f"if{j}.threshold"] = (acc[j] - g_u[j]).sum(axis=(0, 1))
         grads[f"if{j}.v_init"] = g_u[j].sum(axis=(0, 1))
-    return {"L_al": l_align, "L_logits": l_kd, "L_all": l_align + l_kd}, grads
+    return grads
 
 
 def _calib_batch(snn: SnnNetwork, ann: AnnModel, bx: Array):

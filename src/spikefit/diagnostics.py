@@ -17,7 +17,7 @@ from .ann import ActivationTrace, _qcfs_into
 from .snn import SnnNetwork, SpikeRecord, _spike_count_into, theoretical_spike_count
 from .tensor import Array
 
-_BLOCK = 1 << 16  # elements per block of temporal_error's first product
+_LEAF = 1 << 15  # values per leaf of decompose_errors' pairwise sums
 
 
 def temporal_error(tau_real, theta, tau_theor, ceiling, timesteps: int):
@@ -35,15 +35,9 @@ def temporal_error(tau_real, theta, tau_theor, ceiling, timesteps: int):
 
 def _temporal_error_into(tau_real, theta, tau_theor, ceiling, timesteps: int, out):
     """``temporal_error`` written into the float64 array ``out``, which may be
-    ``tau_theor`` itself. The first product is formed a block of rows at a
-    time, so a wide layer holds no array beyond its inputs and ``out``."""
+    ``tau_theor`` itself."""
     np.multiply(tau_theor, ceiling, out=out, dtype=np.float64)
-    tau_real, theta = (np.broadcast_to(a, out.shape) for a in (tau_real, theta))
-    step = max(1, _BLOCK // max(out[0].size, 1))
-    for lo in range(0, len(out), step):
-        rows = slice(lo, lo + step)
-        np.subtract(np.multiply(tau_real[rows], theta[rows], dtype=np.float64), out[rows],
-                    out=out[rows])
+    np.subtract(np.multiply(tau_real, theta, dtype=np.float64), out, out=out)
     np.abs(out, out=out)
     out /= float(timesteps)
     return out
@@ -77,66 +71,126 @@ def decompose_errors(traces: list[ActivationTrace], record: SpikeRecord,
 
     Quantization and clipping are measured on the values entering each
     staircase; the temporal term compares actual spike counts against the
-    counts the staircase output would need. Each figure is taken in float64,
-    and a layer holds at most one float64 (batch, width) buffer at a time:
-    the quantization error is formed only over the in-range values, picked
-    out of ``pre`` first, and the temporal term reuses the buffer of the
-    theoretical counts.
+    counts the staircase output would need. Each figure is taken in float64
+    and has the bits of the mean over a float64 array of all its values,
+    but no such array is formed: ``_pairwise_sums`` adds the values up one
+    leaf of at most ``_LEAF`` values at a time, in numpy's order. One pass
+    over the leaves gives the clipping sum; one gives the theoretical
+    counts' sum and maximum and the temporal sum, from one leaf buffer; and
+    the quantization error is formed over the in-range values only, picked
+    out of ``pre`` one chunk of ``_LEAF`` values at a time, in row-major
+    order.
     """
     if len(traces) != record.n_layers:
         raise ValueError(
             f"{len(traces)} activation traces vs {record.n_layers} spiking layers")
+    buf = np.empty(_LEAF, dtype=np.float64)
     rows: list[LayerErrors] = []
-    T = record.timesteps
     for j, trace in enumerate(traces):
         if trace.ceiling is None:
             raise ValueError(f"trace {j} does not come from a staircase activation")
         if np.shape(trace.pre)[0] != record.n_samples:
             raise ValueError(f"mismatched sample counts: trace has {np.shape(trace.pre)[0]}, "
                              f"record has {record.n_samples}")
-        # a float64 scalar, not a Python float: compared with a float32 array,
-        # a Python float would be rounded to float32 first
-        lam = np.float64(trace.ceiling)
-        pre = np.asarray(trace.pre)
-        a_max = pre.max()
-        buf = np.subtract(pre, lam, dtype=np.float64, order="C")
-        np.maximum(buf, 0.0, out=buf)
-        clip = buf.mean()
-        del buf
-        in_range = pre >= 0
-        in_range &= pre <= lam
-        # in the order of a masked float64 copy, so the mean's bits hold;
-        # np.extract picks them several times faster than pre[in_range]
-        inside = np.extract(in_range, pre)
-        del in_range
-        q = 0.0
-        if inside.size:
-            dev = _qcfs_into(inside, lam, trace.levels, np.empty(inside.shape, np.float64))
-            np.subtract(inside, dev, out=dev)
-            np.abs(dev, out=dev)
-            q = dev.mean()
-            del dev
-        del inside
-        tau_theor = _spike_count_into(trace.post, lam, T,
-                                      np.empty(np.shape(trace.post), np.float64))
-        tau_theor_mean, tau_theor_max = tau_theor.mean(), tau_theor.max()
-        tau_real = record.counts[j]
-        temp = _temporal_error_into(tau_real, record.thresholds[j], tau_theor, lam, T,
-                                    tau_theor).mean()
-        del tau_theor
-        rows.append(LayerErrors(
-            layer=j,
-            quant=float(q),
-            clip=float(clip),
-            temporal=float(temp),
-            a_max=float(a_max),
-            # counts are integers, so their float64 sum is exact in any order
-            tau_real_mean=float(tau_real.mean(dtype=np.float64)),
-            tau_real_max=float(tau_real.max()),
-            tau_theor_mean=float(tau_theor_mean),
-            tau_theor_max=float(tau_theor_max),
-        ))
+        rows.append(_layer_errors(j, trace, record, buf))
     return ErrorReport(rows)
+
+
+def _layer_errors(j: int, trace: ActivationTrace, record: SpikeRecord, buf) -> LayerErrors:
+    """``decompose_errors``' row for layer j, with ``buf`` as its float64
+    leaf buffer."""
+    T = record.timesteps
+    # a float64 scalar, not a Python float: compared with a float32 array,
+    # a Python float would be rounded to float32 first
+    lam = np.float64(trace.ceiling)
+    pre = np.ravel(trace.pre)
+    a_max, n = pre.max(), pre.size
+
+    def clip_leaf(lo, hi):
+        out = np.subtract(pre[lo:hi], lam, out=buf[:hi - lo], dtype=np.float64)
+        return (np.add.reduce(np.maximum(out, 0.0, out=out)),)
+
+    (clip_sum,) = _pairwise_sums(clip_leaf, 0, n)
+
+    n_inside = sum(np.count_nonzero(_in_range(c, lam)) for c in _chunks(pre))
+    # the in-range values in row-major order; np.compress picks them several
+    # times faster than boolean indexing
+    inside = (np.compress(_in_range(c, lam), c) for c in _chunks(pre))
+    pending = pre[:0]
+
+    def quant_leaf(lo, hi):
+        nonlocal pending
+        parts, have = [pending], pending.size
+        while have < hi - lo:
+            parts.append(next(inside))
+            have += parts[-1].size
+        vals = np.concatenate(parts)
+        vals, pending = vals[:hi - lo], vals[hi - lo:]
+        dev = _qcfs_into(vals, lam, trace.levels, buf[:hi - lo])
+        np.subtract(vals, dev, out=dev)
+        return (np.add.reduce(np.abs(dev, out=dev)),)
+
+    (quant_sum,) = _pairwise_sums(quant_leaf, 0, n_inside) if n_inside else (0.0,)
+
+    tau_real = record.counts[j]
+    counts, post = np.ravel(tau_real), np.ravel(trace.post)
+    width = np.shape(trace.post)[-1]
+    # the threshold of every flat index lo..hi is theta_run[lo % width:][:hi - lo]
+    theta_run = np.tile(record.thresholds[j], _LEAF // width + 2)
+    tau_maxima = []
+
+    def tau_leaf(lo, hi):
+        tau = _spike_count_into(post[lo:hi], lam, T, buf[:hi - lo])
+        tau_maxima.append(tau.max())
+        tau_sum = np.add.reduce(tau)
+        theta = theta_run[lo % width:][:hi - lo]
+        return tau_sum, np.add.reduce(_temporal_error_into(counts[lo:hi], theta, tau, lam, T, tau))
+
+    tau_theor_sum, temp_sum = _pairwise_sums(tau_leaf, 0, post.size)
+    return LayerErrors(
+        layer=j,
+        quant=float(quant_sum / n_inside) if n_inside else 0.0,
+        clip=float(clip_sum / n),
+        temporal=float(temp_sum / post.size),
+        a_max=float(a_max),
+        # counts are integers, so their float64 sum is exact in any order
+        tau_real_mean=float(tau_real.mean(dtype=np.float64)),
+        tau_real_max=float(tau_real.max()),
+        tau_theor_mean=float(tau_theor_sum / post.size),
+        tau_theor_max=float(np.max(tau_maxima)),
+    )
+
+
+def _pairwise_sums(leaf_sums, lo: int, hi: int) -> tuple:
+    """Float64 sums over the values lo..hi, with the bits ``np.add.reduce``
+    gives over a contiguous float64 array of them: the sums that ``mean``
+    divides by n. numpy sums such an array pairwise, splitting n values
+    at ``n // 2`` rounded down to a multiple of 8; this splits the same way
+    down to leaves of at most ``_LEAF`` values, and adds the leaf sums back
+    up the same tree. ``leaf_sums(lo, hi)`` returns a tuple of
+    ``np.add.reduce`` results, one per sum, over the leaf's values; it is
+    called once per leaf, in order of ``lo``, so only one leaf need be held
+    at a time."""
+    n = hi - lo
+    if n <= _LEAF:
+        return leaf_sums(lo, hi)
+    half = n // 2
+    half -= half % 8
+    left = _pairwise_sums(leaf_sums, lo, lo + half)
+    right = _pairwise_sums(leaf_sums, lo + half, hi)
+    return tuple(a + b for a, b in zip(left, right))
+
+
+def _chunks(flat):
+    """The 1-D array ``flat`` in views of ``_LEAF`` values."""
+    return (flat[lo:lo + _LEAF] for lo in range(0, flat.size, _LEAF))
+
+
+def _in_range(values, lam):
+    """Where 0 <= values <= lam: the staircase's unclipped inputs."""
+    keep = values >= 0
+    keep &= values <= lam
+    return keep
 
 
 @dataclass

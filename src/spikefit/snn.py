@@ -11,22 +11,32 @@ threshold-weighted spikes that ``if_step`` returns. Ties (potential exactly
 at threshold) fire. Membrane potentials may go negative.
 
 That recurrence is written once, in ``_if_steps``: ``simulate`` records
-what it yields, and neuron-wise calibration (``calibrate._nwc_bptt``) runs
+what it yields, and neuron-wise calibration (``calibrate._nwc_forward``) runs
 it as its forward pass, so both fire, reset and check for non-finite
 potentials in the one ``if_step``. ``if_step`` writes each step's firing
 mask into memory its caller owns: ``simulate`` passes one reused
 (batch, width) boolean mask per layer, its replay and calibration a slice
 of their frames.
 
+``simulate`` runs that recurrence one row block of the batch at a time
+(``_row_blocks``), each block through every step, so the potentials,
+masks and currents it holds at once are a block's, not the batch's: at
+most 2**18 neurons of the widest IF layer per block, 256 rows of a
+1024-wide layer. No row's steps read another row. BLAS may round a short
+block's products otherwise than the whole batch's, so the blocks are kept
+near equal in length rather than leave a few rows over.
+
 Spike frames are not stored: after each step ``simulate`` adds the layer's
-mask to its spike counts over the whole horizon, kept in the smallest
-unsigned dtype that holds T, and every reader of a ``SpikeRecord`` scores
-the whole horizon from those counts. ``SpikeRecord.spikes`` recomputes the
-frames on first access, by running ``_if_steps`` again from a snapshot that
-``simulate`` took: copies of the IF layers and of the drive, and the linear
-layers, whose weights are frozen once converted. The replayed frames are
-checked against the counts, so a network whose weights were written after
-``simulate`` raises ``SimulationError`` rather than give other frames.
+mask to its block's rows of the spike counts over the whole horizon, kept
+in the smallest unsigned dtype that holds T, and every reader of a
+``SpikeRecord`` scores the whole horizon from those counts.
+``SpikeRecord.spikes`` recomputes the frames on first access, by running
+``_if_steps`` again over the same row blocks from a snapshot that
+``simulate`` took: copies of the IF layers and of the drive, and the
+linear layers, whose weights are frozen once converted. The replayed
+frames are checked against the counts, so a network whose weights were
+written after ``simulate`` raises ``SimulationError`` rather than give
+other frames.
 
 ``_rate`` is the one place that turns spike counts into a threshold-weighted
 rate: ``simulate``, ``firing_rate`` and ``calibrate.activation_align_loss``
@@ -44,6 +54,10 @@ import numpy as np
 
 from .ann import Embedding, Linear, _apply_embedding
 from .tensor import Array
+
+# neurons of the widest IF layer per row block of a simulation: 256 rows of
+# a 1024-wide layer, so a block's potentials, masks and currents stay small
+_BLOCK_NEURONS = 1 << 18
 
 
 class SimulationError(RuntimeError):
@@ -226,9 +240,17 @@ def simulate(net: SnnNetwork, analog_input: Array, timesteps: int | None = None,
     The first linear layer sees the same analog input at every step; deeper
     linears see threshold-weighted spikes. The decoded output is the firing
     rate of the last IF layer pushed through the trailing linear, if any.
-    Each step's spikes are written into the layer's one reused mask, then
-    added to the layer's counts. The record's ``replay`` reruns the
-    recurrence from copies of the IF layers and of the drive taken here.
+    The recurrence runs over the row blocks of ``_row_blocks``, one block
+    through all steps before the next. Each step's spikes are written into
+    the layer's one reused mask, then added to the block's rows of the
+    layer's counts; recorded currents and potentials go to the block's rows
+    too. The trailing linear reads the rates of the whole batch at once.
+    The record's ``replay`` reruns the recurrence over the same blocks, from
+    copies of the IF layers and of the drive taken here.
+
+    A non-finite potential raises ``SimulationError`` naming the step and
+    the neuron: the earliest step at which one arises in the first block
+    that has one, so a later block's earlier step is not reported.
     """
     T = net.timesteps if timesteps is None else int(timesteps)
     if T < 1:
@@ -243,25 +265,26 @@ def simulate(net: SnnNetwork, analog_input: Array, timesteps: int | None = None,
 
     pairs, tail = _split_stack(net)
     layers = [iflayer for _, iflayer in pairs]
-    v = _start_potentials(layers, batch)
-    first_current = _first_current(pairs, x)
-
-    masks = [np.zeros((batch, l.width), dtype=np.bool_) for l in layers]
     counts = [np.zeros((batch, l.width), dtype=np.min_scalar_type(T)) for l in layers]
     currents_rec = ([np.zeros((T, batch, l.width), dtype=np.float32) for l in layers]
                     if record_currents else None)
     potentials_rec = ([np.zeros((T, batch, l.width), dtype=np.float32) for l in layers]
                       if record_potentials else None)
 
-    # every step's destination is the same mask: a zero-stride view over T
-    dests = [np.lib.stride_tricks.as_strided(m, (T,) + m.shape, (0,) + m.strides)
-             for m in masks]
-    for t, j, cur, _ in _if_steps(pairs, first_current, v, dests, T):
-        counts[j] += masks[j]
-        if currents_rec is not None:
-            currents_rec[j][t] = cur
-        if potentials_rec is not None:
-            potentials_rec[j][t] = v[j]
+    for rows in _row_blocks(batch, layers):
+        n = rows.stop - rows.start
+        v = _start_potentials(layers, n)
+        masks = [np.zeros((n, l.width), dtype=np.bool_) for l in layers]
+        # every step's destination is the same mask: a zero-stride view over T
+        dests = [np.lib.stride_tricks.as_strided(m, (T,) + m.shape, (0,) + m.strides)
+                 for m in masks]
+        for t, j, cur, _ in _if_steps(pairs, _first_current(pairs, x[rows]), v, dests, T):
+            counts[j][rows] += masks[j]
+            if currents_rec is not None:
+                currents_rec[j][t, rows] = cur
+            if potentials_rec is not None:
+                potentials_rec[j][t, rows] = v[j]
+        del v, masks, dests  # before the next block allocates its own
 
     if pairs:
         last_rate = _rate(layers[-1].threshold, counts[-1], T)
@@ -281,6 +304,18 @@ def simulate(net: SnnNetwork, analog_input: Array, timesteps: int | None = None,
     )
 
 
+def _row_blocks(batch: int, layers: list[IfLayer]) -> list[slice]:
+    """The row blocks ``simulate`` and its replay run one at a time: as few
+    as hold at most ``_BLOCK_NEURONS`` neurons of the widest IF layer each,
+    as equal in rows as the batch allows, the longer ones first. So no block
+    is left with a few rows: BLAS takes other kernels for a single row and
+    for small products, which round otherwise than the whole batch's."""
+    rows = max(1, _BLOCK_NEURONS // max([1] + [l.width for l in layers]))
+    n = max(1, -(-batch // rows))
+    bounds = [-(-k * batch // n) for k in range(n + 1)]
+    return [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
+
+
 def _first_current(pairs, drive: Array) -> Array | None:
     """The first linear's current, the same at every step."""
     return drive @ pairs[0][0].w + pairs[0][0].b if pairs else None
@@ -288,12 +323,15 @@ def _first_current(pairs, drive: Array) -> Array | None:
 
 def _replay(pairs, drive: Array, steps: int) -> list[Array]:
     """The spike frames of a ``simulate`` run, one boolean (steps, batch,
-    width) array per IF layer, from the same recurrence over ``pairs``
-    started again from ``drive``."""
-    v = _start_potentials([l for _, l in pairs], drive.shape[0])
-    frames = [np.zeros((steps,) + p.shape, dtype=np.bool_) for p in v]
-    for _ in _if_steps(pairs, _first_current(pairs, drive), v, frames, steps):
-        pass
+    width) array per IF layer, from the same recurrence over ``pairs`` and
+    the same row blocks, started again from ``drive``."""
+    layers = [l for _, l in pairs]
+    frames = [np.zeros((steps, drive.shape[0], l.width), dtype=np.bool_) for l in layers]
+    for rows in _row_blocks(drive.shape[0], layers):
+        v = _start_potentials(layers, rows.stop - rows.start)
+        for _ in _if_steps(pairs, _first_current(pairs, drive[rows]), v,
+                           [f[:, rows] for f in frames], steps):
+            pass
     return frames
 
 

@@ -100,7 +100,7 @@ class TestDecomposeErrors:
         # float32 value, and the "ceiling" case holds only values within one
         # float32 step of it, where comparing in float32 would flip the mask
         lam, levels, T = 0.1 + 0.2, 8, 16
-        batch, width = 300, 300  # more rows than one block of the temporal term
+        batch, width = 300, 300  # more values than one leaf of the error split
         rng = Rng(31)
         near = np.float32(lam)
         near = [np.nextafter(near, np.float32(0)), near, np.nextafter(near, np.float32(1)),

@@ -14,7 +14,7 @@ from records import record_from_frames
 from spikefit.ann import ActivationTrace, Linear
 from spikefit.calibrate import activation_align_loss
 from spikefit.cli import _write_json
-from spikefit.diagnostics import decompose_errors
+from spikefit.diagnostics import _LEAF, decompose_errors
 from spikefit.energy import count_ops, energy_report, spike_rate_stats
 from spikefit.snn import (IfLayer, SimulationError, SnnNetwork, SpikeRecord, firing_rate,
                           if_step, simulate)
@@ -298,10 +298,11 @@ def test_readers_depend_only_on_spike_counts():
 
 
 def test_decompose_errors_peak_memory():
-    # a 512 x 512 layer, about half of it in range: the error split holds one
-    # float64 (batch, width) buffer at a time, plus the temporal term's block
-    # of 2**16 float64 products (a quarter of this layer) and numpy's cast
-    # buffers; 1.31 arrays were measured
+    # a 512 x 512 layer, about half of it in range: the error split holds a
+    # float64 leaf buffer of _LEAF values, the temporal term's products for
+    # one leaf, and a leaf's worth of in-range values, thresholds and masks,
+    # whatever the layer's size; 3.55 leaf buffers were measured, where one
+    # float64 (batch, width) buffer at a time took 10.5 (1.31 arrays)
     batch = width = 512
     net = _net([8, width, 4], timesteps=8, seed=11)
     rec = simulate(net, Rng(12).normal(0, 1, (batch, 8)))
@@ -314,7 +315,7 @@ def test_decompose_errors_peak_memory():
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
-    assert peak <= 1.35 * batch * width * 8
+    assert peak <= 4 * _LEAF * 8
 
 
 def test_outputs_match_float32_frame_golden(tmp_path):
