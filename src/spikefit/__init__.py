@@ -4,7 +4,7 @@ accounting, plus a config-driven experiment runner."""
 
 from .ann import (AnnModel, Embedding, Linear, Qcfs, Relu, TrainConfig, ann_forward,
                   mlp, qcfs_forward, replace_activations, stage1_finetune, train_model)
-from .autodiff import AdamState, Tape, adam_step, backward, ste_floor, surrogate_spike_grad
+from .autodiff import AdamState, adam_step, surrogate_spike_grad
 from .calibrate import (CalibConfig, activation_align_loss, apply_stage2, convert,
                         logits_loss, lwc, nwc_calibrate)
 from .checkpoint import IntegrityError, load_checkpoint, save_checkpoint, weight_hash

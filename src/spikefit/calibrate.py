@@ -12,9 +12,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .ann import AnnModel, Embedding, Linear, Qcfs, Relu, _apply_embedding, ann_forward
-from .snn import (IfLayer, SimulationError, SnnNetwork, SpikeRecord, _if_steps, _rate,
-                  _split_stack, _start_potentials, simulate)
+from .ann import AnnModel, Embedding, Linear, Qcfs, Relu, ann_forward
+from .snn import (IfLayer, SimulationError, SnnNetwork, SpikeRecord, _drive, _if_steps, _rate,
+                  _split_stack, simulate)
 from .tensor import Array, Rng
 
 
@@ -214,19 +214,18 @@ def _nwc_forward(pairs, tail, drive: Array, teacher_acts, teacher_logits, rho: i
     inv_denom = 1.0 / rho
 
     # the boolean spike and surrogate window of every (step, layer)
-    first_current = drive @ pairs[0][0].w + pairs[0][0].b
-    vs = _start_potentials(layers, drive.shape[0])
-    spikes = [np.empty((rho,) + v.shape, dtype=np.bool_) for v in vs]
+    spikes = [np.empty((rho, drive.shape[0], l.width), dtype=np.bool_) for l in layers]
     windows: list[list] = [[] for _ in range(rho)]
-    for t, j, _, carry in _if_steps(pairs, first_current, vs, spikes, rho):
+    for t, j, cur, v, carry in _if_steps(pairs, drive, spikes, rho):
         # the window is taken at the pre-reset potential, rebuilt as
         # v_post + carry bit for bit: carry is 0 where nothing fired; v - theta
         # is exact for theta <= v <= 2 theta (Sterbenz), so adding theta
         # back restores v; above 2 theta both forms lie outside the window
-        windows[t].append(ad._surrogate_window(vs[j] + carry, thetas[j]))
+        windows[t].append(ad._surrogate_window(v + carry, thetas[j]))
     # what only the forward pass reads is dropped once read, so the reverse
-    # sweep starts with little more than the spikes and windows
-    del vs, first_current, carry
+    # sweep starts with little more than the spikes and windows; the run's
+    # own potentials went with its exhausted generator
+    del cur, v, carry
     sums = [s.sum(axis=0, dtype=np.float32) for s in spikes]
     rates = [sums[j] * thetas[j] * inv_denom for j in range(n_layers)]
 
@@ -287,13 +286,8 @@ def _nwc_reverse(pairs, spikes, windows, acc, g_sum) -> dict:
 
 
 def _calib_batch(snn: SnnNetwork, ann: AnnModel, bx: Array):
-    """Drive current and teacher targets for one calibration batch."""
-    teacher_acts, teacher_logits = _teacher_pass(ann, bx)
-    if snn.input_encoder is None:
-        drive = bx.astype(np.float32)
-    else:
-        drive = _apply_embedding(bx, snn.input_encoder, "encoder")
-    return drive, teacher_acts, teacher_logits
+    """Drive and teacher targets for one calibration batch."""
+    return (_drive(snn, bx),) + _teacher_pass(ann, bx)
 
 
 def nwc_calibrate(snn: SnnNetwork, ann: AnnModel, data, cfg: CalibConfig,
@@ -384,14 +378,10 @@ def _record_losses(rec: SpikeRecord, teacher_acts, teacher_logits: Array) -> dic
     return {"L_al": float(align), "L_logits": float(kd), "L_all": float(align + kd)}
 
 
-_PREDICT_BATCH = 512  # rows per simulation when predicting a whole set
-
-
 def snn_predict(snn: SnnNetwork, x: Array, timesteps: int | None = None) -> Array:
-    outs = []
-    for lo in range(0, len(x), _PREDICT_BATCH):
-        outs.append(simulate(snn, x[lo:lo + _PREDICT_BATCH], timesteps).output)
-    return np.concatenate(outs, axis=0)
+    """The decoded output of one ``simulate`` run, which bounds its own
+    memory by running one row block at a time."""
+    return simulate(snn, x, timesteps).output
 
 
 def evaluate_snn(snn: SnnNetwork, data, timesteps: int) -> dict:

@@ -74,7 +74,7 @@ def _check_section(section: dict, cls, path: str, exclude: tuple = ()) -> None:
                 raise ConfigError(f"{path}{key} must be {name}, got {value!r}")
 
 
-def _section(raw: dict, name: str, required: bool = True) -> dict:
+def _section(raw: dict, name: str, required: bool) -> dict:
     if name not in raw:
         if required:
             raise ConfigError(f"missing required field: {name}")
@@ -83,6 +83,14 @@ def _section(raw: dict, name: str, required: bool = True) -> dict:
     if not isinstance(value, dict):
         raise ConfigError(f"{name} must be an object")
     return value
+
+
+# the config's sections: name, class, whether the file must give it, and the
+# keys it may not set (model.kind sets the task; the run's seed is stage 2's)
+_SECTIONS = (("model", ModelSpec, True, ()),
+             ("dataset", DataSpec, True, ("task",)),
+             ("stage1", TrainConfig, False, ()),
+             ("stage2", CalibConfig, False, ("seed",)))
 
 
 def parse_config(path: str) -> ExperimentConfig:
@@ -102,35 +110,20 @@ def parse_config(path: str) -> ExperimentConfig:
         raise ConfigError(f"unsupported schema_version {schema_version!r}; this version reads 1")
     _check_section(raw, ExperimentConfig, "")
 
-    model_raw = _section(raw, "model")
-    dataset_raw = _section(raw, "dataset")
-    stage1_raw = _section(raw, "stage1", required=False)
-    stage2_raw = _section(raw, "stage2", required=False)
-    _check_section(model_raw, ModelSpec, "model.")
-    _check_section(dataset_raw, DataSpec, "dataset.", exclude=("task",))  # model.kind sets it
-    _check_section(stage1_raw, TrainConfig, "stage1.")
-    _check_section(stage2_raw, CalibConfig, "stage2.", exclude=("seed",))  # the run's seed
-    if "kind" not in model_raw:
-        raise ConfigError("missing required field: model.kind")
-    if "kind" not in dataset_raw:
-        raise ConfigError("missing required field: dataset.kind")
+    found = {name: _section(raw, name, required) for name, _, required, _ in _SECTIONS}
+    for name, cls, _, exclude in _SECTIONS:
+        _check_section(found[name], cls, name + ".", exclude)
+    for name in ("model", "dataset"):
+        if "kind" not in found[name]:
+            raise ConfigError(f"missing required field: {name}.kind")
 
-    try:
-        model = ModelSpec(**model_raw)
-    except (TypeError, ValueError) as e:
-        raise ConfigError(f"model: {e}") from None
-    try:
-        dataset = DataSpec(**dataset_raw)
-    except (TypeError, ValueError) as e:
-        raise ConfigError(f"dataset: {e}") from None
-    try:
-        stage1 = TrainConfig(**stage1_raw)
-    except (TypeError, ValueError) as e:
-        raise ConfigError(f"stage1: {e}") from None
-    try:
-        stage2 = CalibConfig(**stage2_raw)
-    except (TypeError, ValueError) as e:
-        raise ConfigError(f"stage2: {e}") from None
+    sections = {}
+    for name, cls, _, _ in _SECTIONS:
+        try:
+            sections[name] = cls(**found[name])
+        except (TypeError, ValueError) as e:
+            raise ConfigError(f"{name}: {e}") from None
+    model, dataset = sections["model"], sections["dataset"]
 
     if model.kind == "char_lm" and dataset.kind != "char-lm":
         raise ConfigError("model.kind char_lm requires dataset.kind char-lm")
@@ -141,14 +134,7 @@ def parse_config(path: str) -> ExperimentConfig:
     if dataset.kind == "char-lm" and dataset.path is not None and not os.path.exists(dataset.path):
         raise ConfigError(f"dataset.path does not exist: {dataset.path}")
 
-    return ExperimentConfig(
-        seed=raw.get("seed", 0),
-        model=model,
-        dataset=dataset,
-        stage1=stage1,
-        stage2=stage2,
-        schema_version=schema_version,
-    )
+    return ExperimentConfig(seed=raw.get("seed", 0), schema_version=schema_version, **sections)
 
 
 def config_hash(path: str) -> str:

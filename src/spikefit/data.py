@@ -84,8 +84,7 @@ def _char_lm(spec: DataSpec, rng: Rng) -> tuple[Array, Array, str]:
         raise ValueError(
             f"corpus too short: {len(tokens)} bytes for window {spec.window}")
     n = min(n, spec.samples)
-    starts = np.arange(n)
-    x = np.stack([tokens[s:s + spec.window] for s in starts])
+    x = np.lib.stride_tricks.sliding_window_view(tokens, spec.window)[:n].copy()
     y = tokens[spec.window:spec.window + n]
     return x, y, "lm"
 

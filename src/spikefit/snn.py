@@ -2,29 +2,29 @@
 per-neuron thresholds and initial potentials, spike recording, and rate math.
 
 A spiking network is plain data: each IF layer holds only its threshold and
-initial potential, and ``simulate`` keeps the membrane potentials of a run
-to itself, so simulating never changes the network. Each run starts from its
-own copy of the initial potentials, which ``if_step`` advances in place. The
-first linear layer's current, computed once from the analog input, drives
-the first IF layer at every step; deeper layers are driven by the
-threshold-weighted spikes that ``if_step`` returns. Ties (potential exactly
-at threshold) fire. Membrane potentials may go negative.
+initial potential, and a run keeps its membrane potentials to itself, so
+running never changes the network. ``_drive`` forms a run's float32 analog
+drive. Each run starts from its own copy of the initial potentials, which
+``if_step`` advances in place. The first linear layer's current, computed
+once from the drive, drives the first IF layer at every step; deeper layers
+are driven by the threshold-weighted spikes that ``if_step`` returns. Ties
+(potential exactly at threshold) fire. Membrane potentials may go negative.
 
-That recurrence is written once, in ``_if_steps``: ``simulate`` records
-what it yields, and neuron-wise calibration (``calibrate._nwc_forward``) runs
-it as its forward pass, so both fire, reset and check for non-finite
-potentials in the one ``if_step``. ``if_step`` writes each step's firing
-mask into memory its caller owns: ``simulate`` passes one reused
-(batch, width) boolean mask per layer, its replay and calibration a slice
-of their frames.
+A run is set up and stepped in one place, ``_if_steps``: ``simulate``
+records what it yields, and its replay and neuron-wise calibration
+(``calibrate._nwc_forward``) keep its frames, so all fire, reset and check
+for non-finite potentials in the one ``if_step``. Callers only say where
+the spikes go: ``if_step`` writes each step's firing mask into memory its
+caller owns, one reused (batch, width) mask per layer for ``simulate``, a
+slice of their frames for the others.
 
-``simulate`` runs that recurrence one row block of the batch at a time
-(``_row_blocks``), each block through every step, so the potentials,
-masks and currents it holds at once are a block's, not the batch's: at
-most 2**18 neurons of the widest IF layer per block, 256 rows of a
-1024-wide layer. No row's steps read another row. BLAS may round a short
-block's products otherwise than the whole batch's, so the blocks are kept
-near equal in length rather than leave a few rows over.
+``simulate`` runs one row block of the batch at a time (``_row_blocks``),
+each block through every step, so the potentials, masks and currents it
+holds at once are a block's, not the batch's: at most 2**18 neurons of the
+widest IF layer per block, 256 rows of a 1024-wide layer. No row's steps
+read another row. BLAS may round a short block's products otherwise than
+the whole batch's, so the blocks are kept near equal in length; that keeps
+the whole batch's bits on every golden config, though not on every shape.
 
 Spike frames are not stored: after each step ``simulate`` adds the layer's
 mask to its block's rows of the spike counts over the whole horizon, kept
@@ -203,23 +203,33 @@ def _split_stack(net: SnnNetwork):
     return pairs, tail
 
 
-def _start_potentials(layers: list[IfLayer], batch: int) -> list[Array]:
-    """Each run's own C-ordered copy of the initial potentials, (batch, width)
-    per layer, for ``if_step`` to advance in place (``np.array`` of a
-    broadcast view would come out Fortran-ordered, and slow)."""
-    return [np.repeat(l.v_init[None, :], batch, axis=0) for l in layers]
+def _drive(net: SnnNetwork, x: Array) -> Array:
+    """The float32 analog drive of input ``x``, in an array of its own: 1-D
+    input is one row, and the network's input encoder, if any, runs once."""
+    x = np.asarray(x)
+    if x.ndim == 1:
+        x = x[None, :]
+    if net.input_encoder is not None:
+        x = _apply_embedding(x, net.input_encoder, "encoder")
+    return np.array(x, dtype=np.float32)
 
 
-def _if_steps(pairs, first_current: Array, v: list[Array], spikes: list[Array], steps: int):
-    """The IF recurrence of ``simulate`` and of neuron-wise calibration.
+def _if_steps(pairs, drive: Array, spikes: list[Array], steps: int):
+    """One run of the IF recurrence over ``pairs`` on the float32 ``drive``,
+    for ``simulate``, its replay and neuron-wise calibration.
 
-    For each step t and pair j, drives the pair's IF layer with
-    ``first_current`` at j = 0, else with the previous layer's output
-    through the pair's linear; ``if_step`` advances ``v[j]`` in place and
+    The run starts from its own C-ordered copy of the initial potentials,
+    (batch, width) per layer (``np.array`` of a broadcast view would come
+    out Fortran-ordered, and slow), and computes the first linear's current
+    once. For each step t and pair j, that current drives the pair's IF
+    layer at j = 0, else the previous layer's output through the pair's
+    linear; ``if_step`` advances the layer's potentials ``v`` in place and
     writes the firing mask into ``spikes[j][t]``, so ``spikes[j]`` is a
     boolean (steps, batch, width) array the caller owns. Yields
-    ``(t, j, current, output)``.
+    ``(t, j, current, v, output)``.
     """
+    v = [np.repeat(l.v_init[None, :], drive.shape[0], axis=0) for _, l in pairs]
+    first_current = drive @ pairs[0][0].w + pairs[0][0].b if pairs else None
     for t in range(steps):
         for j, (linear, layer) in enumerate(pairs):
             if j == 0:
@@ -230,7 +240,7 @@ def _if_steps(pairs, first_current: Array, v: list[Array], spikes: list[Array], 
             # the benchmark tracer wraps the module's if_step and reads the
             # layer from its first argument
             _, carry = if_step(layer, v[j], cur, spikes[j][t], t)
-            yield t, j, cur, carry
+            yield t, j, cur, v[j], carry
 
 
 def simulate(net: SnnNetwork, analog_input: Array, timesteps: int | None = None,
@@ -240,13 +250,15 @@ def simulate(net: SnnNetwork, analog_input: Array, timesteps: int | None = None,
     The first linear layer sees the same analog input at every step; deeper
     linears see threshold-weighted spikes. The decoded output is the firing
     rate of the last IF layer pushed through the trailing linear, if any.
-    The recurrence runs over the row blocks of ``_row_blocks``, one block
+    ``_if_steps`` runs once per row block of ``_row_blocks``, one block
     through all steps before the next. Each step's spikes are written into
     the layer's one reused mask, then added to the block's rows of the
     layer's counts; recorded currents and potentials go to the block's rows
     too. The trailing linear reads the rates of the whole batch at once.
     The record's ``replay`` reruns the recurrence over the same blocks, from
-    copies of the IF layers and of the drive taken here.
+    copies of the IF layers and of the drive taken here. The blocks keep the
+    whole batch's bits on every golden config, not on every shape (see
+    ``_row_blocks``).
 
     A non-finite potential raises ``SimulationError`` naming the step and
     the neuron: the earliest step at which one arises in the first block
@@ -255,12 +267,7 @@ def simulate(net: SnnNetwork, analog_input: Array, timesteps: int | None = None,
     T = net.timesteps if timesteps is None else int(timesteps)
     if T < 1:
         raise ValueError(f"simulation horizon must be >= 1, got {timesteps}")
-    x = np.asarray(analog_input)
-    if x.ndim == 1:
-        x = x[None, :]
-    if net.input_encoder is not None:
-        x = _apply_embedding(x, net.input_encoder, "encoder")
-    x = np.array(x, dtype=np.float32)  # the replay's own copy of the drive
+    x = _drive(net, analog_input)  # the replay's own copy
     batch = x.shape[0]
 
     pairs, tail = _split_stack(net)
@@ -272,19 +279,18 @@ def simulate(net: SnnNetwork, analog_input: Array, timesteps: int | None = None,
                       if record_potentials else None)
 
     for rows in _row_blocks(batch, layers):
-        n = rows.stop - rows.start
-        v = _start_potentials(layers, n)
-        masks = [np.zeros((n, l.width), dtype=np.bool_) for l in layers]
+        masks = [np.zeros((rows.stop - rows.start, l.width), dtype=np.bool_) for l in layers]
         # every step's destination is the same mask: a zero-stride view over T
         dests = [np.lib.stride_tricks.as_strided(m, (T,) + m.shape, (0,) + m.strides)
                  for m in masks]
-        for t, j, cur, _ in _if_steps(pairs, _first_current(pairs, x[rows]), v, dests, T):
+        for t, j, cur, v, _ in _if_steps(pairs, x[rows], dests, T):
             counts[j][rows] += masks[j]
             if currents_rec is not None:
                 currents_rec[j][t, rows] = cur
             if potentials_rec is not None:
-                potentials_rec[j][t, rows] = v[j]
-        del v, masks, dests  # before the next block allocates its own
+                potentials_rec[j][t, rows] = v
+        # dropped before the next block allocates its own
+        masks = dests = cur = v = None
 
     if pairs:
         last_rate = _rate(layers[-1].threshold, counts[-1], T)
@@ -309,16 +315,15 @@ def _row_blocks(batch: int, layers: list[IfLayer]) -> list[slice]:
     as hold at most ``_BLOCK_NEURONS`` neurons of the widest IF layer each,
     as equal in rows as the batch allows, the longer ones first. So no block
     is left with a few rows: BLAS takes other kernels for a single row and
-    for small products, which round otherwise than the whole batch's."""
+    for small products, which round otherwise than the whole batch's. That
+    keeps the whole batch's bits on every golden config, but not for a
+    narrow layer after a very wide one: at 8-4096-4-4 and batch 65, OpenBLAS
+    takes its small-matrix kernel for the 33-row block's 4096 -> 4 product
+    and not for the whole batch's, so the layer's currents differ."""
     rows = max(1, _BLOCK_NEURONS // max([1] + [l.width for l in layers]))
     n = max(1, -(-batch // rows))
     bounds = [-(-k * batch // n) for k in range(n + 1)]
     return [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
-
-
-def _first_current(pairs, drive: Array) -> Array | None:
-    """The first linear's current, the same at every step."""
-    return drive @ pairs[0][0].w + pairs[0][0].b if pairs else None
 
 
 def _replay(pairs, drive: Array, steps: int) -> list[Array]:
@@ -328,9 +333,7 @@ def _replay(pairs, drive: Array, steps: int) -> list[Array]:
     layers = [l for _, l in pairs]
     frames = [np.zeros((steps, drive.shape[0], l.width), dtype=np.bool_) for l in layers]
     for rows in _row_blocks(drive.shape[0], layers):
-        v = _start_potentials(layers, rows.stop - rows.start)
-        for _ in _if_steps(pairs, _first_current(pairs, drive[rows]), v,
-                           [f[:, rows] for f in frames], steps):
+        for _ in _if_steps(pairs, drive[rows], [f[:, rows] for f in frames], steps):
             pass
     return frames
 

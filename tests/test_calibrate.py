@@ -318,6 +318,18 @@ class TestLossDecomposition:
         assert plain == windowed
 
 
+class TestPredict:
+    def test_predict_is_one_simulate_run(self):
+        # 1,100 rows of a 64-wide net: more than two 512-row batches, and one
+        # row block of simulate's, which bounds its own memory
+        net = convert(_staircase_mlp(Rng(9), dims=(8, 64, 64, 4)), 8)
+        x = Rng(10).normal(0, 1, (1100, 8))
+        got = calibrate.snn_predict(net, x, 6)
+        want = simulate(net, x, 6).output
+        assert got.shape == (1100, 4) and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+
 class TestApplyStage2:
     def test_none_variant_equals_converted(self):
         rng, model, data = _calib_setup(5)

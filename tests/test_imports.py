@@ -29,3 +29,46 @@ def test_no_unused_imports(path):
 
 def test_checker_flags_an_unused_import():
     assert _unused_imports("import os\nimport sys\nprint(sys.argv)\n") == ["line 1: os"]
+
+
+# the private names each module takes from another module of the package,
+# by import or through a module alias; a run of the IF recurrence is set up
+# in snn alone, so calibrate takes the drive and the run from there
+PRIVATE_IMPORTS = {
+    "calibrate.py": {"autodiff": ["_surrogate_window"],
+                     "snn": ["_drive", "_if_steps", "_rate", "_split_stack"]},
+    "cli.py": {"calibrate": ["_align_terms", "_record_losses", "_teacher_pass"]},
+    "diagnostics.py": {"ann": ["_qcfs_into"], "snn": ["_spike_count_into"]},
+    "energy.py": {"snn": ["_split_stack"]},
+    "snn.py": {"ann": ["_apply_embedding"]},
+}
+
+
+def _private_imports(source: str) -> dict[str, list[str]]:
+    tree = ast.parse(source)
+    taken: dict[str, set] = {}
+    aliases = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            for alias in node.names:
+                if node.module is None:
+                    aliases[alias.asname or alias.name] = alias.name
+                elif alias.name.startswith("_"):
+                    taken.setdefault(node.module, set()).add(alias.name)
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr.startswith("_")
+                and isinstance(node.value, ast.Name) and node.value.id in aliases):
+            taken.setdefault(aliases[node.value.id], set()).add(node.attr)
+    return {module: sorted(names) for module, names in taken.items()}
+
+
+def test_private_imports_are_pinned():
+    got = {path.name: names for path in MODULES
+           if (names := _private_imports(path.read_text()))}
+    assert got == PRIVATE_IMPORTS
+
+
+def test_private_import_checker_sees_both_forms():
+    source = ("from .snn import _rate, simulate\nfrom . import autodiff as ad\n"
+              "from .ann import mlp\nad._window(ad.backward, _rate)\n")
+    assert _private_imports(source) == {"autodiff": ["_window"], "snn": ["_rate"]}

@@ -1,7 +1,10 @@
 """``simulate`` runs one row block of the batch at a time, and
-``decompose_errors`` sums one leaf of values at a time: both keep the bits
-of the whole-batch computation, and hold only block- and leaf-sized arrays
-beyond what they return."""
+``decompose_errors`` sums one leaf of values at a time: both hold only
+block- and leaf-sized arrays beyond what they return. The leaves keep the
+bits of the whole-array sums. The blocks keep the bits of the whole-batch
+run on the golden configs here, but not on every shape: a layer of a few
+neurons after a very wide one (8-4096-4-4 at batch 65) can get other
+currents, because BLAS rounds a 33-row block's product otherwise."""
 
 import gc
 import hashlib
