@@ -112,6 +112,7 @@ class ActivationTrace:
 class ForwardResult:
     output: Array
     traces: list[ActivationTrace]
+    inputs: list[Array]  # what each layer read, when recorded
 
 
 def _apply_linear(x: Array, layer: Linear, path: str) -> Array:
@@ -135,7 +136,9 @@ def ann_forward(model: AnnModel, x, record: bool = True) -> ForwardResult:
 
     Each trace carries the value entering the activation (``pre``) and its
     output (``post``); both are needed downstream, for threshold selection
-    and for rate alignment respectively. Without ``record``, an activation
+    and for rate alignment respectively. ``inputs`` holds the array each
+    layer read, for the reverse sweep; these are the traces' own arrays and
+    the pass's input. Without ``record``, neither is kept, and an activation
     overwrites the array the layer before it made, so a wide layer holds
     its input and its output and no more.
     """
@@ -143,10 +146,13 @@ def ann_forward(model: AnnModel, x, record: bool = True) -> ForwardResult:
     if x.ndim == 1:
         x = x[None, :]
     traces: list[ActivationTrace] = []
+    inputs: list[Array] = []
     owned = False  # x was made by this pass, not passed in
     for i, layer in enumerate(model.layers):
         path = str(i)
         into = x if owned and not record else None  # where an activation writes
+        if record:
+            inputs.append(x)
         if isinstance(layer, Linear):
             x = _apply_linear(x, layer, path)
         elif isinstance(layer, Embedding):
@@ -164,7 +170,7 @@ def ann_forward(model: AnnModel, x, record: bool = True) -> ForwardResult:
         else:
             raise TypeError(f"layer {path}: unknown layer type {type(layer).__name__}")
         owned = True
-    return ForwardResult(x, traces)
+    return ForwardResult(x, traces, inputs)
 
 
 # -- trainable parameters -----------------------------------------------------
@@ -267,29 +273,15 @@ def _mse_head(out: Array, y: Array) -> tuple[float, Array]:
     return float(total) * (1.0 / d.size), half + half
 
 
-def _backward(model: AnnModel, x: Array, fwd: ForwardResult, g: Array) -> dict[str, Array]:
+def _backward(model: AnnModel, fwd: ForwardResult, g: Array) -> dict[str, Array]:
     """Gradients of every trainable array, keyed as in ``param_arrays``, from
-    one recorded ``ann_forward`` pass of ``x`` and the gradient ``g`` of its
-    output. Local derivatives are recomputed from each trace's ``pre``; like
-    the tape, the sweep does not form the gradient of ``x`` itself."""
+    one recorded ``ann_forward`` pass and the gradient ``g`` of its output.
+    Local derivatives are recomputed from the input each layer read; like
+    the tape, the sweep does not form the gradient of the pass's input."""
     layers = model.layers
-    traces = {int(t.layer): t for t in fwd.traces}
-    inputs, h = [], x  # what each layer read
-    for i, layer in enumerate(layers[:-1]):
-        inputs.append(h)
-        if i in traces:
-            h = traces[i].post
-        elif i + 1 in traces:
-            h = traces[i + 1].pre
-        elif isinstance(layer, Linear):
-            h = _apply_linear(h, layer, str(i))
-        else:
-            h = _apply_embedding(h, layer, str(i))
-    inputs.append(h)
-
     grads: dict[str, Array] = {}
     for i in range(len(layers) - 1, -1, -1):
-        layer, h = layers[i], inputs[i]
+        layer, h = layers[i], fwd.inputs[i]
         if isinstance(layer, Linear):
             grads[f"{i}.w"] = h.T @ g
             grads[f"{i}.b"] = g.sum(axis=0)
@@ -354,7 +346,7 @@ def train_model(model: AnnModel, data, cfg: TrainConfig, rng: Rng,
                          "output")
             raise TrainingDivergedError(
                 f"non-finite loss at step {step} (first non-finite activation at layer {layer})")
-        grads = _backward(model, bx, fwd, g_out)
+        grads = _backward(model, fwd, g_out)
         _, state_w = ad.adam_step(weights, grads, state_w, cfg.lr,
                                   weight_decay=cfg.weight_decay)
         if ceilings:

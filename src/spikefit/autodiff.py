@@ -9,8 +9,8 @@ them against, bit for bit (``tests/test_train_backprop.py``,
 benchmark's tracer test checks that ``autodiff.backward`` is wrapped; it
 moves to ``tests/`` with the next revision of the benchmark.
 
-The tape carries the usual smooth primitives, a straight-through floor and
-a spike threshold crossing whose derivative is a rectangular surrogate.
+The tape carries the usual smooth primitives and a spike threshold
+crossing whose derivative is a rectangular surrogate.
 Gradients are accumulated in fixed reverse-creation order, which makes
 ``backward`` bit-deterministic for a given tape.
 """
@@ -58,40 +58,6 @@ class Var:
         self.idx = idx
         self.value = value
 
-    @property
-    def shape(self):
-        return self.value.shape
-
-    def __repr__(self):
-        return f"Var(idx={self.idx}, shape={self.value.shape})"
-
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, Var):
-            raise TypeError("divide by a constant scalar, not a Var")
-        return mul(self, 1.0 / other)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
 
 class Tape:
     """Append-only record of operations; node order is topological."""
@@ -102,7 +68,7 @@ class Tape:
     def __len__(self):
         return len(self._nodes)
 
-    def leaf(self, value, name: str | None = None) -> Var:
+    def leaf(self, value) -> Var:
         value = np.asarray(value)
         self._nodes.append(((), None))
         return Var(self, len(self._nodes) - 1, value)
@@ -224,11 +190,6 @@ def reshape(x, shape) -> Var:
     return record_op(xv.reshape(shape), [x], [lambda g: g.reshape(xv.shape)])
 
 
-def ste_floor(x) -> Var:
-    """Elementwise floor whose backward passes the gradient through unchanged."""
-    return record_op(np.floor(_value(x)), [x], [lambda g: g])
-
-
 def gather_rows(table, idx) -> Var:
     """table[idx] with scatter-add backward; idx is a constant int array."""
     tv = _value(table)
@@ -265,9 +226,6 @@ class GradientMap:
     def __init__(self, grads: dict[int, Array]):
         self._grads = grads
 
-    def get(self, idx: int):
-        return self._grads.get(idx)
-
     def wrt(self, var: Var) -> Array:
         g = self._grads.get(var.idx)
         return np.zeros_like(var.value) if g is None else g
@@ -298,8 +256,6 @@ def backward(tape: Tape, out: Var, seed=None) -> GradientMap:
         if vjp is None:
             continue
         for pidx, pg in zip(parents, vjp(g)):
-            if pg is None:
-                continue
             acc = grads.get(pidx)
             grads[pidx] = pg if acc is None else acc + pg
     return GradientMap(grads)

@@ -30,10 +30,11 @@ class CalibConfig:
     and ``beta`` sets each initial potential as a fraction of the scaled
     threshold. ``rho`` is the number of unrolled steps in neuron-wise
     calibration's window (defaults to the inference horizon); that window's
-    rates divide the rho-step spike sum by rho. Every other rate,
-    ``eval_losses`` included, scores the whole horizon. Nothing in the
-    package reads ``seed``: calibration draws its batches from the stream
-    its caller passes.
+    rates multiply the rho-step spike sum by ``1 / rho``, which can differ
+    in the last bit from dividing by rho when rho is not a power of two.
+    Every other rate, ``eval_losses`` included, scores the whole horizon.
+    Nothing in the package reads ``seed``: calibration draws its batches
+    from the stream its caller passes.
     """
 
     timesteps: int = 8
@@ -169,12 +170,12 @@ def _kd_loss_and_grad(teacher_logits: Array, out: Array):
     return loss, grad
 
 
-def _nwc_bptt(pairs, tail, drive: Array, teacher_acts, teacher_logits, cfg: CalibConfig):
-    """One calibration step on the split stack ``pairs, tail``: both losses
-    and the gradient for every threshold and initial potential of the pairs'
-    IF layers, keyed ``if{j}.threshold`` and ``if{j}.v_init``, by
-    surrogate-gradient backprop through time: ``_nwc_forward``, then
-    ``_nwc_reverse``.
+def _nwc_bptt(pairs, tail, drive: Array, teacher_acts, teacher_logits, rho: int):
+    """One calibration step on the split stack ``pairs, tail`` over a window
+    of ``rho`` unrolled steps: both losses and the gradient for every
+    threshold and initial potential of the pairs' IF layers, keyed
+    ``if{j}.threshold`` and ``if{j}.v_init``, by surrogate-gradient backprop
+    through time: ``_nwc_forward``, then ``_nwc_reverse``.
 
     Gradient semantics: the alignment loss is differentiated with the
     carries between layers detached, so each layer's parameters receive the
@@ -184,7 +185,7 @@ def _nwc_bptt(pairs, tail, drive: Array, teacher_acts, teacher_logits, cfg: Cali
     ``L_all = L_al + L_logits``, so the gradient is the sum of the two.
     """
     losses, spikes, windows, acc, g_sum = _nwc_forward(pairs, tail, drive, teacher_acts,
-                                                       teacher_logits, cfg.rho)
+                                                       teacher_logits, rho)
     return losses, _nwc_reverse(pairs, spikes, windows, acc, g_sum)
 
 
@@ -325,7 +326,7 @@ def nwc_calibrate(snn: SnnNetwork, ann: AnnModel, data, cfg: CalibConfig,
         if cfg.batch_size < n:
             batch = _calib_batch(snn, ann, data.x[rng.integers(0, n, (cfg.batch_size,))])
         try:
-            losses, gdict = _nwc_bptt(pairs, tail, *batch, cfg)
+            losses, gdict = _nwc_bptt(pairs, tail, *batch, cfg.rho)
         except SimulationError as e:
             raise CalibrationError(f"{e} in calibration step {step}") from e
         l_all = losses["L_all"]

@@ -110,11 +110,12 @@ def cmd_convert(run: _Run) -> None:
     ann = ckpt.load_checkpoint(run.path("ann"))
     net = convert(ann, run.cfg.stage2.timesteps)
     ckpt.save_checkpoint(net, run.path("snn"))
+    digest = ckpt.weight_hash(net)
     _write_json(run.path("reports", "stage_convert.json"), {
         "config_hash": run.config_hash,
         "timesteps": net.timesteps,
-        "weight_hash": ckpt.weight_hash(net),
-        "weight_hash_matches_ann": ckpt.weight_hash(net) == ckpt.weight_hash(ann),
+        "weight_hash": digest,
+        "weight_hash_matches_ann": digest == ckpt.weight_hash(ann),
         "thresholds_mean": [float(l.threshold.mean()) for l in net.if_layers()],
     })
 
@@ -251,7 +252,3 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 1
     return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -36,10 +36,6 @@ class Rng:
         self.path = _path
         self._gen = np.random.Generator(np.random.Philox(key=_derive_key(self.seed, _path)))
 
-    def __repr__(self) -> str:
-        stream = "/".join(self.path) or "root"
-        return f"Rng(seed={self.seed}, stream={stream!r})"
-
     def split(self, label: str) -> "Rng":
         return Rng(self.seed, self.path + (str(label),))
 

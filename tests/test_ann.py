@@ -8,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spikefit.ann import (AnnModel, Embedding, Linear, Qcfs, Relu, TrainConfig,
-                          TrainingDivergedError, _backward, ann_forward, dataset_loss, mlp,
-                          param_arrays, qcfs_forward, replace_activations, set_param_arrays,
-                          stage1_finetune, train_model)
+                          TrainingDivergedError, _backward, ann_forward, char_lm, dataset_loss,
+                          mlp, param_arrays, qcfs_forward, replace_activations,
+                          set_param_arrays, stage1_finetune, train_model)
 from spikefit.checkpoint import weight_hash
 from spikefit.data import Dataset
 from spikefit.tensor import Rng
@@ -92,7 +92,7 @@ class TestQcfsTapeGradients:
         width = x.shape[1]
         model = AnnModel([Linear(np.eye(width, dtype=np.float32), np.zeros(width, np.float32)),
                           Qcfs(ceiling, 4)])
-        return _backward(model, x, ann_forward(model, x), np.array([up], dtype=np.float32))
+        return _backward(model, ann_forward(model, x), np.array([up], dtype=np.float32))
 
     def test_interior_gradient_passes_upstream_unchanged(self):
         up = np.array([1.7], dtype=np.float32)
@@ -184,6 +184,25 @@ class TestAnnForward:
         assert [t.layer for t in out.traces] == ["2"]
         np.testing.assert_array_equal(out.traces[0].pre,
                                       table[tokens].reshape(5, 6) @ model.layers[1].w)
+
+    def test_recorded_inputs_are_the_arrays_each_layer_read(self):
+        # the reverse sweep reads these: the tokens, the embedding's output,
+        # and then each trace's own arrays, not copies of them
+        rng = Rng(5)
+        model = char_lm(11, 3, 4, [8, 8], rng)
+        tokens = rng.integers(0, 11, (6, 3))
+        res = ann_forward(model, tokens)
+        traces = {int(t.layer): t for t in res.traces}
+        assert len(res.inputs) == len(model.layers)
+        assert res.inputs[0] is tokens
+        np.testing.assert_array_equal(res.inputs[1],
+                                      model.layers[0].table[tokens].reshape(6, 12))
+        for i, layer in enumerate(model.layers[2:], start=2):
+            if isinstance(layer, Linear):
+                assert res.inputs[i] is traces[i - 1].post
+            else:
+                assert res.inputs[i] is traces[i].pre
+        assert ann_forward(model, tokens, record=False).inputs == []
 
 
 class TestNoReferenceCycles:

@@ -120,21 +120,6 @@ class TestFiniteDifferences:
         np.testing.assert_allclose(got, want, rtol=1e-4, atol=1e-10)
 
 
-class TestSteFloor:
-    def test_forward_is_floor(self):
-        tape = Tape()
-        x = tape.leaf(np.array([1.7, -0.3, 2.0]))
-        y = ad.ste_floor(x)
-        np.testing.assert_array_equal(y.value, [1.0, -1.0, 2.0])
-
-    def test_backward_is_identity(self):
-        tape = Tape()
-        x = tape.leaf(np.array([1.7, -0.3, 2.0]))
-        y = ad.ste_floor(x)
-        g = backward(tape, ad.sum_(ad.mul(y, 3.0)))
-        np.testing.assert_array_equal(g.wrt(x), [3.0, 3.0, 3.0])
-
-
 @st.composite
 def _potential_and_threshold(draw):
     """A float32 threshold and a pre-step potential: anywhere in the finite

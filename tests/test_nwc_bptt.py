@@ -114,7 +114,7 @@ def _setup(seed, dims=(6, 16, 12, 4), levels=8, timesteps=8, embed=False, if_tai
 
 def _compare(net, model, x, cfg):
     batch = _calib_batch(net, model, x)
-    losses, grads = _nwc_bptt(*_split_stack(net), *batch, cfg)
+    losses, grads = _nwc_bptt(*_split_stack(net), *batch, cfg.rho)
     want_losses, want = tape_nwc_step(net, *batch, cfg)
     scale = max(float(np.abs(g).max()) for g in want.values())
     assert scale > 0
@@ -160,7 +160,7 @@ def test_no_tape_recorded(monkeypatch):
 
     monkeypatch.setattr(ad, "record_op", refuse)
     monkeypatch.setattr(ad.Tape, "_record", refuse)
-    _nwc_bptt(*_split_stack(net), *_calib_batch(net, model, x), CalibConfig(timesteps=8))
+    _nwc_bptt(*_split_stack(net), *_calib_batch(net, model, x), 8)
 
 
 @pytest.mark.parametrize("dims,rho", [((6, 16, 12, 4), 8), ((6, 9, 3), 5)])
@@ -178,7 +178,7 @@ def test_forward_runs_simulate_recurrence(monkeypatch, dims, rho):
         return real(layer, *args, **kwargs)
 
     monkeypatch.setattr(snn, "if_step", counting)
-    _nwc_bptt(pairs, tail, *_calib_batch(net, model, x), CalibConfig(timesteps=8, rho=rho))
+    _nwc_bptt(pairs, tail, *_calib_batch(net, model, x), rho)
     want = [layer for _ in range(rho) for _, layer in pairs]
     assert len(calls) == len(want) and all(a is b for a, b in zip(calls, want))
 
@@ -195,7 +195,7 @@ def test_saved_spike_masks_are_distinct_memory(monkeypatch):
         return real(layer, v, current, spikes, *args, **kwargs)
 
     monkeypatch.setattr(snn, "if_step", recording)
-    _nwc_bptt(*_split_stack(net), *_calib_batch(net, model, x), CalibConfig(timesteps=8))
+    _nwc_bptt(*_split_stack(net), *_calib_batch(net, model, x), 8)
     assert len(dests) == 8 * len(net.if_layers())
     for i, a in enumerate(dests):
         assert a.dtype == np.bool_
@@ -219,7 +219,7 @@ def test_saved_state_bytes_per_neuron_step():
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
-            _nwc_bptt(pairs, tail, *calib_batch, CalibConfig(timesteps=16, rho=rho))
+            _nwc_bptt(pairs, tail, *calib_batch, rho)
             return tracemalloc.get_traced_memory()[1] - start
         finally:
             tracemalloc.stop()
@@ -244,7 +244,7 @@ def test_peak_beyond_saved_state():
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
-        _nwc_bptt(pairs, tail, *calib_batch, CalibConfig(timesteps=16, rho=rho))
+        _nwc_bptt(pairs, tail, *calib_batch, rho)
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
@@ -284,7 +284,7 @@ def _nwc_digest(setup, cfg_kwargs, scale):
     net, model, x = _setup(setup.pop("seed"), **setup)
     drive, acts, logits = _calib_batch(net, model, x)
     losses, grads = _nwc_bptt(*_split_stack(net), drive * np.float32(scale), acts, logits,
-                              CalibConfig(**cfg_kwargs))
+                              CalibConfig(**cfg_kwargs).rho)
     h = hashlib.sha256()
     for key in sorted(losses):
         h.update(key.encode() + np.float64(losses[key]).tobytes())

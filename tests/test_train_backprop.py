@@ -75,7 +75,7 @@ def float32_params(model):
 
 def tape_step(model, params, x, y, task):
     tape = ad.Tape()
-    tvars = {k: tape.leaf(v, k) for k, v in params.items()}
+    tvars = {k: tape.leaf(v) for k, v in params.items()}
     loss = loss_on_tape(forward_on_tape(model, tvars, x), y, task)
     grads = ad.backward(tape, loss)
     return float(loss.value), {k: grads.wrt(v) for k, v in tvars.items()}
@@ -105,7 +105,7 @@ def hand_step(model, x, y, task):
     fwd = ann_forward(model, x)
     head = _mse_head if task == "regress" else _cross_entropy_head
     loss, g = head(fwd.output, y)
-    return loss, _backward(model, x, fwd, g)
+    return loss, _backward(model, fwd, g)
 
 
 def _staircase(model, x, levels=4, scale=0.5):
