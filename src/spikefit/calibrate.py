@@ -73,8 +73,6 @@ def convert(model: AnnModel, timesteps: int) -> SnnNetwork:
     initial potential starts at half the threshold (the half-step shift of
     the staircase). Calibration will overwrite both.
     """
-    if timesteps < 1:
-        raise ValueError(f"timesteps must be >= 1, got {timesteps}")
     layers: list = []
     encoder = None
     pending_width: int | None = None

@@ -153,6 +153,7 @@ def cmd_eval(run: _Run) -> None:
         "output_cosine": output_cosine(teacher_logits, rec.output),
     }
     results.update(_record_losses(rec, teacher_acts, teacher_logits))
+    # the whole split is simulated anew: the tail product's bits vary with batch shape
     if run.splits.test.task != "regress":
         results["ann_accuracy"] = ann_accuracy(ann, run.splits.test)
         results["snn_accuracy"] = evaluate_snn(net, run.splits.test, T)["accuracy"]

@@ -75,9 +75,9 @@ def decompose_errors(traces: list[ActivationTrace], record: SpikeRecord,
     and has the bits of the mean over a float64 array of all its values,
     but no such array is formed: ``_pairwise_sums`` adds the values up one
     leaf of at most ``_LEAF`` values at a time, in numpy's order. One pass
-    over the leaves gives the clipping sum; one gives the theoretical
-    counts' sum and maximum and the temporal sum, from one leaf buffer; and
-    the quantization error is formed over the in-range values only, picked
+    over the leaves gives the clipping sum, the theoretical counts' sum and
+    maximum and the temporal sum, from one leaf buffer; and the
+    quantization error is formed over the in-range values only, picked
     out of ``pre`` one chunk of ``_LEAF`` values at a time, in row-major
     order.
     """
@@ -92,6 +92,10 @@ def decompose_errors(traces: list[ActivationTrace], record: SpikeRecord,
         if np.shape(trace.pre)[0] != record.n_samples:
             raise ValueError(f"mismatched sample counts: trace has {np.shape(trace.pre)[0]}, "
                              f"record has {record.n_samples}")
+        for name, values in (("pre", trace.pre), ("post", trace.post)):
+            if np.shape(values) != record.counts[j].shape:
+                raise ValueError(f"layer {j}: trace {name} has shape {np.shape(values)}, "
+                                 f"the record's counts {record.counts[j].shape}")
         rows.append(_layer_errors(j, trace, record, buf))
     return ErrorReport(rows)
 
@@ -105,12 +109,6 @@ def _layer_errors(j: int, trace: ActivationTrace, record: SpikeRecord, buf) -> L
     lam = np.float64(trace.ceiling)
     pre = np.ravel(trace.pre)
     a_max, n = pre.max(), pre.size
-
-    def clip_leaf(lo, hi):
-        out = np.subtract(pre[lo:hi], lam, out=buf[:hi - lo], dtype=np.float64)
-        return (np.add.reduce(np.maximum(out, 0.0, out=out)),)
-
-    (clip_sum,) = _pairwise_sums(clip_leaf, 0, n)
 
     n_inside = sum(np.count_nonzero(_in_range(c, lam)) for c in _chunks(pre))
     # the in-range values in row-major order; np.compress picks them several
@@ -139,24 +137,27 @@ def _layer_errors(j: int, trace: ActivationTrace, record: SpikeRecord, buf) -> L
     theta_run = np.tile(record.thresholds[j], _LEAF // width + 2)
     tau_maxima = []
 
-    def tau_leaf(lo, hi):
-        tau = _spike_count_into(post[lo:hi], lam, T, buf[:hi - lo])
+    def clip_tau_leaf(lo, hi):
+        out = np.subtract(pre[lo:hi], lam, out=buf[:hi - lo], dtype=np.float64)
+        clip = np.add.reduce(np.maximum(out, 0.0, out=out))
+        tau = _spike_count_into(post[lo:hi], lam, T, out)
         tau_maxima.append(tau.max())
         tau_sum = np.add.reduce(tau)
         theta = theta_run[lo % width:][:hi - lo]
-        return tau_sum, np.add.reduce(_temporal_error_into(counts[lo:hi], theta, tau, lam, T, tau))
+        temp = np.add.reduce(_temporal_error_into(counts[lo:hi], theta, tau, lam, T, tau))
+        return clip, tau_sum, temp
 
-    tau_theor_sum, temp_sum = _pairwise_sums(tau_leaf, 0, post.size)
+    clip_sum, tau_theor_sum, temp_sum = _pairwise_sums(clip_tau_leaf, 0, n)
     return LayerErrors(
         layer=j,
         quant=float(quant_sum / n_inside) if n_inside else 0.0,
         clip=float(clip_sum / n),
-        temporal=float(temp_sum / post.size),
+        temporal=float(temp_sum / n),
         a_max=float(a_max),
         # counts are integers, so their float64 sum is exact in any order
         tau_real_mean=float(tau_real.mean(dtype=np.float64)),
         tau_real_max=float(tau_real.max()),
-        tau_theor_mean=float(tau_theor_sum / post.size),
+        tau_theor_mean=float(tau_theor_sum / n),
         tau_theor_max=float(np.max(tau_maxima)),
     )
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .snn import SnnNetwork, SpikeRecord, _split_stack
+from .snn import SnnNetwork, SpikeRecord
 
 AC_PICOJOULES = 0.9
 MAC_PICOJOULES = 4.6
@@ -32,25 +32,22 @@ def count_ops(record: SpikeRecord, net: SnnNetwork) -> OpCounts:
     Covers each linear layer whose input is spikes; the mismatch check
     compares the record's layer widths against the network's.
     """
-    pairs, tail = _split_stack(net)
-    if record.n_layers != len(pairs):
+    layers = net.if_layers()
+    if record.n_layers != len(layers):
         raise ValueError(
-            f"record has {record.n_layers} spiking layers but the network has {len(pairs)}")
-    for j, (_, iflayer) in enumerate(pairs):
+            f"record has {record.n_layers} spiking layers but the network has {len(layers)}")
+    for j, iflayer in enumerate(layers):
         if record.counts[j].shape[1] != iflayer.width:
             raise ValueError(
                 f"layer {j}: record width {record.counts[j].shape[1]} != network width "
                 f"{iflayer.width}")
-    per_ac: list[int] = []
+    per_ac = [0] * len(layers)
     mac = 0
-    for j in range(len(pairs)):
-        consumer = pairs[j + 1][0] if j + 1 < len(pairs) else tail
-        if consumer is None:
-            per_ac.append(0)
-            continue
+    # IF layer j feeds the linear after it; the last has none without a tail
+    for j, consumer in enumerate(net.layers[2::2]):
         fan_out = consumer.w.shape[1]
         spikes_total = int(record.counts[j].sum(dtype=np.int64))
-        per_ac.append(spikes_total * fan_out)
+        per_ac[j] = spikes_total * fan_out
         mac += consumer.w.shape[0] * fan_out * record.n_samples
     return OpCounts(ac=int(sum(per_ac)), mac=mac, per_layer_ac=per_ac)
 

@@ -1,14 +1,17 @@
 """Time-stepped integrate-and-fire simulation with reset-by-subtraction,
 per-neuron thresholds and initial potentials, spike recording, and rate math.
 
-A spiking network is plain data: each IF layer holds only its threshold and
-initial potential, and a run keeps its membrane potentials to itself, so
-running never changes the network. ``_drive`` forms a run's float32 analog
-drive. Each run starts from its own copy of the initial potentials, which
-``if_step`` advances in place. The first linear layer's current, computed
-once from the drive, drives the first IF layer at every step; deeper layers
-are driven by the threshold-weighted spikes that ``if_step`` returns. Ties
-(potential exactly at threshold) fire. Membrane potentials may go negative.
+A spiking network is plain data: linear and IF layers in turn, with an
+optional trailing linear, an order checked once, when the network is built.
+Each IF layer holds only its threshold and initial potential, and a run
+keeps its membrane potentials to itself, so running never changes the
+network. ``_drive`` forms a run's float32 analog drive. Each run starts from
+its own copy of the initial potentials, which ``if_step`` advances in place.
+Every linear layer is applied by the analog path's ``ann._apply_linear``.
+The first linear layer's current, computed once from the drive, drives the
+first IF layer at every step; deeper layers are driven by the
+threshold-weighted spikes that ``if_step`` returns. Ties (potential exactly
+at threshold) fire. Membrane potentials may go negative.
 
 A run is set up and stepped in one place, ``_if_steps``: ``simulate``
 records what it yields, and its replay and neuron-wise calibration
@@ -52,7 +55,7 @@ from functools import cached_property, partial
 
 import numpy as np
 
-from .ann import Embedding, Linear, _apply_embedding
+from .ann import Embedding, Linear, _apply_embedding, _apply_linear
 from .tensor import Array
 
 # neurons of the widest IF layer per row block of a simulation: 256 rows of
@@ -117,7 +120,9 @@ def if_step(layer: IfLayer, v: Array, input_current: Array, spikes: Array,
 
 
 class SnnNetwork:
-    """Alternating linear/IF stack mirroring the analog model it came from.
+    """Alternating linear/IF stack mirroring the analog model it came from:
+    (linear, IF) pairs and an optional trailing linear, an order that the
+    constructor checks once, so no reader of ``layers`` checks it again.
 
     ``input_encoder`` (an embedding, when present) runs once on the raw
     input; its output is the analog drive injected at every step.
@@ -127,6 +132,10 @@ class SnnNetwork:
         if timesteps < 1:
             raise ValueError(f"simulation horizon must be >= 1, got {timesteps}")
         self.layers = list(layers)
+        for i, layer in enumerate(self.layers):
+            if not isinstance(layer, IfLayer if i % 2 else Linear):
+                raise ValueError(f"layer {i}: expected {'an IF' if i % 2 else 'a linear'} "
+                                 f"layer, got {type(layer).__name__}")
         self.timesteps = int(timesteps)
         self.input_encoder = input_encoder
 
@@ -140,7 +149,8 @@ class SnnNetwork:
         """A network with its own copy of each IF layer, which calibration
         writes, that shares the linear layers and the input encoder: their
         weights are frozen once converted. The IF layers are copied as they
-        are, without the constructor's checks."""
+        are, without ``IfLayer``'s checks; the constructor checks the
+        stack's order again."""
         layers = [copy.deepcopy(l) if isinstance(l, IfLayer) else l for l in self.layers]
         return SnnNetwork(layers, self.timesteps, self.input_encoder)
 
@@ -182,25 +192,10 @@ class SpikeRecord:
 
 
 def _split_stack(net: SnnNetwork):
-    """Group layers into (linear, if) pairs plus an optional trailing linear."""
-    pairs: list[tuple[Linear, IfLayer]] = []
-    tail: Linear | None = None
-    i = 0
+    """The (linear, IF) pairs of the stack and its trailing linear, or None:
+    slices of ``net.layers``, whose order the constructor checked."""
     layers = net.layers
-    while i < len(layers):
-        layer = layers[i]
-        if not isinstance(layer, Linear):
-            raise ValueError(f"layer {i}: expected a linear layer, got {type(layer).__name__}")
-        if i + 1 < len(layers):
-            nxt = layers[i + 1]
-            if not isinstance(nxt, IfLayer):
-                raise ValueError(f"layer {i + 1}: expected an IF layer, got {type(nxt).__name__}")
-            pairs.append((layer, nxt))
-            i += 2
-        else:
-            tail = layer
-            i += 1
-    return pairs, tail
+    return list(zip(layers[::2], layers[1::2])), layers[-1] if len(layers) % 2 else None
 
 
 def _drive(net: SnnNetwork, x: Array) -> Array:
@@ -223,20 +218,16 @@ def _if_steps(pairs, drive: Array, spikes: list[Array], steps: int):
     out Fortran-ordered, and slow), and computes the first linear's current
     once. For each step t and pair j, that current drives the pair's IF
     layer at j = 0, else the previous layer's output through the pair's
-    linear; ``if_step`` advances the layer's potentials ``v`` in place and
-    writes the firing mask into ``spikes[j][t]``, so ``spikes[j]`` is a
-    boolean (steps, batch, width) array the caller owns. Yields
-    ``(t, j, current, v, output)``.
+    linear, both by ``_apply_linear``; ``if_step`` advances the layer's
+    potentials ``v`` in place and writes the firing mask into
+    ``spikes[j][t]``, so ``spikes[j]`` is a boolean (steps, batch, width)
+    array the caller owns. Yields ``(t, j, current, v, output)``.
     """
     v = [np.repeat(l.v_init[None, :], drive.shape[0], axis=0) for _, l in pairs]
-    first_current = drive @ pairs[0][0].w + pairs[0][0].b if pairs else None
+    first_current = _apply_linear(drive, pairs[0][0], "0") if pairs else None
     for t in range(steps):
         for j, (linear, layer) in enumerate(pairs):
-            if j == 0:
-                cur = first_current
-            else:
-                cur = carry @ linear.w
-                cur += linear.b
+            cur = _apply_linear(carry, linear, str(2 * j)) if j else first_current
             # the benchmark tracer wraps the module's if_step and reads the
             # layer from its first argument
             _, carry = if_step(layer, v[j], cur, spikes[j][t], t)
@@ -292,11 +283,8 @@ def simulate(net: SnnNetwork, analog_input: Array, timesteps: int | None = None,
         # dropped before the next block allocates its own
         masks = dests = cur = v = None
 
-    if pairs:
-        last_rate = _rate(layers[-1].threshold, counts[-1], T)
-        output = last_rate @ tail.w + tail.b if tail is not None else last_rate
-    else:
-        output = x @ tail.w + tail.b if tail is not None else x
+    rates = _rate(layers[-1].threshold, counts[-1], T) if pairs else x
+    output = _apply_linear(rates, tail, str(2 * len(pairs))) if tail is not None else rates
 
     snapshot = [(linear, IfLayer(l.threshold, l.v_init)) for linear, l in pairs]
     return SpikeRecord(

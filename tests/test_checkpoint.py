@@ -231,14 +231,25 @@ def test_manifest_text_is_unchanged(tmp_path, build, golden):
     assert text == json.dumps(golden, indent=2, sort_keys=True)
 
 
-@pytest.mark.parametrize("obj, message", [
-    (SnnNetwork([Linear(_ramp(2, 2), _ramp(2)), Relu()], timesteps=2), "'relu' layer in an snn"),
-    (AnnModel([Linear(_ramp(2, 2), _ramp(2)), IfLayer(np.ones(2), np.zeros(2))]),
-     "'if' layer in an ann"),
-])
-def test_cross_kind_layer_is_not_saved(tmp_path, obj, message):
-    with pytest.raises(TypeError, match=message):
-        save_checkpoint(obj, str(tmp_path))
+def test_cross_kind_layer_is_not_saved(tmp_path):
+    # an snn holds only linear and IF layers, which its constructor checks
+    model = AnnModel([Linear(_ramp(2, 2), _ramp(2)), IfLayer(np.ones(2), np.zeros(2))])
+    with pytest.raises(TypeError, match="'if' layer in an ann"):
+        save_checkpoint(model, str(tmp_path))
+
+
+def test_snn_manifest_out_of_order_fails_at_load(tmp_path):
+    # the first IF layer swapped with the linear after it: linear, linear,
+    # IF, IF, linear cannot run, so it does not load
+    model = replace_activations(mlp([3, 4, 4, 2], Rng(0)), 4, Rng(1).normal(0, 1, (16, 3)))
+    save_checkpoint(convert(model, 4), str(tmp_path))
+    manifest = _manifest(tmp_path)
+    layers = manifest["layers"]
+    assert [d["type"] for d in layers] == ["linear", "if", "linear", "if", "linear"]
+    layers[1], layers[2] = layers[2], layers[1]
+    _rewrite(tmp_path, json.dumps(manifest))
+    with pytest.raises(IntegrityError, match="layer 1: expected an IF layer, got Linear"):
+        load_checkpoint(str(tmp_path))
 
 
 def test_weight_hash_reads_the_arrays_in_place():

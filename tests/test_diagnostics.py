@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from records import record_from_frames
@@ -141,6 +143,15 @@ class TestDecomposeErrors:
                for t in traces]
         with pytest.raises(ValueError, match="sample counts"):
             decompose_errors(bad, record, net)
+
+    @pytest.mark.parametrize("width", [12, 24])
+    @pytest.mark.parametrize("field", ["pre", "post"])
+    def test_trace_width_must_match_the_layer(self, width, field):
+        model, net, x, traces, record = _staircase_setup(dims=(5, 16, 3))
+        values = np.resize(getattr(traces[0], field), (len(x), width))
+        bad = dataclasses.replace(traces[0], **{field: values})
+        with pytest.raises(ValueError, match=f"layer 0: trace {field} has shape"):
+            decompose_errors([bad], record, net)
 
 
 class TestTauHistogram:

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from records import record_from_frames
 
-from spikefit.ann import Embedding, Linear, qcfs_forward
+from spikefit.ann import Embedding, Linear, Relu, qcfs_forward
 from spikefit.snn import (IfLayer, SimulationError, SnnNetwork, firing_rate, if_step,
                           simulate, theoretical_spike_count)
 from spikefit.tensor import Rng
@@ -126,6 +126,32 @@ class TestIfStep:
         assert not np.shares_memory(layer.threshold, layer.v_init)
 
 
+class TestStackOrder:
+    """A network is built only from (linear, IF) pairs and an optional
+    trailing linear."""
+
+    def _parts(self):
+        theta = np.ones(2, np.float32)
+        return (Linear(np.ones((2, 2), np.float32), np.zeros(2, np.float32)),
+                IfLayer(theta, theta / 2))
+
+    def test_valid_orders_build(self):
+        linear, layer = self._parts()
+        for layers in ([], [linear], [linear, layer], [linear, layer, linear]):
+            assert SnnNetwork(layers, timesteps=2).layers == layers
+
+    @pytest.mark.parametrize("order, message", [
+        ("if", "layer 0: expected a linear layer, got IfLayer"),
+        ("linear linear if", "layer 1: expected an IF layer, got Linear"),
+        ("linear relu", "layer 1: expected an IF layer, got Relu"),
+    ], ids=["if-first", "two-linears", "relu"])
+    def test_other_orders_are_refused(self, order, message):
+        linear, layer = self._parts()
+        parts = {"linear": linear, "if": layer, "relu": Relu()}
+        with pytest.raises(ValueError, match=message):
+            SnnNetwork([parts[name] for name in order.split()], timesteps=2)
+
+
 class TestClone:
     def _net(self):
         net = _random_stack(Rng(31), depth=3, widths=[6, 5, 4, 3])
@@ -173,6 +199,12 @@ class TestSimulate:
         rec = simulate(net, np.zeros((3, net.layers[0].w.shape[0]), np.float32))
         total = sum(float(s.sum()) for s in rec.spikes)
         assert total == 0.0
+
+    def test_drive_of_the_wrong_width_names_the_layer(self):
+        net = _random_stack(Rng(4), depth=2, widths=[8, 5, 3])
+        message = r"layer 0 \(linear\): input width 7 does not match 8"
+        with pytest.raises(ValueError, match=message):
+            simulate(net, np.zeros((2, 7), np.float32))
 
     def test_horizon_zero_rejected(self):
         net = _single_neuron_net(1.0, 0.5, 4)
