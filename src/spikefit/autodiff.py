@@ -1,5 +1,5 @@
 """Reverse-mode autodiff on a flat tape of numpy arrays, plus the Adam step
-and the spike surrogate that the hand-written backprops share.
+and the soft targets that the hand-written backprops share.
 
 Nothing in the package records on the tape any more: stage-1 training
 (``ann._backward``) and neuron-wise calibration (``calibrate._nwc_bptt``)
@@ -10,7 +10,7 @@ benchmark's tracer test checks that ``autodiff.backward`` is wrapped; it
 moves to ``tests/`` with the next revision of the benchmark.
 
 The tape carries the usual smooth primitives and a spike threshold
-crossing whose derivative is a rectangular surrogate.
+crossing whose derivative is the IF neuron's ``snn.surrogate_spike_grad``.
 Gradients are accumulated in fixed reverse-creation order, which makes
 ``backward`` bit-deterministic for a given tape.
 """
@@ -26,26 +26,6 @@ Array = np.ndarray
 
 class TapeError(RuntimeError):
     """Internal consistency violation while recording or replaying a tape."""
-
-
-SURROGATE_WINDOW = 0.5  # half-width of the surrogate rectangle, as a fraction of theta
-
-
-def _surrogate_window(v, theta) -> Array:
-    """Boolean mask of the surrogate rectangle, |v - theta| <
-    SURROGATE_WINDOW * theta; ``theta`` must be positive, which the caller
-    checks."""
-    return np.abs(v - theta) < SURROGATE_WINDOW * theta
-
-
-def surrogate_spike_grad(v, theta) -> Array:
-    """Rectangular surrogate derivative of the spike indicator w.r.t. the
-    membrane potential: (1/theta) inside ``_surrogate_window``, else 0."""
-    v = np.asarray(v)
-    theta = np.asarray(theta, dtype=v.dtype if v.dtype.kind == "f" else np.float64)
-    if not np.all(theta > 0):
-        raise ValueError("spike threshold must be positive elementwise")
-    return _surrogate_window(v, theta) * (1 / theta)
 
 
 class Var:
@@ -212,6 +192,7 @@ def spike(v, theta) -> Var:
     ordinary node, so the threshold picks up gradient both as a factor and
     through the firing condition.
     """
+    from .snn import surrogate_spike_grad  # local import: snn imports ann, which imports this
     vv, tv = _value(v), _value(theta)
     s = (vv >= tv).astype(vv.dtype)
     g_s = surrogate_spike_grad(vv, tv)

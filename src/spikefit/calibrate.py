@@ -2,8 +2,9 @@
 integrate-and-fire layers, then calibrate thresholds and initial potentials,
 first per layer (closed-form scaling) and then per neuron (gradient descent
 with weights frozen). The per-neuron gradients come from the simulation's own
-IF recurrence, unrolled, and a hand-written reverse sweep through it, not
-from the autodiff tape; ``_nwc_bptt`` states what each loss contributes."""
+IF recurrence, unrolled, and a reverse sweep through it that takes the
+neuron's local derivatives from ``snn``, not from the autodiff tape;
+``_nwc_bptt`` states what each loss contributes."""
 
 from __future__ import annotations
 
@@ -12,9 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .ann import AnnModel, Embedding, Linear, Qcfs, Relu, ann_forward
-from .snn import (IfLayer, SimulationError, SnnNetwork, SpikeRecord, _drive, _if_steps, _rate,
-                  _split_stack, simulate)
+from .ann import AnnModel, Embedding, Linear, Qcfs, Relu, _apply_linear, ann_forward
+from .snn import (IfLayer, SimulationError, SnnNetwork, SpikeRecord, _drive, _if_param_grads,
+                  _if_step_grads, _if_steps, _pre_reset_window, _rate, _split_stack, simulate)
 from .tensor import Array, Rng
 
 
@@ -195,11 +196,11 @@ def _nwc_forward(pairs, tail, drive: Array, teacher_acts, teacher_logits, rho: i
     over the rho unrolled steps, on the pairs' own IF layers; it raises
     ``SimulationError`` on a non-finite potential. Per neuron-step it keeps
     two booleans, two bytes: the spike, which ``if_step`` writes into one
-    (rho, batch, width) array per layer, and the surrogate window
-    (``autodiff._surrogate_window``) at the pre-reset potential, one list
-    of layers per step. Neither costs a bit: a boolean spike enters the
-    layer's sum over steps and ``s * c`` as float32 0.0 or 1.0, and
-    ``window * (1 / theta)`` is the array ``surrogate_spike_grad`` returns.
+    (rho, batch, width) array per layer, and the surrogate window at the
+    pre-reset potential (``snn._pre_reset_window``), one list of layers per
+    step. Neither costs a bit: a boolean spike enters the layer's sum over
+    steps and ``snn._if_step_grads`` as float32 0.0 or 1.0, which forms the
+    surrogate from the window as ``surrogate_spike_grad`` does.
 
     Returns the losses, the spikes, the windows, and per layer the reverse
     sweep's two seeds, each stacked as (2, batch, width) over the alignment
@@ -216,11 +217,7 @@ def _nwc_forward(pairs, tail, drive: Array, teacher_acts, teacher_logits, rho: i
     spikes = [np.empty((rho, drive.shape[0], l.width), dtype=np.bool_) for l in layers]
     windows: list[list] = [[] for _ in range(rho)]
     for t, j, cur, v, carry in _if_steps(pairs, drive, spikes, rho):
-        # the window is taken at the pre-reset potential, rebuilt as
-        # v_post + carry bit for bit: carry is 0 where nothing fired; v - theta
-        # is exact for theta <= v <= 2 theta (Sterbenz), so adding theta
-        # back restores v; above 2 theta both forms lie outside the window
-        windows[t].append(ad._surrogate_window(v + carry, thetas[j]))
+        windows[t].append(_pre_reset_window(layers[j], v, carry))
     # what only the forward pass reads is dropped once read, so the reverse
     # sweep starts with little more than the spikes and windows; the run's
     # own potentials went with its exhausted generator
@@ -230,7 +227,7 @@ def _nwc_forward(pairs, tail, drive: Array, teacher_acts, teacher_logits, rho: i
 
     diffs = [rates[j] - teacher_acts[j] for j in range(n_layers)]
     l_align = float(np.sum([(d * d).sum() * (1.0 / d.size) for d in diffs]))
-    out = rates[-1] if tail is None else rates[-1] @ tail.w + tail.b
+    out = rates[-1] if tail is None else _apply_linear(rates[-1], tail, str(2 * n_layers))
     l_kd, g_out = _kd_loss_and_grad(teacher_logits, out)
     del rates, out
 
@@ -256,31 +253,23 @@ def _nwc_forward(pairs, tail, drive: Array, teacher_acts, teacher_logits, rho: i
 def _nwc_reverse(pairs, spikes, windows, acc, g_sum) -> dict:
     """The reverse sweep of ``_nwc_bptt`` over the steps and layers of
     ``_nwc_forward``'s output, newest step first: the gradient of every
-    threshold and initial potential. It carries the adjoint of the membrane
-    potential in two lanes, stacked as (2, batch, width): the alignment
-    lane 0, which never crosses layers, and the logits lane 1, which
-    crosses layers through ``g @ W.T``. ``acc`` gathers the threshold
-    gradient through the reset and the carry, in place."""
-    thetas = [layer.threshold for _, layer in pairs]
+    threshold and initial potential, from ``snn._if_step_grads`` at each
+    step of each layer and ``snn._if_param_grads`` at the end. The adjoints
+    are stacked as (2, batch, width) over two lanes: alignment lane 0, which
+    never crosses layers, and logits lane 1, which crosses them through
+    ``g @ W.T``."""
     # g_u is the adjoint of the post-reset potential
     g_u = [np.zeros_like(g) for g in g_sum]
-    inv_thetas = [1 / theta for theta in thetas]
     for t in range(len(windows) - 1, -1, -1):
         g_carry = None
         for j in range(len(pairs) - 1, -1, -1):
-            c = -g_u[j]
-            if g_carry is not None:
-                c[1] += g_carry
-            acc[j] += spikes[j][t] * c
-            g_u[j] += (g_sum[j] + thetas[j] * c) * (windows[t][j] * inv_thetas[j])
-            g_carry = g_u[j][1] @ pairs[j][0].w.T if j > 0 else None
+            linear, layer = pairs[j]
+            _if_step_grads(layer, spikes[j][t], windows[t][j], g_u[j], g_sum[j], g_carry, acc[j])
+            g_carry = g_u[j][1] @ linear.w.T if j > 0 else None
 
-    # the firing condition's theta partial is minus its v partial, and summed
-    # over the steps those v partials are exactly the final g_u
     grads = {}
     for j in range(len(pairs)):
-        grads[f"if{j}.threshold"] = (acc[j] - g_u[j]).sum(axis=(0, 1))
-        grads[f"if{j}.v_init"] = g_u[j].sum(axis=(0, 1))
+        grads[f"if{j}.threshold"], grads[f"if{j}.v_init"] = _if_param_grads(acc[j], g_u[j])
     return grads
 
 

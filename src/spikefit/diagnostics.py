@@ -20,22 +20,9 @@ from .tensor import Array
 _LEAF = 1 << 15  # values per leaf of decompose_errors' pairwise sums
 
 
-def temporal_error(tau_real, theta, tau_theor, ceiling, timesteps: int):
-    """Rate deviation from mistimed spikes: |tau_real*theta - tau_theor*ceiling| / T.
-
-    Computed in float64 so the reference micro-cases hold to 1e-12, in one
-    buffer of the result's shape.
-    """
-    args = np.broadcast_arrays(*(np.asarray(a) for a in (tau_real, theta, tau_theor, ceiling)))
-    tau_real, theta, tau_theor, ceiling = (np.atleast_1d(a) for a in args)
-    err = np.empty(tau_real.shape, dtype=np.float64)
-    return _temporal_error_into(tau_real, theta, tau_theor, ceiling, timesteps,
-                                err).reshape(args[0].shape)
-
-
 def _temporal_error_into(tau_real, theta, tau_theor, ceiling, timesteps: int, out):
-    """``temporal_error`` written into the float64 array ``out``, which may be
-    ``tau_theor`` itself."""
+    """Rate deviation from mistimed spikes, |tau_real*theta - tau_theor*ceiling| / T,
+    written into the float64 array ``out``, which may be ``tau_theor`` itself."""
     np.multiply(tau_theor, ceiling, out=out, dtype=np.float64)
     np.subtract(np.multiply(tau_real, theta, dtype=np.float64), out, out=out)
     np.abs(out, out=out)

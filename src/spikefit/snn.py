@@ -1,33 +1,29 @@
 """Time-stepped integrate-and-fire simulation with reset-by-subtraction,
 per-neuron thresholds and initial potentials, spike recording, and rate math.
 
+This is the IF neuron's one home: its step ``if_step``, its surrogate
+window, the window ``_pre_reset_window`` hands neuron-wise calibration, and
+the step's local derivatives, ``_if_step_grads`` and ``_if_param_grads``.
+A change to the neuron edits these and no other module. Ties (potential
+exactly at threshold) fire; membrane potentials may go negative.
+
 A spiking network is plain data: linear and IF layers in turn, with an
 optional trailing linear, an order checked once, when the network is built.
 Each IF layer holds only its threshold and initial potential, and a run
 keeps its membrane potentials to itself, so running never changes the
-network. ``_drive`` forms a run's float32 analog drive. Each run starts from
-its own copy of the initial potentials, which ``if_step`` advances in place.
-Every linear layer is applied by the analog path's ``ann._apply_linear``.
-The first linear layer's current, computed once from the drive, drives the
-first IF layer at every step; deeper layers are driven by the
-threshold-weighted spikes that ``if_step`` returns. Ties (potential exactly
-at threshold) fire. Membrane potentials may go negative.
+network. Every linear layer is applied by the analog path's
+``ann._apply_linear``.
 
-A run is set up and stepped in one place, ``_if_steps``: ``simulate``
-records what it yields, and its replay and neuron-wise calibration
-(``calibrate._nwc_forward``) keep its frames, so all fire, reset and check
-for non-finite potentials in the one ``if_step``. Callers only say where
-the spikes go: ``if_step`` writes each step's firing mask into memory its
-caller owns, one reused (batch, width) mask per layer for ``simulate``, a
-slice of their frames for the others.
+A run is set up and stepped in one place, ``_if_steps``, on the drive that
+``_drive`` forms: ``simulate`` records what it yields, and its replay and
+neuron-wise calibration (``calibrate._nwc_forward``) keep its frames, so
+all fire, reset and check for non-finite potentials in the one ``if_step``,
+which writes each step's firing mask into memory its caller owns.
 
 ``simulate`` runs one row block of the batch at a time (``_row_blocks``),
 each block through every step, so the potentials, masks and currents it
-holds at once are a block's, not the batch's: at most 2**18 neurons of the
-widest IF layer per block, 256 rows of a 1024-wide layer. No row's steps
-read another row. BLAS may round a short block's products otherwise than
-the whole batch's, so the blocks are kept near equal in length; that keeps
-the whole batch's bits on every golden config, though not on every shape.
+holds at once are a block's, not the batch's. No row's steps read another
+row; ``_row_blocks`` says on which shapes that keeps the whole batch's bits.
 
 Spike frames are not stored: after each step ``simulate`` adds the layer's
 mask to its block's rows of the spike counts over the whole horizon, kept
@@ -42,8 +38,7 @@ written after ``simulate`` raises ``SimulationError`` rather than give
 other frames.
 
 ``_rate`` is the one place that turns spike counts into a threshold-weighted
-rate: ``simulate``, ``firing_rate`` and ``calibrate.activation_align_loss``
-all call it.
+rate: ``simulate`` and ``calibrate.activation_align_loss`` both call it.
 """
 
 from __future__ import annotations
@@ -119,10 +114,66 @@ def if_step(layer: IfLayer, v: Array, input_current: Array, spikes: Array,
     return spikes, out
 
 
+SURROGATE_WINDOW = 0.5  # half-width of the surrogate rectangle, as a fraction of theta
+
+
+def _surrogate_window(v, theta) -> Array:
+    """Boolean mask of the surrogate rectangle, |v - theta| < SURROGATE_WINDOW
+    * theta; ``theta`` must be positive, which the caller checks."""
+    return np.abs(v - theta) < SURROGATE_WINDOW * theta
+
+
+def surrogate_spike_grad(v, theta) -> Array:
+    """Rectangular surrogate derivative of the spike indicator w.r.t. the
+    membrane potential: (1/theta) inside ``_surrogate_window``, else 0."""
+    v = np.asarray(v)
+    theta = np.asarray(theta, dtype=v.dtype if v.dtype.kind == "f" else np.float64)
+    if not np.all(theta > 0):
+        raise ValueError("spike threshold must be positive elementwise")
+    return _surrogate_window(v, theta) * (1 / theta)
+
+
+def _pre_reset_window(layer: IfLayer, v: Array, out: Array) -> Array:
+    """``_surrogate_window`` at the pre-reset potential of the ``if_step`` of
+    ``layer`` that left ``v`` and returned ``out``, which is ``v + out`` bit
+    for bit: out is 0 where nothing fired; v - theta is exact for theta <= v
+    <= 2 theta (Sterbenz), so adding theta back restores v; above 2 theta
+    both forms lie outside the window. ``simulate`` never calls it."""
+    return _surrogate_window(v + out, layer.threshold)
+
+
+def _if_step_grads(layer: IfLayer, spikes: Array, window: Array, g_v: Array, g_s: Array,
+                   g_out: Array | None, g_theta: Array) -> None:
+    """The reverse of one ``if_step`` of ``layer``, in place, on adjoints
+    stacked over lanes on axis 0: ``g_v``, of the post-reset potential,
+    becomes that of the potential before the step and of its input current;
+    ``g_s`` is each spike's through the loss, ``g_out`` the output's in the
+    last lane (None: detached in all), and ``g_theta`` gathers theta's.
+    A spike moves theta from the potential to the output, so per spike theta
+    gains the output's adjoint less the potential's, and the spike theta
+    times that. Inside the window the spike's surrogate derivative by the
+    pre-reset potential is 1/theta, as ``surrogate_spike_grad`` gives; its
+    theta partial is minus that, which ``_if_param_grads`` adds."""
+    theta = layer.threshold
+    c = -g_v
+    if g_out is not None:
+        c[-1] += g_out
+    g_theta += spikes * c
+    g_v += (g_s + theta * c) * (window * (1 / theta))
+
+
+def _if_param_grads(g_theta: Array, g_v: Array) -> tuple[Array, Array]:
+    """Threshold and initial-potential gradients, summed over lanes and rows,
+    of a sweep of ``_if_step_grads`` from zero ``g_v``: over the steps, the
+    firing condition's potential partials sum to ``g_v``, its theta partials
+    to minus that."""
+    return (g_theta - g_v).sum(axis=(0, 1)), g_v.sum(axis=(0, 1))
+
+
 class SnnNetwork:
     """Alternating linear/IF stack mirroring the analog model it came from:
-    (linear, IF) pairs and an optional trailing linear, an order that the
-    constructor checks once, so no reader of ``layers`` checks it again.
+    (linear, IF) pairs and an optional trailing linear, an order checked
+    once, by the constructor: ``layers`` is a tuple, so no write skips it.
 
     ``input_encoder`` (an embedding, when present) runs once on the raw
     input; its output is the analog drive injected at every step.
@@ -131,7 +182,7 @@ class SnnNetwork:
     def __init__(self, layers: list, timesteps: int, input_encoder: Embedding | None = None):
         if timesteps < 1:
             raise ValueError(f"simulation horizon must be >= 1, got {timesteps}")
-        self.layers = list(layers)
+        self.layers = tuple(layers)
         for i, layer in enumerate(self.layers):
             if not isinstance(layer, IfLayer if i % 2 else Linear):
                 raise ValueError(f"layer {i}: expected {'an IF' if i % 2 else 'a linear'} "
@@ -247,9 +298,7 @@ def simulate(net: SnnNetwork, analog_input: Array, timesteps: int | None = None,
     layer's counts; recorded currents and potentials go to the block's rows
     too. The trailing linear reads the rates of the whole batch at once.
     The record's ``replay`` reruns the recurrence over the same blocks, from
-    copies of the IF layers and of the drive taken here. The blocks keep the
-    whole batch's bits on every golden config, not on every shape (see
-    ``_row_blocks``).
+    copies of the IF layers and of the drive taken here.
 
     A non-finite potential raises ``SimulationError`` naming the step and
     the neuron: the earliest step at which one arises in the first block
@@ -324,11 +373,6 @@ def _replay(pairs, drive: Array, steps: int) -> list[Array]:
         for _ in _if_steps(pairs, drive[rows], [f[:, rows] for f in frames], steps):
             pass
     return frames
-
-
-def firing_rate(record: SpikeRecord, layer: int) -> Array:
-    """Threshold-weighted rate over the whole horizon: theta * spike count / T."""
-    return _rate(record.thresholds[layer], record.counts[layer], record.timesteps)
 
 
 def _rate(threshold: Array, counts: Array, denom: int) -> Array:

@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spikefit import autodiff as ad
-from spikefit.autodiff import (SURROGATE_WINDOW, AdamState, Tape, TapeError, adam_step,
-                               backward, surrogate_spike_grad)
-from spikefit.snn import IfLayer, if_step
+from spikefit.autodiff import AdamState, Tape, TapeError, adam_step, backward
+from spikefit.snn import (SURROGATE_WINDOW, IfLayer, _pre_reset_window, _surrogate_window,
+                          if_step, surrogate_spike_grad)
 from spikefit.tensor import Rng
 
 
@@ -164,15 +164,16 @@ class TestSurrogate:
     @settings(max_examples=300, deadline=None)
     @given(_potential_and_threshold())
     def test_post_reset_potential_gives_same_surrogate(self, case):
-        # neuron-wise calibration takes the surrogate at v_post + out, after
-        # if_step has reset the potential; it must equal the pre-reset one
+        # neuron-wise calibration takes the window after if_step has reset
+        # the potential; it must equal the window at the pre-reset one
         v_pre, theta = case
+        layer = IfLayer([theta], [0.0])
         v = np.zeros((1, 1), dtype=np.float32)
-        _, out = if_step(IfLayer([theta], [0.0]), v, np.full((1, 1), v_pre, np.float32),
+        _, out = if_step(layer, v, np.full((1, 1), v_pre, np.float32),
                          np.empty((1, 1), np.bool_), 0)
-        got = surrogate_spike_grad(v + out, np.asarray([theta]))
-        want = surrogate_spike_grad(np.full((1, 1), v_pre, np.float32), np.asarray([theta]))
-        assert got.dtype == want.dtype == np.float32
+        got = _pre_reset_window(layer, v, out)
+        want = _surrogate_window(np.full((1, 1), v_pre, np.float32), layer.threshold)
+        assert got.dtype == want.dtype == np.bool_
         assert got.tobytes() == want.tobytes()
 
     @settings(max_examples=300, deadline=None)
@@ -181,7 +182,7 @@ class TestSurrogate:
         # neuron-wise calibration keeps only the boolean window and forms
         # the factor as window * (1 / theta) in its reverse sweep
         v, theta = np.full((1, 1), case[0], np.float32), np.asarray([case[1]])
-        window = ad._surrogate_window(v, theta)
+        window = _surrogate_window(v, theta)
         assert window.dtype == np.bool_
         got = window * (1 / theta)
         want = surrogate_spike_grad(v, theta)

@@ -9,7 +9,7 @@ from spikefit.calibrate import (CalibConfig, CalibrationError, activation_align_
                                 lwc, nwc_calibrate)
 from spikefit.checkpoint import weight_hash
 from spikefit.data import Dataset, DataSpec, DatasetSplits, make_dataset
-from spikefit.snn import firing_rate, simulate
+from spikefit.snn import simulate
 from spikefit.tensor import Rng
 
 

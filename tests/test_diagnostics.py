@@ -7,13 +7,19 @@ from records import record_from_frames
 from spikefit.ann import ActivationTrace, Linear, ann_forward, mlp, qcfs_forward, \
     replace_activations
 from spikefit.calibrate import convert, lwc
-from spikefit.diagnostics import (ErrorReport, decompose_errors, layer_mse_report,
-                                  output_cosine, tau_histogram, temporal_error,
+from spikefit.diagnostics import (ErrorReport, _temporal_error_into, decompose_errors,
+                                  layer_mse_report, output_cosine, tau_histogram,
                                   threshold_shift_report, write_error_csv,
                                   write_mse_csv, write_tau_csv,
                                   write_threshold_shift_csv)
 from spikefit.snn import simulate, theoretical_spike_count
 from spikefit.tensor import Rng
+
+
+def temporal_error(tau_real, theta, tau_theor, ceiling, timesteps):
+    """``_temporal_error_into`` into a float64 array of the inputs' shape."""
+    out = np.empty(np.broadcast_shapes(*map(np.shape, (tau_real, theta, tau_theor, ceiling))))
+    return _temporal_error_into(tau_real, theta, tau_theor, ceiling, timesteps, out)
 
 
 class TestTemporalError:

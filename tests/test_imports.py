@@ -33,12 +33,15 @@ def test_checker_flags_an_unused_import():
 
 # the private names each module takes from another module of the package,
 # by import or through a module alias; a run of the IF recurrence is set up
-# in snn alone, so calibrate takes the drive and the run from there, and snn
-# applies its linear layers with the analog path's own step, so both paths
-# compute a layer's current with the same float32 bits
+# in snn alone, and the IF neuron's surrogate window and local derivatives
+# live there beside its step, so calibrate takes the drive, the run and the
+# neuron's reverse from snn; snn and calibrate apply linear layers with the
+# analog path's own step, so every path computes a layer's output with the
+# same float32 bits
 PRIVATE_IMPORTS = {
-    "calibrate.py": {"autodiff": ["_surrogate_window"],
-                     "snn": ["_drive", "_if_steps", "_rate", "_split_stack"]},
+    "calibrate.py": {"ann": ["_apply_linear"],
+                     "snn": ["_drive", "_if_param_grads", "_if_step_grads", "_if_steps",
+                             "_pre_reset_window", "_rate", "_split_stack"]},
     "cli.py": {"calibrate": ["_align_terms", "_record_losses", "_teacher_pass"]},
     "diagnostics.py": {"ann": ["_qcfs_into"], "snn": ["_spike_count_into"]},
     "snn.py": {"ann": ["_apply_embedding", "_apply_linear"]},
@@ -73,3 +76,31 @@ def test_private_import_checker_sees_both_forms():
     source = ("from .snn import _rate, simulate\nfrom . import autodiff as ad\n"
               "from .ann import mlp\nad._window(ad.backward, _rate)\n")
     assert _private_imports(source) == {"autodiff": ["_window"], "snn": ["_rate"]}
+
+
+def _names(source: str) -> set[str]:
+    """Every name a module binds, reads or imports, and every attribute it reads."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+    return names
+
+
+def test_only_snn_names_the_surrogate_window():
+    # the IF neuron is written once: its window lives beside if_step
+    window = {"SURROGATE_WINDOW", "_surrogate_window"}
+    naming = sorted(path.name for path in sorted(SRC.glob("*.py"))
+                    if window & _names(path.read_text()))
+    assert naming == ["snn.py"]
+
+
+def test_name_checker_sees_imports_and_attributes():
+    source = "from .snn import _surrogate_window as w\nx = snn.SURROGATE_WINDOW\n"
+    assert {"_surrogate_window", "SURROGATE_WINDOW"} <= _names(source)

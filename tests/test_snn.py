@@ -7,10 +7,16 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from records import record_from_frames
 
-from spikefit.ann import Embedding, Linear, Relu, qcfs_forward
-from spikefit.snn import (IfLayer, SimulationError, SnnNetwork, firing_rate, if_step,
-                          simulate, theoretical_spike_count)
+from spikefit.ann import Embedding, Linear, Relu, mlp, qcfs_forward, replace_activations
+from spikefit.calibrate import convert, lwc
+from spikefit.snn import (IfLayer, SimulationError, SnnNetwork, _rate, if_step, simulate,
+                          theoretical_spike_count)
 from spikefit.tensor import Rng
+
+
+def _layer_rate(rec, j: int):
+    """Threshold-weighted rate of IF layer j over the record's whole horizon."""
+    return _rate(rec.thresholds[j], rec.counts[j], rec.timesteps)
 
 
 def _single_neuron_net(theta: float, v0: float, timesteps: int) -> SnnNetwork:
@@ -138,7 +144,7 @@ class TestStackOrder:
     def test_valid_orders_build(self):
         linear, layer = self._parts()
         for layers in ([], [linear], [linear, layer], [linear, layer, linear]):
-            assert SnnNetwork(layers, timesteps=2).layers == layers
+            assert SnnNetwork(layers, timesteps=2).layers == tuple(layers)
 
     @pytest.mark.parametrize("order, message", [
         ("if", "layer 0: expected a linear layer, got IfLayer"),
@@ -150,6 +156,11 @@ class TestStackOrder:
         parts = {"linear": linear, "if": layer, "relu": Relu()}
         with pytest.raises(ValueError, match=message):
             SnnNetwork([parts[name] for name in order.split()], timesteps=2)
+
+    def test_layers_cannot_be_rewritten(self):
+        net = SnnNetwork(self._parts(), timesteps=2)
+        with pytest.raises(TypeError):
+            net.layers[1] = Relu()
 
 
 class TestClone:
@@ -187,7 +198,7 @@ class TestSimulate:
         rec = simulate(net, np.array([[0.3]], np.float32))
         assert rec.spikes[0][:, 0, 0].tolist() == [0.0, 1.0, 0.0, 0.0]
         assert float(rec.counts[0][0, 0]) == 1.0
-        rate = float(firing_rate(rec, 0)[0, 0])
+        rate = float(_layer_rate(rec, 0)[0, 0])
         assert rate == pytest.approx(0.25)
         assert rate == pytest.approx(float(qcfs_forward(np.float32(0.3), 1.0, 4)))
 
@@ -266,7 +277,7 @@ class TestSimulate:
         x = Rng(6).normal(0, 1, (5, net.layers[0].w.shape[0]))
         rec = simulate(net, x)
         for j in range(rec.n_layers):
-            rate = firing_rate(rec, j)
+            rate = _layer_rate(rec, j)
             k = rate * 8 / rec.thresholds[j]
             np.testing.assert_allclose(k, np.round(k), atol=1e-5)
 
@@ -281,7 +292,7 @@ class TestSimulate:
         assume(abs(z - round(z)) > 1e-3)  # keep away from knife-edge lattice points
         net = _single_neuron_net(lam, lam / 2, levels)
         rec = simulate(net, np.array([[u]], np.float32))
-        rate = float(firing_rate(rec, 0)[0, 0])
+        rate = float(_layer_rate(rec, 0)[0, 0])
         want = float(qcfs_forward(u, lam, levels))
         assert abs(rate - want) <= 1e-6
 
@@ -289,7 +300,30 @@ class TestSimulate:
         # u = 0.25, lam = 1, L = 4: z = 1.5 exactly; tie rule keeps both sides equal
         net = _single_neuron_net(1.0, 0.5, 4)
         rec = simulate(net, np.array([[0.25]], np.float32))
-        assert float(firing_rate(rec, 0)[0, 0]) == float(qcfs_forward(np.float32(0.25), 1.0, 4))
+        assert float(_layer_rate(rec, 0)[0, 0]) == float(qcfs_forward(np.float32(0.25), 1.0, 4))
+
+
+class TestCausalPrefix:
+    """A run's first t steps do not depend on its horizon: at t steps,
+    simulate gives the counts and decoded output of the first t steps of
+    the T=16 run, bit for bit."""
+
+    @pytest.mark.parametrize("seed", [31, 35, 40])
+    @pytest.mark.parametrize("stage", ["convert", "lwc"])
+    def test_shorter_horizon_is_a_prefix(self, seed, stage):
+        rng = Rng(seed)
+        x = rng.split("x").normal(0, 1, (64, 8))
+        net = convert(replace_activations(mlp([8, 64, 64, 4], rng.split("model")), 8, x), 16)
+        if stage == "lwc":
+            net = lwc(net, 0.8, 0.3)
+        frames = simulate(net, x, 16).spikes
+        tail = net.layers[-1]
+        for t in (1, 2, 4, 8, 16):
+            rec = simulate(net, x, t)
+            prefix = [f[:t].sum(axis=0, dtype=c.dtype) for f, c in zip(frames, rec.counts)]
+            assert [c.tobytes() for c in rec.counts] == [c.tobytes() for c in prefix]
+            rate = _rate(rec.thresholds[-1], prefix[-1], t)
+            assert rec.output.tobytes() == (rate @ tail.w + tail.b).tobytes()
 
 
 class TestFiringRate:
@@ -302,11 +336,11 @@ class TestFiringRate:
 
     def test_saturation(self):
         rec = self._record([1, 1, 1, 1, 1])
-        assert float(firing_rate(rec, 0)[0, 0]) == 1.0  # theta = 1
+        assert float(_layer_rate(rec, 0)[0, 0]) == 1.0  # theta = 1
 
     def test_silence(self):
         rec = self._record([0, 0, 0])
-        assert float(firing_rate(rec, 0)[0, 0]) == 0.0
+        assert float(_layer_rate(rec, 0)[0, 0]) == 0.0
 
 
 class TestTheoreticalSpikeCount:

@@ -16,8 +16,8 @@ from spikefit.calibrate import activation_align_loss
 from spikefit.cli import _write_json
 from spikefit.diagnostics import _LEAF, decompose_errors
 from spikefit.energy import count_ops, energy_report, spike_rate_stats
-from spikefit.snn import (IfLayer, SimulationError, SnnNetwork, SpikeRecord, firing_rate,
-                          if_step, simulate)
+from spikefit.snn import (IfLayer, SimulationError, SnnNetwork, SpikeRecord, _rate, if_step,
+                          simulate)
 from spikefit.tensor import Rng
 
 
@@ -212,7 +212,7 @@ def _frame_readers(rec: SpikeRecord, net: SnnNetwork, acts, traces, frames=None)
     return {
         "n_samples": frames[0].shape[1],
         "output": (rates[-1] @ linears[-1].w + linears[-1].b).tobytes(),
-        "firing_rate": [r.tobytes() for r in rates],
+        "rate": [r.tobytes() for r in rates],
         "activation_align_loss": align,
         "per_layer_ac": ac,
         "ac": sum(ac),
@@ -239,7 +239,8 @@ def _count_readers(rec: SpikeRecord, net: SnnNetwork, acts, traces) -> dict:
     return {
         "n_samples": rec.n_samples,
         "output": rec.output.tobytes(),
-        "firing_rate": [firing_rate(rec, j).tobytes() for j in range(n)],
+        "rate": [_rate(rec.thresholds[j], rec.counts[j], rec.timesteps).tobytes()
+                 for j in range(n)],
         "activation_align_loss": [activation_align_loss(acts[j], rec.counts[j],
                                                         rec.thresholds[j], rec.timesteps, j)
                                   for j in range(n)],
