@@ -1,10 +1,11 @@
 """Stage 2 of the conversion: map a staircase-activated model onto
 integrate-and-fire layers, then calibrate thresholds and initial potentials,
 first per layer (closed-form scaling) and then per neuron (gradient descent
-with weights frozen). The per-neuron gradients come from the simulation's own
-IF recurrence, unrolled, and a reverse sweep through it that takes the
-neuron's local derivatives from ``snn``, not from the autodiff tape;
-``_nwc_bptt`` states what each loss contributes."""
+with weights frozen). The per-neuron gradients come from ``snn``'s unrolled
+window of the simulation's own IF recurrence and that window's reverse
+sweep, not from the autodiff tape: this module compares the window's rates
+with the teacher's and seeds the sweep; ``_nwc_bptt`` states what each loss
+contributes."""
 
 from __future__ import annotations
 
@@ -14,8 +15,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .ann import AnnModel, Embedding, Linear, Qcfs, Relu, _apply_linear, ann_forward
-from .snn import (IfLayer, SimulationError, SnnNetwork, SpikeRecord, _drive, _if_param_grads,
-                  _if_step_grads, _if_steps, _pre_reset_window, _rate, _split_stack, simulate)
+from .snn import (IfLayer, SimulationError, SnnNetwork, SpikeRecord, _drive, _rate, _split_stack,
+                  _window_grads, _window_run, simulate)
 from .tensor import Array, Rng
 
 
@@ -183,93 +184,39 @@ def _nwc_bptt(pairs, tail, drive: Array, teacher_acts, teacher_logits, rho: int)
     through the whole chain, carries included. The step minimizes
     ``L_all = L_al + L_logits``, so the gradient is the sum of the two.
     """
-    losses, spikes, windows, acc, g_sum = _nwc_forward(pairs, tail, drive, teacher_acts,
-                                                       teacher_logits, rho)
-    return losses, _nwc_reverse(pairs, spikes, windows, acc, g_sum)
+    losses, record, g_rate = _nwc_forward(pairs, tail, drive, teacher_acts, teacher_logits, rho)
+    return losses, _nwc_reverse(pairs, record, g_rate)
 
 
 def _nwc_forward(pairs, tail, drive: Array, teacher_acts, teacher_logits, rho: int):
-    """The forward pass of ``_nwc_bptt``: the losses, and what the reverse
-    sweep reads.
-
-    The forward pass is ``simulate``'s IF recurrence (``snn._if_steps``)
-    over the rho unrolled steps, on the pairs' own IF layers; it raises
-    ``SimulationError`` on a non-finite potential. Per neuron-step it keeps
-    two booleans, two bytes: the spike, which ``if_step`` writes into one
-    (rho, batch, width) array per layer, and the surrogate window at the
-    pre-reset potential (``snn._pre_reset_window``), one list of layers per
-    step. Neither costs a bit: a boolean spike enters the layer's sum over
-    steps and ``snn._if_step_grads`` as float32 0.0 or 1.0, which forms the
-    surrogate from the window as ``surrogate_spike_grad`` does.
-
-    Returns the losses, the spikes, the windows, and per layer the reverse
-    sweep's two seeds, each stacked as (2, batch, width) over the alignment
-    and logits lanes: ``acc``, the rate gradient over rho times the spike
-    sums, which gathers the threshold gradient, and ``g_sum``, the rate
-    gradient times theta over rho.
-    """
+    """The forward pass of ``_nwc_bptt``: the losses of ``snn._window_run``'s
+    rates, its record, and per layer each loss's gradient by the rate,
+    stacked as (2, batch, width) over the alignment and logits lanes."""
     n_layers = len(pairs)
-    layers = [iflayer for _, iflayer in pairs]
-    thetas = [layer.threshold for layer in layers]
-    inv_denom = 1.0 / rho
-
-    # the boolean spike and surrogate window of every (step, layer)
-    spikes = [np.empty((rho, drive.shape[0], l.width), dtype=np.bool_) for l in layers]
-    windows: list[list] = [[] for _ in range(rho)]
-    for t, j, cur, v, carry in _if_steps(pairs, drive, spikes, rho):
-        windows[t].append(_pre_reset_window(layers[j], v, carry))
-    # what only the forward pass reads is dropped once read, so the reverse
-    # sweep starts with little more than the spikes and windows; the run's
-    # own potentials went with its exhausted generator
-    del cur, v, carry
-    sums = [s.sum(axis=0, dtype=np.float32) for s in spikes]
-    rates = [sums[j] * thetas[j] * inv_denom for j in range(n_layers)]
-
+    rates, record = _window_run(pairs, drive, rho)
     diffs = [rates[j] - teacher_acts[j] for j in range(n_layers)]
     l_align = float(np.sum([(d * d).sum() * (1.0 / d.size) for d in diffs]))
     out = rates[-1] if tail is None else _apply_linear(rates[-1], tail, str(2 * n_layers))
     l_kd, g_out = _kd_loss_and_grad(teacher_logits, out)
+    # what only the forward pass reads is dropped once read, so the reverse
+    # sweep starts with little more than the record
     del rates, out
 
-    # seeds: the gradient of each lane's loss with respect to every rate
     align_seeds = [np.float32(2.0 / d.size) * d for d in diffs]
     del diffs
     kd_seeds = [np.zeros_like(s) for s in align_seeds[:-1]]
     kd_seeds.append(g_out if tail is None else g_out @ tail.w.T)
     g_rate = [np.stack(seeds) for seeds in zip(align_seeds, kd_seeds)]
-    del align_seeds, kd_seeds, g_out
-
-    # g_rate / rho is formed once, in place, for both acc and g_sum, which
-    # it becomes
-    acc = []
-    for j, g in enumerate(g_rate):
-        g *= inv_denom
-        acc.append(g * sums[j])
-        g *= thetas[j]
     losses = {"L_al": l_align, "L_logits": l_kd, "L_all": l_align + l_kd}
-    return losses, spikes, windows, acc, g_rate
+    return losses, record, g_rate
 
 
-def _nwc_reverse(pairs, spikes, windows, acc, g_sum) -> dict:
-    """The reverse sweep of ``_nwc_bptt`` over the steps and layers of
-    ``_nwc_forward``'s output, newest step first: the gradient of every
-    threshold and initial potential, from ``snn._if_step_grads`` at each
-    step of each layer and ``snn._if_param_grads`` at the end. The adjoints
-    are stacked as (2, batch, width) over two lanes: alignment lane 0, which
-    never crosses layers, and logits lane 1, which crosses them through
-    ``g @ W.T``."""
-    # g_u is the adjoint of the post-reset potential
-    g_u = [np.zeros_like(g) for g in g_sum]
-    for t in range(len(windows) - 1, -1, -1):
-        g_carry = None
-        for j in range(len(pairs) - 1, -1, -1):
-            linear, layer = pairs[j]
-            _if_step_grads(layer, spikes[j][t], windows[t][j], g_u[j], g_sum[j], g_carry, acc[j])
-            g_carry = g_u[j][1] @ linear.w.T if j > 0 else None
-
+def _nwc_reverse(pairs, record, g_rate) -> dict:
+    """The reverse sweep of ``_nwc_bptt``, ``snn._window_grads``: alignment
+    lane 0 never crosses layers, and logits lane 1 does."""
     grads = {}
-    for j in range(len(pairs)):
-        grads[f"if{j}.threshold"], grads[f"if{j}.v_init"] = _if_param_grads(acc[j], g_u[j])
+    for j, (g_theta, g_v) in enumerate(_window_grads(pairs, record, g_rate)):
+        grads[f"if{j}.threshold"], grads[f"if{j}.v_init"] = g_theta, g_v
     return grads
 
 

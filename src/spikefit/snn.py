@@ -2,40 +2,35 @@
 per-neuron thresholds and initial potentials, spike recording, and rate math.
 
 This is the IF neuron's one home: its step ``if_step``, its surrogate
-window, the window ``_pre_reset_window`` hands neuron-wise calibration, and
-the step's local derivatives, ``_if_step_grads`` and ``_if_param_grads``.
+window, the step's local derivatives (``_pre_reset_window``,
+``_if_step_grads``, ``_if_param_grads``), and neuron-wise calibration's
+unrolled window, ``_window_run``, with its reverse sweep, ``_window_grads``.
 A change to the neuron edits these and no other module. Ties (potential
 exactly at threshold) fire; membrane potentials may go negative.
 
 A spiking network is plain data: linear and IF layers in turn, with an
-optional trailing linear, an order checked once, when the network is built.
-Each IF layer holds only its threshold and initial potential, and a run
-keeps its membrane potentials to itself, so running never changes the
-network. Every linear layer is applied by the analog path's
-``ann._apply_linear``.
+optional trailing linear, an order and widths checked once, when the
+network is built. Each IF layer holds only its threshold and initial
+potential, and a run keeps its membrane potentials to itself, so running
+never changes the network. Every linear layer is applied by the analog
+path's ``ann._apply_linear``.
 
 A run is set up and stepped in one place, ``_if_steps``, on the drive that
 ``_drive`` forms: ``simulate`` records what it yields, and its replay and
-neuron-wise calibration (``calibrate._nwc_forward``) keep its frames, so
-all fire, reset and check for non-finite potentials in the one ``if_step``,
-which writes each step's firing mask into memory its caller owns.
+``_window_run`` keep its frames, so all fire, reset and check for
+non-finite potentials in the one ``if_step``, which writes each step's
+firing mask into memory its caller owns.
 
 ``simulate`` runs one row block of the batch at a time (``_row_blocks``),
 each block through every step, so the potentials, masks and currents it
 holds at once are a block's, not the batch's. No row's steps read another
 row; ``_row_blocks`` says on which shapes that keeps the whole batch's bits.
 
-Spike frames are not stored: after each step ``simulate`` adds the layer's
-mask to its block's rows of the spike counts over the whole horizon, kept
-in the smallest unsigned dtype that holds T, and every reader of a
-``SpikeRecord`` scores the whole horizon from those counts.
-``SpikeRecord.spikes`` recomputes the frames on first access, by running
-``_if_steps`` again over the same row blocks from a snapshot that
-``simulate`` took: copies of the IF layers and of the drive, and the
-linear layers, whose weights are frozen once converted. The replayed
-frames are checked against the counts, so a network whose weights were
-written after ``simulate`` raises ``SimulationError`` rather than give
-other frames.
+Spike frames are not stored: ``simulate`` keeps each layer's spike counts
+over the whole horizon, and every reader of a ``SpikeRecord`` scores the
+horizon from them. ``SpikeRecord.spikes`` replays ``_if_steps`` on first
+access, from a snapshot that ``simulate`` took, and checks the frames
+against the counts.
 
 ``_rate`` is the one place that turns spike counts into a threshold-weighted
 rate: ``simulate`` and ``calibrate.activation_align_loss`` both call it.
@@ -77,6 +72,8 @@ class IfLayer:
         if self.threshold.ndim != 1 or self.v_init.shape != self.threshold.shape:
             raise ValueError(f"threshold/v_init must be matching vectors, got "
                              f"{self.threshold.shape} and {self.v_init.shape}")
+        if not (np.isfinite(self.threshold).all() and np.isfinite(self.v_init).all()):
+            raise ValueError("threshold and v_init must be finite")
         if not np.all(self.threshold > 0):
             raise ValueError("threshold must be positive elementwise")
 
@@ -172,8 +169,9 @@ def _if_param_grads(g_theta: Array, g_v: Array) -> tuple[Array, Array]:
 
 class SnnNetwork:
     """Alternating linear/IF stack mirroring the analog model it came from:
-    (linear, IF) pairs and an optional trailing linear, an order checked
-    once, by the constructor: ``layers`` is a tuple, so no write skips it.
+    (linear, IF) pairs and an optional trailing linear, an order and widths
+    checked once, by the constructor: ``layers`` is a tuple, so no write
+    skips it.
 
     ``input_encoder`` (an embedding, when present) runs once on the raw
     input; its output is the analog drive injected at every step.
@@ -187,6 +185,13 @@ class SnnNetwork:
             if not isinstance(layer, IfLayer if i % 2 else Linear):
                 raise ValueError(f"layer {i}: expected {'an IF' if i % 2 else 'a linear'} "
                                  f"layer, got {type(layer).__name__}")
+            prev = self.layers[i - 1] if i else None
+            if i % 2 and prev.w.shape[1] != layer.width:
+                raise ValueError(f"layer {i - 1} (linear): fan-out {prev.w.shape[1]} != "
+                                 f"width {layer.width} of the IF layer after it")
+            if i and i % 2 == 0 and layer.w.shape[0] != prev.width:
+                raise ValueError(f"layer {i} (linear): fan-in {layer.w.shape[0]} != "
+                                 f"width {prev.width} of the IF layer before it")
         self.timesteps = int(timesteps)
         self.input_encoder = input_encoder
 
@@ -201,7 +206,7 @@ class SnnNetwork:
         writes, that shares the linear layers and the input encoder: their
         weights are frozen once converted. The IF layers are copied as they
         are, without ``IfLayer``'s checks; the constructor checks the
-        stack's order again."""
+        stack's order and widths again."""
         layers = [copy.deepcopy(l) if isinstance(l, IfLayer) else l for l in self.layers]
         return SnnNetwork(layers, self.timesteps, self.input_encoder)
 
@@ -373,6 +378,51 @@ def _replay(pairs, drive: Array, steps: int) -> list[Array]:
         for _ in _if_steps(pairs, drive[rows], [f[:, rows] for f in frames], steps):
             pass
     return frames
+
+
+def _window_run(pairs, drive: Array, rho: int):
+    """Neuron-wise calibration's forward pass, ``_if_steps`` over ``rho``
+    steps: each IF layer's float32 window rate, its spike sum times theta
+    times ``1 / rho``, and the record ``_window_grads`` reads, which keeps
+    two booleans per neuron-step: the spike and ``_pre_reset_window``."""
+    layers = [l for _, l in pairs]
+    spikes = [np.empty((rho, drive.shape[0], l.width), dtype=np.bool_) for l in layers]
+    windows: list[list] = [[] for _ in range(rho)]
+    for t, j, cur, v, out in _if_steps(pairs, drive, spikes, rho):
+        windows[t].append(_pre_reset_window(layers[j], v, out))
+    # the loop's last arrays; the run's potentials went with its generator
+    del cur, v, out
+    sums = [s.sum(axis=0, dtype=np.float32) for s in spikes]
+    inv_denom = 1.0 / rho
+    rates = [s * l.threshold * inv_denom for s, l in zip(sums, layers)]
+    return rates, [spikes, windows, sums]
+
+
+def _window_grads(pairs, record: list, g_rate: list[Array]) -> list[tuple[Array, Array]]:
+    """The reverse of ``_window_run``, newest step first: each IF layer's
+    threshold and initial-potential gradients from its window-rate adjoint
+    ``g_rate``, stacked over lanes on axis 0, which it overwrites. Only the
+    last lane crosses layers, through ``g @ W.T``."""
+    spikes, windows, sums = record
+    record.clear()  # so the sums go once the seeds are formed
+    inv_denom = 1.0 / len(windows)
+    # g_rate / rho, formed in place, times the spike sum seeds theta's
+    # adjoint; times theta, it is each spike's
+    acc = []
+    for j, g in enumerate(g_rate):
+        g *= inv_denom
+        acc.append(g * sums[j])
+        g *= pairs[j][1].threshold
+    del sums
+    # g_u is the adjoint of the post-reset potential
+    g_u = [np.zeros_like(g) for g in g_rate]
+    for t in range(len(windows) - 1, -1, -1):
+        g_carry = None
+        for j in range(len(pairs) - 1, -1, -1):
+            linear, layer = pairs[j]
+            _if_step_grads(layer, spikes[j][t], windows[t][j], g_u[j], g_rate[j], g_carry, acc[j])
+            g_carry = g_u[j][-1] @ linear.w.T if j > 0 else None
+    return [_if_param_grads(a, g) for a, g in zip(acc, g_u)]
 
 
 def _rate(threshold: Array, counts: Array, denom: int) -> Array:

@@ -252,6 +252,27 @@ def test_snn_manifest_out_of_order_fails_at_load(tmp_path):
         load_checkpoint(str(tmp_path))
 
 
+def test_snn_manifest_of_mismatched_widths_fails_at_load(tmp_path):
+    # the two IF layers swapped: a 5-wide IF layer after the 3 -> 4 linear
+    model = replace_activations(mlp([3, 4, 5, 2], Rng(0)), 4, Rng(1).normal(0, 1, (16, 3)))
+    save_checkpoint(convert(model, 4), str(tmp_path))
+    manifest = _manifest(tmp_path)
+    layers = manifest["layers"]
+    layers[1], layers[3] = layers[3], layers[1]
+    _rewrite(tmp_path, json.dumps(manifest))
+    with pytest.raises(IntegrityError, match=r"layer 0 \(linear\): fan-out 4 != width 5"):
+        load_checkpoint(str(tmp_path))
+
+
+def test_snn_manifest_of_an_infinite_threshold_fails_at_load(tmp_path):
+    model = replace_activations(mlp([3, 4, 2], Rng(0)), 4, Rng(1).normal(0, 1, (16, 3)))
+    net = convert(model, 4)
+    net.if_layers()[0].threshold[2] = np.inf  # written past the layer's check
+    save_checkpoint(net, str(tmp_path))
+    with pytest.raises(IntegrityError, match="threshold and v_init must be finite"):
+        load_checkpoint(str(tmp_path))
+
+
 def test_weight_hash_reads_the_arrays_in_place():
     # an 8-512x3-4 MLP holds 1 MiB 512 x 512 arrays; hashing copies none
     model = mlp([8, 512, 512, 512, 4], Rng(0))

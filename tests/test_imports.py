@@ -33,15 +33,15 @@ def test_checker_flags_an_unused_import():
 
 # the private names each module takes from another module of the package,
 # by import or through a module alias; a run of the IF recurrence is set up
-# in snn alone, and the IF neuron's surrogate window and local derivatives
-# live there beside its step, so calibrate takes the drive, the run and the
-# neuron's reverse from snn; snn and calibrate apply linear layers with the
-# analog path's own step, so every path computes a layer's output with the
-# same float32 bits
+# in snn alone, and the IF neuron, its unrolled window and that window's
+# reverse live there beside its step, so calibrate takes the drive, the
+# window's rates and their gradients from snn; snn and calibrate apply
+# linear layers with the analog path's own step, so every path computes a
+# layer's output with the same float32 bits
 PRIVATE_IMPORTS = {
     "calibrate.py": {"ann": ["_apply_linear"],
-                     "snn": ["_drive", "_if_param_grads", "_if_step_grads", "_if_steps",
-                             "_pre_reset_window", "_rate", "_split_stack"]},
+                     "snn": ["_drive", "_rate", "_split_stack", "_window_grads",
+                             "_window_run"]},
     "cli.py": {"calibrate": ["_align_terms", "_record_losses", "_teacher_pass"]},
     "diagnostics.py": {"ann": ["_qcfs_into"], "snn": ["_spike_count_into"]},
     "snn.py": {"ann": ["_apply_embedding", "_apply_linear"]},
@@ -98,6 +98,15 @@ def test_only_snn_names_the_surrogate_window():
     window = {"SURROGATE_WINDOW", "_surrogate_window"}
     naming = sorted(path.name for path in sorted(SRC.glob("*.py"))
                     if window & _names(path.read_text()))
+    assert naming == ["snn.py"]
+
+
+def test_only_snn_names_the_neuron_step_and_its_reverse():
+    # a new firing rule (a signed or burst neuron) edits these, so no other
+    # module may reach past the window functions to them
+    neuron = {"_if_steps", "_if_step_grads", "_if_param_grads", "_pre_reset_window"}
+    naming = sorted(path.name for path in sorted(SRC.glob("*.py"))
+                    if neuron & _names(path.read_text()))
     assert naming == ["snn.py"]
 
 

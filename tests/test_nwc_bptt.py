@@ -7,7 +7,6 @@ forward pass and reverse sweep must reproduce.
 """
 
 import hashlib
-import re
 import tracemalloc
 
 import numpy as np
@@ -17,7 +16,7 @@ from spikefit import autodiff as ad
 from spikefit import snn
 from spikefit.ann import AnnModel, Embedding, Linear, mlp, replace_activations
 from spikefit.calibrate import CalibConfig, _calib_batch, _nwc_bptt, convert, lwc
-from spikefit.snn import IfLayer, SnnNetwork, _split_stack, simulate
+from spikefit.snn import IfLayer, SnnNetwork, _split_stack
 from spikefit.tensor import Rng
 
 TOL = 1e-6  # of the largest gradient entry
@@ -186,16 +185,16 @@ def test_forward_runs_simulate_recurrence(monkeypatch, dims, rho):
 
 def test_tail_of_the_wrong_fan_in_names_its_layer():
     """The forward pass decodes with the analog path's linear step, so a
-    trailing linear of the wrong fan-in fails as it does in simulate."""
+    trailing linear of the wrong fan-in names its layer, as the network's
+    constructor does, which refuses to build such a stack."""
     net, model, x = _setup(20)
     batch = _calib_batch(net, model, x)
-    tail = net.layers[-1]
+    pairs, tail = _split_stack(net)
     bad = Linear(np.zeros((tail.w.shape[0] + 1, tail.w.shape[1]), np.float32), tail.b)
-    net = SnnNetwork(net.layers[:-1] + (bad,), net.timesteps)
-    with pytest.raises(ValueError, match=r"layer 4 \(linear\)") as want:
-        simulate(net, x)
-    with pytest.raises(ValueError, match=re.escape(str(want.value))):
-        _nwc_bptt(*_split_stack(net), *batch, 8)
+    with pytest.raises(ValueError, match=r"layer 4 \(linear\)"):
+        SnnNetwork(net.layers[:-1] + (bad,), net.timesteps)
+    with pytest.raises(ValueError, match=r"layer 4 \(linear\)"):
+        _nwc_bptt(pairs, bad, *batch, 8)
 
 
 def test_saved_spike_masks_are_distinct_memory(monkeypatch):
