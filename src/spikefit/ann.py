@@ -1,6 +1,6 @@
 """Analog model zoo: linear stacks with ReLU or a trainable quantized
-staircase activation, forward tracing, activation replacement, and
-fine-tuning by a hand-written reverse sweep over the layer list."""
+staircase activation, forward tracing of activation inputs, activation
+replacement, and fine-tuning by a hand-written reverse sweep over layers."""
 
 from __future__ import annotations
 
@@ -60,11 +60,8 @@ class AnnModel:
     def __init__(self, layers: list):
         self.layers = list(layers)
 
-    def activation_layers(self) -> list:
-        return [layer for layer in self.layers if isinstance(layer, ACTIVATIONS)]
-
     def qcfs_layers(self) -> list[Qcfs]:
-        return [a for a in self.activation_layers() if isinstance(a, Qcfs)]
+        return [layer for layer in self.layers if isinstance(layer, Qcfs)]
 
 
 def qcfs_forward(x, ceiling: float, levels: int):
@@ -101,18 +98,25 @@ def _qcfs_into(x, ceiling: float, levels: int, out):
 
 @dataclass
 class ActivationTrace:
+    """An activation layer's input in a recorded pass, and its staircase's
+    ceiling and levels (None: a ReLU); ``post`` runs it again on each read."""
+
     layer: str
     pre: Array
-    post: Array
     ceiling: float | None = None
     levels: int | None = None
+
+    @property
+    def post(self) -> Array:  # a new array with the pass's bits
+        return (np.maximum(self.pre, 0) if self.ceiling is None
+                else _qcfs_into(self.pre, self.ceiling, self.levels, None))
 
 
 @dataclass
 class ForwardResult:
     output: Array
     traces: list[ActivationTrace]
-    inputs: list[Array]  # what each layer read, when recorded
+    inputs: list[Array | None]  # what each layer read, when recorded; None: an activation's output
 
 
 def _apply_linear(x: Array, layer: Linear, path: str) -> Array:
@@ -134,42 +138,39 @@ def _apply_embedding(x: Array, layer: Embedding, path: str) -> Array:
 def ann_forward(model: AnnModel, x, record: bool = True) -> ForwardResult:
     """Run the stack, returning the output and one trace per activation layer.
 
-    Each trace carries the value entering the activation (``pre``) and its
-    output (``post``); both are needed downstream, for threshold selection
-    and for rate alignment respectively. ``inputs`` holds the array each
-    layer read, for the reverse sweep; these are the traces' own arrays and
-    the pass's input. Without ``record``, neither is kept, and an activation
-    overwrites the array the layer before it made, so a wide layer holds
-    its input and its output and no more.
+    A recorded pass keeps each activation's input (``pre``) and nothing
+    computed from it, so it holds at most one activation output at a time;
+    ``inputs`` holds what each layer read, for the reverse sweep: the
+    pass's input, the traces' ``pre``, and None for an activation's output.
+    Without ``record``, nothing is kept, and an activation overwrites the
+    array the layer before made, so a wide layer holds its input and output.
     """
     x = np.asarray(x)
     if x.ndim == 1:
         x = x[None, :]
     traces: list[ActivationTrace] = []
-    inputs: list[Array] = []
-    owned = False  # x was made by this pass, not passed in
+    inputs: list[Array | None] = []
+    owned = activated = False  # x was made by this pass; by an activation
     for i, layer in enumerate(model.layers):
         path = str(i)
         into = x if owned and not record else None  # where an activation writes
         if record:
-            inputs.append(x)
+            inputs.append(None if activated else x)
         if isinstance(layer, Linear):
             x = _apply_linear(x, layer, path)
         elif isinstance(layer, Embedding):
             x = _apply_embedding(x, layer, path)
         elif isinstance(layer, Relu):
-            post = np.maximum(x, 0, out=into)
             if record:
-                traces.append(ActivationTrace(path, x, post))
-            x = post
+                traces.append(ActivationTrace(path, x))
+            x = np.maximum(x, 0, out=into)
         elif isinstance(layer, Qcfs):
-            post = _qcfs_into(x, layer.ceiling, layer.levels, into)
             if record:
-                traces.append(ActivationTrace(path, x, post, layer.ceiling, layer.levels))
-            x = post
+                traces.append(ActivationTrace(path, x, layer.ceiling, layer.levels))
+            x = _qcfs_into(x, layer.ceiling, layer.levels, into)
         else:
             raise TypeError(f"layer {path}: unknown layer type {type(layer).__name__}")
-        owned = True
+        owned, activated = True, isinstance(layer, ACTIVATIONS)
     return ForwardResult(x, traces, inputs)
 
 
@@ -276,12 +277,15 @@ def _mse_head(out: Array, y: Array) -> tuple[float, Array]:
 def _backward(model: AnnModel, fwd: ForwardResult, g: Array) -> dict[str, Array]:
     """Gradients of every trainable array, keyed as in ``param_arrays``, from
     one recorded ``ann_forward`` pass and the gradient ``g`` of its output.
-    Local derivatives are recomputed from the input each layer read; like
-    the tape, the sweep does not form the gradient of the pass's input."""
+    Local derivatives are recomputed from the input each layer read, an
+    activation's output formed again from its trace; like the tape, the
+    sweep does not form the gradient of the pass's input."""
     layers = model.layers
+    trace_before = {int(t.layer) + 1: t for t in fwd.traces}
     grads: dict[str, Array] = {}
     for i in range(len(layers) - 1, -1, -1):
         layer, h = layers[i], fwd.inputs[i]
+        h = trace_before[i].post if h is None else h
         if isinstance(layer, Linear):
             grads[f"{i}.w"] = h.T @ g
             grads[f"{i}.b"] = g.sum(axis=0)

@@ -20,11 +20,12 @@ from .tensor import Array
 _LEAF = 1 << 15  # values per leaf of decompose_errors' pairwise sums
 
 
-def _temporal_error_into(tau_real, theta, tau_theor, ceiling, timesteps: int, out):
+def _temporal_error_into(tau_real, theta, tau_theor, ceiling, timesteps: int, out, spare=None):
     """Rate deviation from mistimed spikes, |tau_real*theta - tau_theor*ceiling| / T,
-    written into the float64 array ``out``, which may be ``tau_theor`` itself."""
+    written into the float64 array ``out``, which may be ``tau_theor`` itself;
+    tau_real*theta is formed in the float64 array ``spare``, or a new one."""
     np.multiply(tau_theor, ceiling, out=out, dtype=np.float64)
-    np.subtract(np.multiply(tau_real, theta, dtype=np.float64), out, out=out)
+    np.subtract(np.multiply(tau_real, theta, out=spare, dtype=np.float64), out, out=out)
     np.abs(out, out=out)
     out /= float(timesteps)
     return out
@@ -58,15 +59,15 @@ def decompose_errors(traces: list[ActivationTrace], record: SpikeRecord,
 
     Quantization and clipping are measured on the values entering each
     staircase; the temporal term compares actual spike counts against the
-    counts the staircase output would need. Each figure is taken in float64
-    and has the bits of the mean over a float64 array of all its values,
-    but no such array is formed: ``_pairwise_sums`` adds the values up one
-    leaf of at most ``_LEAF`` values at a time, in numpy's order. One pass
-    over the leaves gives the clipping sum, the theoretical counts' sum and
-    maximum and the temporal sum, from one leaf buffer; and the
-    quantization error is formed over the in-range values only, picked
-    out of ``pre`` one chunk of ``_LEAF`` values at a time, in row-major
-    order.
+    counts the staircase output would need, formed from ``pre`` with the
+    bits of ``trace.post``. Each figure is taken in float64 and has the bits
+    of the mean over a float64 array of all its values, but no such array
+    is formed: ``_pairwise_sums`` adds the values up one leaf of at most
+    ``_LEAF`` values at a time, in numpy's order. One pass over the leaves
+    gives the clipping sum, the theoretical counts' sum and maximum and the
+    temporal sum, from two leaf buffers; and the quantization error is
+    formed over the in-range values only, picked out of ``pre`` one chunk
+    of ``_LEAF`` values at a time, in row-major order.
     """
     if len(traces) != record.n_layers:
         raise ValueError(
@@ -79,10 +80,9 @@ def decompose_errors(traces: list[ActivationTrace], record: SpikeRecord,
         if np.shape(trace.pre)[0] != record.n_samples:
             raise ValueError(f"mismatched sample counts: trace has {np.shape(trace.pre)[0]}, "
                              f"record has {record.n_samples}")
-        for name, values in (("pre", trace.pre), ("post", trace.post)):
-            if np.shape(values) != record.counts[j].shape:
-                raise ValueError(f"layer {j}: trace {name} has shape {np.shape(values)}, "
-                                 f"the record's counts {record.counts[j].shape}")
+        if np.shape(trace.pre) != record.counts[j].shape:
+            raise ValueError(f"layer {j}: trace pre has shape {np.shape(trace.pre)}, "
+                             f"the record's counts {record.counts[j].shape}")
         rows.append(_layer_errors(j, trace, record, buf))
     return ErrorReport(rows)
 
@@ -118,8 +118,9 @@ def _layer_errors(j: int, trace: ActivationTrace, record: SpikeRecord, buf) -> L
     (quant_sum,) = _pairwise_sums(quant_leaf, 0, n_inside) if n_inside else (0.0,)
 
     tau_real = record.counts[j]
-    counts, post = np.ravel(tau_real), np.ravel(trace.post)
-    width = np.shape(trace.post)[-1]
+    counts, width = np.ravel(tau_real), np.shape(trace.pre)[-1]
+    post_dt = pre.dtype if pre.dtype.kind == "f" else np.dtype(np.float64)  # trace.post's
+    spare = np.empty(_LEAF, np.float64)  # a leaf of post, then of the temporal products
     # the threshold of every flat index lo..hi is theta_run[lo % width:][:hi - lo]
     theta_run = np.tile(record.thresholds[j], _LEAF // width + 2)
     tau_maxima = []
@@ -127,11 +128,14 @@ def _layer_errors(j: int, trace: ActivationTrace, record: SpikeRecord, buf) -> L
     def clip_tau_leaf(lo, hi):
         out = np.subtract(pre[lo:hi], lam, out=buf[:hi - lo], dtype=np.float64)
         clip = np.add.reduce(np.maximum(out, 0.0, out=out))
-        tau = _spike_count_into(post[lo:hi], lam, T, out)
+        post = _qcfs_into(pre[lo:hi], trace.ceiling, trace.levels,
+                          spare.view(post_dt)[:hi - lo])
+        tau = _spike_count_into(post, lam, T, out)
         tau_maxima.append(tau.max())
         tau_sum = np.add.reduce(tau)
         theta = theta_run[lo % width:][:hi - lo]
-        temp = np.add.reduce(_temporal_error_into(counts[lo:hi], theta, tau, lam, T, tau))
+        temp = np.add.reduce(_temporal_error_into(counts[lo:hi], theta, tau, lam, T, tau,
+                                                  spare[:hi - lo]))
         return clip, tau_sum, temp
 
     clip_sum, tau_theor_sum, temp_sum = _pairwise_sums(clip_tau_leaf, 0, n)

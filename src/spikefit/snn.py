@@ -51,6 +51,9 @@ from .tensor import Array
 # neurons of the widest IF layer per row block of a simulation: 256 rows of
 # a 1024-wide layer, so a block's potentials, masks and currents stay small
 _BLOCK_NEURONS = 1 << 18
+# the dtypes of one step's spikes and of a T-step run's counts, for a new neuron
+_SPIKE = np.dtype(np.bool_)
+_count_dtype = np.min_scalar_type
 
 
 class SimulationError(RuntimeError):
@@ -217,18 +220,18 @@ class SpikeRecord:
     spike frames are recomputed by ``replay`` when first read."""
 
     counts: list[Array]            # per IF layer: (batch, width) spikes over all T steps,
-                                   # dtype np.min_scalar_type(T)
+                                   # dtype _count_dtype(T)
     thresholds: list[Array]        # per IF layer: (width,)
     output: Array                  # decoded prediction (batch, out_dim)
     timesteps: int
-    replay: Callable[[], list[Array]]  # per IF layer: (T, batch, width) boolean frames
+    replay: Callable[[], list[Array]]  # per IF layer: (T, batch, width) _SPIKE frames
     currents: list[Array] | None = None    # (T, batch, width) when recorded
     potentials: list[Array] | None = None  # post-step traces when recorded
 
     @cached_property
     def spikes(self) -> list[Array]:
-        """Per IF layer: (T, batch, width) uint8 frames, entries 0/1,
-        recomputed by ``replay`` once, on first access. Raises
+        """Per IF layer: (T, batch, width) frames of each step's counts, uint8
+        0/1 here, recomputed by ``replay`` once, on first access. Raises
         ``SimulationError`` if a layer's frames do not sum over time to its
         counts, as when the network's weights were written after the run."""
         frames = self.replay()
@@ -236,7 +239,7 @@ class SpikeRecord:
             if not np.array_equal(f.sum(axis=0, dtype=c.dtype), c):
                 raise SimulationError(f"layer {j}: replayed spike frames do not sum to the "
                                       f"recorded counts; the network changed after simulate")
-        return [f.view(np.uint8) for f in frames]
+        return [f.view(_count_dtype(1)) for f in frames]
 
     @property
     def n_layers(self) -> int:
@@ -317,14 +320,14 @@ def simulate(net: SnnNetwork, analog_input: Array, timesteps: int | None = None,
 
     pairs, tail = _split_stack(net)
     layers = [iflayer for _, iflayer in pairs]
-    counts = [np.zeros((batch, l.width), dtype=np.min_scalar_type(T)) for l in layers]
+    counts = [np.zeros((batch, l.width), dtype=_count_dtype(T)) for l in layers]
     currents_rec = ([np.zeros((T, batch, l.width), dtype=np.float32) for l in layers]
                     if record_currents else None)
     potentials_rec = ([np.zeros((T, batch, l.width), dtype=np.float32) for l in layers]
                       if record_potentials else None)
 
     for rows in _row_blocks(batch, layers):
-        masks = [np.zeros((rows.stop - rows.start, l.width), dtype=np.bool_) for l in layers]
+        masks = [np.zeros((rows.stop - rows.start, l.width), dtype=_SPIKE) for l in layers]
         # every step's destination is the same mask: a zero-stride view over T
         dests = [np.lib.stride_tricks.as_strided(m, (T,) + m.shape, (0,) + m.strides)
                  for m in masks]
@@ -373,7 +376,7 @@ def _replay(pairs, drive: Array, steps: int) -> list[Array]:
     width) array per IF layer, from the same recurrence over ``pairs`` and
     the same row blocks, started again from ``drive``."""
     layers = [l for _, l in pairs]
-    frames = [np.zeros((steps, drive.shape[0], l.width), dtype=np.bool_) for l in layers]
+    frames = [np.zeros((steps, drive.shape[0], l.width), dtype=_SPIKE) for l in layers]
     for rows in _row_blocks(drive.shape[0], layers):
         for _ in _if_steps(pairs, drive[rows], [f[:, rows] for f in frames], steps):
             pass
@@ -386,7 +389,7 @@ def _window_run(pairs, drive: Array, rho: int):
     times ``1 / rho``, and the record ``_window_grads`` reads, which keeps
     two booleans per neuron-step: the spike and ``_pre_reset_window``."""
     layers = [l for _, l in pairs]
-    spikes = [np.empty((rho, drive.shape[0], l.width), dtype=np.bool_) for l in layers]
+    spikes = [np.empty((rho, drive.shape[0], l.width), dtype=_SPIKE) for l in layers]
     windows: list[list] = [[] for _ in range(rho)]
     for t, j, cur, v, out in _if_steps(pairs, drive, spikes, rho):
         windows[t].append(_pre_reset_window(layers[j], v, out))

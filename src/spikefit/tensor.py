@@ -43,11 +43,15 @@ class Rng:
         if not lo < hi:
             raise ValueError(f"uniform requires lo < hi, got [{lo}, {hi})")
         u = self._gen.random(shape, dtype=np.float32)
-        return (np.float32(lo) + np.float32(hi - lo) * u).astype(np.float32)
+        u *= np.float32(hi - lo)
+        u += np.float32(lo)
+        return u if u.ndim else u[()]
 
     def normal(self, mean: float = 0.0, std: float = 1.0, shape=()) -> Array:
         z = self._gen.standard_normal(shape, dtype=np.float32)
-        return (np.float32(mean) + np.float32(std) * z).astype(np.float32)
+        z *= np.float32(std)
+        z += np.float32(mean)
+        return z if z.ndim else z[()]
 
     def integers(self, lo: int, hi: int, shape=()) -> Array:
         if not lo < hi:

@@ -166,6 +166,41 @@ class TestAnnForward:
             tracemalloc.stop()
         assert peak <= 2.5 * 1000 * 512 * 4
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_trace_post_is_the_pass_cut_after_its_layer(self, dtype):
+        # post is formed again from pre, with the bits of the stack run up
+        # to and through that activation
+        relu = mlp([6, 10, 10, 3], Rng(2))
+        stair = replace_activations(relu, 4, Rng(3).normal(0, 1, (32, 6)))
+        x = Rng(4).normal(0, 1, (16, 6)).astype(dtype)
+        for model in (relu, stair):
+            for t in ann_forward(model, x).traces:
+                want = ann_forward(AnnModel(model.layers[:int(t.layer) + 1]), x,
+                                   record=False).output
+                assert t.post.dtype == want.dtype == dtype
+                assert t.post.tobytes() == want.tobytes()
+
+    def test_recorded_pass_holds_each_activation_input_once(self):
+        # 256 rows of an 8-512x3-4 staircase MLP: once it returns, a recorded
+        # pass holds the three pre arrays and the output, and while it runs
+        # at most one activation output more; it held the three outputs too
+        # when traces kept them
+        model = replace_activations(mlp([8, 512, 512, 512, 4], Rng(0)), 8,
+                                    Rng(1).normal(0, 1, (64, 8)))
+        x = Rng(2).normal(0, 1, (256, 8))
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            res = ann_forward(model, x)
+            held, peak = (m - start for m in tracemalloc.get_traced_memory())
+        finally:
+            tracemalloc.stop()
+        assert [t.pre.shape for t in res.traces] == [(256, 512)] * 3
+        arrays = sum(t.pre.nbytes for t in res.traces) + res.output.nbytes
+        assert arrays <= held <= arrays + 4096
+        # and numpy's 8,192-value buffer for the bias's broadcast add
+        assert peak <= held + 256 * 512 * 4 + 8192 * 4 + 4096
+
     def test_shape_error_names_layer(self):
         model = mlp([4, 8, 2], Rng(0))
         with pytest.raises(ValueError, match="layer 0"):
@@ -187,7 +222,8 @@ class TestAnnForward:
 
     def test_recorded_inputs_are_the_arrays_each_layer_read(self):
         # the reverse sweep reads these: the tokens, the embedding's output,
-        # and then each trace's own arrays, not copies of them
+        # and then each trace's own pre, not a copy of it; an activation's
+        # output is not kept, and its trace re-forms it
         rng = Rng(5)
         model = char_lm(11, 3, 4, [8, 8], rng)
         tokens = rng.integers(0, 11, (6, 3))
@@ -199,7 +235,7 @@ class TestAnnForward:
                                       model.layers[0].table[tokens].reshape(6, 12))
         for i, layer in enumerate(model.layers[2:], start=2):
             if isinstance(layer, Linear):
-                assert res.inputs[i] is traces[i - 1].post
+                assert res.inputs[i] is None
             else:
                 assert res.inputs[i] is traces[i].pre
         assert ann_forward(model, tokens, record=False).inputs == []
@@ -243,7 +279,7 @@ class TestNoReferenceCycles:
         gc.disable()
         try:
             result = ann_forward(model, x, record=True)
-            refs = [weakref.ref(result.traces[0].post), weakref.ref(result.traces[-1].pre),
+            refs = [weakref.ref(result.traces[0].pre), weakref.ref(result.traces[-1].pre),
                     weakref.ref(result.output)]
             del result
             assert all(r() is None for r in refs)

@@ -81,8 +81,7 @@ class TestDecomposeErrors:
             assert row.quant <= trace.ceiling / (2 * trace.levels) + 1e-9
 
     def test_clipping_excess_definition(self):
-        trace = ActivationTrace("0", pre=np.array([[1.5]], np.float32),
-                                post=np.array([[1.0]], np.float32), ceiling=1.0, levels=4)
+        trace = ActivationTrace("0", pre=np.array([[1.5]], np.float32), ceiling=1.0, levels=4)
         rec = record_from_frames([np.zeros((8, 1, 1), np.uint8)], [np.ones(1, np.float32)],
                                  np.zeros((1, 1), np.float32), timesteps=8)
         report = decompose_errors([trace], rec, None)
@@ -118,8 +117,7 @@ class TestDecomposeErrors:
                "all": lambda: rng.uniform(0.0, 0.29, (batch, width)),
                "ceiling": lambda: np.resize(np.array(near + [lam], np.float64), (batch, width)),
                }[case]().astype(dtype)
-        post = np.clip(pre, 0, lam).astype(np.float32)
-        trace = ActivationTrace("0", pre=pre, post=post, ceiling=lam, levels=levels)
+        trace = ActivationTrace("0", pre=pre, ceiling=lam, levels=levels)
         frames = rng.integers(0, 2, (T, batch, width)).astype(np.uint8)
         theta = rng.uniform(0.2, 0.4, (width,))
         rec = record_from_frames([frames], [theta], np.zeros((batch, 2), np.float32), T)
@@ -129,7 +127,7 @@ class TestDecomposeErrors:
         stair = np.clip(np.floor(p * np.float64(levels) / lam + 0.5) * lam / np.float64(levels),
                         0.0, lam)
         dev = np.abs(p - stair)
-        tau_theor = post.astype(np.float64) * np.float64(T) / lam
+        tau_theor = trace.post.astype(np.float64) * np.float64(T) / lam
         counts = rec.counts[0]
         temporal = np.abs(np.multiply(counts, theta, dtype=np.float64) - tau_theor * lam) / T
         want = {"quant": dev[in_range].mean() if in_range.any() else 0.0,
@@ -145,13 +143,13 @@ class TestDecomposeErrors:
 
     def test_mismatched_sample_counts_rejected(self):
         model, net, x, traces, record = _staircase_setup()
-        bad = [ActivationTrace(t.layer, t.pre[:5], t.post[:5], t.ceiling, t.levels)
+        bad = [ActivationTrace(t.layer, t.pre[:5], t.ceiling, t.levels)
                for t in traces]
         with pytest.raises(ValueError, match="sample counts"):
             decompose_errors(bad, record, net)
 
     @pytest.mark.parametrize("width", [12, 24])
-    @pytest.mark.parametrize("field", ["pre", "post"])
+    @pytest.mark.parametrize("field", ["pre"])  # post is formed from pre, in its shape
     def test_trace_width_must_match_the_layer(self, width, field):
         model, net, x, traces, record = _staircase_setup(dims=(5, 16, 3))
         values = np.resize(getattr(traces[0], field), (len(x), width))

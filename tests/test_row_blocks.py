@@ -17,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_spike_frames import _assert_counts_equal_frames, _net
 
-from spikefit.ann import ActivationTrace, Linear, _qcfs_into
+from spikefit.ann import ActivationTrace, Linear
 from spikefit.diagnostics import _LEAF, _pairwise_sums, decompose_errors
 from spikefit.snn import (_BLOCK_NEURONS, IfLayer, SimulationError, SnnNetwork, _row_blocks,
                           simulate)
@@ -122,9 +122,8 @@ def test_decompose_errors_multi_leaf_golden():
     net = _net([8, width, 4], timesteps=12, seed=41)
     rec = simulate(net, Rng(42).normal(0, 1, (batch, 8)))
     pre = Rng(43).uniform(-0.5, 1.5, (batch, width)).astype(np.float32)
-    post = _qcfs_into(pre, 1.25, 6, np.empty(pre.shape, np.float32))
     assert pre.size > 3 * _LEAF and np.count_nonzero((pre >= 0) & (pre <= 1.25)) > _LEAF
-    report = decompose_errors([ActivationTrace("0", pre, post, 1.25, 6)], rec, net).as_dict()
+    report = decompose_errors([ActivationTrace("0", pre, 1.25, 6)], rec, net).as_dict()
     assert hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest() == \
         "8ab530d07cc3083bd0b31619fa6f84e8f66870e628b65fd8f00edbe2b87a492e"
 
@@ -136,7 +135,7 @@ def test_blocks_and_leaves_leave_no_cyclic_garbage():
     x = Rng(52).normal(0, 1, (70, 8))
     rec = simulate(net, x)
     pre = Rng(53).uniform(-0.5, 1.5, (70, 8192)).astype(np.float32)
-    trace = ActivationTrace("0", pre, np.clip(pre, 0, 1), 1.0, 4)
+    trace = ActivationTrace("0", pre, 1.0, 4)
     assert len(_row_blocks(70, net.if_layers())) == 3 and pre.size > 8 * _LEAF
     for call in (lambda: simulate(net, x).spikes, lambda: decompose_errors([trace], rec, net)):
         call()

@@ -227,7 +227,7 @@ def _probes(rec: SpikeRecord):
     n = rec.n_layers
     acts = [Rng(23 + j).uniform(0, 1.5, rec.counts[j].shape) for j in range(n)]
     traces = [ActivationTrace(str(j), pre=(acts[j] * 1.2 - 0.2).astype(np.float32),
-                              post=acts[j].astype(np.float32), ceiling=1.25, levels=4)
+                              ceiling=1.25, levels=4)
               for j in range(n)]
     return acts, traces
 
@@ -300,15 +300,16 @@ def test_readers_depend_only_on_spike_counts():
 
 def test_decompose_errors_peak_memory():
     # a 512 x 512 layer, about half of it in range: the error split holds a
-    # float64 leaf buffer of _LEAF values, the temporal term's products for
-    # one leaf, and a leaf's worth of in-range values, thresholds and masks,
-    # whatever the layer's size; 3.55 leaf buffers were measured, where one
-    # float64 (batch, width) buffer at a time took 10.5 (1.31 arrays)
+    # float64 leaf buffer of _LEAF values, a second that takes a leaf's
+    # staircase output and then the temporal term's products, and a leaf's
+    # worth of in-range values, thresholds and masks, whatever the layer's
+    # size; 3.55 leaf buffers were measured, where one float64 (batch,
+    # width) buffer at a time took 10.5 (1.31 arrays)
     batch = width = 512
     net = _net([8, width, 4], timesteps=8, seed=11)
     rec = simulate(net, Rng(12).normal(0, 1, (batch, 8)))
     pre = Rng(13).uniform(-0.5, 1.5, (batch, width)).astype(np.float32)
-    trace = ActivationTrace("0", pre=pre, post=np.clip(pre, 0, 1), ceiling=1.0, levels=8)
+    trace = ActivationTrace("0", pre=pre, ceiling=1.0, levels=8)
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]

@@ -1,3 +1,6 @@
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -36,6 +39,32 @@ class TestRng:
         a = Rng(42).normal(0, 1, (64,))
         b = Rng(42).normal(0, 1, (64,))
         assert a.tobytes() == b.tobytes()
+
+    def test_draws_keep_their_bytes(self):
+        # sha256 of the draws as written when they were scaled into a new
+        # array and cast to float32 again; a 0-d draw is a float32 scalar
+        a = Rng(7).normal(0.5, 2.0, (37, 5))
+        b = Rng(7).uniform(-1.0, 3.0, (37, 5))
+        assert hashlib.sha256(a.tobytes() + b.tobytes()).hexdigest() == \
+            "59228d832a082c52dc28918f500c83b5865bd4882d27db953ed0c62280e493dc"
+        assert a.dtype == b.dtype == np.float32
+        z = (Rng(7).normal(0.5, 2.0), Rng(7).uniform(-1.0, 3.0))
+        assert [type(v) for v in z] == [np.float32, np.float32]
+        assert [v.tobytes() for v in z] == [a[0, 0].tobytes(), b[0, 0].tobytes()]
+
+    @pytest.mark.parametrize("draw", ["normal", "uniform"])
+    def test_draw_is_scaled_in_its_own_buffer(self, draw):
+        # a (1024, 1024) draw holds its 4 MiB of float32 and no more; 12 MiB
+        # were measured when the scaled copy was cast again
+        rng = Rng(7)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            getattr(rng, draw)(0.0, 1.0, (1024, 1024))
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1024 * 1024 * 4 + 4096
 
 
 class TestCodec:
