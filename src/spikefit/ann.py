@@ -382,31 +382,31 @@ def stage1_finetune(model: AnnModel, data, cfg: TrainConfig, rng: Rng,
 _EVAL_BATCH = 1024  # rows per forward pass when scoring a whole dataset
 
 
-def dataset_loss(model: AnnModel, data) -> float:
-    total, count = 0.0, 0
+def _scored_batches(model: AnnModel, data):
+    """(output, labels) of each ``_EVAL_BATCH``-row scoring pass over data."""
     for lo in range(0, len(data.x), _EVAL_BATCH):
         bx = data.x[lo:lo + _EVAL_BATCH]
-        by = data.y[lo:lo + _EVAL_BATCH]
-        out = ann_forward(model, bx, record=False).output.astype(np.float64)
+        yield ann_forward(model, bx, record=False).output, data.y[lo:lo + _EVAL_BATCH]
+
+
+def dataset_loss(model: AnnModel, data) -> float:
+    total = 0.0
+    for out, by in _scored_batches(model, data):
+        out = out.astype(np.float64)
         if data.task == "regress":
             total += float(np.sum((out - by) ** 2) / out.shape[1])
         else:
             shifted = out - out.max(axis=1, keepdims=True)
             lse = np.log(np.exp(shifted).sum(axis=1))
             total += float(np.sum(lse - shifted[np.arange(len(by)), by]))
-        count += len(bx)
-    return total / max(count, 1)
+    return total / max(len(data.x), 1)
 
 
 def accuracy(model: AnnModel, data) -> float:
-    hits, count = 0, 0
-    for lo in range(0, len(data.x), _EVAL_BATCH):
-        bx = data.x[lo:lo + _EVAL_BATCH]
-        by = data.y[lo:lo + _EVAL_BATCH]
-        out = ann_forward(model, bx, record=False).output
+    hits = 0
+    for out, by in _scored_batches(model, data):
         hits += int((out.argmax(axis=1) == by).sum())
-        count += len(bx)
-    return hits / max(count, 1)
+    return hits / max(len(data.x), 1)
 
 
 # -- model builders -----------------------------------------------------------

@@ -32,9 +32,8 @@ class CalibConfig:
     and ``beta`` sets each initial potential as a fraction of the scaled
     threshold. ``rho`` is the number of unrolled steps in neuron-wise
     calibration's window (defaults to the inference horizon); that window's
-    rates multiply the rho-step spike sum by ``1 / rho``, which can differ
-    in the last bit from dividing by rho when rho is not a power of two.
-    Every other rate, ``eval_losses`` included, scores the whole horizon.
+    rates are ``simulate``'s over rho steps. Every other rate,
+    ``eval_losses`` included, scores the whole horizon.
     Nothing in the package reads ``seed``: calibration draws its batches
     from the stream its caller passes.
     """
@@ -77,7 +76,6 @@ def convert(model: AnnModel, timesteps: int) -> SnnNetwork:
     """
     layers: list = []
     encoder = None
-    pending_width: int | None = None
     for i, layer in enumerate(model.layers):
         if isinstance(layer, Embedding):
             if i != 0:
@@ -85,13 +83,11 @@ def convert(model: AnnModel, timesteps: int) -> SnnNetwork:
             encoder = Embedding(layer.table)
         elif isinstance(layer, Linear):
             layers.append(Linear(layer.w, layer.b))
-            pending_width = layer.w.shape[1]
         elif isinstance(layer, Qcfs):
-            if pending_width is None:
+            if not (layers and isinstance(layers[-1], Linear)):
                 raise ValueError(f"layer {i}: staircase without a preceding linear layer")
-            theta = np.full(pending_width, np.float32(layer.ceiling), dtype=np.float32)
+            theta = np.full(layers[-1].w.shape[1], np.float32(layer.ceiling), dtype=np.float32)
             layers.append(IfLayer(threshold=theta, v_init=theta / 2))
-            pending_width = None
         elif isinstance(layer, Relu):
             raise ValueError(
                 f"layer {i}: model still has a {type(layer).__name__} activation; "
@@ -340,5 +336,5 @@ def apply_stage2(snn_base: SnnNetwork, ann: AnnModel, splits, cfg: CalibConfig,
         net = lwc(net, cfg.alpha, cfg.beta)
     log: list[dict] = []
     if variant in ("nwc", "both"):
-        net, log = nwc_calibrate(net, ann, splits.calib, cfg, rng.split(f"nwc-{variant}"))
+        net, log = nwc_calibrate(net, ann, splits.train, cfg, rng.split(f"nwc-{variant}"))
     return net, log

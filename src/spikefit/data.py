@@ -21,7 +21,6 @@ class Dataset:
 @dataclass
 class DatasetSplits:
     train: Dataset
-    calib: Dataset
     test: Dataset
 
 
@@ -49,14 +48,14 @@ class DataSpec:
 
 
 def _split(x: Array, y: Array, task: str, rng: Rng) -> DatasetSplits:
-    """Shuffled 90/10 train/test split; calibration reuses the training split."""
+    """Shuffled 90/10 train/test split; calibration reads the training split."""
     n = len(x)
     perm = rng.permutation(n)
     n_test = max(1, n // 10)
     test_idx, train_idx = perm[:n_test], perm[n_test:]
     train = Dataset(x[train_idx], y[train_idx], task)
     test = Dataset(x[test_idx], y[test_idx], task)
-    return DatasetSplits(train=train, calib=train, test=test)
+    return DatasetSplits(train=train, test=test)
 
 
 def _synthetic_teacher(spec: DataSpec, rng: Rng) -> tuple[Array, Array, str]:

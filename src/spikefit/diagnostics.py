@@ -190,9 +190,6 @@ class TauHistogram:
     edges: Array
     counts: list[Array]
 
-    def total(self, layer: int) -> int:
-        return int(self.counts[layer].sum())
-
 
 def tau_histogram(acts: list[Array], ceilings: list[float], timesteps: int) -> TauHistogram:
     """Distribution of theoretical spike counts pooled per layer.

@@ -33,7 +33,8 @@ access, from a snapshot that ``simulate`` took, and checks the frames
 against the counts.
 
 ``_rate`` is the one place that turns spike counts into a threshold-weighted
-rate: ``simulate`` and ``calibrate.activation_align_loss`` both call it.
+rate: ``simulate``, ``_window_run`` and ``calibrate.activation_align_loss``
+all call it.
 """
 
 from __future__ import annotations
@@ -356,15 +357,18 @@ def simulate(net: SnnNetwork, analog_input: Array, timesteps: int | None = None,
 
 
 def _row_blocks(batch: int, layers: list[IfLayer]) -> list[slice]:
-    """The row blocks ``simulate`` and its replay run one at a time: as few
-    as hold at most ``_BLOCK_NEURONS`` neurons of the widest IF layer each,
-    as equal in rows as the batch allows, the longer ones first. So no block
-    is left with a few rows: BLAS takes other kernels for a single row and
-    for small products, which round otherwise than the whole batch's. That
-    keeps the whole batch's bits on every golden config, but not for a
-    narrow layer after a very wide one: at 8-4096-4-4 and batch 65, OpenBLAS
-    takes its small-matrix kernel for the 33-row block's 4096 -> 4 product
-    and not for the whole batch's, so the layer's currents differ."""
+    """The row blocks ``simulate`` and its replay run one at a time: the
+    fewest, n, that hold at most ``_BLOCK_NEURONS`` neurons of the widest
+    IF layer each, bounded at ``ceil(k * batch / n)``, so sizes differ by at
+    most one row (1027 rows at 1024 wide: 206, 205, 206, 205, 205); another
+    order would move rows into blocks of other shapes, and change their
+    bits. No block is left with a few rows: BLAS takes other kernels for a
+    single row and for small products, which round otherwise than the whole
+    batch's. That keeps the whole batch's bits on every golden config, but
+    not for a narrow layer after a very wide one: at 8-4096-4-4 and batch
+    65, OpenBLAS takes its small-matrix kernel for the 33-row block's 4096
+    -> 4 product and not for the whole batch's, so the layer's currents
+    differ."""
     rows = max(1, _BLOCK_NEURONS // max([1] + [l.width for l in layers]))
     n = max(1, -(-batch // rows))
     bounds = [-(-k * batch // n) for k in range(n + 1)]
@@ -385,9 +389,10 @@ def _replay(pairs, drive: Array, steps: int) -> list[Array]:
 
 def _window_run(pairs, drive: Array, rho: int):
     """Neuron-wise calibration's forward pass, ``_if_steps`` over ``rho``
-    steps: each IF layer's float32 window rate, its spike sum times theta
-    times ``1 / rho``, and the record ``_window_grads`` reads, which keeps
-    two booleans per neuron-step: the spike and ``_pre_reset_window``."""
+    steps: each IF layer's window rate, ``_rate`` of its rho-step spike
+    counts as ``simulate`` forms them, and the record ``_window_grads``
+    reads: the counts, and two booleans per neuron-step, the spike and
+    ``_pre_reset_window``."""
     layers = [l for _, l in pairs]
     spikes = [np.empty((rho, drive.shape[0], l.width), dtype=_SPIKE) for l in layers]
     windows: list[list] = [[] for _ in range(rho)]
@@ -395,28 +400,26 @@ def _window_run(pairs, drive: Array, rho: int):
         windows[t].append(_pre_reset_window(layers[j], v, out))
     # the loop's last arrays; the run's potentials went with its generator
     del cur, v, out
-    sums = [s.sum(axis=0, dtype=np.float32) for s in spikes]
-    inv_denom = 1.0 / rho
-    rates = [s * l.threshold * inv_denom for s, l in zip(sums, layers)]
-    return rates, [spikes, windows, sums]
+    counts = [s.sum(axis=0, dtype=_count_dtype(rho)) for s in spikes]
+    rates = [_rate(l.threshold, c, rho) for l, c in zip(layers, counts)]
+    return rates, (spikes, windows, counts)
 
 
-def _window_grads(pairs, record: list, g_rate: list[Array]) -> list[tuple[Array, Array]]:
-    """The reverse of ``_window_run``, newest step first: each IF layer's
-    threshold and initial-potential gradients from its window-rate adjoint
-    ``g_rate``, stacked over lanes on axis 0, which it overwrites. Only the
-    last lane crosses layers, through ``g @ W.T``."""
-    spikes, windows, sums = record
-    record.clear()  # so the sums go once the seeds are formed
+def _window_grads(pairs, record: tuple, g_rate: list[Array]) -> list[tuple[Array, Array]]:
+    """The reverse of ``_window_run`` over its record, which it only reads,
+    newest step first: each IF layer's threshold and initial-potential
+    gradients from its window-rate adjoint ``g_rate``, stacked over lanes
+    on axis 0, which it overwrites. Only the last lane crosses layers,
+    through ``g @ W.T``."""
+    spikes, windows, counts = record
     inv_denom = 1.0 / len(windows)
-    # g_rate / rho, formed in place, times the spike sum seeds theta's
+    # g_rate / rho, formed in place, times the spike counts seeds theta's
     # adjoint; times theta, it is each spike's
     acc = []
     for j, g in enumerate(g_rate):
         g *= inv_denom
-        acc.append(g * sums[j])
+        acc.append(g * counts[j])
         g *= pairs[j][1].threshold
-    del sums
     # g_u is the adjoint of the post-reset potential
     g_u = [np.zeros_like(g) for g in g_rate]
     for t in range(len(windows) - 1, -1, -1):

@@ -66,6 +66,23 @@ class TestConvert:
         with pytest.raises(ValueError):
             convert(_staircase_mlp(Rng(0)), 0)
 
+    def test_staircase_first_rejected(self):
+        linear = mlp([4, 2], Rng(0)).layers[0]
+        with pytest.raises(ValueError, match="layer 0: staircase without a preceding linear"):
+            convert(AnnModel([Qcfs(1.0, 4), linear]), 8)
+
+    def test_two_staircases_in_a_row_rejected(self):
+        linear = mlp([4, 2], Rng(0)).layers[0]
+        with pytest.raises(ValueError, match="layer 2: staircase without a preceding linear"):
+            convert(AnnModel([linear, Qcfs(1.0, 4), Qcfs(1.0, 4)]), 8)
+
+    def test_embedding_after_layer_0_rejected(self):
+        lm = replace_activations(char_lm(16, 2, 3, [5], Rng(2)), 4,
+                                 Rng(3).integers(0, 16, (8, 2)))
+        with pytest.raises(ValueError, match="layer 1: embedding is only convertible as the "
+                                             "input encoder"):
+            convert(AnnModel([lm.layers[1], lm.layers[0]] + lm.layers[2:]), 4)
+
 
 class TestLwc:
     def test_reference_scaling(self):
@@ -333,7 +350,7 @@ class TestPredict:
 class TestApplyStage2:
     def test_none_variant_equals_converted(self):
         rng, model, data = _calib_setup(5)
-        splits = DatasetSplits(data, data, data)
+        splits = DatasetSplits(data, data)
         base = convert(model, 8)
         cfg = CalibConfig(timesteps=8, steps=2, batch_size=16, seed=5)
         out, log = apply_stage2(base, model, splits, cfg, "none", rng.split("s2"))
@@ -346,7 +363,7 @@ class TestApplyStage2:
         # weights are frozen in stage 2, so the calibrated network holds the
         # input network's own arrays rather than copies of them
         rng, model, data = _calib_setup(7, dims=(6, 12, 8, 3))
-        splits = DatasetSplits(data, data, data)
+        splits = DatasetSplits(data, data)
         base = convert(model, 8)
         cfg = CalibConfig(timesteps=8, steps=2, batch_size=64, seed=7)
         out, log = apply_stage2(base, model, splits, cfg, "both", rng.split("s2"))
@@ -357,7 +374,7 @@ class TestApplyStage2:
 
     def test_unknown_variant_rejected(self):
         rng, model, data = _calib_setup(6)
-        splits = DatasetSplits(data, data, data)
+        splits = DatasetSplits(data, data)
         with pytest.raises(ValueError, match="variant"):
             apply_stage2(convert(model, 8), model, splits, CalibConfig(timesteps=8),
                          "all", rng)

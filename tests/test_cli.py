@@ -147,7 +147,11 @@ _CORPUS = b"the quick brown fox jumps over the lazy dog; pack my box with five d
 # config when each reported number got one definition: stage_calibrate.json
 # lost its copy of eval's losses and the constant "ablate" field (metrics.json
 # embeds that file), and layer_mse.csv's columns became L_al's own float64
-# terms instead of an MSE of float32 rates.
+# terms instead of an MSE of float32 rates. regressor_rho's calibration.jsonl,
+# errors.csv, layer_mse.csv, metrics.json, threshold_shift.csv and
+# snn_calibrated files were re-recorded when NWC's window began forming its
+# rates as simulate does, counts divided by rho = 3 rather than float32 sums
+# times 1 / 3.
 # A refactor that keeps outputs must keep them all.
 PIPELINE_GOLDEN = {
     "classifier": {
@@ -258,15 +262,15 @@ PIPELINE_GOLDEN = {
         "ann/weights.bin":
             "59c515cf46c522c74ef94996e81c4d88b560a744f1c9e366c9493da8aefe902b",
         "reports/calibration.jsonl":
-            "5c584a19a1a895f340ccfc6e52a8dd6543cd7cf61f7c84f8f02fd3d0a90edabc",
+            "7c2e5be73bf578e78daa9f8faa2dbff5bf7ac713b54e97f7c23abda5a29eccb8",
         "reports/energy.json":
             "3b8f12228650ca725e4936b21ab98fbcd1c59880caf99a9436270fd6fa04274c",
         "reports/errors.csv":
-            "4d9664e1b1d85c8f13b3b5342f146a518ecc60934cb810e689cc301f6e7687ee",
+            "0ed27f9596ef0d1b974e9821d69945328dd1faba3e3565c527da3ab820c33878",
         "reports/layer_mse.csv":
-            "0366e7dff0623a2855ad03c64cdedf96de5ce9e893e81d7070c60905cf90d522",
+            "5b2fb2c04a0d34e6db749d9e19b6e7553798215b0e77b069ac4014cf047f8d97",
         "reports/metrics.json":
-            "f74fe4f2ecc6196f6957894baf937c0e1d22a33f6e025c6f1aa23a0244967ed4",
+            "9e9f2f51457edee68f732fe342df8f3b3398fdd6f7a38eac74efd865e9a70fe6",
         "reports/stage_calibrate.json":
             "0b28414f25f9cb9f63a0708e34ae38976c72c35e843f3eabf2ff07667e7ea9c9",
         "reports/stage_convert.json":
@@ -276,15 +280,15 @@ PIPELINE_GOLDEN = {
         "reports/tau_histogram.csv":
             "a7f357288c11d61b782782ec65844a7390ed3172750a9c0d923547270dd54f0c",
         "reports/threshold_shift.csv":
-            "ba2ee2ff6c552a29b27dddf38c41693c2c8cdc78811aed649d106dde1677854a",
+            "1f362cd5e1284f394d28ef2bdeae49cdb5ac7aa845292f8473f49ba38af5d457",
         "snn/manifest.json":
             "fa5207d787e6a840a21079ba8a3e4f5bf255059886a8864903b6b30e70b764bb",
         "snn/weights.bin":
             "c76cef24c2ef7812bc24c067404b1a48d6e09aa740fc2aa42f36dabfc9173b0e",
         "snn_calibrated/manifest.json":
-            "5869977589b789eeebe27d98e9766934afd6fdbc4ff6048c05ce501616feb014",
+            "866a4b7a0ee86fcfd35bb6ac8fc4a4115853ea7a55bf0049f1adb5a431fe51c2",
         "snn_calibrated/weights.bin":
-            "315749d1901355989fee4e7775f048c78f68c6b403842a5bfaa3cf9e27a557e0",
+            "9e6c5d40849a76d3cb56a26f0015969b504c620e191091df21bc482f042a6f7a",
     },
 }
 
@@ -308,7 +312,7 @@ _GOLDEN_CONFIGS = {
         "dataset": {"kind": "char-lm", "samples": 400, "window": 4, "path": "corpus.txt"},
         "stage1": {"steps": 30, "batch_size": 32, "lr": 0.01},
     },
-    # a partial calibration window: NWC's rates divide by rho = 3, an inexact 1/rho
+    # a partial calibration window of rho = 3 steps, not a power of two
     "regressor_rho": {
         "seed": 6,
         "model": {"kind": "mlp_regressor", "hidden": [12], "levels": 8},

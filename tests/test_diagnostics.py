@@ -169,8 +169,8 @@ class TestTauHistogram:
         rng = Rng(2)
         acts = [rng.uniform(0, 1.5, (33, 7)), rng.uniform(0, 0.5, (33, 5))]
         hist = tau_histogram(acts, [1.5, 0.5], 8)
-        assert hist.total(0) == 33 * 7
-        assert hist.total(1) == 33 * 5
+        assert hist.counts[0].sum() == 33 * 7
+        assert hist.counts[1].sum() == 33 * 5
 
     def test_bad_ceiling(self):
         with pytest.raises(ValueError, match="positive"):

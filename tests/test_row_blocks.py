@@ -40,11 +40,12 @@ def test_row_blocks_cover_the_batch_in_near_equal_blocks():
     assert _sizes(4000, [64, 64]) == [4000]
     # a plain split would leave 256, 256 and 2 rows
     assert _sizes(514, [1024, 96, 1024]) == [172, 171, 171]
+    assert _sizes(1027, [1024]) == [206, 205, 206, 205, 205]
     assert _sizes(1, [1 << 20]) == [1]
     assert _sizes(3, [1 << 20]) == [1, 1, 1]
     assert _sizes(0, [8]) == [0]
     assert _sizes(5, []) == [5]
-    for batch in (1, 255, 257, 1000, 1023):
+    for batch in (1, 255, 257, 1000, 1023, 1026, 1027):
         sizes = _sizes(batch, [1024])
         assert sum(sizes) == batch and max(sizes) <= 256 and max(sizes) - min(sizes) <= 1
 

@@ -9,8 +9,9 @@ from records import record_from_frames
 
 from spikefit.ann import Embedding, Linear, Relu, mlp, qcfs_forward, replace_activations
 from spikefit.calibrate import convert, lwc
-from spikefit.snn import (IfLayer, SimulationError, SnnNetwork, _drive, _rate, _split_stack,
-                          _window_run, if_step, simulate, theoretical_spike_count)
+from spikefit.snn import (IfLayer, SimulationError, SnnNetwork, _count_dtype, _drive, _rate,
+                          _split_stack, _window_run, if_step, simulate,
+                          theoretical_spike_count)
 from spikefit.tensor import Rng
 
 
@@ -351,11 +352,9 @@ class TestCausalPrefix:
 
 
 class TestWindowRate:
-    """Neuron-wise calibration's window rate multiplies the rho-step spike
-    sum by 1 / rho, and simulate's rate divides the counts by T. At
-    rho = T the two agree bit for bit when T is a power of two; at T = 3
-    and 5 they differ in the last bit, in up to 1,794 of these nets' 8,192
-    rates."""
+    """Neuron-wise calibration's window counts its spikes in simulate's
+    count dtype and rates them with simulate's ``_rate``, so at rho = T the
+    two rates are one, bit for bit, at every T."""
 
     @pytest.mark.parametrize("seed", [31, 35, 40])
     @pytest.mark.parametrize("stage", ["convert", "lwc"])
@@ -366,18 +365,13 @@ class TestWindowRate:
         if stage == "lwc":
             net = lwc(net, 0.8, 0.3)
         pairs, _ = _split_stack(net)
-        differing = 0
-        for T in (1, 2, 3, 4, 5, 8, 16):
-            window, _ = _window_run(pairs, _drive(net, x), T)
+        for T in (1, 2, 3, 4, 5, 6, 7, 8, 16):
+            window, (_, _, window_counts) = _window_run(pairs, _drive(net, x), T)
             counts = simulate(net, x, T).counts
-            for (_, layer), got, c in zip(pairs, window, counts):
-                want = _rate(layer.threshold, c, T)
-                if T in (3, 5):
-                    np.testing.assert_array_max_ulp(got, want, maxulp=1)
-                    differing += int((got != want).sum())
-                else:
-                    assert got.tobytes() == want.tobytes()
-        assert differing > 0
+            for (_, layer), got, wc, c in zip(pairs, window, window_counts, counts):
+                assert wc.dtype == _count_dtype(T)
+                assert wc.tobytes() == c.tobytes()
+                assert got.tobytes() == _rate(layer.threshold, c, T).tobytes()
 
 
 class TestFiringRate:
