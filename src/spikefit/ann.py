@@ -265,15 +265,6 @@ def _cross_entropy_head(out: Array, y: Array) -> tuple[float, Array]:
     return -(float(total) * (1.0 / n)), g_ls + ((-g_ls).sum(axis=1, keepdims=True) / se) * e
 
 
-def _mse_head(out: Array, y: Array) -> tuple[float, Array]:
-    """Mean squared error over every output entry, and its gradient wrt out;
-    ``d * d`` sends ``g * d`` back along both of its operands."""
-    d = out - y.astype(out.dtype)
-    total = (d * d).sum()
-    half = out.dtype.type(1.0 / d.size) * d
-    return float(total) * (1.0 / d.size), half + half
-
-
 def _backward(model: AnnModel, fwd: ForwardResult, g: Array) -> dict[str, Array]:
     """Gradients of every trainable array, keyed as in ``param_arrays``, from
     one recorded ``ann_forward`` pass and the gradient ``g`` of its output.
@@ -331,7 +322,6 @@ def train_model(model: AnnModel, data, cfg: TrainConfig, rng: Rng,
     ceilings = {k: p for k, p in params.items() if k.endswith(".ceiling")}
     weights = {k: p for k, p in params.items() if k not in ceilings}
     lr_ceiling = cfg.lr if cfg.lr_ceiling is None else cfg.lr_ceiling
-    head = _mse_head if data.task == "regress" else _cross_entropy_head
 
     state_w = None
     state_c = None
@@ -344,7 +334,7 @@ def train_model(model: AnnModel, data, cfg: TrainConfig, rng: Rng,
         idx = rng.integers(0, n, (min(cfg.batch_size, n),))
         bx, by = data.x[idx], data.y[idx]
         fwd = ann_forward(model, bx)
-        loss_val, g_out = head(fwd.output, by)
+        loss_val, g_out = _cross_entropy_head(fwd.output, by)
         if not np.isfinite(loss_val):
             layer = next((t.layer for t in fwd.traces if not np.all(np.isfinite(t.post))),
                          "output")
@@ -393,12 +383,9 @@ def dataset_loss(model: AnnModel, data) -> float:
     total = 0.0
     for out, by in _scored_batches(model, data):
         out = out.astype(np.float64)
-        if data.task == "regress":
-            total += float(np.sum((out - by) ** 2) / out.shape[1])
-        else:
-            shifted = out - out.max(axis=1, keepdims=True)
-            lse = np.log(np.exp(shifted).sum(axis=1))
-            total += float(np.sum(lse - shifted[np.arange(len(by)), by]))
+        shifted = out - out.max(axis=1, keepdims=True)
+        lse = np.log(np.exp(shifted).sum(axis=1))
+        total += float(np.sum(lse - shifted[np.arange(len(by)), by]))
     return total / max(len(data.x), 1)
 
 

@@ -317,8 +317,6 @@ def snn_predict(snn: SnnNetwork, x: Array, timesteps: int | None = None) -> Arra
 
 def evaluate_snn(snn: SnnNetwork, data, timesteps: int) -> dict:
     out = snn_predict(snn, data.x, timesteps)
-    if data.task == "regress":
-        return {"mse": float(np.mean((out.astype(np.float64) - data.y) ** 2))}
     return {"accuracy": float((out.argmax(axis=1) == data.y).mean())}
 
 

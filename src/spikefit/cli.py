@@ -21,7 +21,7 @@ import sys
 import numpy as np
 
 from . import checkpoint as ckpt
-from .ann import (TrainingDivergedError, ann_forward, accuracy as ann_accuracy, dataset_loss,
+from .ann import (TrainingDivergedError, ann_forward, accuracy as ann_accuracy,
                   replace_activations, stage1_finetune, train_model)
 from .calibrate import (CalibrationError, _align_terms, _record_losses, _teacher_pass,
                         apply_stage2, convert, evaluate_snn)
@@ -81,7 +81,7 @@ def cmd_train(run: _Run) -> None:
     model0, hist0 = train_model(model0, run.splits.train, cfg.stage1,
                                 rng.split("pretrain"), val_data=run.splits.test)
     # the baseline is scored now and dropped before stage 1 starts
-    baseline = {"history": hist0, **_test_score(model0, run.splits.test)}
+    baseline = {"history": hist0, "test_accuracy": ann_accuracy(model0, run.splits.test)}
 
     init_batch = run.splits.train.x[:min(512, len(run.splits.train.x))]
     qcfs_model = replace_activations(model0, cfg.model.levels, init_batch)
@@ -95,15 +95,8 @@ def cmd_train(run: _Run) -> None:
         "seed": cfg.seed,
         "levels": cfg.model.levels,
         "baseline": baseline,
-        "stage1": {"history": hist1, **_test_score(ann1, run.splits.test)},
+        "stage1": {"history": hist1, "test_accuracy": ann_accuracy(ann1, run.splits.test)},
     })
-
-
-def _test_score(model, test) -> dict:
-    """Test accuracy of a classifier, or test MSE of a regressor."""
-    if test.task != "regress":
-        return {"test_accuracy": ann_accuracy(model, test)}
-    return {"test_mse": dataset_loss(model, test)}
 
 
 def cmd_convert(run: _Run) -> None:
@@ -154,11 +147,8 @@ def cmd_eval(run: _Run) -> None:
     }
     results.update(_record_losses(rec, teacher_acts, teacher_logits))
     # the whole split is simulated anew: the tail product's bits vary with batch shape
-    if run.splits.test.task != "regress":
-        results["ann_accuracy"] = ann_accuracy(ann, run.splits.test)
-        results["snn_accuracy"] = evaluate_snn(net, run.splits.test, T)["accuracy"]
-    else:
-        results["snn_mse"] = evaluate_snn(net, run.splits.test, T)["mse"]
+    results["ann_accuracy"] = ann_accuracy(ann, run.splits.test)
+    results["snn_accuracy"] = evaluate_snn(net, run.splits.test, T)["accuracy"]
 
     metrics = {
         "config_hash": run.config_hash,

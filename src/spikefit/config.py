@@ -19,17 +19,20 @@ class ConfigError(ValueError):
     """A config file is missing fields, has unknown keys, or is out of range."""
 
 
+# the model kinds a config may name
+MODEL_KINDS = ("mlp_classifier", "char_lm")
+
+
 @dataclass
 class ModelSpec:
-    kind: str                      # mlp_classifier | mlp_regressor | char_lm
+    kind: str                      # one of MODEL_KINDS
     hidden: list[int] = field(default_factory=lambda: [64, 64])
     levels: int = 8
     embed_dim: int = 16
 
     def __post_init__(self):
-        kinds = ("mlp_classifier", "mlp_regressor", "char_lm")
-        if self.kind not in kinds:
-            raise ValueError(f"unknown model kind {self.kind!r}; choose from {kinds}")
+        if self.kind not in MODEL_KINDS:
+            raise ValueError(f"unknown model kind {self.kind!r}; choose from {MODEL_KINDS}")
         if self.levels < 1:
             raise ValueError(f"levels must be >= 1, got {self.levels}")
         if not self.hidden:
@@ -86,9 +89,9 @@ def _section(raw: dict, name: str, required: bool) -> dict:
 
 
 # the config's sections: name, class, whether the file must give it, and the
-# keys it may not set (model.kind sets the task; the run's seed is stage 2's)
+# keys it may not set (the run's seed is stage 2's)
 _SECTIONS = (("model", ModelSpec, True, ()),
-             ("dataset", DataSpec, True, ("task",)),
+             ("dataset", DataSpec, True, ()),
              ("stage1", TrainConfig, False, ()),
              ("stage2", CalibConfig, False, ("seed",)))
 
@@ -129,8 +132,6 @@ def parse_config(path: str) -> ExperimentConfig:
         raise ConfigError("model.kind char_lm requires dataset.kind char-lm")
     if model.kind != "char_lm" and dataset.kind == "char-lm":
         raise ConfigError(f"dataset.kind char-lm requires model.kind char_lm, got {model.kind}")
-    if model.kind == "mlp_regressor":
-        dataset.task = "regress"
     if dataset.kind == "char-lm" and dataset.path is not None and not os.path.exists(dataset.path):
         raise ConfigError(f"dataset.path does not exist: {dataset.path}")
 
@@ -151,6 +152,5 @@ def build_model(cfg: ExperimentConfig, rng: Rng):
     if cfg.model.kind == "char_lm":
         return char_lm(256, cfg.dataset.window, cfg.model.embed_dim,
                        list(cfg.model.hidden), rng)
-    out_dim = cfg.dataset.classes
-    dims = [cfg.dataset.input_dim] + list(cfg.model.hidden) + [out_dim]
+    dims = [cfg.dataset.input_dim] + list(cfg.model.hidden) + [cfg.dataset.classes]
     return mlp(dims, rng)

@@ -14,8 +14,7 @@ from .tensor import Array, Rng
 @dataclass
 class Dataset:
     x: Array
-    y: Array
-    task: str  # "classify" | "regress" | "lm"
+    y: Array  # class labels, or next-token bytes for char-lm
 
 
 @dataclass
@@ -30,7 +29,6 @@ class DataSpec:
     samples: int = 10000
     input_dim: int = 8
     classes: int = 4
-    task: str = "classify"        # synthetic-teacher also supports "regress"
     teacher_hidden: list[int] = field(default_factory=lambda: [32])
     path: str | None = None       # char-lm corpus file
     window: int = 8
@@ -47,28 +45,25 @@ class DataSpec:
                              f"teacher_hidden={self.teacher_hidden}")
 
 
-def _split(x: Array, y: Array, task: str, rng: Rng) -> DatasetSplits:
+def _split(x: Array, y: Array, rng: Rng) -> DatasetSplits:
     """Shuffled 90/10 train/test split; calibration reads the training split."""
     n = len(x)
     perm = rng.permutation(n)
     n_test = max(1, n // 10)
     test_idx, train_idx = perm[:n_test], perm[n_test:]
-    train = Dataset(x[train_idx], y[train_idx], task)
-    test = Dataset(x[test_idx], y[test_idx], task)
-    return DatasetSplits(train=train, test=test)
+    return DatasetSplits(train=Dataset(x[train_idx], y[train_idx]),
+                         test=Dataset(x[test_idx], y[test_idx]))
 
 
-def _synthetic_teacher(spec: DataSpec, rng: Rng) -> tuple[Array, Array, str]:
+def _synthetic_teacher(spec: DataSpec, rng: Rng) -> tuple[Array, Array]:
     x = rng.split("x").normal(0.0, 1.0, (spec.samples, spec.input_dim))
-    out_dim = spec.classes
-    teacher = mlp([spec.input_dim] + list(spec.teacher_hidden) + [out_dim], rng.split("teacher"))
+    dims = [spec.input_dim] + list(spec.teacher_hidden) + [spec.classes]
+    teacher = mlp(dims, rng.split("teacher"))
     logits = ann_forward(teacher, x, record=False).output
-    if spec.task == "regress":
-        return x, logits.astype(np.float32), "regress"
-    return x, logits.argmax(axis=1).astype(np.int64), "classify"
+    return x, logits.argmax(axis=1).astype(np.int64)
 
 
-def _char_lm(spec: DataSpec, rng: Rng) -> tuple[Array, Array, str]:
+def _char_lm(spec: DataSpec, rng: Rng) -> tuple[Array, Array]:
     if spec.path is None:
         raise ValueError("char-lm dataset needs a corpus path")
     if not os.path.exists(spec.path):
@@ -85,13 +80,13 @@ def _char_lm(spec: DataSpec, rng: Rng) -> tuple[Array, Array, str]:
     n = min(n, spec.samples)
     x = np.lib.stride_tricks.sliding_window_view(tokens, spec.window)[:n].copy()
     y = tokens[spec.window:spec.window + n]
-    return x, y, "lm"
+    return x, y
 
 
 def make_dataset(spec: DataSpec, rng: Rng) -> DatasetSplits:
-    """Build (train, calib, test); deterministic for a given spec and seed."""
+    """Build the (train, test) splits; deterministic for a given spec and seed."""
     if spec.kind == "synthetic-teacher":
-        x, y, task = _synthetic_teacher(spec, rng)
+        x, y = _synthetic_teacher(spec, rng)
     else:
-        x, y, task = _char_lm(spec, rng)
-    return _split(x, y, task, rng.split("split"))
+        x, y = _char_lm(spec, rng)
+    return _split(x, y, rng.split("split"))

@@ -412,12 +412,12 @@ def _window_grads(pairs, record: tuple, g_rate: list[Array]) -> list[tuple[Array
     on axis 0, which it overwrites. Only the last lane crosses layers,
     through ``g @ W.T``."""
     spikes, windows, counts = record
-    inv_denom = 1.0 / len(windows)
-    # g_rate / rho, formed in place, times the spike counts seeds theta's
-    # adjoint; times theta, it is each spike's
+    rho = len(windows)
+    # g_rate / rho, formed in place as _rate divides, times the spike counts
+    # seeds theta's adjoint; times theta, it is each spike's
     acc = []
     for j, g in enumerate(g_rate):
-        g *= inv_denom
+        g /= g.dtype.type(rho)
         acc.append(g * counts[j])
         g *= pairs[j][1].threshold
     # g_u is the adjoint of the post-reset potential

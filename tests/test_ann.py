@@ -113,7 +113,7 @@ def _teacher_data(rng: Rng, n=2000, d=6, classes=3):
     x = rng.split("x").normal(0, 1, (n, d))
     teacher = mlp([d, 16, classes], rng.split("teacher"))
     y = ann_forward(teacher, x, record=False).output.argmax(axis=1).astype(np.int64)
-    return Dataset(x, y, "classify")
+    return Dataset(x, y)
 
 
 class TestAnnForward:
@@ -156,7 +156,7 @@ class TestAnnForward:
         # were measured
         model = mlp([8, 512, 512, 512, 4], Rng(0))
         rng = Rng(1)
-        data = Dataset(rng.normal(0, 1, (1000, 8)), rng.integers(0, 4, (1000,)), "classify")
+        data = Dataset(rng.normal(0, 1, (1000, 8)), rng.integers(0, 4, (1000,)))
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
@@ -289,7 +289,7 @@ class TestNoReferenceCycles:
     def test_training_step(self):
         model = self._model()
         rng = Rng(7)
-        data = Dataset(rng.normal(0, 1, (16, 4)), rng.integers(0, 2, (16,)), "classify")
+        data = Dataset(rng.normal(0, 1, (16, 4)), rng.integers(0, 2, (16,)))
 
         def step():
             train_model(model, data, TrainConfig(steps=2, batch_size=8), Rng(8), data)

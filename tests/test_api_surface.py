@@ -17,7 +17,7 @@ from pathlib import Path
 import spikefit
 from spikefit import cli
 
-SETTABLE_VALUES = 51
+SETTABLE_VALUES = 50
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:

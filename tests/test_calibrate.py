@@ -193,7 +193,7 @@ def _calib_setup(seed, dims=(6, 12, 3)):
     model = _staircase_mlp(rng.split("model"), dims=dims)
     res = ann_forward(model, data_x, record=False)
     labels = res.output.argmax(axis=1).astype(np.int64)
-    data = Dataset(data_x, labels, "classify")
+    data = Dataset(data_x, labels)
     return rng, model, data
 
 
@@ -210,7 +210,7 @@ class TestNwc:
         # biased start (paper-style layer scaling), full-batch steps
         for seed in (0, 1, 2):
             rng, model, data = _calib_setup(seed)
-            fixed = Dataset(data.x[:128], data.y[:128], "classify")
+            fixed = Dataset(data.x[:128], data.y[:128])
             net = lwc(convert(model, 8), 0.6, 0.1)
             cfg = CalibConfig(timesteps=8, steps=50, batch_size=128, lr=0.01, seed=seed)
             out, log = nwc_calibrate(net, model, fixed, cfg, rng.split("nwc"))
@@ -273,7 +273,7 @@ class TestNwc:
 
     def test_fixed_batch_teacher_runs_once(self, monkeypatch):
         rng, model, data = _calib_setup(6)
-        fixed = Dataset(data.x[:64], data.y[:64], "classify")
+        fixed = Dataset(data.x[:64], data.y[:64])
         calls = []
         real = calibrate.ann_forward
 
@@ -297,7 +297,7 @@ class TestNwc:
     def test_nan_teacher_aborts(self):
         rng, model, data = _calib_setup(2)
         net = convert(model, 8)
-        bad = Dataset(np.full_like(data.x, np.nan), data.y, "classify")
+        bad = Dataset(np.full_like(data.x, np.nan), data.y)
         cfg = CalibConfig(timesteps=8, steps=2, batch_size=16, seed=2)
         with pytest.raises((CalibrationError, ValueError)):
             nwc_calibrate(net, model, bad, cfg, rng.split("nwc"))

@@ -14,7 +14,7 @@ from spikefit import cli
 from spikefit.ann import TrainingDivergedError
 from spikefit.calibrate import CalibrationError, eval_losses
 from spikefit.checkpoint import IntegrityError, load_checkpoint
-from spikefit.config import ConfigError, parse_config
+from spikefit.config import MODEL_KINDS, ConfigError, parse_config
 from spikefit.data import make_dataset
 from spikefit.snn import SimulationError
 from spikefit.tensor import Rng
@@ -141,17 +141,17 @@ _CORPUS = b"the quick brown fox jumps over the lazy dog; pack my box with five d
 # hashes were recorded before stage-1 training left the autodiff tape; the rest
 # before the spike-to-rate paths were merged into one, except
 # stage_calibrate.json and metrics.json, re-recorded when the denominator mode
-# left stage 2 and output_cosine stopped using BLAS, and every regressor_rho
-# hash, re-recorded when that config dropped the denominator and alpha "auto".
+# left stage 2 and output_cosine stopped using BLAS.
 # stage_calibrate.json, metrics.json and layer_mse.csv were re-recorded in every
 # config when each reported number got one definition: stage_calibrate.json
 # lost its copy of eval's losses and the constant "ablate" field (metrics.json
 # embeds that file), and layer_mse.csv's columns became L_al's own float64
-# terms instead of an MSE of float32 rates. regressor_rho's calibration.jsonl,
-# errors.csv, layer_mse.csv, metrics.json, threshold_shift.csv and
-# snn_calibrated files were re-recorded when NWC's window began forming its
-# rates as simulate does, counts divided by rho = 3 rather than float32 sums
-# times 1 / 3.
+# terms instead of an MSE of float32 rates.
+# Every classifier_rho hash was recorded when the regression task was deleted:
+# this config, the one golden with T = 6 and a rho = 3 window, moved from a
+# regressor to a classifier, and in the same change NWC's reverse sweep began
+# dividing its rate adjoint by rho, as _rate divides its counts, instead of
+# multiplying it by a rounded 1 / rho.
 # A refactor that keeps outputs must keep them all.
 PIPELINE_GOLDEN = {
     "classifier": {
@@ -188,40 +188,6 @@ PIPELINE_GOLDEN = {
         "snn_calibrated/weights.bin":
             "87202e11dcf7bc56d7b4801d5a3d971c993cf115ac974f441b71db60faf17598",
     },
-    "regressor": {
-        "ann/manifest.json":
-            "929fefe6d43dd1bcd2651e64aebd08f438ce65a937b9372b8d6b06aa63c7975d",
-        "ann/weights.bin":
-            "59c515cf46c522c74ef94996e81c4d88b560a744f1c9e366c9493da8aefe902b",
-        "reports/calibration.jsonl":
-            "c00eb1eaee9818cc295f6167e388724161b562733ebb3de47482ec6442739704",
-        "reports/energy.json":
-            "9a9d3e4b9c43b2c4006861a45d7fd7c923c3c728f16d15fd373874ecf6196deb",
-        "reports/errors.csv":
-            "3cec6a6951ab6a039a8108c0115a8fc07a3405b12bd69415d2e80dfc822494ac",
-        "reports/layer_mse.csv":
-            "c1620877395999a18fa0b2c391702c7c2620da9bb668f63aa113593b703e4985",
-        "reports/metrics.json":
-            "204c210e8e884a2b53c19e7e571a50baa4765452927b6fb3bffffbfe66618240",
-        "reports/stage_calibrate.json":
-            "b8cfce2a90d460e8abb11af8d684d15326333032902d31157f5786899f252d21",
-        "reports/stage_convert.json":
-            "7776510435069a48641db4386bd279fc173f89915596f0cfe9bcfd9c0fc66703",
-        "reports/stage_train.json":
-            "00a54783e7d2589da3e07b61fee314fc18db9bc0271dc0325f5738dee5fff418",
-        "reports/tau_histogram.csv":
-            "1ced7180996fde731b67c43792567d40b6d8a982f6c0e563ada3c068971fcc1b",
-        "reports/threshold_shift.csv":
-            "8947cb1e98e314f63a204c8bcfe3b57a5346430da788028a23281747999be86f",
-        "snn/manifest.json":
-            "458291980af651f0ecf7efd8d5bb0cec13542afac6f990b8b81a723430c33df7",
-        "snn/weights.bin":
-            "c76cef24c2ef7812bc24c067404b1a48d6e09aa740fc2aa42f36dabfc9173b0e",
-        "snn_calibrated/manifest.json":
-            "5e45fa77336a7972e163bce88fba2f8dd6ae1cc22a2e789011e8c6e36ad669bc",
-        "snn_calibrated/weights.bin":
-            "00dd10ec6c0ab052085da862f6e5d28960a9516cb037f03b31b70d9079b35f76",
-    },
     "char_lm": {
         "ann/manifest.json":
             "f957c05666dfc8cc59181cb878538ac42efcaffe45b3a834a6e1a26ca4eff9c1",
@@ -256,39 +222,39 @@ PIPELINE_GOLDEN = {
         "snn_calibrated/weights.bin":
             "a63effb65238f534433385a89e440232821189f896d9293749d6e5a2db6c8802",
     },
-    "regressor_rho": {
+    "classifier_rho": {
         "ann/manifest.json":
-            "929fefe6d43dd1bcd2651e64aebd08f438ce65a937b9372b8d6b06aa63c7975d",
+            "72eda27315085f3ac0966a82352638e71c49b395079c3f01a3558471f5e71f43",
         "ann/weights.bin":
-            "59c515cf46c522c74ef94996e81c4d88b560a744f1c9e366c9493da8aefe902b",
+            "28ee46dca26222b920b88a750c74cd6bddc61123e84c5f2a05e1fcf367ed2675",
         "reports/calibration.jsonl":
-            "7c2e5be73bf578e78daa9f8faa2dbff5bf7ac713b54e97f7c23abda5a29eccb8",
+            "0c944cc682568474904fb7fcb45e4aae86a82c99ad385d7ea054b8ff6927cee5",
         "reports/energy.json":
-            "3b8f12228650ca725e4936b21ab98fbcd1c59880caf99a9436270fd6fa04274c",
+            "537e42076a39cc160afe45e6a6610d41154cbd87064ad8127ab5060884ade72e",
         "reports/errors.csv":
-            "0ed27f9596ef0d1b974e9821d69945328dd1faba3e3565c527da3ab820c33878",
+            "80a086a3c6c0fa8eed57a6aa0eeb44900809abf45e5f6aae50caad2de7250fcb",
         "reports/layer_mse.csv":
-            "5b2fb2c04a0d34e6db749d9e19b6e7553798215b0e77b069ac4014cf047f8d97",
+            "0484819459502f3b0a715be5cf863e58cdf40944c38a39cbcb2190271cf5ffe1",
         "reports/metrics.json":
-            "9e9f2f51457edee68f732fe342df8f3b3398fdd6f7a38eac74efd865e9a70fe6",
+            "4e537958acf1b64a86b0c51473ce3b09e2127ed37238501fa678f96c5c2385f6",
         "reports/stage_calibrate.json":
-            "0b28414f25f9cb9f63a0708e34ae38976c72c35e843f3eabf2ff07667e7ea9c9",
+            "3e3338271c273d705cdcc01c95a07a0162e10ca526843b388c11c19a2e28d66f",
         "reports/stage_convert.json":
-            "6d8d3839e71b1b430b971cc68e291c117b13043c980cc618a6fb8de16e1717d4",
+            "671a370cccbc2cdf5705ef043fb8b01a09c5bfe5b52efb5d232909ed494229f8",
         "reports/stage_train.json":
-            "8e1077dd2ea6b13325dc1be6ec5d33e10293742f4bc3b370d2eb90bcf59a4e7a",
+            "0e9f6a5554990519fb1ab6fd44d1f93e0b0f414e5979619be4c918973c2479ba",
         "reports/tau_histogram.csv":
-            "a7f357288c11d61b782782ec65844a7390ed3172750a9c0d923547270dd54f0c",
+            "bc0048579f28820f00edf3b9770f9ed963e878c9259dd97ae7a6c87351bcf5bf",
         "reports/threshold_shift.csv":
-            "1f362cd5e1284f394d28ef2bdeae49cdb5ac7aa845292f8473f49ba38af5d457",
+            "d13a413d4be2ca422b6c071aa4882327df7488e9a67844635fb08d15b4235a97",
         "snn/manifest.json":
-            "fa5207d787e6a840a21079ba8a3e4f5bf255059886a8864903b6b30e70b764bb",
+            "240869f8b27101e83862dd1fbfba5491a61f3b6e2f76e94af482835ae87ad836",
         "snn/weights.bin":
-            "c76cef24c2ef7812bc24c067404b1a48d6e09aa740fc2aa42f36dabfc9173b0e",
+            "a0f04e39bbe565579a0be6b5a84959a44a1798cc335435485b77e46d9275dc8f",
         "snn_calibrated/manifest.json":
-            "866a4b7a0ee86fcfd35bb6ac8fc4a4115853ea7a55bf0049f1adb5a431fe51c2",
+            "ce39e7f0942daf2b201c37c8b7489d984adaaeeb3a7caf41dbea4990ee66ff55",
         "snn_calibrated/weights.bin":
-            "9e6c5d40849a76d3cb56a26f0015969b504c620e191091df21bc482f042a6f7a",
+            "9dc448ad72bade37d4223d5142738d55db916f3272d75417705808c556016a07",
     },
 }
 
@@ -300,12 +266,6 @@ _GOLDEN_CONFIGS = {
         "stage1": {"steps": 40, "batch_size": 32, "lr": 0.01, "lr_ceiling": 0.05,
                    "weight_decay": 0.001},
     },
-    "regressor": {
-        "seed": 6,
-        "model": {"kind": "mlp_regressor", "hidden": [12], "levels": 8},
-        "dataset": {"kind": "synthetic-teacher", "samples": 300, "classes": 3},
-        "stage1": {"steps": 40, "batch_size": 32, "lr": 0.005},
-    },
     "char_lm": {
         "seed": 7,
         "model": {"kind": "char_lm", "hidden": [16], "levels": 4, "embed_dim": 4},
@@ -313,9 +273,9 @@ _GOLDEN_CONFIGS = {
         "stage1": {"steps": 30, "batch_size": 32, "lr": 0.01},
     },
     # a partial calibration window of rho = 3 steps, not a power of two
-    "regressor_rho": {
+    "classifier_rho": {
         "seed": 6,
-        "model": {"kind": "mlp_regressor", "hidden": [12], "levels": 8},
+        "model": {"kind": "mlp_classifier", "hidden": [12], "levels": 8},
         "dataset": {"kind": "synthetic-teacher", "samples": 300, "classes": 3},
         "stage1": {"steps": 40, "batch_size": 32, "lr": 0.005},
         "stage2": {"timesteps": 6, "rho": 3},
@@ -330,6 +290,11 @@ def _sha256_tree(root) -> dict[str, str]:
 def _write_golden_config(directory, name) -> None:
     (directory / "corpus.txt").write_bytes(_CORPUS)
     (directory / "config.json").write_text(json.dumps(_GOLDEN_CONFIGS[name], sort_keys=True))
+
+
+def test_every_model_kind_has_a_golden():
+    kinds = {raw["model"]["kind"] for raw in _GOLDEN_CONFIGS.values()}
+    assert kinds == set(MODEL_KINDS)
 
 
 @pytest.mark.parametrize("name", sorted(_GOLDEN_CONFIGS))

@@ -3,6 +3,7 @@ import re
 
 import pytest
 
+from spikefit import cli
 from spikefit.config import ConfigError, parse_config
 
 
@@ -98,10 +99,18 @@ def test_missing_file(tmp_path):
         parse_config(str(tmp_path / "absent.json"))
 
 
-def test_mlp_regressor_forces_regression(tmp_path):
-    raw = _with("model", "kind", "mlp_regressor")
-    cfg = parse_config(_write(tmp_path, raw))
-    assert cfg.dataset.task == "regress"
+def test_regression_configs_are_refused(tmp_path, capsys):
+    regressor = _with("model", "kind", "mlp_regressor")
+    with pytest.raises(ConfigError, match=re.escape(
+            "model: unknown model kind 'mlp_regressor'; "
+            "choose from ('mlp_classifier', 'char_lm')")):
+        parse_config(_write(tmp_path, regressor))
+    for raw in (regressor, _with("dataset", "task", "regress")):
+        config = _write(tmp_path, raw)
+        assert cli.main(["train", "--config", config, "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: "), raw
+    assert not (tmp_path / "out").exists()
 
 
 def test_defaults_pin_rho_to_the_horizon(tmp_path):

@@ -283,12 +283,13 @@ GOLDEN_CASES = [
 # sha256 over the losses and gradients of one step, recorded from the
 # hand-written forward loop that preceded the shared IF recurrence; rho5
 # re-recorded when the window's rates became simulate's, counts divided by
-# rho rather than float32 sums times 1 / rho, which is inexact at rho = 5
+# rho rather than float32 sums times 1 / rho, which is inexact at rho = 5,
+# and again when the reverse sweep began dividing the rate adjoint by rho too
 NWC_GOLDEN = {
     "T1": "9d62fdac9a224bba530dc0bca31786c55d8a7a5ccc4d6c35ba8ff327b3160d05",
     "T2": "bcc64cc850b7b944e218e9a1d2c621e6df4026a3e6fce17d5e6727a2ff6769b0",
     "T8": "cfaf3fe61f9226c000e8a61de9626dff39e2f5410d525c7b112b3faeb34f47a7",
-    "rho5": "a9ba8e5d706a32d769ccf0bf709d5302f8613afc83a023cab9b2ca0330fc0045",
+    "rho5": "88e5fbdd5387b8174fb7d358c84fc5f5b5cfc9944403b1d9edd050518ba304f0",
     "if_tail": "b1c6f6e7ae74c1cb78a34e11e78185d72a764007b484b5cf38d2c8ab5616a116",
     "embed": "f674eb8b4ef6cb9fa1b0393634b2441a8047b4f16c840343a1ec3889e1ad26ec",
     "one_layer": "12deda630ed106add460e473bd535f52b456bb648c401ed17a9ebc7f2010b181",

@@ -10,7 +10,7 @@ import pytest
 
 from spikefit import autodiff as ad
 from spikefit.ann import (AnnModel, Embedding, Linear, Relu, TrainConfig, _backward,
-                          _cross_entropy_head, _mse_head, ann_forward, char_lm, mlp,
+                          _cross_entropy_head, ann_forward, char_lm, mlp,
                           param_arrays, replace_activations, train_model)
 from spikefit.autodiff import Var, _unbroadcast, record_op
 from spikefit.data import Dataset
@@ -62,9 +62,7 @@ def forward_on_tape(model: AnnModel, params: dict[str, Var], x):
     return h
 
 
-def loss_on_tape(output: Var, y, task: str) -> Var:
-    if task == "regress":
-        return ad.mse(output, y.astype(output.value.dtype))
+def loss_on_tape(output: Var, y) -> Var:
     onehot = np.eye(output.value.shape[1], dtype=output.value.dtype)[y]
     return ad.softmax_cross_entropy(output, onehot)
 
@@ -73,10 +71,10 @@ def float32_params(model):
     return {k: np.array(v, dtype=np.float32) for k, v in param_arrays(model).items()}
 
 
-def tape_step(model, params, x, y, task):
+def tape_step(model, params, x, y):
     tape = ad.Tape()
     tvars = {k: tape.leaf(v) for k, v in params.items()}
-    loss = loss_on_tape(forward_on_tape(model, tvars, x), y, task)
+    loss = loss_on_tape(forward_on_tape(model, tvars, x), y)
     grads = ad.backward(tape, loss)
     return float(loss.value), {k: grads.wrt(v) for k, v in tvars.items()}
 
@@ -91,7 +89,7 @@ def tape_train(model, data, cfg, rng):
     n = len(data.x)
     for _ in range(cfg.steps):
         idx = rng.integers(0, n, (min(cfg.batch_size, n),))
-        _, grads = tape_step(model, params, data.x[idx], data.y[idx], data.task)
+        _, grads = tape_step(model, params, data.x[idx], data.y[idx])
         _, state_w = ad.adam_step(weights, grads, state_w, cfg.lr,
                                   weight_decay=cfg.weight_decay)
         if ceilings:
@@ -101,10 +99,9 @@ def tape_train(model, data, cfg, rng):
     return params
 
 
-def hand_step(model, x, y, task):
+def hand_step(model, x, y):
     fwd = ann_forward(model, x)
-    head = _mse_head if task == "regress" else _cross_entropy_head
-    loss, g = head(fwd.output, y)
+    loss, g = _cross_entropy_head(fwd.output, y)
     return loss, _backward(model, fwd, g)
 
 
@@ -125,7 +122,7 @@ def _case(name, seed, dtype):
         model = _staircase(char_lm(5, 3, 4, [10], rng.split("m")),
                            rng.split("t").integers(0, 5, (64, 3)))
         x = rng.split("tokens").integers(0, 5, (24, 3))
-        return model, x, rng.split("y").integers(0, 5, (24,)), "lm"
+        return model, x, rng.split("y").integers(0, 5, (24,))
     dims = [6, 12, 10, 3]
     if name == "relu":
         model = mlp(dims, rng.split("m"))
@@ -134,11 +131,7 @@ def _case(name, seed, dtype):
     else:  # two linear maps back to back, then a staircase
         first = mlp([6, 9], rng.split("a")).layers
         model = _staircase(AnnModel(first + mlp([9, 12, 3], rng.split("m")).layers), x)
-    if seed % 2:
-        task, y = "regress", rng.split("y").normal(0, 1, (24, 3))
-    else:
-        task, y = "classify", rng.split("y").integers(0, 3, (24,))
-    return model, x, y, task
+    return model, x, rng.split("y").integers(0, 3, (24,))
 
 
 CASES = ["relu", "qcfs", "linear_linear", "char_lm"]
@@ -148,9 +141,9 @@ CASES = ["relu", "qcfs", "linear_linear", "char_lm"]
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
 @pytest.mark.parametrize("name", CASES)
 def test_gradients_equal_the_tape(name, seed, dtype):
-    model, x, y, task = _case(name, seed, dtype)
-    want_loss, want = tape_step(model, float32_params(model), x, y, task)
-    got_loss, got = hand_step(model, x, y, task)
+    model, x, y = _case(name, seed, dtype)
+    want_loss, want = tape_step(model, float32_params(model), x, y)
+    got_loss, got = hand_step(model, x, y)
     assert got_loss == want_loss
     assert sorted(got) == sorted(want)
     for k in want:
@@ -160,31 +153,27 @@ def test_gradients_equal_the_tape(name, seed, dtype):
 
 
 def test_cases_reach_every_branch():
-    """The cases above cover both heads, the clip at both ends of each
-    staircase, repeated tokens and a float64 forward pass."""
-    model, x, _, _ = _case("qcfs", 0, np.float64)
+    """The cases above cover the clip at both ends of each staircase,
+    repeated tokens and a float64 forward pass."""
+    model, x, _ = _case("qcfs", 0, np.float64)
     traces = ann_forward(model, x).traces
     assert traces[0].post.dtype == np.float64
     for t in traces:
         assert (t.post == 0).any() and (t.post == t.ceiling).any()
         assert ((t.post > 0) & (t.post < t.ceiling)).any()
-    assert {_case("relu", s, np.float32)[3] for s in (0, 1)} == {"classify", "regress"}
     tokens = _case("char_lm", 0, np.float32)[1]
     assert len(np.unique(tokens)) < tokens.size
 
 
-@pytest.mark.parametrize("task", ["classify", "regress"])
-def test_heads_equal_the_tape(task):
+def test_head_equals_the_tape():
     rng = Rng(9)
     out = rng.split("out").normal(0, 3, (32, 5))
-    y = (rng.split("y").integers(0, 5, (32,)) if task == "classify"
-         else rng.split("y").normal(0, 1, (32, 5)))
+    y = rng.split("y").integers(0, 5, (32,))
     tape = ad.Tape()
     leaf = tape.leaf(out)
-    loss = loss_on_tape(leaf, y, task)
+    loss = loss_on_tape(leaf, y)
     want = ad.backward(tape, loss).wrt(leaf)
-    head = _mse_head if task == "regress" else _cross_entropy_head
-    got_loss, got = head(out, y)
+    got_loss, got = _cross_entropy_head(out, y)
     assert got_loss == float(loss.value)
     assert got.dtype == want.dtype and np.array_equal(got, want)
 
@@ -196,8 +185,8 @@ def test_heads_equal_the_tape(task):
     ("char_lm", np.float32, 0.0),
 ])
 def test_training_equals_the_tape_loop(name, dtype, weight_decay):
-    model, x, y, task = _case(name, 0, dtype)
-    data = Dataset(x, y, task)
+    model, x, y = _case(name, 0, dtype)
+    data = Dataset(x, y)
     cfg = TrainConfig(steps=15, batch_size=8, lr=0.02, lr_ceiling=0.1,
                       weight_decay=weight_decay)
     want = tape_train(model, data, cfg, Rng(4))
@@ -215,6 +204,6 @@ def test_training_records_nothing_on_the_tape(monkeypatch):
 
     monkeypatch.setattr(ad.Tape, "__init__", refuse)
     monkeypatch.setattr(ad, "backward", refuse)
-    model, x, y, task = _case("qcfs", 0, np.float32)
-    data = Dataset(x, y, task)
+    model, x, y = _case("qcfs", 0, np.float32)
+    data = Dataset(x, y)
     train_model(model, data, TrainConfig(steps=3, batch_size=8), Rng(1), data)
