@@ -4,8 +4,8 @@ first per layer (closed-form scaling) and then per neuron (gradient descent
 with weights frozen). The per-neuron gradients come from ``snn``'s unrolled
 window of the simulation's own IF recurrence and that window's reverse
 sweep, not from the autodiff tape: this module compares the window's rates
-with the teacher's and seeds the sweep; ``_nwc_bptt`` states what each loss
-contributes."""
+with the teacher's and seeds the sweep with each loss's gradient by the
+rates; ``_nwc_bptt`` states what each loss contributes."""
 
 from __future__ import annotations
 
@@ -177,17 +177,18 @@ def _nwc_bptt(pairs, tail, drive: Array, teacher_acts, teacher_logits, rho: int)
     carries between layers detached, so each layer's parameters receive the
     gradient of that layer's own ``L_al`` term (the membrane recurrence
     within the layer stays differentiable); the logits loss is differentiated
-    through the whole chain, carries included. The step minimizes
-    ``L_all = L_al + L_logits``, so the gradient is the sum of the two.
+    through the whole chain, carries included, from the last layer's rates
+    down. The step minimizes ``L_all = L_al + L_logits``, so the gradient is
+    the sum of the two.
     """
-    losses, record, g_rate = _nwc_forward(pairs, tail, drive, teacher_acts, teacher_logits, rho)
-    return losses, _nwc_reverse(pairs, record, g_rate)
+    losses, record, seeds = _nwc_forward(pairs, tail, drive, teacher_acts, teacher_logits, rho)
+    return losses, _nwc_reverse(pairs, record, seeds)
 
 
 def _nwc_forward(pairs, tail, drive: Array, teacher_acts, teacher_logits, rho: int):
     """The forward pass of ``_nwc_bptt``: the losses of ``snn._window_run``'s
-    rates, its record, and per layer each loss's gradient by the rate,
-    stacked as (2, batch, width) over the alignment and logits lanes."""
+    rates, its record, and each loss's gradient by the rates: the alignment
+    loss's per layer, and the logits loss's by the last layer's alone."""
     n_layers = len(pairs)
     rates, record = _window_run(pairs, drive, rho)
     diffs = [rates[j] - teacher_acts[j] for j in range(n_layers)]
@@ -198,20 +199,19 @@ def _nwc_forward(pairs, tail, drive: Array, teacher_acts, teacher_logits, rho: i
     # sweep starts with little more than the record
     del rates, out
 
-    align_seeds = [np.float32(2.0 / d.size) * d for d in diffs]
+    g_align = [np.float32(2.0 / d.size) * d for d in diffs]
     del diffs
-    kd_seeds = [np.zeros_like(s) for s in align_seeds[:-1]]
-    kd_seeds.append(g_out if tail is None else g_out @ tail.w.T)
-    g_rate = [np.stack(seeds) for seeds in zip(align_seeds, kd_seeds)]
+    g_logits = g_out if tail is None else g_out @ tail.w.T
     losses = {"L_al": l_align, "L_logits": l_kd, "L_all": l_align + l_kd}
-    return losses, record, g_rate
+    return losses, record, (g_align, g_logits)
 
 
-def _nwc_reverse(pairs, record, g_rate) -> dict:
-    """The reverse sweep of ``_nwc_bptt``, ``snn._window_grads``: alignment
-    lane 0 never crosses layers, and logits lane 1 does."""
+def _nwc_reverse(pairs, record, seeds) -> dict:
+    """The reverse sweep of ``_nwc_bptt``, ``snn._window_grads``, from the
+    alignment seeds, which stay in their layers, and the logits seed, which
+    crosses every carry below the last layer."""
     grads = {}
-    for j, (g_theta, g_v) in enumerate(_window_grads(pairs, record, g_rate)):
+    for j, (g_theta, g_v) in enumerate(_window_grads(pairs, record, *seeds)):
         grads[f"if{j}.threshold"], grads[f"if{j}.v_init"] = g_theta, g_v
     return grads
 

@@ -2,11 +2,12 @@
 per-neuron thresholds and initial potentials, spike recording, and rate math.
 
 This is the IF neuron's one home: its step ``if_step``, its surrogate
-window, the step's local derivatives (``_pre_reset_window``,
-``_if_step_grads``, ``_if_param_grads``), and neuron-wise calibration's
-unrolled window, ``_window_run``, with its reverse sweep, ``_window_grads``.
-A change to the neuron edits these and no other module. Ties (potential
-exactly at threshold) fire; membrane potentials may go negative.
+window and that window at a step's pre-reset potential
+(``_pre_reset_window``), and neuron-wise calibration's unrolled window,
+``_window_run``, with its reverse sweep, ``_window_grads``, which holds the
+step's local derivatives in reset form. A change to the neuron edits these
+and no other module. Ties (potential exactly at threshold) fire; membrane
+potentials may go negative.
 
 A spiking network is plain data: linear and IF layers in turn, with an
 optional trailing linear, an order and widths checked once, when the
@@ -139,36 +140,9 @@ def _pre_reset_window(layer: IfLayer, v: Array, out: Array) -> Array:
     ``layer`` that left ``v`` and returned ``out``, which is ``v + out`` bit
     for bit: out is 0 where nothing fired; v - theta is exact for theta <= v
     <= 2 theta (Sterbenz), so adding theta back restores v; above 2 theta
-    both forms lie outside the window. ``simulate`` never calls it."""
+    both forms lie outside the window. ``_window_run`` records it for
+    ``_window_grads``; ``simulate`` never calls it."""
     return _surrogate_window(v + out, layer.threshold)
-
-
-def _if_step_grads(layer: IfLayer, spikes: Array, window: Array, g_v: Array, g_s: Array,
-                   g_out: Array | None, g_theta: Array) -> None:
-    """The reverse of one ``if_step`` of ``layer``, in place, on adjoints
-    stacked over lanes on axis 0: ``g_v``, of the post-reset potential,
-    becomes that of the potential before the step and of its input current;
-    ``g_s`` is each spike's through the loss, ``g_out`` the output's in the
-    last lane (None: detached in all), and ``g_theta`` gathers theta's.
-    A spike moves theta from the potential to the output, so per spike theta
-    gains the output's adjoint less the potential's, and the spike theta
-    times that. Inside the window the spike's surrogate derivative by the
-    pre-reset potential is 1/theta, as ``surrogate_spike_grad`` gives; its
-    theta partial is minus that, which ``_if_param_grads`` adds."""
-    theta = layer.threshold
-    c = -g_v
-    if g_out is not None:
-        c[-1] += g_out
-    g_theta += spikes * c
-    g_v += (g_s + theta * c) * (window * (1 / theta))
-
-
-def _if_param_grads(g_theta: Array, g_v: Array) -> tuple[Array, Array]:
-    """Threshold and initial-potential gradients, summed over lanes and rows,
-    of a sweep of ``_if_step_grads`` from zero ``g_v``: over the steps, the
-    firing condition's potential partials sum to ``g_v``, its theta partials
-    to minus that."""
-    return (g_theta - g_v).sum(axis=(0, 1)), g_v.sum(axis=(0, 1))
 
 
 class SnnNetwork:
@@ -405,30 +379,70 @@ def _window_run(pairs, drive: Array, rho: int):
     return rates, (spikes, windows, counts)
 
 
-def _window_grads(pairs, record: tuple, g_rate: list[Array]) -> list[tuple[Array, Array]]:
+def _window_grads(pairs, record: tuple, g_align: list[Array],
+                  g_logits: Array) -> list[tuple[Array, Array]]:
     """The reverse of ``_window_run`` over its record, which it only reads,
     newest step first: each IF layer's threshold and initial-potential
-    gradients from its window-rate adjoint ``g_rate``, stacked over lanes
-    on axis 0, which it overwrites. Only the last lane crosses layers,
-    through ``g @ W.T``."""
+    gradients from two adjoints of its window rate, (batch, width) each:
+    ``g_align[j]``, which no carry crosses, and the last layer's
+    ``g_logits``, which crosses every layer below it through ``g @ W.T``.
+    Each is divided by rho in place, as ``_rate`` divides the counts.
+
+    The sweep is in reset form. Let a be a lane's rate adjoint over rho, g
+    the adjoint of a step's post-reset potential and c that of its output
+    theta * s. The spike's adjoint is theta * (a + c - g), which the
+    surrogate's height 1/theta turns into a + c - g on the pre-reset
+    potential inside the window; that potential also receives g. So a window
+    step resets the adjoint of the pre-reset potential, and of the step's
+    input current, to a + c, and a step outside the window passes g on. The
+    surrogate's theta partial, minus its potential partial, telescopes over
+    the steps to minus v_init's adjoint; theta also gains a * counts through
+    the rate and s * (c - g) per step through the reset and the output.
+
+    Where no output adjoint c enters (the alignment lane of every layer, and
+    the logits lane of the last), g at a step is a if a window step comes
+    later, else 0. Per neuron such a lane needs only ``seen``, whether a
+    window step came later, and ``n``, the spikes that a later window step
+    followed: theta's gradient is a * (counts - n - seen), v_init's
+    a * seen, summed over rows. Only the logits lane below the last layer,
+    where a is 0 and c is the carry from the layer above, keeps float
+    state: g, and theta's per-step sum th. A surrogate of another height, or
+    a spike of more than one unit, breaks this form.
+    """
     spikes, windows, counts = record
     rho = len(windows)
-    # g_rate / rho, formed in place as _rate divides, times the spike counts
-    # seeds theta's adjoint; times theta, it is each spike's
-    acc = []
-    for j, g in enumerate(g_rate):
-        g /= g.dtype.type(rho)
-        acc.append(g * counts[j])
-        g *= pairs[j][1].threshold
-    # g_u is the adjoint of the post-reset potential
-    g_u = [np.zeros_like(g) for g in g_rate]
-    for t in range(len(windows) - 1, -1, -1):
-        g_carry = None
-        for j in range(len(pairs) - 1, -1, -1):
-            linear, layer = pairs[j]
-            _if_step_grads(layer, spikes[j][t], windows[t][j], g_u[j], g_rate[j], g_carry, acc[j])
-            g_carry = g_u[j][-1] @ linear.w.T if j > 0 else None
-    return [_if_param_grads(a, g) for a, g in zip(acc, g_u)]
+    last = len(pairs) - 1
+    for a in (*g_align, g_logits):
+        a /= a.dtype.type(rho)
+    w_t = [np.ascontiguousarray(linear.w.T) for linear, _ in pairs]
+    seen = [np.zeros(c.shape, dtype=np.bool_) for c in counts]
+    hit = [np.empty(c.shape, dtype=np.bool_) for c in counts]
+    n = [np.zeros_like(c) for c in counts]
+    g = [np.zeros_like(a) for a in g_align[:-1]]
+    th = [np.zeros_like(a) for a in g_align[:-1]]
+    for t in range(rho - 1, -1, -1):
+        for j in range(last, -1, -1):
+            s, w = spikes[j][t], windows[t][j]
+            n[j] += np.logical_and(s, seen[j], out=hit[j]).view(np.uint8)
+            seen[j] |= w
+            if j < last:
+                d = carry - g[j]
+                g[j] += d * w
+                th[j] += d * s
+            if j:
+                carry = (g_logits * seen[j] if j == last else g[j]) @ w_t[j]
+    grads = []
+    for j, a in enumerate(g_align):
+        if j == last:
+            a = a + g_logits
+        k = (counts[j] - n[j]).astype(a.dtype)
+        k -= seen[j]
+        g_theta, g_v = (a * k).sum(axis=0), (a * seen[j]).sum(axis=0)
+        if j < last:
+            g_theta += (th[j] - g[j]).sum(axis=0)
+            g_v += g[j].sum(axis=0)
+        grads.append((g_theta, g_v))
+    return grads
 
 
 def _rate(threshold: Array, counts: Array, denom: int) -> Array:

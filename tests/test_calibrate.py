@@ -2,13 +2,12 @@ import numpy as np
 import pytest
 
 import spikefit.calibrate as calibrate
-from spikefit.ann import (AnnModel, Linear, Qcfs, Relu, ann_forward, char_lm, mlp,
-                          replace_activations)
+from spikefit.ann import AnnModel, Qcfs, ann_forward, char_lm, mlp, replace_activations
 from spikefit.calibrate import (CalibConfig, CalibrationError, activation_align_loss,
                                 apply_stage2, convert, eval_losses, logits_loss,
                                 lwc, nwc_calibrate)
 from spikefit.checkpoint import weight_hash
-from spikefit.data import Dataset, DataSpec, DatasetSplits, make_dataset
+from spikefit.data import Dataset, DatasetSplits
 from spikefit.snn import simulate
 from spikefit.tensor import Rng
 

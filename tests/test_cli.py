@@ -152,6 +152,12 @@ _CORPUS = b"the quick brown fox jumps over the lazy dog; pack my box with five d
 # regressor to a classifier, and in the same change NWC's reverse sweep began
 # dividing its rate adjoint by rho, as _rate divides its counts, instead of
 # multiplying it by a rounded 1 / rho.
+# When NWC's reverse sweep took its reset form, its gradients moved in their
+# last bits, and so did the calibrated thresholds and potentials: re-recorded
+# then were calibration.jsonl, errors.csv, layer_mse.csv, metrics.json,
+# threshold_shift.csv and snn_calibrated/* of classifier and char_lm, and
+# calibration.jsonl, threshold_shift.csv and snn_calibrated/* of
+# classifier_rho. Every accuracy in metrics.json held.
 # A refactor that keeps outputs must keep them all.
 PIPELINE_GOLDEN = {
     "classifier": {
@@ -160,15 +166,15 @@ PIPELINE_GOLDEN = {
         "ann/weights.bin":
             "6f0afc2bb4268ff02b423497f28dc7dc7b8d993680177f62a9f46893a6f84211",
         "reports/calibration.jsonl":
-            "226ce26880e489f392d3ee81434b680d7be130a56e9ce90970fd169b266d1453",
+            "7c47fa9b186ac3fbe07cb8afb6aaea9d77a592319c78e13849082ab09109b01b",
         "reports/energy.json":
             "6db98c80ea313964e3d155ab3555f773ea848ab7b4264b7a67be069c91c78d2a",
         "reports/errors.csv":
-            "901f58d97d2ed44e78f3a04585c6487295d9cf4e8f414f085106cde0e687b93c",
+            "c5b6c532b8daa5d91160178638b2a6959b37f14015da7a4e7d428afcf5e72d54",
         "reports/layer_mse.csv":
-            "97b157049a9a48e4d6bca2c3acf7d2747a6944b3a72272d7c7065ee643a07ceb",
+            "479609c0bab34f4de4c20e71e8ddf954194df84d5a587c683824cf3e83b88a3b",
         "reports/metrics.json":
-            "9e6a327798d38b51838fd5a288b9a0c0180d100facde45a7260eb879e6d8587e",
+            "515cef466d68acc91805f276034169fc5ca4e3d18a881e477162c7ca8a1faa42",
         "reports/stage_calibrate.json":
             "95e4be39179eeb5cce90f095fc039b043ac508588ba908cb84d350d0de50e661",
         "reports/stage_convert.json":
@@ -178,15 +184,15 @@ PIPELINE_GOLDEN = {
         "reports/tau_histogram.csv":
             "0896fdb01889cd674859e1d1a3d8bdcc582bc5a2e47e7cd6ab9057aedeb64633",
         "reports/threshold_shift.csv":
-            "c24a14dbb060b469f19e76a630b81fa8d55c9a4d9417447ad1d159b693c30cd5",
+            "088f4f70555a009e6cd29d654327dddbe3355d1042fa16ca4fab1bb10ca837c9",
         "snn/manifest.json":
             "f767393f78d655ab31129c49b9b3dbe1a0ba751ddabe3e6a3aec19477cbfcc40",
         "snn/weights.bin":
             "f3f2496555c4a7924e462f543e4d98f633988937257215f974692495a7cb6aca",
         "snn_calibrated/manifest.json":
-            "5114600d54ef336fac795dd63f81a164417d9403c55a182b8b36f690dc48bbdd",
+            "9e416c572e21bc4105459a83710ed4c30aeb9525309b7001cd5f798bd073c9bf",
         "snn_calibrated/weights.bin":
-            "87202e11dcf7bc56d7b4801d5a3d971c993cf115ac974f441b71db60faf17598",
+            "0bdbfeb7271588f20dbc0de529df75e9060716f055496528cfca51a824dc475c",
     },
     "char_lm": {
         "ann/manifest.json":
@@ -194,15 +200,15 @@ PIPELINE_GOLDEN = {
         "ann/weights.bin":
             "50e2a36dc70f62bc89a9b7ddb6958db9498e48c023156798b523e1fbb09e500b",
         "reports/calibration.jsonl":
-            "7db2e7642a923f5f3b1e7dc48f2f209974f3f31e4bb7b2f982678d0638825c60",
+            "0b5dcd064d18ada493489aafe7eb52971ae630c357ae96b4b0eb1015833cd749",
         "reports/energy.json":
             "a1348fe208380dffdc933cd721a0fc77211519afab1f505290a3639f909979c8",
         "reports/errors.csv":
-            "4ec1758dbe3fc7d1793cda870006521a81d152237e5eb2fe05a35a871ddd8313",
+            "97f9be368923c4c40ffbb0a9f08bc5282b21ad86e12552a34c3f52894ea0b33c",
         "reports/layer_mse.csv":
-            "2602d919eb7648cb5ec462935f4ab2fe0dedd77ebe6a0323d2aa0ff7a592aa9d",
+            "b5f4452389c708eade119935e49d9a79ac5125e26df0876690f38ea12efad973",
         "reports/metrics.json":
-            "83efa9127369c0f354417ae1801f96bde7a41b58c8bcffeb8901ea8ec24ee91c",
+            "cf3908aa7dbbaeae170084bffe394a8fa0756c03f0e3076994849d5dccb4ea8e",
         "reports/stage_calibrate.json":
             "06d28f669d06e824ff8d589faadf66b4517cc31de7ff29c76499c94531e361d1",
         "reports/stage_convert.json":
@@ -212,15 +218,15 @@ PIPELINE_GOLDEN = {
         "reports/tau_histogram.csv":
             "5a712c52e79d99e69828723397ec712d659230f5d43ecb7120a87bf77fb6914c",
         "reports/threshold_shift.csv":
-            "d9d654d6be404256b8d9a74d86b81fab1f440e1998bed1b5c6f995c41fe96f2b",
+            "d38f5458fe20c5f85596fd877a5d7df3c4b5d3a9b5777fb6b09318a6db9a0c27",
         "snn/manifest.json":
             "f97d7c242cc20cd6741b3eaad8caf5348f003657d385884f736372063d3db3cb",
         "snn/weights.bin":
             "3dc8768b421cf70a8697c0e1972a21d08a74176345c19ea4abcfdb35deb65e27",
         "snn_calibrated/manifest.json":
-            "9a6ddb5f61031d4cc3ce86b058e4b5cf4ced398c0530b5d57e7ff7facaabfd72",
+            "9f8593e8930812f400727c044ddd7b8f7afca27c2ea18f620851afa532e2112e",
         "snn_calibrated/weights.bin":
-            "a63effb65238f534433385a89e440232821189f896d9293749d6e5a2db6c8802",
+            "1b1b99493a6f0beeb7b9e77aabd57f38384483c036068cb5ffd288f923630ced",
     },
     "classifier_rho": {
         "ann/manifest.json":
@@ -228,7 +234,7 @@ PIPELINE_GOLDEN = {
         "ann/weights.bin":
             "28ee46dca26222b920b88a750c74cd6bddc61123e84c5f2a05e1fcf367ed2675",
         "reports/calibration.jsonl":
-            "0c944cc682568474904fb7fcb45e4aae86a82c99ad385d7ea054b8ff6927cee5",
+            "d3d718fbb0321c8417e5a6df2f39177b0f8e984d361cd2e2fa8dac0848554323",
         "reports/energy.json":
             "537e42076a39cc160afe45e6a6610d41154cbd87064ad8127ab5060884ade72e",
         "reports/errors.csv":
@@ -246,15 +252,15 @@ PIPELINE_GOLDEN = {
         "reports/tau_histogram.csv":
             "bc0048579f28820f00edf3b9770f9ed963e878c9259dd97ae7a6c87351bcf5bf",
         "reports/threshold_shift.csv":
-            "d13a413d4be2ca422b6c071aa4882327df7488e9a67844635fb08d15b4235a97",
+            "7729b8335705fe6ee42a6d07655a8fbe5148493640da2842e9b6fcf6639992a9",
         "snn/manifest.json":
             "240869f8b27101e83862dd1fbfba5491a61f3b6e2f76e94af482835ae87ad836",
         "snn/weights.bin":
             "a0f04e39bbe565579a0be6b5a84959a44a1798cc335435485b77e46d9275dc8f",
         "snn_calibrated/manifest.json":
-            "ce39e7f0942daf2b201c37c8b7489d984adaaeeb3a7caf41dbea4990ee66ff55",
+            "6aaac3635f60712fc245844476aa3e67351060fbfdae6ecbd3e3d74907fb9b84",
         "snn_calibrated/weights.bin":
-            "9dc448ad72bade37d4223d5142738d55db916f3272d75417705808c556016a07",
+            "c78fe4c084987f37d8586039ccb23fe041072f9f16b93aa915fb1615d81cb006",
     },
 }
 

@@ -4,15 +4,13 @@ import numpy as np
 import pytest
 from records import record_from_frames
 
-from spikefit.ann import ActivationTrace, Linear, ann_forward, mlp, qcfs_forward, \
-    replace_activations
+from spikefit.ann import ActivationTrace, ann_forward, mlp, replace_activations
 from spikefit.calibrate import convert, lwc
-from spikefit.diagnostics import (ErrorReport, _temporal_error_into, decompose_errors,
-                                  layer_mse_report, output_cosine, tau_histogram,
-                                  threshold_shift_report, write_error_csv,
-                                  write_mse_csv, write_tau_csv,
+from spikefit.diagnostics import (_temporal_error_into, decompose_errors, layer_mse_report,
+                                  output_cosine, tau_histogram, threshold_shift_report,
+                                  write_error_csv, write_mse_csv, write_tau_csv,
                                   write_threshold_shift_csv)
-from spikefit.snn import simulate, theoretical_spike_count
+from spikefit.snn import simulate
 from spikefit.tensor import Rng
 
 

@@ -1,12 +1,15 @@
-"""Every name a module of the package imports is used in that module."""
+"""Every name a module of the package or a test file imports is used in
+that module."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "spikefit"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "spikefit"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+TEST_FILES = sorted((ROOT / "tests").glob("*.py"))
 
 
 def _unused_imports(source: str) -> list[str]:
@@ -22,7 +25,8 @@ def _unused_imports(source: str) -> list[str]:
     return [f"line {line}: {name}" for name, line in imported.items() if name not in used]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + TEST_FILES,
+                         ids=lambda p: p.name if p.parent == SRC else f"tests/{p.name}")
 def test_no_unused_imports(path):
     assert _unused_imports(path.read_text()) == []
 
@@ -104,7 +108,7 @@ def test_only_snn_names_the_surrogate_window():
 def test_only_snn_names_the_neuron_step_and_its_reverse():
     # a new firing rule (a signed or burst neuron) edits these, so no other
     # module may reach past the window functions to them
-    neuron = {"_if_steps", "_if_step_grads", "_if_param_grads", "_pre_reset_window"}
+    neuron = {"_if_steps", "_pre_reset_window"}
     naming = sorted(path.name for path in sorted(SRC.glob("*.py"))
                     if neuron & _names(path.read_text()))
     assert naming == ["snn.py"]

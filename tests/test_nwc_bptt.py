@@ -3,7 +3,9 @@
 The reference records the unrolled IF chain on the autodiff tape twice: once
 with the carries between layers detached, for the alignment loss, and once
 over the full chain, for the logits loss. Its gradients are what the fused
-forward pass and reverse sweep must reproduce.
+forward pass and reverse sweep must reproduce. A second reference, the
+reverse sweep taken one step at a time (``per_step_sweep``), checks the
+reset-form sweep on records of any spike and window pattern.
 """
 
 import hashlib
@@ -16,7 +18,7 @@ from spikefit import autodiff as ad
 from spikefit import snn
 from spikefit.ann import AnnModel, Embedding, Linear, mlp, replace_activations
 from spikefit.calibrate import CalibConfig, _calib_batch, _nwc_bptt, convert, lwc
-from spikefit.snn import IfLayer, SnnNetwork, _split_stack
+from spikefit.snn import IfLayer, SnnNetwork, _count_dtype, _split_stack, _window_grads
 from spikefit.tensor import Rng
 
 TOL = 1e-6  # of the largest gradient entry
@@ -151,6 +153,119 @@ class TestMatchesTape:
         _compare(net, model, x, CalibConfig(timesteps=8))
 
 
+def per_step_sweep(pairs, record, g_align, g_logits):
+    """Reference reverse of ``snn._window_run``, one step at a time on two
+    adjoint lanes stacked on axis 0, alignment and logits; only the logits
+    lane crosses layers, and each layer's logits seed is zero but the
+    last's. Per step and lane, with g the adjoint of the post-reset
+    potential: a spike moves theta from the potential to the output, so
+    theta gains the output's adjoint less g per spike; inside the window the
+    spike's surrogate derivative by the pre-reset potential is 1/theta and
+    by theta minus that, which sums over the steps to minus g at the start.
+    ``g_align`` and ``g_logits`` are overwritten."""
+    spikes, windows, counts = record
+    rho = len(windows)
+    g_rate = [np.stack([a, np.zeros_like(a)]) for a in g_align]
+    g_rate[-1][1] = g_logits
+    acc = []
+    for j, g in enumerate(g_rate):
+        g /= g.dtype.type(rho)
+        acc.append(g * counts[j])
+        g *= pairs[j][1].threshold
+    g_v = [np.zeros_like(g) for g in g_rate]
+    for t in range(rho - 1, -1, -1):
+        g_carry = None
+        for j in range(len(pairs) - 1, -1, -1):
+            linear, layer = pairs[j]
+            theta = layer.threshold
+            c = -g_v[j]
+            if g_carry is not None:
+                c[-1] += g_carry
+            acc[j] += spikes[j][t] * c
+            g_v[j] += (g_rate[j] + theta * c) * (windows[t][j] * (1 / theta))
+            g_carry = g_v[j][-1] @ linear.w.T if j > 0 else None
+    return [((a - g).sum(axis=(0, 1)), g.sum(axis=(0, 1))) for a, g in zip(acc, g_v)]
+
+
+def _random_pairs(rng, widths, in_dim=5, out_dim=3):
+    """The (linear, IF) pairs of a random stack with IF layers of ``widths``."""
+    layers, fan_in = [], in_dim
+    for width in widths:
+        layers += [Linear(rng.normal(0, 1, (fan_in, width)).astype(np.float32),
+                          np.zeros(width, np.float32)),
+                   IfLayer(rng.uniform(0.5, 1.5, width), rng.uniform(0, 0.5, width))]
+        fan_in = width
+    layers.append(Linear(rng.normal(0, 1, (fan_in, out_dim)).astype(np.float32),
+                         np.zeros(out_dim, np.float32)))
+    return _split_stack(SnnNetwork(layers, 8))[0]
+
+
+def _random_record(rng, pairs, rho, batch, pattern):
+    """A ``_window_run`` record of random spikes and windows, reshaped by
+    ``pattern``: "random", "no_window", "all_window", or
+    "spikes_after_windows", where each neuron's window steps all come
+    before its spikes."""
+    spikes, windows = [], [[] for _ in range(rho)]
+    for _, layer in pairs:
+        shape = (rho, batch, layer.width)
+        s, w = rng.random(shape) < 0.4, rng.random(shape) < 0.5
+        if pattern == "no_window":
+            w[:] = False
+        elif pattern == "all_window":
+            w[:] = True
+        elif pattern == "spikes_after_windows":
+            cut = rng.integers(0, rho + 1, shape[1:])
+            before = np.arange(rho)[:, None, None] < cut
+            w &= before
+            s &= ~before
+        spikes.append(s)
+        for t in range(rho):
+            windows[t].append(w[t])
+    return spikes, windows, [s.sum(axis=0, dtype=_count_dtype(rho)) for s in spikes]
+
+
+# (name, seed, IF widths, rho, record pattern)
+SWEEP_CASES = [
+    ("random", 0, (7, 6), 8, "random"),
+    ("random_rho5", 1, (7, 6), 5, "random"),
+    ("no_window", 2, (7, 6), 8, "no_window"),
+    ("all_window", 3, (7, 6), 8, "all_window"),
+    ("spikes_after_windows", 4, (7, 6), 8, "spikes_after_windows"),
+    ("rho1", 5, (7, 6), 1, "random"),
+    ("one_layer", 6, (7,), 8, "random"),
+    ("three_layers", 7, (7, 6, 5), 8, "random"),
+    ("three_layers_after_windows", 8, (7, 6, 5), 6, "spikes_after_windows"),
+]
+
+
+@pytest.mark.parametrize("name,seed,widths,rho,pattern", SWEEP_CASES,
+                         ids=[c[0] for c in SWEEP_CASES])
+def test_sweep_matches_per_step_reference(name, seed, widths, rho, pattern):
+    """The reset-form sweep equals the per-step sweep on any record: it
+    holds only while the surrogate's height is 1/theta and a spike is one
+    unit, so a neuron or surrogate that breaks either fails here."""
+    rng = np.random.default_rng(seed)
+    batch = 9
+    pairs = _random_pairs(rng, widths)
+    record = _random_record(rng, pairs, rho, batch, pattern)
+    g_align = [rng.normal(0, 1, (batch, w)).astype(np.float32) for w in widths]
+    g_logits = rng.normal(0, 1, (batch, widths[-1])).astype(np.float32)
+
+    want = per_step_sweep(pairs, record, [a.copy() for a in g_align], g_logits.copy())
+    got = _window_grads(pairs, record, [a.copy() for a in g_align], g_logits.copy())
+    scale = max(float(np.abs(g).max()) for grads in want for g in grads)
+    assert scale > 0
+    for j, ((g_theta, g_v), (w_theta, w_v)) in enumerate(zip(got, want)):
+        assert g_theta.dtype == g_v.dtype == np.float32
+        np.testing.assert_allclose(g_theta, w_theta, rtol=0, atol=TOL * scale, err_msg=f"if{j}")
+        np.testing.assert_allclose(g_v, w_v, rtol=0, atol=TOL * scale, err_msg=f"if{j}")
+    if len(widths) > 1 and pattern != "no_window":
+        # the logits seed reaches the first layer, through every carry between
+        unseeded = per_step_sweep(pairs, record, [a.copy() for a in g_align],
+                                  np.zeros_like(g_logits))
+        assert not np.array_equal(unseeded[0][0], want[0][0])
+
+
 def test_no_tape_recorded(monkeypatch):
     """The fused step records nothing on the autodiff tape."""
     net, model, x = _setup(17)
@@ -243,11 +358,13 @@ def test_saved_state_bytes_per_neuron_step():
 
 
 def test_peak_beyond_saved_state():
-    """Beyond the spikes and windows it saves, a step holds about ten
+    """Beyond the spikes and windows it saves, a step holds under ten
     (batch, width) float32 arrays per layer at its peak: the reverse sweep's
-    g_sum, acc and g_u, two lanes each, and one layer's temporaries. The
-    forward-only arrays (potentials, sums, rates, diffs, seeds) are dropped
-    before that sweep; kept alive, they took the peak to nearly twenty."""
+    rate seeds, the float state of the logits lane below the last layer,
+    each neuron's window flag and spike count, a contiguous copy of each
+    carried weight, and one layer's temporaries. The forward-only arrays
+    (potentials, sums, rates, diffs) are dropped before that sweep; kept
+    alive, they took the peak to nearly twenty."""
     batch, width, rho = 64, 256, 16
     rng = Rng(19)
     x = rng.split("data").normal(0, 1, (batch, 8))
@@ -280,20 +397,20 @@ GOLDEN_CASES = [
     ("drive30", dict(seed=17), dict(timesteps=8), 30),
 ]
 
-# sha256 over the losses and gradients of one step, recorded from the
-# hand-written forward loop that preceded the shared IF recurrence; rho5
-# re-recorded when the window's rates became simulate's, counts divided by
-# rho rather than float32 sums times 1 / rho, which is inexact at rho = 5,
-# and again when the reverse sweep began dividing the rate adjoint by rho too
+# sha256 over the losses and gradients of one step. All eight were
+# re-recorded when the reverse sweep took its reset form, which keeps float
+# state only in the logits lane below the last layer: the same gradients
+# rounded otherwise, within 2.2e-7 of each case's largest entry of the
+# per-step sweep's, with every loss unchanged
 NWC_GOLDEN = {
-    "T1": "9d62fdac9a224bba530dc0bca31786c55d8a7a5ccc4d6c35ba8ff327b3160d05",
-    "T2": "bcc64cc850b7b944e218e9a1d2c621e6df4026a3e6fce17d5e6727a2ff6769b0",
-    "T8": "cfaf3fe61f9226c000e8a61de9626dff39e2f5410d525c7b112b3faeb34f47a7",
-    "rho5": "88e5fbdd5387b8174fb7d358c84fc5f5b5cfc9944403b1d9edd050518ba304f0",
-    "if_tail": "b1c6f6e7ae74c1cb78a34e11e78185d72a764007b484b5cf38d2c8ab5616a116",
-    "embed": "f674eb8b4ef6cb9fa1b0393634b2441a8047b4f16c840343a1ec3889e1ad26ec",
-    "one_layer": "12deda630ed106add460e473bd535f52b456bb648c401ed17a9ebc7f2010b181",
-    "drive30": "8617e7d479449319604b17241f28944b8f8f5d8cc3efe88510b98ea50df850cb",
+    "T1": "c70ec43b0676c2254b5c344dd4274c986fb3e7bb7ca01cc31ab986c5784fd826",
+    "T2": "327c48b0757489a2e4c5086c76242a3b95b1e6091692288059a814a11c87de29",
+    "T8": "2637f44cc393a2c8c83e1de2fc8db955401827815bd03791ed60539be07ae862",
+    "rho5": "06ef5547c4358c577eae4bf2e89c39be131b02a8df6d6f8385f6d361afdd4a8f",
+    "if_tail": "f252be5a9cbcdef5130fbe4354640e56b3ef125147bc66807fed3f1d63f17438",
+    "embed": "e06f0c7e44c2ea627e867948defe4c93699a611cf6a4c5e0edf1a2a3989389b0",
+    "one_layer": "c3b7b559e3f4143d28a3523c936394ab113ee767228537e2dc876a45526eede0",
+    "drive30": "969e7743e16c7f33bcf786147daf64ed4e750568a891065901da78299b218a9e",
 }
 
 
