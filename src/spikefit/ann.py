@@ -242,11 +242,26 @@ class TrainConfig:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.steps < 0:
             raise ValueError(f"steps must be >= 0, got {self.steps}")
+        # zero stays legal: a zero rate or decay leaves the parameters as they are
+        for name in ("lr", "lr_ceiling", "weight_decay"):
+            value = getattr(self, name)
+            if value is not None and value < 0:
+                raise ValueError(f"{name} must be >= 0, got {value}")
 
 
 # The heads and the reverse sweep below take, op for op and dtype for dtype,
 # the products the autodiff tape's vjps take (tests/test_train_backprop.py
 # holds the tape version), so trained weights are the tape's bit for bit.
+
+def _softmax_parts(z: Array) -> tuple[Array, Array, Array]:
+    """The numerically stable softmax of each row of ``z``, in z's dtype, as
+    three parts: ``z`` minus its row max, the exp of that, and the row sums
+    of the exp as a column. Every softmax and log-softmax in the package
+    outside the tape is formed from them."""
+    shifted = z - z.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    return shifted, e, e.sum(axis=1, keepdims=True)
+
 
 def _cross_entropy_head(out: Array, y: Array) -> tuple[float, Array]:
     """Mean softmax cross-entropy of integer labels, and its gradient wrt out.
@@ -256,9 +271,7 @@ def _cross_entropy_head(out: Array, y: Array) -> tuple[float, Array]:
     """
     dt = out.dtype
     onehot = np.eye(out.shape[1], dtype=dt)[y]
-    shifted = out - np.max(out, axis=1, keepdims=True)
-    e = np.exp(shifted)
-    se = e.sum(axis=1, keepdims=True)
+    shifted, e, se = _softmax_parts(out)
     total = ((shifted - np.log(se)) * onehot).sum(axis=1).sum()
     n = out.shape[0]
     g_ls = dt.type(-(1.0 / n)) * onehot
@@ -382,10 +395,8 @@ def _scored_batches(model: AnnModel, data):
 def dataset_loss(model: AnnModel, data) -> float:
     total = 0.0
     for out, by in _scored_batches(model, data):
-        out = out.astype(np.float64)
-        shifted = out - out.max(axis=1, keepdims=True)
-        lse = np.log(np.exp(shifted).sum(axis=1))
-        total += float(np.sum(lse - shifted[np.arange(len(by)), by]))
+        shifted, _, se = _softmax_parts(out.astype(np.float64))
+        total += float(np.sum(np.log(se[:, 0]) - shifted[np.arange(len(by)), by]))
     return total / max(len(data.x), 1)
 
 

@@ -1,13 +1,14 @@
 """Reverse-mode autodiff on a flat tape of numpy arrays, plus the Adam step
-and the soft targets that the hand-written backprops share.
+that stage-1 training and neuron-wise calibration share.
 
 Nothing in the package records on the tape any more: stage-1 training
 (``ann._backward``) and neuron-wise calibration (``calibrate._nwc_bptt``)
 sweep their layer lists by hand. The tape is the oracle their tests check
-them against, bit for bit (``tests/test_train_backprop.py``,
-``tests/test_nwc_bptt.py``). It stays in the package for now because the
-benchmark's tracer test checks that ``autodiff.backward`` is wrapped; it
-moves to ``tests/`` with the next revision of the benchmark.
+them against: training bit for bit (``tests/test_train_backprop.py``), and
+calibration to 1e-6 of its largest gradient (``tests/test_nwc_bptt.py``).
+It stays in the package for now because the benchmark's tracer test checks
+that ``autodiff.backward`` is wrapped; it moves to ``tests/`` with the next
+revision of the benchmark.
 
 The tape carries the usual smooth primitives and a spike threshold
 crossing whose derivative is the IF neuron's ``snn.surrogate_spike_grad``.
@@ -262,18 +263,14 @@ def softmax_cross_entropy(logits: Var, onehot: Array) -> Var:
     return mul(mean_(per_row), -1.0)
 
 
-def soft_targets(teacher_logits: Array) -> Array:
-    """Teacher distribution softmax(t), row by row."""
+def kd_cross_entropy(teacher_logits: Array, student_logits: Var) -> Var:
+    """Soft-target cross entropy: -mean_batch sum_c softmax(t) * log_softmax(s).
+    The teacher's softmax is formed here, apart from the package's, so the
+    tape stays an independent oracle for ``calibrate._kd_loss_and_grad``."""
     t = np.asarray(teacher_logits)
     t = t - t.max(axis=1, keepdims=True)
     q = np.exp(t)
     q /= q.sum(axis=1, keepdims=True)
-    return q
-
-
-def kd_cross_entropy(teacher_logits: Array, student_logits: Var) -> Var:
-    """Soft-target cross entropy: -mean_batch sum_c softmax(t) * log_softmax(s)."""
-    q = soft_targets(teacher_logits)
     ls = log_softmax(student_logits, axis=1)
     return mul(mean_(sum_(mul(ls, q.astype(student_logits.value.dtype)), axis=1)), -1.0)
 

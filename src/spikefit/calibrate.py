@@ -1,11 +1,13 @@
 """Stage 2 of the conversion: map a staircase-activated model onto
 integrate-and-fire layers, then calibrate thresholds and initial potentials,
 first per layer (closed-form scaling) and then per neuron (gradient descent
-with weights frozen). The per-neuron gradients come from ``snn``'s unrolled
-window of the simulation's own IF recurrence and that window's reverse
-sweep, not from the autodiff tape: this module compares the window's rates
-with the teacher's and seeds the sweep with each loss's gradient by the
-rates; ``_nwc_bptt`` states what each loss contributes."""
+with weights frozen). One neuron-wise step is ``_nwc_bptt``: it runs
+``snn``'s unrolled window of the simulation's own IF recurrence, compares
+the window's rates with the teacher's, and seeds that window's reverse
+sweep with each loss's gradient by the rates; its docstring states what
+each loss contributes. The soft-target cross entropy it minimizes is
+written once, ``_kd_loss_and_grad``, which ``logits_loss`` reports. Only
+Adam comes from ``autodiff``; the tape is the tests' oracle."""
 
 from __future__ import annotations
 
@@ -13,8 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import autodiff as ad
-from .ann import AnnModel, Embedding, Linear, Qcfs, Relu, _apply_linear, ann_forward
+from .ann import (AnnModel, Embedding, Linear, Qcfs, Relu, _apply_linear, _softmax_parts,
+                  ann_forward)
+from .autodiff import adam_step
+from .checkpoint import weight_hash
 from .snn import (IfLayer, SimulationError, SnnNetwork, SpikeRecord, _drive, _rate, _split_stack,
                   _window_grads, _window_run, simulate)
 from .tensor import Array, Rng
@@ -58,6 +62,8 @@ class CalibConfig:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.steps < 0:
             raise ValueError(f"steps must be >= 0, got {self.steps}")
+        if self.lr < 0:
+            raise ValueError(f"lr must be >= 0, got {self.lr}")
         if not 0 < self.alpha <= 1:
             raise ValueError(f"alpha must lie in (0, 1], got {self.alpha}")
 
@@ -126,7 +132,9 @@ def activation_align_loss(acts: Array, counts: Array, threshold: Array, timestep
 
 def logits_loss(ann_logits: Array, snn_rates: Array, temperature: float) -> float:
     """Soft-target cross entropy between the two output distributions,
-    averaged over the batch."""
+    averaged over the batch: ``_kd_loss_and_grad``'s loss, which NWC
+    minimizes in float32, taken here in float64 on the logits divided by
+    ``temperature``."""
     if temperature <= 0:
         raise ValueError(f"temperature must be positive, got {temperature}")
     a = np.atleast_2d(np.asarray(ann_logits, dtype=np.float64))
@@ -135,14 +143,7 @@ def logits_loss(ann_logits: Array, snn_rates: Array, temperature: float) -> floa
         raise ValueError(f"logit shape mismatch: {a.shape} vs {r.shape}")
     if a.shape[1] == 0:
         raise ValueError("logits loss needs at least one class")
-
-    def log_softmax(z):
-        z = z / temperature
-        z = z - z.max(axis=1, keepdims=True)
-        return z - np.log(np.exp(z).sum(axis=1, keepdims=True))
-
-    q = np.exp(log_softmax(a))
-    return float(-np.mean(np.sum(q * log_softmax(r), axis=1)))
+    return _kd_loss_and_grad(a / temperature, r / temperature)[0]
 
 
 # -- neuron-wise calibration ------------------------------------------------------
@@ -154,12 +155,15 @@ def _teacher_pass(ann: AnnModel, bx: Array):
 
 
 def _kd_loss_and_grad(teacher_logits: Array, out: Array):
-    """Soft-target cross entropy of ``out`` against the teacher (as in
-    ``autodiff.kd_cross_entropy``) and its gradient with respect to ``out``."""
-    q = ad.soft_targets(teacher_logits).astype(out.dtype)
-    z = out - out.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    total = e.sum(axis=1, keepdims=True)
+    """Soft-target cross entropy of ``out`` against the teacher's softmax,
+    averaged over the batch, and its gradient with respect to ``out``: the
+    package's one definition of ``L_logits``, in two precisions: NWC calls
+    it on float32 logits and ``logits_loss`` on float64 ones. The teacher's
+    softmax is formed in the teacher's dtype, then cast to ``out``'s. The
+    tape's ``kd_cross_entropy`` is its oracle."""
+    _, e_t, se_t = _softmax_parts(teacher_logits)
+    q = (e_t / se_t).astype(out.dtype)
+    z, e, total = _softmax_parts(out)
     batch = out.shape[0]
     loss = -float(((z - np.log(total)) * q).sum(axis=1).sum() * (1.0 / batch))
     grad = (e / total - q) * (1.0 / batch)
@@ -171,7 +175,8 @@ def _nwc_bptt(pairs, tail, drive: Array, teacher_acts, teacher_logits, rho: int)
     of ``rho`` unrolled steps: both losses and the gradient for every
     threshold and initial potential of the pairs' IF layers, keyed
     ``if{j}.threshold`` and ``if{j}.v_init``, by surrogate-gradient backprop
-    through time: ``_nwc_forward``, then ``_nwc_reverse``.
+    through time: ``snn._window_run``'s rates give the losses and each
+    loss's gradient by the rates, which seed ``snn._window_grads``.
 
     Gradient semantics: the alignment loss is differentiated with the
     carries between layers detached, so each layer's parameters receive the
@@ -179,16 +184,9 @@ def _nwc_bptt(pairs, tail, drive: Array, teacher_acts, teacher_logits, rho: int)
     within the layer stays differentiable); the logits loss is differentiated
     through the whole chain, carries included, from the last layer's rates
     down. The step minimizes ``L_all = L_al + L_logits``, so the gradient is
-    the sum of the two.
+    the sum of the two: the alignment seeds stay in their layers, and the
+    logits seed, by the last layer's rates alone, crosses every carry below.
     """
-    losses, record, seeds = _nwc_forward(pairs, tail, drive, teacher_acts, teacher_logits, rho)
-    return losses, _nwc_reverse(pairs, record, seeds)
-
-
-def _nwc_forward(pairs, tail, drive: Array, teacher_acts, teacher_logits, rho: int):
-    """The forward pass of ``_nwc_bptt``: the losses of ``snn._window_run``'s
-    rates, its record, and each loss's gradient by the rates: the alignment
-    loss's per layer, and the logits loss's by the last layer's alone."""
     n_layers = len(pairs)
     rates, record = _window_run(pairs, drive, rho)
     diffs = [rates[j] - teacher_acts[j] for j in range(n_layers)]
@@ -202,18 +200,10 @@ def _nwc_forward(pairs, tail, drive: Array, teacher_acts, teacher_logits, rho: i
     g_align = [np.float32(2.0 / d.size) * d for d in diffs]
     del diffs
     g_logits = g_out if tail is None else g_out @ tail.w.T
-    losses = {"L_al": l_align, "L_logits": l_kd, "L_all": l_align + l_kd}
-    return losses, record, (g_align, g_logits)
-
-
-def _nwc_reverse(pairs, record, seeds) -> dict:
-    """The reverse sweep of ``_nwc_bptt``, ``snn._window_grads``, from the
-    alignment seeds, which stay in their layers, and the logits seed, which
-    crosses every carry below the last layer."""
     grads = {}
-    for j, (g_theta, g_v) in enumerate(_window_grads(pairs, record, *seeds)):
+    for j, (g_theta, g_v) in enumerate(_window_grads(pairs, record, g_align, g_logits)):
         grads[f"if{j}.threshold"], grads[f"if{j}.v_init"] = g_theta, g_v
-    return grads
+    return {"L_al": l_align, "L_logits": l_kd, "L_all": l_align + l_kd}, grads
 
 
 def _calib_batch(snn: SnnNetwork, ann: AnnModel, bx: Array):
@@ -231,8 +221,6 @@ def nwc_calibrate(snn: SnnNetwork, ann: AnnModel, data, cfg: CalibConfig,
     frozen; the function asserts their hash is untouched. Returns the
     calibrated clone and one log record per optimizer step.
     """
-    from .checkpoint import weight_hash  # local import avoids a module cycle
-
     snn = snn.clone()
     pairs, tail = _split_stack(snn)
     if len(pairs) != len(ann.qcfs_layers()):
@@ -262,7 +250,7 @@ def nwc_calibrate(snn: SnnNetwork, ann: AnnModel, data, cfg: CalibConfig,
         l_all = losses["L_all"]
         if not np.isfinite(l_all):
             raise CalibrationError(f"non-finite calibration loss at step {step}")
-        _, state = ad.adam_step(params, gdict, state, cfg.lr)
+        _, state = adam_step(params, gdict, state, cfg.lr)
         for layer in layers:
             # thresholds must stay positive for the surrogate to be defined
             np.maximum(layer.threshold, np.float32(1e-4), out=layer.threshold)

@@ -9,7 +9,7 @@ import math
 import os
 from dataclasses import dataclass, field, fields
 
-from .ann import TrainConfig
+from .ann import TrainConfig, char_lm, mlp
 from .calibrate import CalibConfig
 from .data import DataSpec
 from .tensor import Rng
@@ -147,8 +147,6 @@ def config_hash(path: str) -> str:
 
 def build_model(cfg: ExperimentConfig, rng: Rng):
     """Fresh starting model (ReLU activations) matching the dataset shapes."""
-    from .ann import char_lm, mlp
-
     if cfg.model.kind == "char_lm":
         return char_lm(256, cfg.dataset.window, cfg.model.embed_dim,
                        list(cfg.model.hidden), rng)

@@ -88,6 +88,10 @@ def _without(section, key) -> dict:
     (_with("model", "hidden", []), "model: hidden must list at least one width"),
     (_with("stage2", "lambda_align", 1.0), "unknown key 'stage2.lambda_align'"),
     (_with("stage2", "lambda_logits", 1.0), "unknown key 'stage2.lambda_logits'"),
+    (_with("stage1", "lr", -0.01), "stage1: lr must be >= 0, got -0.01"),
+    (_with("stage1", "lr_ceiling", -5), "stage1: lr_ceiling must be >= 0, got -5"),
+    (_with("stage1", "weight_decay", -0.5), "stage1: weight_decay must be >= 0, got -0.5"),
+    (_with("stage2", "lr", -0.5), "stage2: lr must be >= 0, got -0.5"),
 ])
 def test_rejected_with_key_path(tmp_path, raw, message):
     with pytest.raises(ConfigError, match=re.escape(message)):
@@ -111,6 +115,23 @@ def test_regression_configs_are_refused(tmp_path, capsys):
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: "), raw
     assert not (tmp_path / "out").exists()
+
+
+def test_negative_rates_are_refused_and_zero_runs(tmp_path, capsys):
+    # a negative rate makes Adam climb its own objective, so the run stops
+    # before stage 1; zero leaves the parameters as they are, and runs
+    for section, key, value in [("stage1", "lr", -0.01), ("stage1", "lr_ceiling", -5),
+                                ("stage1", "weight_decay", -0.5), ("stage2", "lr", -0.5)]:
+        config = _write(tmp_path, _with(section, key, value))
+        assert cli.main(["pipeline", "--config", config, "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: {section}: {key} must be >= 0, got {value}"]
+        assert not (tmp_path / "out").exists()
+    raw = _base()
+    raw["stage1"].update(lr=0.0, lr_ceiling=0.0, weight_decay=0.0)
+    raw["stage2"].update(lr=0.0, steps=2)
+    config = _write(tmp_path, raw)
+    assert cli.main(["pipeline", "--config", config, "--out", str(tmp_path / "zero")]) == 0
 
 
 def test_defaults_pin_rho_to_the_horizon(tmp_path):

@@ -41,9 +41,10 @@ def test_checker_flags_an_unused_import():
 # reverse live there beside its step, so calibrate takes the drive, the
 # window's rates and their gradients from snn; snn and calibrate apply
 # linear layers with the analog path's own step, so every path computes a
-# layer's output with the same float32 bits
+# layer's output with the same float32 bits; the stable softmax is written
+# once, in ann, and calibrate's soft-target cross entropy is formed from it
 PRIVATE_IMPORTS = {
-    "calibrate.py": {"ann": ["_apply_linear"],
+    "calibrate.py": {"ann": ["_apply_linear", "_softmax_parts"],
                      "snn": ["_drive", "_rate", "_split_stack", "_window_grads",
                              "_window_run"]},
     "cli.py": {"calibrate": ["_align_terms", "_record_losses", "_teacher_pass"]},
@@ -117,3 +118,30 @@ def test_only_snn_names_the_neuron_step_and_its_reverse():
 def test_name_checker_sees_imports_and_attributes():
     source = "from .snn import _surrogate_window as w\nx = snn.SURROGATE_WINDOW\n"
     assert {"_surrogate_window", "SURROGATE_WINDOW"} <= _names(source)
+
+
+def _local_imports(source: str) -> list[tuple[str, str]]:
+    """(function, imported module and names) for each import made inside a
+    function body."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.FunctionDef):
+            for inner in ast.walk(node):
+                if isinstance(inner, ast.ImportFrom):
+                    names = ", ".join(a.name for a in inner.names)
+                    found.append((node.name, f"{'.' * inner.level}{inner.module} {names}"))
+                elif isinstance(inner, ast.Import):
+                    found.append((node.name, ", ".join(a.name for a in inner.names)))
+    return found
+
+
+def test_only_a_real_cycle_is_broken_by_a_local_import():
+    # snn imports ann, which imports autodiff, so the tape's spike cannot
+    # import snn's surrogate at module level; every other import is hoisted
+    got = {path.name: found for path in MODULES if (found := _local_imports(path.read_text()))}
+    assert got == {"autodiff.py": [("spike", ".snn surrogate_spike_grad")]}
+
+
+def test_local_import_checker_sees_both_forms():
+    source = "import os\ndef f():\n    import sys\n    from .ann import mlp, _rate\n"
+    assert _local_imports(source) == [("f", "sys"), ("f", ".ann mlp, _rate")]

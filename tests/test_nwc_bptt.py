@@ -17,7 +17,8 @@ import pytest
 from spikefit import autodiff as ad
 from spikefit import snn
 from spikefit.ann import AnnModel, Embedding, Linear, mlp, replace_activations
-from spikefit.calibrate import CalibConfig, _calib_batch, _nwc_bptt, convert, lwc
+from spikefit.calibrate import (CalibConfig, _calib_batch, _nwc_bptt, activation_align_loss,
+                                convert, logits_loss, lwc)
 from spikefit.snn import IfLayer, SnnNetwork, _count_dtype, _split_stack, _window_grads
 from spikefit.tensor import Rng
 
@@ -431,3 +432,26 @@ def _nwc_digest(setup, cfg_kwargs, scale):
                          ids=[c[0] for c in GOLDEN_CASES])
 def test_bit_identical_to_golden(name, setup, cfg_kwargs, scale):
     assert _nwc_digest(dict(setup), cfg_kwargs, scale) == NWC_GOLDEN[name]
+
+
+@pytest.mark.parametrize("name,setup,cfg_kwargs,scale", GOLDEN_CASES,
+                         ids=[c[0] for c in GOLDEN_CASES])
+def test_log_and_report_measure_the_same_objective(name, setup, cfg_kwargs, scale):
+    """The losses an NWC step logs are the report's functions, in float32
+    where the report is in float64, applied to the step's own window: its
+    decoded rates for ``L_logits`` and its counts for each ``L_al`` term."""
+    setup = dict(setup)
+    net, model, x = _setup(setup.pop("seed"), **setup)
+    drive, acts, logits = _calib_batch(net, model, x)
+    drive = drive * np.float32(scale)
+    rho = CalibConfig(**cfg_kwargs).rho
+    pairs, tail = _split_stack(net)
+    losses, _ = _nwc_bptt(pairs, tail, drive, acts, logits, rho)
+
+    rates, (_, _, counts) = snn._window_run(pairs, drive, rho)
+    out = rates[-1] if tail is None else rates[-1] @ tail.w + tail.b
+    want_kd = logits_loss(logits, out, 1.0)
+    want_al = sum(activation_align_loss(acts[j], counts[j], layer.threshold, rho, layer=j)
+                  for j, (_, layer) in enumerate(pairs))
+    assert losses["L_logits"] == pytest.approx(want_kd, rel=1e-6)
+    assert losses["L_al"] == pytest.approx(want_al, rel=1e-6)
